@@ -76,24 +76,27 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file, then from built-in defaults."""
-    config = _read_config(args.config) if args.config else {}
-    for key, raw in config.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            default = _DEFAULTS.get(key)
-            if isinstance(default, float) or key in ("delta", "eps", "f", "alpha", "beta", "xi", "visibility"):
-                value = float(raw)
-            elif isinstance(default, int) or key in ("seed", "events", "points", "samples", "sweep", "na", "nb", "resolution"):
-                value = int(raw)
-            else:
-                value = raw
-            setattr(args, key, value)
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse the command line with the --config file's values as flag defaults.
+
+    Config values go through the same argparse types and choices as flags, by
+    parsing them as flags placed before the command line's own, which then
+    override them.  Unset flags then take the built-in defaults.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        config = _read_config(args.config)
+        for key in config:
+            if not hasattr(args, key):
+                raise ValueError(f"unknown config key {key!r}")
+        # argv[0] is the command: the top-level parser's only options exit
+        flags = [f"--{key.replace('_', '-')}={raw}" for key, raw in config.items()]
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
+    return args
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -175,93 +178,57 @@ def _grid_values(scalar, grid_spec, name: str) -> np.ndarray:
     return np.array([float(scalar)])
 
 
-def _tau_row(stats: rates.ObservedStats, resolution: int) -> dict:
-    result = rates.tau_closed_form(stats)
-    row = {
-        "delta": stats.delta,
-        "eps": stats.eps,
-        "tau_closed": result.tau if result.feasible else float("nan"),
-        "tau_numeric": float("nan"),
-        "tau_low": float("nan"),
-        "region": result.region,
-    }
-    if result.feasible:
-        row["tau_numeric"] = rates.tau_numeric(stats, resolution)
-        row["tau_low"] = rates.tau_low(stats)
-    return row
+def _rate_table(args, f: float = 1.0) -> rates.RateTable:
+    """Every row of the command's delta x eps grid from one batched rate call."""
+    deltas = _grid_values(args.delta, args.delta_grid, "delta")
+    epss = _grid_values(args.eps, args.eps_grid, "eps")
+    table = rates.rate_table(np.repeat(deltas, epss.size), np.tile(epss, deltas.size), f)
+    if args.delta_grid is None and args.eps_grid is None and not table.feasible[0]:
+        raise InfeasibleError(
+            f"(delta={deltas[0]}, eps={epss[0]}) lies outside regions (a)-(c)"
+        )
+    return table
+
+
+def _rows(columns: list[str], values: list[list]) -> list[dict]:
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _cmd_tau(args) -> int:
-    deltas = _grid_values(args.delta, args.delta_grid, "delta")
-    epss = _grid_values(args.eps, args.eps_grid, "eps")
-    scalar_call = args.delta_grid is None and args.eps_grid is None
-    rows = []
-    for d in deltas:
-        for e in epss:
-            stats = rates.ObservedStats(float(d), float(e))
-            if scalar_call and not stats.feasible:
-                raise InfeasibleError(
-                    f"(delta={d}, eps={e}) lies outside regions (a)-(c)"
-                )
-            rows.append(_tau_row(stats, args.resolution))
-    _emit(args, ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"], rows)
+    table = _rate_table(args)
+    numeric = rates.tau_numeric_array(table.delta, table.eps, args.resolution)
+    columns = ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"]
+    values = [table.delta, table.eps, table.tau, numeric, table.tau_low, table.region]
+    _emit(args, columns, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
 
 
 def _cmd_keyrate(args) -> int:
-    deltas = _grid_values(args.delta, args.delta_grid, "delta")
-    epss = _grid_values(args.eps, args.eps_grid, "eps")
-    scalar_call = args.delta_grid is None and args.eps_grid is None
     if args.f < 1.0:
         raise ValueError(f"--f must be >= 1, got {args.f}")
-    rows = []
-    for d in deltas:
-        for e in epss:
-            stats = rates.ObservedStats(float(d), float(e))
-            row = {
-                "delta": stats.delta,
-                "eps": stats.eps,
-                "region": "infeasible",
-                "tau": float("nan"),
-                "r_key": float("nan"),
-                "r_upper": float("nan"),
-                "r_conjectured_random_assignment": float("nan"),
-                "has_key": None,
-            }
-            if stats.feasible:
-                result = rates.key_rate(stats, args.f)
-                shrink = (1.0 - stats.delta) * (
-                    1.0 - args.f * rates.binary_entropy(stats.eps / (1.0 - stats.delta))
-                )
-                row.update(
-                    region=result.region,
-                    tau=result.tau,
-                    r_key=result.r_key,
-                    r_upper=shrink - rates.tau_low(stats),
-                    r_conjectured_random_assignment=rates.conjectured_random_assignment_rate(
-                        stats
-                    ),
-                    has_key=result.has_key,
-                )
-            elif scalar_call:
-                raise InfeasibleError(
-                    f"(delta={d}, eps={e}) lies outside regions (a)-(c)"
-                )
-            rows.append(row)
-    _emit(
-        args,
-        [
-            "delta",
-            "eps",
-            "region",
-            "tau",
-            "r_key",
-            "r_upper",
-            "r_conjectured_random_assignment",
-            "has_key",
-        ],
-        rows,
-    )
+    table = _rate_table(args, args.f)
+    has_key = np.where(table.feasible, table.has_key, None)
+    columns = [
+        "delta",
+        "eps",
+        "region",
+        "tau",
+        "r_key",
+        "r_upper",
+        "r_conjectured_random_assignment",
+        "has_key",
+    ]
+    values = [
+        table.delta,
+        table.eps,
+        table.region,
+        table.tau,
+        table.r_key,
+        table.r_upper,
+        table.r_conjectured_random_assignment,
+        has_key,
+    ]
+    _emit(args, columns, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
 
 
@@ -533,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Scalar rate formulas: entropy, trade-off curve, privacy amplification, key fraction.
+"""Rate formulas: entropy, trade-off curve, privacy amplification, key fraction.
 
 The privacy-amplification fraction tau(delta, eps) is the worst-case cost of
 erasing the eavesdropper's knowledge given the observed double-click fraction
@@ -7,10 +7,16 @@ admissible splits into single-photon and multiphoton events, of
 (1 - xi) * H(eps_1) + xi * (1 - delta_m).  Three closed-form regions (a)-(c)
 cover the whole domain where a key can survive; `tau_numeric` recomputes the
 same maximum by direct search as an independent cross-check.
+
+The tau layer works on arrays of observed (delta, eps): `rate_table`,
+`tau_low_array` and `tau_numeric_array` evaluate every row in one call, and
+the scalar functions taking an `ObservedStats` are one-row wrappers around
+them, so both give bit-identical values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +31,24 @@ TANGENT_DELTA = 1.0 / 6.0
 ODD_ODD_CORNER_DELTA = 0.25
 
 _DOMAIN_TOL = 1e-12
+
+# Newton iterations of the tau_low maximiser stop once a step moves xi by at
+# most _XI_TOL; the objective is then within about |f''| * _XI_TOL**2 of its
+# maximum.  Rows take about 5 steps and at most 16 on the tested points;
+# _NEWTON_MAX_STEPS only guards against a loop.  A bisection in
+# log(xi_hi - xi) whose bracket ends at xi_hi takes that end as _GAP_FLOOR
+# below xi_hi.
+_XI_TOL = 1e-14
+_NEWTON_MAX_STEPS = 100
+_GAP_FLOOR = 1e-18
+
+# tau_numeric_array evaluates blocks of rows of at most this many grid points,
+# bounding its working memory to a few MB whatever the number of rows.
+_NUMERIC_BLOCK_POINTS = 1 << 14
+
+_LN2 = math.log(2.0)
+
+_DOMAIN_RULE = "need 0 <= delta < 1, 0 <= eps < 1 and delta + eps <= 1"
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -103,6 +127,17 @@ def feasible_eps_limit(delta: float) -> float:
     return ODD_ODD_CORNER_DELTA - delta
 
 
+def in_stats_domain(delta, eps):
+    """Whether (delta, eps) are observed fractions: each in [0, 1), sum at most 1.
+
+    Accepts scalars or arrays; NaN is outside the domain.
+    """
+    d, scalar = _as_array(delta)
+    e = np.asarray(eps, dtype=float)
+    ok = (d >= 0.0) & (d < 1.0) & (e >= 0.0) & (e < 1.0) & (d + e <= 1.0 + _DOMAIN_TOL)
+    return bool(ok) if scalar and ok.ndim == 0 else ok
+
+
 @dataclass(frozen=True)
 class ObservedStats:
     """Observed double-click fraction, error fraction, and optional event count."""
@@ -112,12 +147,11 @@ class ObservedStats:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta={self.delta!r} outside [0, 1)")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError(f"eps={self.eps!r} outside [0, 1)")
-        if self.delta + self.eps > 1.0 + _DOMAIN_TOL:
-            raise ValueError(f"delta + eps = {self.delta + self.eps!r} exceeds 1")
+        if not in_stats_domain(self.delta, self.eps):
+            raise ValueError(
+                f"(delta={self.delta!r}, eps={self.eps!r}) are not observed fractions: "
+                + _DOMAIN_RULE
+            )
         if self.n is not None and self.n < 0:
             raise ValueError(f"event count must be >= 0, got {self.n!r}")
 
@@ -170,11 +204,37 @@ class HiddenParams:
         return abs(mixed.delta - stats.delta) <= tol and abs(mixed.eps - stats.eps) <= tol
 
 
+def _stats_arrays(delta, eps) -> tuple[np.ndarray, np.ndarray]:
+    """1-D float copies of broadcast (delta, eps); raises on rows outside the domain."""
+    d, e = np.broadcast_arrays(np.asarray(delta, float), np.asarray(eps, float))
+    d, e = d.ravel(), e.ravel()
+    bad = ~in_stats_domain(d, e)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"(delta={float(d[i])!r}, eps={float(e[i])!r}) are not observed fractions: "
+            + _DOMAIN_RULE
+        )
+    return d.copy(), e.copy()
+
+
 @lru_cache(maxsize=1)
 def _plane_constants() -> tuple[float, float, float, float]:
     e1 = eps1_star()
     h1 = binary_entropy(e1)
     return 3.0 - 4.0 * h1 + 4.0 * e1, 4.0 * (1.0 - h1), h1 - 4.0 * e1, 1.0 - 4.0 * e1
+
+
+def _regions(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Region label per row; borders are checked in order a, b, c, so a wins ties."""
+    e1 = eps1_star()
+    region = np.full(d.shape, "infeasible", dtype="<U10")
+    c_edge = g(np.minimum(d, 1.0 / 3.0))
+    region[(d <= TANGENT_DELTA + _DOMAIN_TOL) & (e <= c_edge + _DOMAIN_TOL)] = "c"
+    b_edge = np.minimum((1.0 - 6.0 * d) * e1 + 0.5 * d, ODD_ODD_CORNER_DELTA - d)
+    region[e <= b_edge + _DOMAIN_TOL] = "b"
+    region[e <= e1 * (1.0 - 4.0 * d) + _DOMAIN_TOL] = "a"
+    return region
 
 
 def region_of(stats: ObservedStats) -> str:
@@ -183,27 +243,63 @@ def region_of(stats: ObservedStats) -> str:
     Region boundaries are checked in order a, b, c; the closed forms agree on
     the shared boundaries, so the tie-break does not change the value.
     """
-    d, e = stats.delta, stats.eps
-    e1 = eps1_star()
-    if e <= e1 * (1.0 - 4.0 * d) + _DOMAIN_TOL:
-        return "a"
-    if e <= min((1.0 - 6.0 * d) * e1 + 0.5 * d, ODD_ODD_CORNER_DELTA - d) + _DOMAIN_TOL:
-        return "b"
-    if d <= TANGENT_DELTA + _DOMAIN_TOL and e <= g(min(d, 1.0 / 3.0)) + _DOMAIN_TOL:
-        return "c"
-    return "infeasible"
+    return str(_regions(np.array([stats.delta]), np.array([stats.eps]))[0])
 
 
-def _tau_a(d: float, e: float) -> float:
+def _tau_a(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     x = 1.0 - 4.0 * d
-    if x <= _DOMAIN_TOL:
-        return 3.0 * d
-    return 3.0 * d + x * binary_entropy(min(e / x, 1.0))
+    wide = x > _DOMAIN_TOL
+    ratio = np.divide(e, x, out=np.zeros_like(x), where=wide)
+    return np.where(wide, 3.0 * d + x * binary_entropy(np.minimum(ratio, 1.0)), 3.0 * d)
 
 
-def _tau_b(d: float, e: float) -> float:
+def _tau_b(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     c1, c2, c3, denom = _plane_constants()
     return (c1 * d + c2 * e + c3) / denom
+
+
+def _tau_arrays(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(region, closed-form tau, tau_low) per row; NaN tau where infeasible.
+
+    tau_low is computed only where the closed forms use it: in region (c) and
+    on the (b)/(c) boundary.  It is NaN in the other rows.
+    """
+    region = _regions(d, e)
+    e1 = eps1_star()
+    in_b = region == "b"
+    on_ab = ((region == "a") | in_b) & (np.abs(e - e1 * (1.0 - 4.0 * d)) < 1e-12)
+    on_bc = (
+        (in_b | (region == "c"))
+        & (d <= TANGENT_DELTA)
+        & (np.abs(e - ((1.0 - 6.0 * d) * e1 + 0.5 * d)) < 1e-12)
+    )
+    low = np.full(d.shape, np.nan)
+    rows = (region == "c") | on_bc
+    if rows.any():
+        low[rows] = tau_low_array(d[rows], e[rows])
+    tau = np.full(d.shape, np.nan)
+    for name, closed in (("a", _tau_a), ("b", _tau_b)):
+        rows = region == name
+        tau[rows] = closed(d[rows], e[rows])
+    rows = region == "c"
+    tau[rows] = low[rows]
+    if on_ab.any() or on_bc.any():
+        _check_region_continuity(d, e, region, tau, low, on_ab, on_bc)
+    return region, tau, low
+
+
+def _check_region_continuity(d, e, region, tau, low, on_ab, on_bc) -> None:
+    """Raise if the neighboring closed form disagrees with a row on a region boundary."""
+    other_ab = np.where(region == "a", _tau_b(d, e), _tau_a(d, e))
+    other_bc = np.where(region == "b", low, _tau_b(d, e))
+    bad_ab = on_ab & (np.abs(other_ab - tau) > 1e-9)
+    bad_bc = on_bc & (np.abs(other_bc - tau) > 1e-9)
+    if bad_ab.any() or bad_bc.any():
+        i = int(np.argmax(bad_ab | bad_bc))
+        edge, other = ("(a)/(b)", other_ab[i]) if bad_ab[i] else ("(b)/(c)", other_bc[i])
+        raise NumericalError(
+            f"regions disagree at {edge} boundary: {float(tau[i])!r} vs {float(other)!r}"
+        )
 
 
 def tau_closed_form(stats: ObservedStats) -> KeyRateResult:
@@ -214,171 +310,332 @@ def tau_closed_form(stats: ObservedStats) -> KeyRateResult:
     trade-off curve, and the single-photon cost curve at eps1_star.
     Region (c): the single-photon/trade-off-curve mixture, i.e. tau_low.
     Outside these regions the result is flagged infeasible, never extrapolated.
+    One-row wrapper around the array path of `rate_table`.
     """
-    region = region_of(stats)
-    d, e = stats.delta, stats.eps
-    if region == "infeasible":
-        return KeyRateResult(tau=float("nan"), region=region)
-    if region == "a":
-        tau = _tau_a(d, e)
-    elif region == "b":
-        tau = _tau_b(d, e)
-    else:
-        tau = tau_low(stats)
-    _check_region_continuity(d, e, region, tau)
-    return KeyRateResult(tau=tau, region=region)
+    region, tau, _ = _tau_arrays(np.array([stats.delta]), np.array([stats.eps]))
+    return KeyRateResult(tau=float(tau[0]), region=str(region[0]))
 
 
-def _check_region_continuity(d: float, e: float, region: str, tau: float) -> None:
-    """Assert the neighboring closed form agrees when evaluated on a boundary."""
-    e1 = eps1_star()
-    if region in ("a", "b") and abs(e - e1 * (1.0 - 4.0 * d)) < 1e-12:
-        other = _tau_b(d, e) if region == "a" else _tau_a(d, e)
-        if abs(other - tau) > 1e-9:
-            raise NumericalError(
-                f"regions disagree at (a)/(b) boundary: {tau!r} vs {other!r}"
-            )
-    bc = (1.0 - 6.0 * d) * e1 + 0.5 * d
-    if region in ("b", "c") and d <= TANGENT_DELTA and abs(e - bc) < 1e-12:
-        other = tau_low(ObservedStats(d, e)) if region == "b" else _tau_b(d, e)
-        if abs(other - tau) > 1e-9:
-            raise NumericalError(
-                f"regions disagree at (b)/(c) boundary: {tau!r} vs {other!r}"
-            )
+def _tau_low_slope(x, d, sqrt_d, e) -> tuple[np.ndarray, np.ndarray]:
+    """First and second xi-derivatives of the tau_low objective at x in (3 delta, xi_hi).
+
+    With s = sqrt(xi - 2 delta) the multiphoton error term is
+    m = xi g(delta/xi) = (s - sqrt(delta))^2 / 2, so
+    f' = 1 - H(eps_1) + H'(eps_1) (eps_1 - m') and
+    f'' = H''(eps_1) (eps_1 - m')^2 / (1 - xi) - H'(eps_1) m''.
+    """
+    s = np.sqrt(x - 2.0 * d)
+    gap = s - sqrt_d
+    one_minus = 1.0 - x
+    p = (e - 0.5 * gap * gap) / one_minus
+    q = 1.0 - p
+    log_p, log_q = np.log2(p), np.log2(q)
+    h1 = log_q - log_p
+    lean = p - 0.5 * gap / s
+    slope = 1.0 + p * log_p + q * log_q + h1 * lean
+    curve = -lean * lean / (p * q * _LN2 * one_minus) - h1 * 0.25 * sqrt_d / (s * s * s)
+    return slope, curve
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Best function value on [lo, hi] by golden-section search."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return max(fc, fd, fn(0.5 * (a + b)))
+def _tau_low_argmax(lo, hi, d, e) -> np.ndarray:
+    """Root of f' in (lo, hi) per row, given f'(lo) > 0 > f'(hi) = -inf.
+
+    f' falls like log(hi - xi) towards hi, so each Newton step is taken in
+    z = log(hi - xi), where f' is nearly linear near hi and a step never
+    reaches hi.  A step that leaves the bracket is replaced by bisection in
+    z.  A row stops once its Newton step moves xi by at most _XI_TOL.  Rows
+    iterate independently, so a row's result does not depend on its batch.
+    """
+    top = hi
+    x = 0.5 * (lo + hi)
+    sqrt_d = np.sqrt(d)
+    rows = np.arange(x.size)
+    out = x.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            slope, curve = _tau_low_slope(x, d, sqrt_d, e)
+            rising = slope > 0.0  # NaN (eps_1 rounded to <= 0) lies past the root
+            lo = np.where(rising, x, lo)
+            hi = np.where(rising, hi, x)
+            gap = top - x
+            step = top - gap * np.exp(slope / (curve * gap))
+            done = (np.abs(step - x) <= _XI_TOL) & np.isfinite(curve)
+            inside = (step > lo) & (step < hi)
+            middle = top - np.sqrt((top - lo) * np.maximum(top - hi, _GAP_FLOOR))
+            x = np.where(done | inside, step, middle)
+            out[rows] = x
+            if done.any():
+                keep = ~done
+                if not keep.any():
+                    break
+                rows, x, lo, hi, top, d, sqrt_d, e = (
+                    a[keep] for a in (rows, x, lo, hi, top, d, sqrt_d, e)
+                )
+    return out
 
 
-def tau_low(stats: ObservedStats, grid: int = 2001) -> float:
+def _tau_low_xi_hi(d, e) -> np.ndarray:
+    """Largest xi with xi g(delta/xi) <= eps, capped at 1.
+
+    It solves (s - sqrt(delta))^2 / 2 = eps for s = sqrt(xi - 2 delta).
+    """
+    return np.minimum(2.0 * d + (np.sqrt(d) + np.sqrt(2.0 * e)) ** 2, 1.0)
+
+
+def _tau_low_objective(x, d, e) -> np.ndarray:
+    """xi - delta + (1 - xi) H(eps_1(xi)) for x in [3 delta, xi_hi], xi_hi < 1."""
+    gap = np.sqrt(np.maximum(x - 2.0 * d, 0.0)) - np.sqrt(d)
+    eps1 = np.clip((e - 0.5 * gap * gap) / (1.0 - x), 0.0, 1.0)
+    return x - d + (1.0 - x) * binary_entropy(eps1)
+
+
+def tau_low_array(delta, eps) -> np.ndarray:
+    """tau_low for every row of broadcast (delta, eps); NaN where delta > 1/3.
+
+    Maximizes f(xi) = xi - delta + (1 - xi) H(eps_1(xi)), with
+    eps_1 = (eps - xi g(delta/xi)) / (1 - xi), over the multiphoton fraction
+    xi in [3 delta, xi_hi].  Writing s = sqrt(xi - 2 delta), the multiphoton
+    error term is xi g(delta/xi) = (s - sqrt(delta))^2 / 2, which rises from 0
+    at xi = 3 delta, so the largest xi with eps_1 >= 0 is in closed form
+    xi_hi = min(2 delta + (sqrt(delta) + sqrt(2 eps))^2, 1).
+
+    When xi_hi reaches 1 (eps >= g(delta), within 1e-12) the multiphoton events
+    alone reproduce the statistics and the maximum is the xi = 1 value
+    1 - delta, an upper bound of f.  Otherwise f is concave on
+    [3 delta, xi_hi] and eps_1 stays in [0, 1/2] there; f'(3 delta) > 0 and
+    f'(xi_hi) = -inf, so the maximum is the root of f', found by a safeguarded
+    Newton iteration (see `_tau_low_argmax`) that stops once a step moves xi
+    by at most 1e-14.  The endpoint values at xi = 3 delta and xi_hi also
+    enter the maximum.  At delta = 0, f' <= 0 throughout and the maximum is
+    the xi -> 0 limit H(eps); at eps = 0 the interval is the single point
+    3 delta.
+    """
+    d, e = _stats_arrays(delta, eps)
+    tau = np.full(d.shape, np.nan)
+    admissible = 3.0 * d <= 1.0 + 1e-15
+    full = admissible & (e >= g(np.minimum(d, 1.0 / 3.0)) - 1e-12)
+    tau[full] = 1.0 - d[full]
+    part = admissible & ~full
+    d, e = d[part], e[part]
+    lo = 3.0 * d
+    hi = _tau_low_xi_hi(d, e)
+    best = np.maximum(_tau_low_objective(lo, d, e), hi - d)
+    flat = d == 0.0
+    best[flat] = np.maximum(best[flat], binary_entropy(e[flat]))
+    rows = (d > 0.0) & (e > 0.0) & (hi > lo)
+    if rows.any():
+        x = _tau_low_argmax(lo[rows], hi[rows], d[rows], e[rows])
+        best[rows] = np.maximum(best[rows], _tau_low_objective(x, d[rows], e[rows]))
+    tau[part] = best
+    return tau
+
+
+def tau_low(stats: ObservedStats) -> float:
     """Privacy cost of the explicit basis-independent bit-copying attack.
 
     Maximizes xi - delta + (1 - xi) H((eps - xi g(delta/xi)) / (1 - xi)) over
     the multiphoton fraction xi, with xi >= 3 delta so delta/xi stays in the
     curve's domain and the entropy argument confined to [0, 1].  This is a
-    lower bound on tau everywhere and equals it in region (c).
+    lower bound on tau everywhere and equals it in region (c).  One-row
+    wrapper around `tau_low_array`, which documents the closed-form upper
+    limit xi_hi and the Newton stopping rule.
     """
-    d, e = stats.delta, stats.eps
-    xi_lo = 3.0 * d
-    if xi_lo > 1.0 + 1e-15:
-        raise InfeasibleError(f"no admissible multiphoton fraction for delta={d!r}")
-    xi_lo = min(xi_lo, 1.0)
+    tau = tau_low_array(stats.delta, stats.eps)[0]
+    if np.isnan(tau):
+        raise InfeasibleError(f"no admissible multiphoton fraction for delta={stats.delta!r}")
+    return float(tau)
 
-    def mix_curve(xi):
-        # eps contributed by multiphoton events sitting on the trade-off curve
-        xi = np.asarray(xi, dtype=float)
-        ratio = np.divide(d, xi, out=np.zeros_like(xi), where=xi > 0)
-        return xi * g(np.clip(ratio, 0.0, 1.0 / 3.0))
 
-    def values(xis: np.ndarray) -> np.ndarray:
-        xis = np.asarray(xis, dtype=float)
-        below_one = np.minimum(xis, 1.0 - 1e-15)
-        eps1 = (e - mix_curve(below_one)) / (1.0 - below_one)
-        ok = (xis < 1.0) & (eps1 >= -1e-15) & (eps1 <= 1.0 + 1e-15)
-        out = xis - d + (1.0 - xis) * binary_entropy(np.clip(eps1, 0.0, 1.0))
-        return np.where(ok, out, -np.inf)
+def _tau_numeric_profile(xis, d, e) -> np.ndarray:
+    """Best objective at each multiphoton fraction; rows of xis pair with d, e."""
+    dm = np.divide(d, xis, out=np.zeros_like(xis), where=xis > 0)
+    env = multiphoton_envelope(np.clip(dm, 0.0, 1.0))
+    hi = (e - xis * env) / (1.0 - xis)
+    lo = np.maximum(0.0, (e - xis * (1.0 - dm)) / (1.0 - xis))
+    eps1 = np.minimum(hi, 0.5)
+    ok = (eps1 >= lo - 1e-15) & (dm <= 1.0 + 1e-12)
+    eps1 = np.clip(np.where(ok, eps1, 0.5), 0.0, 1.0)
+    out = xis - d + (1.0 - xis) * binary_entropy(eps1)
+    return np.where(ok, out, -np.inf)
 
-    def value(xi: float) -> float:
-        if xi >= 1.0:
-            return 1.0 - d if e >= float(mix_curve(1.0)) - 1e-12 else -np.inf
-        return float(values(np.array([xi]))[0])
 
-    candidates = [value(xi_lo)]
-    if d == 0.0:
-        candidates.append(binary_entropy(e))  # xi -> 0 limit
-    if e >= float(mix_curve(1.0)) - 1e-12:
-        xi_hi = 1.0
-        candidates.append(1.0 - d)
-    else:
-        # largest xi with nonnegative entropy argument: mix_curve increases in xi
-        xi_hi = brentq(lambda x: float(mix_curve(x)) - e, xi_lo, 1.0, xtol=1e-14)
-        candidates.append(value(xi_hi))
-    if xi_hi > xi_lo:
-        xis = np.linspace(xi_lo, xi_hi, grid)
-        vals = values(xis)
-        best = int(np.argmax(vals))
-        candidates.append(float(vals[best]))
-        lo = xis[max(best - 1, 0)]
-        hi = xis[min(best + 1, len(xis) - 1)]
-        candidates.append(_golden_max(value, lo, hi))
-    best = max(candidates)
-    if not np.isfinite(best):
-        raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
+def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
+    """Each row sorted with repeats removed, padded at the end with its last value.
+
+    The padding reproduces np.unique per row for the search: argmax takes the
+    first of equal values, and a padded right neighbor equals the point
+    itself, as the clamped neighbor index of a shorter row does.
+    """
+    xis = np.sort(xis, axis=1)
+    keep = np.ones(xis.shape, dtype=bool)
+    keep[:, 1:] = xis[:, 1:] != xis[:, :-1]
+    out = np.repeat(xis[:, -1:], xis.shape[1], axis=1)
+    rows = np.broadcast_to(np.arange(xis.shape[0])[:, None], xis.shape)
+    out[rows[keep], (np.cumsum(keep, axis=1) - 1)[keep]] = xis[keep]
+    return out
+
+
+def _tau_numeric_block(d: np.ndarray, e: np.ndarray, resolution: int) -> np.ndarray:
+    """tau_numeric for a block of feasible rows; -inf where no split is admissible."""
+    best = np.full(d.shape, -np.inf)
+    zero = (d == 0.0) & (e <= 0.5 + 1e-15)
+    best[zero] = binary_entropy(np.minimum(e[zero], 0.5))  # xi = 0: single photons only
+    multi = (e >= multiphoton_envelope(d) - 1e-12) & (e <= 1.0 - d + 1e-12)
+    best[multi] = np.maximum(best[multi], 1.0 - d[multi])  # xi = 1: multiphoton only
+    xi_min = np.maximum(d, 1e-9)
+    xi_top = 1.0 - 1e-9
+    rows = np.flatnonzero(xi_min < xi_top)
+    if not rows.size:
+        return best
+    lo = xi_min[rows]
+    specials = np.stack([3.0 * d[rows], 4.0 * d[rows], 6.0 * d[rows]], axis=1)
+    # specials outside (xi_min, xi_top) become copies of the grid's last point
+    specials[~((specials > lo[:, None]) & (specials < xi_top))] = xi_top
+    xis = _sorted_unique_rows(
+        np.concatenate([np.linspace(lo, xi_top, resolution, axis=1), specials], axis=1)
+    )
+    for _ in range(4):
+        dr, er = d[rows, None], e[rows, None]
+        values = _tau_numeric_profile(xis, dr, er)
+        idx = np.argmax(values, axis=1)
+        at = np.arange(rows.size)
+        top = values[at, idx]
+        finite = np.isfinite(top)
+        best[rows[finite]] = np.maximum(best[rows[finite]], top[finite])
+        last = xis.shape[1] - 1
+        step = xis[at, np.minimum(idx + 1, last)] - xis[at, np.maximum(idx - 1, 0)]
+        lo = np.maximum(xi_min[rows], xis[at, idx] - step)
+        hi = np.minimum(xi_top, xis[at, idx] + step)
+        going = hi > lo
+        rows, lo, hi = rows[going], lo[going], hi[going]
+        if not rows.size:
+            break
+        xis = np.linspace(lo, hi, 65, axis=1)
     return best
+
+
+def tau_numeric_array(delta, eps, resolution: int = 2000) -> np.ndarray:
+    """tau_numeric for every row of broadcast (delta, eps); NaN where not certified.
+
+    Rows are searched in blocks of at most _NUMERIC_BLOCK_POINTS grid points;
+    each row's search is the one `tau_numeric` describes, independent of the
+    other rows.
+    """
+    if resolution < 8:
+        raise ValueError("resolution must be >= 8")
+    d, e = _stats_arrays(delta, eps)
+    out = np.full(d.shape, np.nan)
+    rows = np.flatnonzero(_regions(d, e) != "infeasible")
+    block = max(1, _NUMERIC_BLOCK_POINTS // (resolution + 3))
+    for start in range(0, rows.size, block):
+        part = rows[start : start + block]
+        out[part] = _tau_numeric_block(d[part], e[part], resolution)
+    out[np.isneginf(out)] = np.nan
+    return out
 
 
 def tau_numeric(stats: ObservedStats, resolution: int = 2000) -> float:
     """Privacy-amplification fraction by direct search over admissible splits.
 
-    Discretizes the multiphoton fraction xi; for each grid value the
+    Discretizes the multiphoton fraction xi on `resolution` points of
+    [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each grid value the
     single-photon error rate is pushed to the largest admissible value not
     exceeding 1/2 (the entropy term is monotone below 1/2), with the
     multiphoton point constrained to the admissible region via its lower
-    envelope.  Local refinement around the best grid cell sharpens the
-    maximum well below the 1e-6 agreement target with the closed forms.
+    envelope.  Three passes of 65 points around the best grid cell sharpen
+    the maximum well below the 1e-6 agreement target with the closed forms.
+    This search shares nothing with the tau_low maximiser, so it
+    cross-checks it.  One-row wrapper around `tau_numeric_array`.
     """
-    d, e = stats.delta, stats.eps
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    if region_of(stats) == "infeasible":
+    d, e = stats.delta, stats.eps
+    if not stats.feasible:
         # the mixture program itself extends further, but values out there are
         # not certified; refuse rather than extrapolate
         raise InfeasibleError(
             f"(delta={d!r}, eps={e!r}) lies outside the certified domain"
         )
-
-    def profile(xis: np.ndarray) -> np.ndarray:
-        xis = np.asarray(xis, dtype=float)
-        dm = np.divide(d, xis, out=np.zeros_like(xis), where=xis > 0)
-        env = multiphoton_envelope(np.clip(dm, 0.0, 1.0))
-        hi = (e - xis * env) / (1.0 - xis)
-        lo = np.maximum(0.0, (e - xis * (1.0 - dm)) / (1.0 - xis))
-        eps1 = np.minimum(hi, 0.5)
-        ok = (eps1 >= lo - 1e-15) & (dm <= 1.0 + 1e-12)
-        eps1 = np.clip(np.where(ok, eps1, 0.5), 0.0, 1.0)
-        out = xis - d + (1.0 - xis) * binary_entropy(eps1)
-        return np.where(ok, out, -np.inf)
-
-    best = -np.inf
-    if d == 0.0 and e <= 0.5 + 1e-15:
-        best = binary_entropy(min(e, 0.5))  # xi = 0: single-photon events only
-    if e >= multiphoton_envelope(d) - 1e-12 and e <= 1.0 - d + 1e-12:
-        best = max(best, 1.0 - d)  # xi = 1: multiphoton events only
-    xi_min = max(d, 1e-9)
-    xi_top = 1.0 - 1e-9
-    if xi_min < xi_top:
-        specials = [x for x in (3.0 * d, 4.0 * d, 6.0 * d) if xi_min < x < xi_top]
-        xis = np.unique(np.concatenate([np.linspace(xi_min, xi_top, resolution), specials]))
-        for _ in range(4):
-            values = profile(xis)
-            idx = int(np.argmax(values))
-            if np.isfinite(values[idx]):
-                best = max(best, float(values[idx]))
-            step = xis[min(idx + 1, len(xis) - 1)] - xis[max(idx - 1, 0)]
-            lo = max(xi_min, xis[idx] - step)
-            hi = min(xi_top, xis[idx] + step)
-            if hi <= lo:
-                break
-            xis = np.linspace(lo, hi, 65)
-    if not np.isfinite(best):
+    value = tau_numeric_array(d, e, resolution)[0]
+    if np.isnan(value):
         raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
-    return best
+    return float(value)
+
+
+def _conjectured_rate(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    q = e + 0.5 * d
+    if np.any(q > 0.5 + _DOMAIN_TOL):
+        raise ValueError(f"entropy argument eps + delta/2 = {float(q.max())!r} exceeds 1/2")
+    return 1.0 - 2.0 * binary_entropy(np.minimum(q, 0.5))
+
+
+def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
+    """(1 - delta)(1 - f H(QBER)) with QBER = eps/(1 - delta), for feasible rows."""
+    qber = e / (1.0 - d)
+    if np.any(qber > 0.5 + _DOMAIN_TOL):
+        raise ValueError(f"QBER {float(qber.max())!r} exceeds 1/2")
+    return (1.0 - d) * (1.0 - f * binary_entropy(np.minimum(qber, 0.5)))
+
+
+def _check_f(f: float) -> None:
+    if f < 1.0:
+        raise ValueError(f"error-correction inefficiency must be >= 1, got {f!r}")
+
+
+@dataclass(frozen=True)
+class RateTable:
+    """Per-row results of `rate_table`; NaN in every rate of an infeasible row."""
+
+    delta: np.ndarray
+    eps: np.ndarray
+    region: np.ndarray
+    tau: np.ndarray
+    tau_low: np.ndarray
+    r_key: np.ndarray
+    r_upper: np.ndarray
+    r_conjectured_random_assignment: np.ndarray
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.region != "infeasible"
+
+    @property
+    def has_key(self) -> np.ndarray:
+        return self.r_key > 0.0
+
+
+def rate_table(delta, eps, f: float = 1.0) -> RateTable:
+    """Region, tau, tau_low and key fractions for every row of broadcast (delta, eps).
+
+    With the shrink term S = (1 - delta)(1 - f H(QBER)), QBER = eps/(1 - delta):
+    r_key = S - tau is the certified key fraction, r_upper = S - tau_low the
+    fraction the explicit attack still allows, so r_key <= r_upper.  The
+    CONJECTURED random-assignment rate 1 - 2 H(eps + delta/2) rides along
+    under its own name.  Rows outside regions (a)-(c) are labeled
+    'infeasible' and carry NaN; rows outside the observed-fraction domain
+    raise ValueError.
+    """
+    _check_f(f)
+    d, e = _stats_arrays(delta, eps)
+    region, tau, low = _tau_arrays(d, e)
+    feasible = region != "infeasible"
+    rest = feasible & np.isnan(low)
+    if rest.any():
+        low[rest] = tau_low_array(d[rest], e[rest])
+    shrink = np.full(d.shape, np.nan)
+    shrink[feasible] = _shrink(d[feasible], e[feasible], f)
+    conjectured = np.full(d.shape, np.nan)
+    conjectured[feasible] = _conjectured_rate(d[feasible], e[feasible])
+    return RateTable(
+        delta=d,
+        eps=e,
+        region=region,
+        tau=tau,
+        tau_low=low,
+        r_key=shrink - tau,
+        r_upper=shrink - low,
+        r_conjectured_random_assignment=conjectured,
+    )
 
 
 def key_rate(stats: ObservedStats, f: float = 1.0) -> KeyRateResult:
@@ -386,21 +643,17 @@ def key_rate(stats: ObservedStats, f: float = 1.0) -> KeyRateResult:
 
     ``f >= 1`` is the error-correction inefficiency; QBER = eps/(1-delta).
     A negative key fraction is reported as-is with ``has_key=False``.
+    One-row form of `rate_table`'s r_key, computed without its r_upper.
     """
-    if f < 1.0:
-        raise ValueError(f"error-correction inefficiency must be >= 1, got {f!r}")
-    result = tau_closed_form(stats)
-    if not result.feasible:
+    _check_f(f)
+    d, e = np.array([stats.delta]), np.array([stats.eps])
+    region, tau, _ = _tau_arrays(d, e)
+    if region[0] == "infeasible":
         raise InfeasibleError(
             f"no certified key rate at (delta={stats.delta!r}, eps={stats.eps!r})"
         )
-    qber = stats.eps / (1.0 - stats.delta)
-    if qber > 0.5 + _DOMAIN_TOL:
-        raise ValueError(f"QBER {qber!r} exceeds 1/2")
-    r = (1.0 - stats.delta) * (1.0 - f * binary_entropy(min(qber, 0.5))) - result.tau
-    return KeyRateResult(
-        tau=result.tau, region=result.region, r_key=r, f_ec=f, has_key=bool(r > 0.0)
-    )
+    r = float((_shrink(d, e, f) - tau)[0])
+    return KeyRateResult(tau=float(tau[0]), region=str(region[0]), r_key=r, f_ec=f, has_key=r > 0.0)
 
 
 def conjectured_random_assignment_rate(stats: ObservedStats) -> float:
@@ -409,7 +662,4 @@ def conjectured_random_assignment_rate(stats: ObservedStats) -> float:
     Comparison value only: it treats double clicks as random bits instead of
     discarding them and carries no security proof here.
     """
-    q = stats.eps + 0.5 * stats.delta
-    if q > 0.5 + _DOMAIN_TOL:
-        raise ValueError(f"entropy argument eps + delta/2 = {q!r} exceeds 1/2")
-    return 1.0 - 2.0 * binary_entropy(min(q, 0.5))
+    return float(_conjectured_rate(np.array([stats.delta]), np.array([stats.eps]))[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,11 @@ class SourceModel:
         """Arbitrary mixture of (weight, n_a, n_b, density) blocks; n=0 means vacuum."""
         return cls("custom", tuple(SourceBranch(*b) for b in branches))
 
+    @cached_property
+    def _outcome_tables(self) -> dict:
+        """Outcome distributions of this source, built on first use and kept with it."""
+        return _tables(self)
+
 
 def _party_projectors(n: int, w: Basis) -> tuple[list[np.ndarray], list[int]]:
     if n == 0:
@@ -202,14 +208,8 @@ class _OutcomeTable:
     probs: np.ndarray
 
 
-_TABLE_CACHE: dict[int, dict] = {}
-
-
 def _tables(source: SourceModel) -> dict:
-    """Per-branch, per-basis-pair outcome distributions, cached by source identity."""
-    cached = _TABLE_CACHE.get(id(source))
-    if cached is not None and cached["source"] is source:
-        return cached
+    """Per-branch, per-basis-pair outcome distributions and the branch CDF."""
     tables = {}
     for bi, branch in enumerate(source.branches):
         for wa in (Basis.Z, Basis.X):
@@ -232,9 +232,7 @@ def _tables(source: SourceModel) -> dict:
                     np.array(ca), np.array(cb), np.cumsum(probs), probs
                 )
     weights = np.array([b.weight for b in source.branches])
-    cached = {"source": source, "tables": tables, "branch_cum": np.cumsum(weights)}
-    _TABLE_CACHE[id(source)] = cached
-    return cached
+    return {"tables": tables, "branch_cum": np.cumsum(weights)}
 
 
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -276,7 +274,7 @@ _BASES = (Basis.Z, Basis.X)
 def sample_event(source: SourceModel, rng_stream: EventStream) -> EventRecord:
     """Draw one protocol round: bases, branch, Born-rule outcome pair."""
     u = rng_stream.next4()
-    cache = _tables(source)
+    cache = source._outcome_tables
     wa = _BASES[int(u[0] >= 0.5)]
     wb = _BASES[int(u[1] >= 0.5)]
     bi = int(np.searchsorted(cache["branch_cum"], u[2], side="right"))
@@ -292,7 +290,7 @@ def run_protocol(
     """Simulate ``num_events`` rounds and tally the same-basis detected events."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
-    cache = _tables(source)
+    cache = source._outcome_tables
     branch_cum = cache["branch_cum"]
     counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
     for start in range(0, num_events, chunk):
@@ -344,7 +342,7 @@ def run_protocol(
 
 def analytic_fractions(source: SourceModel) -> tuple[float, float]:
     """Exact double-click and error fractions among same-basis detected events."""
-    cache = _tables(source)
+    cache = source._outcome_tables
     detect_mass = 0.0
     dbl_mass = 0.0
     err_mass = 0.0
@@ -398,9 +396,16 @@ class SimulationReport:
 
 
 def _try_key_rate(delta: float, eps: float, n: int | None, f: float):
+    """Key rate at the fractions, or None where no key rate is certified.
+
+    Fractions outside the observed-fraction domain, such as delta = 1 when
+    every sifted event is a double click, certify no key either.
+    """
+    if not rates.in_stats_domain(delta, eps):
+        return None
     try:
         return rates.key_rate(rates.ObservedStats(delta, eps, n), f)
-    except (InfeasibleError, ValueError):
+    except InfeasibleError:
         return None
 
 

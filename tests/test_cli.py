@@ -291,6 +291,22 @@ class TestOutputPlumbing:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "line, argv",
+        [
+            ("format = xml", ("tau", "--delta", "0", "--eps", "0")),
+            ("events = abc", ("simulate", "--source", "ideal")),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, line, argv):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", str(config)])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(

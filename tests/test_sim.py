@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from bbm92kit import (
     event_uniforms,
     key_rate,
     ObservedStats,
+    outcome_projectors,
+    rates,
     run_attack,
     run_protocol,
     sample_event,
@@ -263,6 +268,28 @@ class TestEndToEnd:
         assert not report.sampled_feasible
         assert report.analytic is None
 
+    def test_all_double_click_source_is_infeasible(self):
+        # Alice double-clicks in Z, Bob in X: every sifted event is discarded,
+        # so delta_hat = 1, outside the observed-fraction domain
+        def double_click_state(basis):
+            vals, vecs = np.linalg.eigh(outcome_projectors(2, basis)[2].entries)
+            return vecs[:, -1]
+
+        psi = np.kron(double_click_state(Basis.Z), double_click_state(Basis.X))
+        source = SourceModel.custom([(1.0, 2, 2, np.outer(psi, psi))])
+        report = end_to_end(source, 5000, f=1.0, seed=3)
+        assert report.tally.n > 0 and report.tally.n_dbl == report.tally.n
+        assert report.delta_hat == 1.0
+        assert report.sampled is None and report.analytic is None
+
+    def test_key_rate_errors_propagate(self, monkeypatch):
+        def broken(stats, f=1.0):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(rates, "key_rate", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            end_to_end(SourceModel.werner(0.95), 2000, seed=1)
+
     def test_seed_is_echoed_and_deterministic(self):
         a = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
         b = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
@@ -291,3 +318,20 @@ class TestAnalyticFractions:
         point = run_attack(chi)
         assert delta == pytest.approx(point.delta_m, abs=1e-12)
         assert eps == pytest.approx(point.eps_m, abs=1e-12)
+
+
+class TestSourceLifetime:
+    def test_source_is_freed_after_a_run(self):
+        source = SourceModel.werner(0.9)
+        run_protocol(source, 1000, seed=1)
+        ref = weakref.ref(source)
+        del source
+        gc.collect()
+        assert ref() is None
+
+    def test_tables_built_once_per_source(self):
+        source = SourceModel.werner(0.9)
+        first = run_protocol(source, 5000, seed=2)
+        tables = source._outcome_tables
+        assert run_protocol(source, 5000, seed=2) == first
+        assert source._outcome_tables is tables
