@@ -39,33 +39,6 @@ class Outcome(Enum):
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One protocol round as seen after public announcements."""
-
-    alice_basis: Basis
-    bob_basis: Basis
-    alice_outcome: Outcome
-    bob_outcome: Outcome
-
-    @property
-    def detected(self) -> bool:
-        return (
-            self.alice_outcome is not Outcome.NO_DETECTION
-            and self.bob_outcome is not Outcome.NO_DETECTION
-        )
-
-    @property
-    def sifted(self) -> bool:
-        """Kept for key generation: same basis, both detected, no double click."""
-        return (
-            self.alice_basis is self.bob_basis
-            and self.detected
-            and self.alice_outcome is not Outcome.DOUBLE
-            and self.bob_outcome is not Outcome.DOUBLE
-        )
-
-
-@dataclass(frozen=True)
 class SiftedTally:
     """Counts over events with matching bases where both parties detected."""
 
@@ -189,6 +162,14 @@ class SourceModel:
         """Outcome distributions of this source, built on first use and kept with it."""
         return _tables(self)
 
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        """Flat lookup table of the Monte Carlo kernel, built from the outcome tables."""
+        return _build_kernel(self)
+
+
+_BASES = (Basis.Z, Basis.X)
+
 
 def _party_projectors(n: int, w: Basis) -> tuple[list[np.ndarray], list[int]]:
     if n == 0:
@@ -212,9 +193,9 @@ def _tables(source: SourceModel) -> dict:
     """Per-branch, per-basis-pair outcome distributions and the branch CDF."""
     tables = {}
     for bi, branch in enumerate(source.branches):
-        for wa in (Basis.Z, Basis.X):
+        for wa in _BASES:
             proj_a, codes_a = _party_projectors(branch.n_a, wa)
-            for wb in (Basis.Z, Basis.X):
+            for wb in _BASES:
                 proj_b, codes_b = _party_projectors(branch.n_b, wb)
                 probs, ca, cb = [], [], []
                 for pa, code_a in zip(proj_a, codes_a):
@@ -248,95 +229,101 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((count, _DRAWS_PER_EVENT))
 
 
-class EventStream:
-    """Seeded per-event randomness; event i always sees the same four draws."""
-
-    def __init__(self, seed: int, start: int = 0, chunk: int = 1024):
-        self.seed = seed
-        self._next = start
-        self._chunk = max(chunk, 1)
-        self._buffer = np.empty((0, _DRAWS_PER_EVENT))
-        self._buffer_start = start
-
-    def next4(self) -> np.ndarray:
-        offset = self._next - self._buffer_start
-        if offset >= len(self._buffer):
-            self._buffer = event_uniforms(self.seed, self._next, self._chunk)
-            self._buffer_start = self._next
-            offset = 0
-        self._next += 1
-        return self._buffer[offset]
+def _outcome_flags(table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per outcome: both parties detected; a double click among them; a bit error."""
+    a, b = table.codes_a, table.codes_b
+    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
+    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
+    err = detected & ~dbl & (a != b)
+    return detected, dbl, err
 
 
-_BASES = (Basis.Z, Basis.X)
+@dataclass(frozen=True)
+class _Kernel:
+    """Every (branch, basis pair) outcome table of a source in one flat lookup.
+
+    Group g = 4 * branch + 2 * [Alice measures X] + [Bob measures X]; slot
+    g * width + s stands for outcome s of group g.  Column g of ``cut`` holds
+    the group's cumulative probabilities but the last, padded with 2.0, so the
+    count of its entries <= u is min(searchsorted(cum, u, "right"), len(cum) - 1),
+    the outcome drawn by u: the padding is never <= u < 1.  Row i of
+    ``indicators`` marks the slots counted by tally i, in the order n, dbl,
+    err, cor, mismatch, undetected.
+    """
+
+    branch_cum: np.ndarray
+    cut: np.ndarray
+    indicators: np.ndarray
 
 
-def sample_event(source: SourceModel, rng_stream: EventStream) -> EventRecord:
-    """Draw one protocol round: bases, branch, Born-rule outcome pair."""
-    u = rng_stream.next4()
+def _build_kernel(source: SourceModel) -> _Kernel:
     cache = source._outcome_tables
-    wa = _BASES[int(u[0] >= 0.5)]
-    wb = _BASES[int(u[1] >= 0.5)]
-    bi = int(np.searchsorted(cache["branch_cum"], u[2], side="right"))
-    bi = min(bi, len(source.branches) - 1)
-    table = cache["tables"][(bi, wa, wb)]
-    k = min(int(np.searchsorted(table.cum, u[3], side="right")), len(table.cum) - 1)
-    return EventRecord(wa, wb, Outcome(int(table.codes_a[k])), Outcome(int(table.codes_b[k])))
+    groups = [
+        (cache["tables"][(bi, wa, wb)], wa is wb)
+        for bi in range(len(source.branches))
+        for wa in _BASES
+        for wb in _BASES
+    ]
+    width = max(len(table.cum) for table, _ in groups)
+    cut = np.full((width - 1, len(groups)), 2.0)
+    indicators = np.zeros((6, len(groups), width), dtype=np.int64)
+    for g, (table, same) in enumerate(groups):
+        size = len(table.cum)
+        cut[: size - 1, g] = table.cum[:-1]
+        detected, dbl, err = _outcome_flags(table)
+        kept = same & detected
+        indicators[:, g, :size] = (
+            kept,
+            kept & dbl,
+            kept & err,
+            kept & ~dbl & ~err,
+            np.full(size, not same),
+            ~detected,
+        )
+    return _Kernel(cache["branch_cum"], cut, indicators.reshape(6, -1))
 
 
 def run_protocol(
     source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 20
 ) -> SiftedTally:
-    """Simulate ``num_events`` rounds and tally the same-basis detected events."""
+    """Simulate ``num_events`` rounds and tally the same-basis detected events.
+
+    Each event's branch and bases pick its group and its outcome draw picks a
+    slot of the source's flat kernel table; one bincount per chunk counts the
+    slots, and the tallies are the slot counts summed over their indicators.
+    """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
-    cache = source._outcome_tables
-    branch_cum = cache["branch_cum"]
-    counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    kernel = source._kernel
+    last_branch = len(kernel.branch_cum) - 1
+    width = len(kernel.cut) + 1
+    totals = np.zeros(kernel.indicators.shape[1], dtype=np.int64)
     for start in range(0, num_events, chunk):
-        count = min(chunk, num_events - start)
-        u = event_uniforms(seed, start, count)
-        wa = (u[:, 0] >= 0.5).astype(np.int8)
-        wb = (u[:, 1] >= 0.5).astype(np.int8)
-        branch = np.minimum(
-            np.searchsorted(branch_cum, u[:, 2], side="right"), len(branch_cum) - 1
-        )
-        out_a = np.empty(count, dtype=np.int8)
-        out_b = np.empty(count, dtype=np.int8)
-        for bi in range(len(source.branches)):
-            for ia, basis_a in enumerate(_BASES):
-                for ib, basis_b in enumerate(_BASES):
-                    mask = (branch == bi) & (wa == ia) & (wb == ib)
-                    if not mask.any():
-                        continue
-                    table = cache["tables"][(bi, basis_a, basis_b)]
-                    k = np.minimum(
-                        np.searchsorted(table.cum, u[mask, 3], side="right"),
-                        len(table.cum) - 1,
-                    )
-                    out_a[mask] = table.codes_a[k]
-                    out_b[mask] = table.codes_b[k]
-        same = wa == wb
-        detected = (out_a != Outcome.NO_DETECTION.value) & (
-            out_b != Outcome.NO_DETECTION.value
-        )
-        reg = same & detected
-        dbl = reg & ((out_a == Outcome.DOUBLE.value) | (out_b == Outcome.DOUBLE.value))
-        err = reg & ~dbl & (out_a != out_b)
-        counts["n"] += int(reg.sum())
-        counts["dbl"] += int(dbl.sum())
-        counts["err"] += int(err.sum())
-        counts["cor"] += int((reg & ~dbl & (out_a == out_b)).sum())
-        counts["mismatch"] += int((~same).sum())
-        counts["undetected"] += int((~detected).sum())
+        u = event_uniforms(seed, start, min(chunk, num_events - start))
+        group = np.searchsorted(kernel.branch_cum, u[:, 2], side="right")
+        np.minimum(group, last_branch, out=group)
+        group *= 4
+        group += 2 * (u[:, 0] >= 0.5)
+        group += u[:, 1] >= 0.5
+        draw = u[:, 3].copy()
+        del u  # free the (count, 4) draws before the lookup passes allocate
+        outcome = np.zeros(len(group), dtype=np.int8)
+        for cut_j in kernel.cut:
+            outcome += cut_j[group] <= draw
+        group *= width
+        group += outcome
+        totals += np.bincount(group, minlength=len(totals))
+    n, dbl, err, cor, mismatch, undetected = (int(c) for c in kernel.indicators @ totals)
     return SiftedTally(
-        n=counts["n"],
-        n_dbl=counts["dbl"],
-        n_err=counts["err"],
-        n_cor=counts["cor"],
+        n=n,
+        n_dbl=dbl,
+        n_err=err,
+        n_cor=cor,
         n_events=num_events,
-        n_mismatched=counts["mismatch"],
-        n_undetected=counts["undetected"],
+        n_mismatched=mismatch,
+        n_undetected=undetected,
     )
 
 
@@ -349,14 +336,7 @@ def analytic_fractions(source: SourceModel) -> tuple[float, float]:
     for bi, branch in enumerate(source.branches):
         for w in _BASES:
             table = cache["tables"][(bi, w, w)]
-            det = (table.codes_a != Outcome.NO_DETECTION.value) & (
-                table.codes_b != Outcome.NO_DETECTION.value
-            )
-            dbl = det & (
-                (table.codes_a == Outcome.DOUBLE.value)
-                | (table.codes_b == Outcome.DOUBLE.value)
-            )
-            err = det & ~dbl & (table.codes_a != table.codes_b)
+            det, dbl, err = _outcome_flags(table)
             scale = 0.5 * branch.weight
             detect_mass += scale * float(table.probs[det].sum())
             dbl_mass += scale * float(table.probs[dbl].sum())
@@ -410,10 +390,14 @@ def _try_key_rate(delta: float, eps: float, n: int | None, f: float):
 
 
 def _try_conjectured(delta: float, eps: float) -> float | None:
-    try:
-        return rates.conjectured_random_assignment_rate(rates.ObservedStats(delta, eps))
-    except ValueError:
+    """Conjectured random-assignment rate, or None outside its domain.
+
+    Its domain is the observed-fraction domain with eps + delta/2 <= 1/2,
+    within the rates layer's tolerance.
+    """
+    if not rates.in_stats_domain(delta, eps) or eps + 0.5 * delta > 0.5 + rates._DOMAIN_TOL:
         return None
+    return rates.conjectured_random_assignment_rate(rates.ObservedStats(delta, eps))
 
 
 def end_to_end(

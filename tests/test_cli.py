@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bbm92kit import cli
 
+SIMULATE_GOLDEN = json.loads(
+    (Path(__file__).with_name("data") / "simulate_golden.json").read_text()
+)
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -210,6 +215,15 @@ class TestOutputPlumbing:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "run", SIMULATE_GOLDEN["runs"], ids=lambda run: f"{run['argv'][2]}-{run['argv'][-1]}"
+    )
+    def test_simulate_output_matches_golden(self, capsys, run):
+        # bytes pinned by tests/data/make_simulate_golden.py at an earlier kernel
+        code, out, _ = run_cli(capsys, *run["argv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == run["sha256"]
 
     def test_csv_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.2:7", "--eps-grid", "0:0.05:4")

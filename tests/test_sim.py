@@ -3,11 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbm92kit import (
     Basis,
-    EventStream,
     Outcome,
+    SiftedTally,
     SourceModel,
     analytic_fractions,
     attack_density,
@@ -20,7 +22,7 @@ from bbm92kit import (
     rates,
     run_attack,
     run_protocol,
-    sample_event,
+    sim,
 )
 
 
@@ -29,63 +31,90 @@ def make_attack_source(xi=0.5):
     return SourceModel.eve_attack(chi, xi), run_attack(chi)
 
 
+def _random_density(rng, dim: int) -> np.ndarray:
+    m = rng.standard_normal((dim, dim))
+    rho = m @ m.T
+    return rho / np.trace(rho)
+
+
+def _random_mixture(seed: int) -> SourceModel:
+    """Vacuum blocks (0,1), (1,0), (0,0) and random blocks of up to three photons a side."""
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 1), (1, 0), (0, 0), (3, 3)]
+    pairs += [tuple(int(n) for n in rng.integers(1, 4, size=2)) for _ in range(4)]
+    weights = rng.dirichlet(np.ones(len(pairs)))
+    return SourceModel.custom(
+        [
+            (w, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))
+            for w, (n_a, n_b) in zip(weights, pairs)
+        ]
+    )
+
+
+def _reference_run_protocol(
+    source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 20
+) -> SiftedTally:
+    """The per-(branch, basis pair) mask loop run_protocol replaced, kept as its reference."""
+    if num_events < 1:
+        raise ValueError(f"num_events must be >= 1, got {num_events}")
+    cache = source._outcome_tables
+    branch_cum = cache["branch_cum"]
+    counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
+    for start in range(0, num_events, chunk):
+        count = min(chunk, num_events - start)
+        u = event_uniforms(seed, start, count)
+        wa = (u[:, 0] >= 0.5).astype(np.int8)
+        wb = (u[:, 1] >= 0.5).astype(np.int8)
+        branch = np.minimum(
+            np.searchsorted(branch_cum, u[:, 2], side="right"), len(branch_cum) - 1
+        )
+        out_a = np.empty(count, dtype=np.int8)
+        out_b = np.empty(count, dtype=np.int8)
+        for bi in range(len(source.branches)):
+            for ia, basis_a in enumerate(sim._BASES):
+                for ib, basis_b in enumerate(sim._BASES):
+                    mask = (branch == bi) & (wa == ia) & (wb == ib)
+                    if not mask.any():
+                        continue
+                    table = cache["tables"][(bi, basis_a, basis_b)]
+                    k = np.minimum(
+                        np.searchsorted(table.cum, u[mask, 3], side="right"),
+                        len(table.cum) - 1,
+                    )
+                    out_a[mask] = table.codes_a[k]
+                    out_b[mask] = table.codes_b[k]
+        same = wa == wb
+        detected = (out_a != Outcome.NO_DETECTION.value) & (
+            out_b != Outcome.NO_DETECTION.value
+        )
+        reg = same & detected
+        dbl = reg & ((out_a == Outcome.DOUBLE.value) | (out_b == Outcome.DOUBLE.value))
+        err = reg & ~dbl & (out_a != out_b)
+        counts["n"] += int(reg.sum())
+        counts["dbl"] += int(dbl.sum())
+        counts["err"] += int(err.sum())
+        counts["cor"] += int((reg & ~dbl & (out_a == out_b)).sum())
+        counts["mismatch"] += int((~same).sum())
+        counts["undetected"] += int((~detected).sum())
+    return SiftedTally(
+        n=counts["n"],
+        n_dbl=counts["dbl"],
+        n_err=counts["err"],
+        n_cor=counts["cor"],
+        n_events=num_events,
+        n_mismatched=counts["mismatch"],
+        n_undetected=counts["undetected"],
+    )
+
+
 class TestRandomnessContract:
     def test_chunking_reproduces_serial_stream(self):
         full = event_uniforms(42, 0, 64)
         assert np.array_equal(full[5:13], event_uniforms(42, 5, 8))
         assert np.array_equal(full[63:], event_uniforms(42, 63, 1))
 
-    def test_stream_matches_block_generation(self):
-        stream = EventStream(seed=9, chunk=7)
-        rows = np.array([stream.next4() for _ in range(20)])
-        assert np.array_equal(rows, event_uniforms(9, 0, 20))
-
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(event_uniforms(1, 0, 4), event_uniforms(2, 0, 4))
-
-
-class TestSampleEvent:
-    def test_ideal_pair_matching_bases_always_agree(self):
-        source = SourceModel.ideal_pair()
-        stream = EventStream(seed=3)
-        seen_match = 0
-        for _ in range(2000):
-            rec = sample_event(source, stream)
-            assert rec.alice_outcome in (Outcome.BIT0, Outcome.BIT1)
-            assert rec.bob_outcome in (Outcome.BIT0, Outcome.BIT1)
-            if rec.alice_basis is rec.bob_basis:
-                seen_match += 1
-                assert rec.alice_outcome is rec.bob_outcome
-                assert rec.sifted
-        assert seen_match > 0
-
-    def test_fully_depolarized_agreement_is_half(self):
-        source = SourceModel.werner(0.0)
-        stream = EventStream(seed=4)
-        agree = total = 0
-        for _ in range(20000):
-            rec = sample_event(source, stream)
-            if rec.alice_basis is rec.bob_basis:
-                total += 1
-                agree += rec.alice_outcome is rec.bob_outcome
-        assert agree / total == pytest.approx(0.5, abs=5 * 0.5 / np.sqrt(total))
-
-    def test_agrees_with_vectorized_path(self):
-        source, _ = make_attack_source(0.3)
-        stream = EventStream(seed=5)
-        records = [sample_event(source, stream) for _ in range(4000)]
-        n = sum(r.alice_basis is r.bob_basis and r.detected for r in records)
-        dbl = sum(
-            r.alice_basis is r.bob_basis
-            and r.detected
-            and (r.alice_outcome is Outcome.DOUBLE or r.bob_outcome is Outcome.DOUBLE)
-            for r in records
-        )
-        err = sum(
-            r.sifted and r.alice_outcome is not r.bob_outcome for r in records
-        )
-        tally = run_protocol(source, 4000, seed=5)
-        assert (n, dbl, err) == (tally.n, tally.n_dbl, tally.n_err)
 
 
 class TestRunProtocol:
@@ -124,24 +153,95 @@ class TestRunProtocol:
         assert abs(tally.delta_hat - 0.5 * point.delta_m) <= 5.0 * tally.delta_se
         assert abs(tally.eps_hat - 0.5 * point.eps_m) <= 5.0 * tally.eps_se
 
+    def test_fully_depolarized_agreement_is_half(self):
+        tally = run_protocol(SourceModel.werner(0.0), 20000, seed=4)
+        assert tally.n_dbl == 0
+        assert tally.eps_hat == pytest.approx(0.5, abs=5 * 0.5 / np.sqrt(tally.n))
+
     def test_sift_never_keeps_bad_events(self):
-        source, _ = make_attack_source(0.8)
-        stream = EventStream(seed=11)
-        for _ in range(3000):
-            rec = sample_event(source, stream)
-            if rec.sifted:
-                assert rec.alice_basis is rec.bob_basis
-                assert rec.alice_outcome in (Outcome.BIT0, Outcome.BIT1)
-                assert rec.bob_outcome in (Outcome.BIT0, Outcome.BIT1)
+        # every kernel slot feeding the correct or error tally is a same-basis
+        # outcome where both parties report a bit
+        source = _random_mixture(11)
+        kernel = source._kernel
+        tables = source._outcome_tables["tables"]
+        width = len(kernel.cut) + 1
+        n_row, _, err_row, cor_row = kernel.indicators[:4]
+        bits = (Outcome.BIT0.value, Outcome.BIT1.value)
+        checked = 0
+        for g in range(kernel.cut.shape[1]):
+            wa, wb = sim._BASES[(g >> 1) % 2], sim._BASES[g % 2]
+            table = tables[(g // 4, wa, wb)]
+            for s, (a, b) in enumerate(zip(table.codes_a, table.codes_b)):
+                slot = g * width + s
+                if err_row[slot] or cor_row[slot]:
+                    assert wa is wb and a in bits and b in bits
+                    assert n_row[slot] == 1
+                    checked += 1
+                if Outcome.DOUBLE.value in (a, b) or Outcome.NO_DETECTION.value in (a, b):
+                    assert not err_row[slot] and not cor_row[slot]
+            # padding slots of narrower groups are never counted
+            assert not kernel.indicators[:, g * width + len(table.cum) : (g + 1) * width].any()
+        assert checked > 0
 
 
 def _random_custom_source(seed: int, n_a: int, n_b: int) -> SourceModel:
     rng = np.random.default_rng(seed)
-    dim = (n_a + 1) * (n_b + 1)
-    m = rng.standard_normal((dim, dim))
-    rho = m @ m.T
-    rho /= np.trace(rho)
-    return SourceModel.custom([(1.0, n_a, n_b, rho)])
+    return SourceModel.custom([(1.0, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))])
+
+
+REFERENCE_SOURCES = {
+    "ideal": SourceModel.ideal_pair,
+    "werner": lambda: SourceModel.werner(0.9),
+    "attack": lambda: make_attack_source(0.5)[0],
+    "mixture0": lambda: _random_mixture(0),
+    "mixture1": lambda: _random_mixture(1),
+}
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("name", list(REFERENCE_SOURCES))
+    def test_tallies_equal_reference_loop(self, name, seed):
+        source = REFERENCE_SOURCES[name]()
+        for num_events, chunks in ((300, [1]), (3000, [7]), (20000, [4096, 20000])):
+            for chunk in chunks:
+                assert run_protocol(source, num_events, seed, chunk) == (
+                    _reference_run_protocol(source, num_events, seed, chunk)
+                )
+        assert run_protocol(source, 20000, seed) == _reference_run_protocol(source, 20000, seed)
+
+    def test_rejects_bad_sizes(self):
+        source = SourceModel.ideal_pair()
+        with pytest.raises(ValueError, match="num_events"):
+            run_protocol(source, 0, seed=1)
+        with pytest.raises(ValueError, match="chunk"):
+            run_protocol(source, 10, seed=1, chunk=0)
+        with pytest.raises(ValueError, match="chunk"):
+            run_protocol(source, 10, seed=1, chunk=-5)
+
+
+@st.composite
+def small_sources(draw):
+    """Mixtures of one to three blocks of up to two photons a side, vacuum included."""
+    count = draw(st.integers(1, 3))
+    pairs = [(draw(st.integers(0, 2)), draw(st.integers(0, 2))) for _ in range(count)]
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(count)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = sum(raw)
+    return SourceModel.custom(
+        [
+            (w / total, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))
+            for w, (n_a, n_b) in zip(raw, pairs)
+        ]
+    )
+
+
+@settings(max_examples=40)
+@given(small_sources(), st.integers(1, 600), st.integers(0, 2**32 - 1), st.integers(1, 700))
+def test_chunked_run_equals_single_pass_for_any_chunk(source, num_events, seed, chunk):
+    assert run_protocol(source, num_events, seed, chunk) == run_protocol(
+        source, num_events, seed
+    )
 
 
 class TestBornRuleFidelity:
@@ -287,6 +387,23 @@ class TestEndToEnd:
             raise ValueError("programming error")
 
         monkeypatch.setattr(rates, "key_rate", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            end_to_end(SourceModel.werner(0.95), 2000, seed=1)
+
+    def test_conjectured_rate_is_none_outside_its_domain(self):
+        # the observed-fraction border: delta = 1 when every sifted event double-clicks
+        assert sim._try_conjectured(1.0, 0.0) is None
+        # the entropy border eps + delta/2 = 1/2, inside up to the rates tolerance
+        assert sim._try_conjectured(0.2, 0.4) == -1.0
+        assert sim._try_conjectured(0.0, 0.5 + 0.5 * rates._DOMAIN_TOL) == -1.0
+        assert sim._try_conjectured(0.0, 0.5 + 2.0 * rates._DOMAIN_TOL) is None
+        assert sim._try_conjectured(0.2, 0.4 + 1e-9) is None
+
+    def test_conjectured_rate_errors_propagate(self, monkeypatch):
+        def broken(stats):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(rates, "conjectured_random_assignment_rate", broken)
         with pytest.raises(ValueError, match="programming error"):
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
