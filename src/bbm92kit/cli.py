@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -108,7 +109,8 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(args, columns, rows, meta_extra=None, summary_lines=()) -> None:
+def _emit(args, rows, meta_extra=None, summary_lines=()) -> None:
+    """Write the rows, never empty, as CSV or JSON; the first row's keys are the columns."""
     meta = {
         "version": __version__,
         "command": args.command,
@@ -133,9 +135,9 @@ def _emit(args, columns, rows, meta_extra=None, summary_lines=()) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([_fmt_cell(row.get(col)) for col in columns])
+            writer.writerow([_fmt_cell(value) for value in row.values()])
         text = buf.getvalue()
         for line in summary_lines:
             print(f"# {line}", file=sys.stderr)
@@ -199,7 +201,7 @@ def _cmd_tau(args) -> int:
     numeric = rates.tau_numeric_array(table.delta, table.eps, args.resolution)
     columns = ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"]
     values = [table.delta, table.eps, table.tau, numeric, table.tau_low, table.region]
-    _emit(args, columns, _rows(columns, [v.tolist() for v in values]))
+    _emit(args, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
 
 
@@ -228,8 +230,15 @@ def _cmd_keyrate(args) -> int:
         table.r_conjectured_random_assignment,
         has_key,
     ]
-    _emit(args, columns, _rows(columns, [v.tolist() for v in values]))
+    _emit(args, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
+
+
+def _g_bound(delta_m: float) -> float | None:
+    """g(delta_m) for a point on the curve's domain delta_m <= 1/3, else None."""
+    if delta_m <= 1.0 / 3.0 + 1e-12:
+        return float(rates.g(min(delta_m, 1.0 / 3.0)))
+    return None
 
 
 def _cmd_tradeoff(args) -> int:
@@ -248,38 +257,27 @@ def _cmd_tradeoff(args) -> int:
         ]
         _emit(
             args,
-            ["n_a", "n_b", "min_double_click", "closed_form"],
             rows,
             meta_extra={"summary": {"min_double_click": value}},
             summary_lines=[f"odd-odd pair: min double-click fraction = {value:.12g}"],
         )
         return EXIT_OK
-    points = povm.trace_boundary(pair, num_points=args.points)
     rows = []
-    max_dev = 0.0
-    for p in points:
-        on_curve = p.delta_m <= 1.0 / 3.0 + 1e-12
-        bound = float(rates.g(min(p.delta_m, 1.0 / 3.0))) if on_curve else None
-        dev = p.eps_m - bound if bound is not None else None
-        if dev is not None:
-            max_dev = max(max_dev, abs(dev))
+    for p in povm.trace_boundary(pair, num_points=args.points):
+        bound = _g_bound(p.delta_m)
+        dev = None if bound is None else p.eps_m - bound
         rows.append(
-            {
-                "delta_m": p.delta_m,
-                "eps_m": p.eps_m,
-                "g_bound": bound,
-                "eps_minus_bound": dev,
-            }
+            {"delta_m": p.delta_m, "eps_m": p.eps_m, "g_bound": bound, "eps_minus_bound": dev}
         )
-    rng = np.random.default_rng(args.seed)
-    states = rng.standard_normal((args.samples, pair.joint_dim))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    fd = povm.f_dbl(pair).entries
-    fe = povm.f_err(pair).entries
-    inside = 0
-    for vec in states:
-        point = povm.TradeoffPoint(float(vec @ fd @ vec), float(vec @ fe @ vec))
-        inside += povm.region_membership(point, tol=1e-8)
+    max_dev = max(
+        (abs(row["eps_minus_bound"]) for row in rows if row["eps_minus_bound"] is not None),
+        default=0.0,
+    )
+    delta, eps = povm.random_state_fractions(
+        pair, args.samples, np.random.default_rng(args.seed)
+    )
+    env = rates.multiphoton_envelope(np.clip(delta, 0.0, 1.0))
+    inside = int(np.sum(eps >= env - 1e-8))
     summary = {
         "max_abs_eps_minus_bound": max_dev,
         "random_states_inside": inside,
@@ -287,7 +285,6 @@ def _cmd_tradeoff(args) -> int:
     }
     _emit(
         args,
-        ["delta_m", "eps_m", "g_bound", "eps_minus_bound"],
         rows,
         meta_extra={"summary": summary},
         summary_lines=[
@@ -298,13 +295,12 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _attack_row(alpha: float, beta: float) -> dict:
-    result = attack.run_attack(attack.boundary_state(alpha, beta))
-    on_curve = result.delta_m <= 1.0 / 3.0 + 1e-12
-    bound = float(rates.g(min(result.delta_m, 1.0 / 3.0))) if on_curve else None
+def _attack_row(point: attack.SweepPoint) -> dict:
+    result = point.result
+    bound = _g_bound(result.delta_m)
     return {
-        "alpha": alpha,
-        "beta": beta,
+        "alpha": point.alpha,
+        "beta": point.beta,
         "delta_m": result.delta_m,
         "eps_m": result.eps_m,
         "g_bound": bound,
@@ -314,39 +310,14 @@ def _attack_row(alpha: float, beta: float) -> dict:
 
 
 def _cmd_attack(args) -> int:
-    columns = [
-        "alpha",
-        "beta",
-        "delta_m",
-        "eps_m",
-        "g_bound",
-        "on_boundary",
-        "eve_bit_accuracy",
-    ]
     if args.sweep is None:
         if args.alpha is None or args.beta is None:
             raise ValueError("need --alpha and --beta, or --sweep N")
-        rows = [_attack_row(args.alpha, args.beta)]
-        _emit(args, columns, rows)
+        result = attack.run_attack(attack.boundary_state(args.alpha, args.beta))
+        rows = [_attack_row(attack.SweepPoint(args.alpha, args.beta, result))]
+        _emit(args, rows)
         return EXIT_OK
-    rows = [
-        {
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "delta_m": p.result.delta_m,
-            "eps_m": p.result.eps_m,
-            "g_bound": float(rates.g(min(p.result.delta_m, 1.0 / 3.0)))
-            if p.result.delta_m <= 1.0 / 3.0 + 1e-12
-            else None,
-            "on_boundary": None,
-            "eve_bit_accuracy": p.result.eve_bit_accuracy,
-        }
-        for p in attack.boundary_sweep(args.sweep)
-    ]
-    for row in rows:
-        row["on_boundary"] = bool(
-            row["g_bound"] is not None and abs(row["eps_m"] - row["g_bound"]) <= 1e-9
-        )
+    rows = [_attack_row(p) for p in attack.boundary_sweep(args.sweep)]
     on_curve = sorted(row["delta_m"] for row in rows if row["on_boundary"])
     coverage = {
         "boundary_points": len(on_curve),
@@ -358,7 +329,6 @@ def _cmd_attack(args) -> int:
     }
     _emit(
         args,
-        columns,
         rows,
         meta_extra={"summary": coverage},
         summary_lines=[
@@ -416,7 +386,7 @@ def _cmd_simulate(args) -> int:
         "r_conjectured_random_assignment": report.conjectured_rate_sampled,
         "f_ec": report.f_ec,
     }
-    _emit(args, list(row.keys()), [row])
+    _emit(args, [row])
     return EXIT_OK
 
 
@@ -431,7 +401,9 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bbm92kit",
         description=(

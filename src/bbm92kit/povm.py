@@ -231,6 +231,21 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> list[TradeoffPoin
     return points
 
 
+def random_state_fractions(
+    pair: PhotonPair, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_m, eps_m) arrays of `count` random real unit states of the joint space.
+
+    The states are the normalized rows of one (count, joint_dim) standard
+    normal draw from `rng`.
+    """
+    states = rng.standard_normal((count, pair.joint_dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    delta = np.einsum("ni,ij,nj->n", states, f_dbl(pair).entries, states)
+    eps = np.einsum("ni,ij,nj->n", states, f_err(pair).entries, states)
+    return delta, eps
+
+
 def region_membership(p: TradeoffPoint, tol: float = 1e-9) -> bool:
     """Whether a (delta_m, eps_m) pair lies in the admissible multiphoton region.
 

@@ -489,8 +489,10 @@ def _tau_numeric_block(d: np.ndarray, e: np.ndarray, resolution: int) -> np.ndar
         return best
     lo = xi_min[rows]
     specials = np.stack([3.0 * d[rows], 4.0 * d[rows], 6.0 * d[rows]], axis=1)
-    # specials outside (xi_min, xi_top) become copies of the grid's last point
-    specials[~((specials > lo[:, None]) & (specials < xi_top))] = xi_top
+    # Specials outside (delta, xi_top) become copies of the grid's last point.
+    # Those below the grid start stay: for 0 < delta < 1e-9 at eps = 0 only
+    # xi <= 4 delta is admissible.
+    specials[~((specials > d[rows, None]) & (specials < xi_top))] = xi_top
     xis = _sorted_unique_rows(
         np.concatenate([np.linspace(lo, xi_top, resolution, axis=1), specials], axis=1)
     )

@@ -1,324 +1,58 @@
 """Acceptance suite: one test per release criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings on a green run.
+Each test runs one `selfcheck` check at its full size and requires it to pass
+within the criterion's wall-clock budget; `bbm92kit selftest` runs the same
+checks at the quick size.  Run with `pytest tests/test_acceptance.py -v -s`
+to see the per-criterion lines and timings on a green run.
 """
 
+import math
 import time
 
-import numpy as np
-
-from bbm92kit import (
-    Basis,
-    Bit,
-    ModePartition,
-    PhotonPair,
-    SourceModel,
-    basis_state,
-    binary_entropy,
-    boundary_state,
-    boundary_sweep,
-    build_v,
-    eps1_star,
-    f_dbl,
-    f_err,
-    feasible_eps_limit,
-    g,
-    inner_product,
-    key_rate,
-    min_double_click,
-    multimode_inner_product,
-    multiphoton_envelope,
-    rates,
-    run_attack,
-    run_protocol,
-    tau_closed_form,
-    tau_low,
-    tau_numeric,
-    trace_boundary,
-)
-from bbm92kit.rates import ObservedStats
+from bbm92kit import selfcheck
 
 
-def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = "") -> None:
+def _run(num: int, check, budget: float) -> None:
+    start = time.perf_counter()
+    result = check(full=True)
+    elapsed = time.perf_counter() - start
+    ok = result.passed and elapsed < budget
     status = "PASS" if ok else "FAIL"
-    print(f"[{status}] criterion {num}: {name} ({elapsed:.2f}s) {detail}")
-    assert ok, f"criterion {num} failed: {detail}"
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
+    print(f"[{status}] criterion {num}: {result.name} ({elapsed:.2f}s) {result.detail}")
+    assert ok, f"criterion {num} failed: {result.detail} in {elapsed:.2f}s (budget {budget}s)"
 
 
 def test_criterion_1_inner_product_law():
-    start = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 9):
-        for b in Bit:
-            for b2 in Bit:
-                got = inner_product(basis_state(n, Basis.X, b), basis_state(n, Basis.Z, b2))
-                want = (-1.0) ** (int(b) * int(b2) * n) * 2.0 ** (-n / 2.0)
-                worst = max(worst, abs(got - want))
-    for n in range(2, 7):
-        for parts in _compositions(n):
-            for b in Bit:
-                for b2 in Bit:
-                    got = multimode_inner_product(ModePartition(parts), Basis.X, b, Basis.Z, b2)
-                    want = (-1.0) ** (int(b) * int(b2) * n) * 2.0 ** (-n / 2.0)
-                    worst = max(worst, abs(got - want))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
-    _report(1, "inner-product law", ok, elapsed, f"max deviation {worst:.2e}")
+    _run(1, selfcheck.check_overlap_law, 1.0)
 
 
 def test_criterion_2_odd_odd_bound():
-    start = time.perf_counter()
-    worst = 0.0
-    lowest = 1.0
-    for n_a in range(1, 9, 2):
-        for n_b in range(1, 9, 2):
-            if n_a + n_b < 3 or n_a + n_b > 9:
-                continue
-            l_sum = (n_a - 1) // 2 + (n_b - 1) // 2
-            want = 0.5 * (1.0 - 2.0 ** (-l_sum))
-            got = min_double_click(PhotonPair(n_a, n_b))
-            worst = max(worst, abs(got - want))
-            lowest = min(lowest, got)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and lowest >= 0.25 - 1e-9 and elapsed < 5.0
-    _report(2, "odd-odd double-click bound", ok, elapsed, f"max dev {worst:.2e}, min {lowest:.6f}")
+    _run(2, selfcheck.check_odd_odd_bound, 5.0)
 
 
 def test_criterion_3_tradeoff_boundary():
-    start = time.perf_counter()
-    ok = abs(float(g(0.0)) - 0.5) <= 1e-15 and abs(float(g(1.0 / 3.0))) <= 1e-15
-    points = trace_boundary(PhotonPair(1, 2), num_points=2000)
-    curve = sorted(
-        (p.delta_m, p.eps_m) for p in points if p.delta_m <= 1.0 / 3.0 + 1e-9
-    )
-    xs = np.array([c[0] for c in curve])
-    ys = np.array([c[1] for c in curve])
-    grid = np.linspace(0.0, 1.0 / 3.0, 200)
-    boundary_dev = float(np.max(np.abs(np.interp(grid, xs, ys) - g(grid))))
-    ok &= boundary_dev <= 1e-5
-    bound_margin = 0.0
-    for pair in (PhotonPair(2, 2), PhotonPair(1, 4)):
-        for p in trace_boundary(pair, num_points=400):
-            if p.delta_m <= 1.0 / 3.0 + 1e-12:
-                bound_margin = min(
-                    bound_margin, p.eps_m - float(g(min(p.delta_m, 1.0 / 3.0)))
-                )
-    ok &= bound_margin >= -1e-8
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 30.0
-    _report(
-        3,
-        "trade-off boundary",
-        ok,
-        elapsed,
-        f"(1,2) dev {boundary_dev:.2e}, even-pair margin {bound_margin:.2e}",
-    )
+    _run(3, selfcheck.check_tradeoff_boundary, 30.0)
 
 
 def test_criterion_4_tangency_root():
-    eps1_star.cache_clear()
-    start = time.perf_counter()
-    x = eps1_star()
-    elapsed = time.perf_counter() - start
-    residual = abs(16.0 * x * (1.0 - x) ** 3 - 1.0)
-    ok = residual <= 1e-10 and abs(x - 0.080) <= 5e-4 and elapsed < 1e-3
-    _report(4, "tangency error-rate root", ok, elapsed, f"x={x:.9f}, residual {residual:.2e}")
+    _run(4, selfcheck.check_eps1_star, 1e-3)
 
 
 def test_criterion_5_tau_consistency():
-    start = time.perf_counter()
-    worst = 0.0
-    dominance = 0.0
-    n_points = 0
-    for d in np.linspace(0.0, 0.2499, 100):
-        limit = feasible_eps_limit(float(d))
-        if limit <= 0.0:
-            continue
-        for frac in np.linspace(0.0, 1.0, 100):
-            stats = ObservedStats(float(d), float(frac * limit))
-            if not stats.feasible:
-                continue
-            n_points += 1
-            closed = tau_closed_form(stats).tau
-            worst = max(worst, abs(closed - tau_numeric(stats)))
-            dominance = min(dominance, closed - tau_low(stats))
-    e1 = eps1_star()
-    continuity = 0.0
-    for d in np.linspace(0.0, 0.2499, 120):
-        edge = e1 * (1.0 - 4.0 * d)
-        if edge >= 0.0:
-            lo = tau_closed_form(ObservedStats(float(d), max(edge - 1e-12, 0.0))).tau
-            hi = tau_closed_form(ObservedStats(float(d), edge + 1e-12)).tau
-            continuity = max(continuity, abs(hi - lo))
-    for d in np.linspace(0.0, 1.0 / 6.0 - 1e-9, 120):
-        edge = (1.0 - 6.0 * d) * e1 + 0.5 * d
-        lo = tau_closed_form(ObservedStats(float(d), edge - 1e-12)).tau
-        hi = tau_closed_form(
-            ObservedStats(float(d), min(edge + 1e-12, feasible_eps_limit(float(d))))
-        ).tau
-        continuity = max(continuity, abs(hi - lo))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-5 and dominance >= -1e-9 and continuity <= 1e-9 and elapsed < 120.0
-    _report(
-        5,
-        "privacy-amplification consistency",
-        ok,
-        elapsed,
-        f"{n_points} pts, closed-vs-numeric {worst:.2e}, continuity {continuity:.2e}, "
-        f"min tau - tau_low {dominance:.2e}",
-    )
+    _run(5, selfcheck.check_tau_consistency, 120.0)
 
 
 def test_criterion_6_key_rate_anchors():
-    start = time.perf_counter()
-    ok = key_rate(ObservedStats(0.0, 0.0)).r_key == 1.0
-    ds = np.linspace(0.0, 0.25, 26)
-    line = np.array([key_rate(ObservedStats(float(d), 0.0)).r_key for d in ds])
-    ok &= bool(np.array_equal(line, 1.0 - 4.0 * ds)) or bool(
-        np.allclose(line, 1.0 - 4.0 * ds, atol=1e-14)
-    )
-    ok &= abs(key_rate(ObservedStats(0.25, 0.0)).r_key) <= 1e-14
-    margin = 1.0
-    for d in np.linspace(0.0, 0.2499, 40):
-        limit = feasible_eps_limit(float(d))
-        if limit <= 0.0:
-            continue
-        for frac in np.linspace(0.0, 1.0, 40):
-            stats = ObservedStats(float(d), float(frac * limit))
-            if not stats.feasible:
-                continue
-            result = key_rate(stats)
-            shrink = (1.0 - stats.delta) * (
-                1.0 - binary_entropy(stats.eps / (1.0 - stats.delta))
-            )
-            margin = min(margin, (shrink - tau_low(stats)) - result.r_key)
-    ok &= margin >= -1e-9
-    elapsed = time.perf_counter() - start
-    _report(
-        6,
-        "key-rate anchors and upper bound",
-        bool(ok),
-        elapsed,
-        f"min R_upper - R_key = {margin:.2e}",
-    )
+    _run(6, selfcheck.check_key_rate_anchors, math.inf)
 
 
 def test_criterion_7_attack_saturation():
-    start = time.perf_counter()
-    defect = 0.0
-    v = build_v(1, 2).entries
-    for w in (Basis.Z, Basis.X):
-        for a in Bit:
-            for b in Bit:
-                src = np.kron(
-                    basis_state(1, w, a).amplitudes, basis_state(2, w, b).amplitudes
-                )
-                tgt = np.kron(
-                    basis_state(1, w, a).amplitudes,
-                    basis_state(2, w, Bit(b ^ a)).amplitudes,
-                )
-                defect = max(defect, float(np.max(np.abs(v @ src - tgt))))
-    sweep = boundary_sweep(4096)
-    acc_dev = max(abs(p.result.eve_bit_accuracy - 1.0) for p in sweep)
-    covered = []
-    curve_dev = 0.0
-    for p in sweep:
-        if p.result.delta_m <= 1.0 / 3.0 + 1e-12:
-            gap = p.result.eps_m - float(g(min(p.result.delta_m, 1.0 / 3.0)))
-            curve_dev = min(curve_dev, gap)
-            if abs(gap) <= 1e-5:
-                covered.append(p.result.delta_m)
-    covered.sort()
-    coverage_ok = (
-        covered
-        and covered[0] <= 1e-9
-        and covered[-1] >= 1.0 / 3.0 - 1e-9
-        and float(np.max(np.diff(covered))) <= 2e-3
-    )
-    elapsed = time.perf_counter() - start
-    ok = (
-        defect <= 1e-10
-        and acc_dev <= 1e-12
-        and curve_dev >= -1e-9
-        and bool(coverage_ok)
-        and elapsed < 10.0
-    )
-    _report(
-        7,
-        "attack saturates the boundary",
-        ok,
-        elapsed,
-        f"V defect {defect:.2e}, accuracy dev {acc_dev:.2e}, "
-        f"{len(covered)} on-curve points, max gap {float(np.max(np.diff(covered))):.2e}",
-    )
+    _run(7, selfcheck.check_attack, 10.0)
 
 
 def test_criterion_8_monte_carlo_fidelity():
-    start = time.perf_counter()
-    n = 10**6
-    ideal = run_protocol(SourceModel.ideal_pair(), n, seed=101)
-    ok = ideal.n_dbl == 0 and ideal.n_err == 0 and ideal.n_cor == ideal.n
-    visibility = 0.9
-    werner = run_protocol(SourceModel.werner(visibility), n, seed=102)
-    z_w = abs(werner.eps_hat - (1.0 - visibility) / 2.0) / werner.eps_se
-    ok &= z_w <= 5.0 and werner.n_dbl == 0
-    chi = boundary_state(1.0, 0.0)
-    point = run_attack(chi)
-    xi = 0.5
-    mix = run_protocol(SourceModel.eve_attack(chi, xi), n, seed=103)
-    z_d = abs(mix.delta_hat - xi * point.delta_m) / mix.delta_se
-    z_e = abs(mix.eps_hat - xi * point.eps_m) / mix.eps_se
-    ok &= z_d <= 5.0 and z_e <= 5.0
-    again = run_protocol(SourceModel.eve_attack(chi, xi), n, seed=103)
-    ok &= again == mix
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 60.0
-    _report(
-        8,
-        "Monte Carlo fidelity",
-        bool(ok),
-        elapsed,
-        f"werner z={z_w:.2f}, mixture z=({z_d:.2f}, {z_e:.2f}), determinism ok",
-    )
+    _run(8, selfcheck.check_simulation, 60.0)
 
 
 def test_criterion_9_region_soundness_sampling():
-    start = time.perf_counter()
-    rng = np.random.default_rng(202408)
-    violations = 0
-    total = 0
-    pairs = [
-        PhotonPair(a, b)
-        for a in range(1, 9)
-        for b in range(1, 9)
-        if a + b >= 3 and (a + 1) * (b + 1) <= 36
-    ]
-    for pair in pairs:
-        states = rng.standard_normal((10**4, pair.joint_dim))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        fd = f_dbl(pair).entries
-        fe = f_err(pair).entries
-        dbl = np.einsum("ni,ij,nj->n", states, fd, states)
-        err = np.einsum("ni,ij,nj->n", states, fe, states)
-        env = multiphoton_envelope(np.clip(dbl, 0.0, 1.0))
-        violations += int(np.sum(err < env - 1e-8))
-        total += len(states)
-    elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 60.0
-    _report(
-        9,
-        "region soundness sampling",
-        ok,
-        elapsed,
-        f"{violations}/{total} outside across {len(pairs)} pairs",
-    )
+    _run(9, selfcheck.check_region_soundness, 60.0)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from bbm92kit import cli
+from bbm92kit import cli, selfcheck
 
-SIMULATE_GOLDEN = json.loads(
-    (Path(__file__).with_name("data") / "simulate_golden.json").read_text()
-)
+# digests pinned by tests/data/make_cli_golden.py at an earlier commit
+GOLDEN = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())["runs"]
+SIMULATE_GOLDEN = [run for run in GOLDEN if run["argv"][0] == "simulate"]
+OTHER_GOLDEN = [run for run in GOLDEN if run["argv"][0] != "simulate"]
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -205,10 +207,36 @@ class TestSimulateCommand:
 
 
 class TestOutputPlumbing:
-    def test_byte_identical_reruns(self, capsys):
-        _, out1, _ = run_cli(capsys, "keyrate", "--delta-grid", "0:0.1:8", "--eps", "0.01")
-        _, out2, _ = run_cli(capsys, "keyrate", "--delta-grid", "0:0.1:8", "--eps", "0.01")
-        assert out1 == out2
+    def test_byte_identical_reruns(self, capsys, tmp_path):
+        # each call prints what it prints with a fresh parser, whatever ran before
+        config = tmp_path / "run.cfg"
+        config.write_text("format = json\nseed = 3\n")
+        calls = [
+            ("tau", "--delta", "0.05", "--eps", "0.02"),
+            ("keyrate", "--delta-grid", "0:0.1:8", "--eps", "0.01"),
+            ("keyrate", "--delta-grid", "0:0.2:5", "--eps", "0.01", "--format", "json"),
+            ("simulate", "--source", "werner:0.9", "--events", "3000", "--config", str(config)),
+            ("tradeoff", "--na", "1", "--nb", "3"),
+            ("keyrate", "--delta", "0", "--eps", "0", "--f", "0.5"),
+            ("tau", "--delta", "0.05", "--bogus", "1"),
+        ]
+
+        def call(argv):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(call(argv))
+        assert [result[0] for result in alone] == [0, 0, 0, 0, 0, 2, 2]
+        assert cli.build_parser() is cli.build_parser()
+        for argv, want in zip(calls + calls[::-1] + calls, alone + alone[::-1] + alone):
+            assert call(argv) == want
 
     def test_simulate_deterministic(self, capsys):
         args = ("simulate", "--source", "werner:0.85", "--events", "30000", "--seed", "9")
@@ -216,14 +244,21 @@ class TestOutputPlumbing:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @staticmethod
+    def _assert_golden(capsys, run):
+        code, out, err = run_cli(capsys, *run["argv"])
+        assert code == 0
+        assert hashlib.sha256((out + err).encode()).hexdigest() == run["sha256"]
+
     @pytest.mark.parametrize(
-        "run", SIMULATE_GOLDEN["runs"], ids=lambda run: f"{run['argv'][2]}-{run['argv'][-1]}"
+        "run", SIMULATE_GOLDEN, ids=lambda run: f"{run['argv'][2]}-{run['argv'][-1]}"
     )
     def test_simulate_output_matches_golden(self, capsys, run):
-        # bytes pinned by tests/data/make_simulate_golden.py at an earlier kernel
-        code, out, _ = run_cli(capsys, *run["argv"])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == run["sha256"]
+        self._assert_golden(capsys, run)
+
+    @pytest.mark.parametrize("run", OTHER_GOLDEN, ids=lambda run: " ".join(run["argv"]))
+    def test_output_matches_golden(self, capsys, run):
+        self._assert_golden(capsys, run)
 
     def test_csv_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.2:7", "--eps-grid", "0:0.05:4")
@@ -319,6 +354,22 @@ class TestOutputPlumbing:
             cli.main([*argv, "--config", str(config)])
         assert exc.value.code == 2
         assert "invalid" in capsys.readouterr().err
+
+
+class TestSelftestCommand:
+    def test_all_checks_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 0
+        assert out.count("[PASS]") == 10
+        assert out.splitlines()[-1] == "10/10 checks passed"
+
+    def test_failing_check_exits_4(self, capsys, monkeypatch):
+        failed = selfcheck.CheckResult("tangency error rate", False, "forced failure")
+        monkeypatch.setattr(selfcheck, "check_eps1_star", lambda: failed)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 4
+        assert "[FAIL] tangency error rate: forced failure" in out.splitlines()
+        assert out.splitlines()[-1] == "9/10 checks passed"
 
 
 class TestEntryPoint:

@@ -15,6 +15,7 @@ from bbm92kit import (
     min_double_click,
     multiphoton_envelope,
     outcome_projectors,
+    random_state_fractions,
     region_membership,
     trace_boundary,
 )
@@ -226,12 +227,7 @@ class TestRegionMembership:
     )
     def test_random_states_stay_inside(self, pair):
         rng = np.random.default_rng(1000 + 64 * pair.n_a + pair.n_b)
-        states = rng.standard_normal((2000, pair.joint_dim))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        fd = f_dbl(pair).entries
-        fe = f_err(pair).entries
-        dbl = np.einsum("ni,ij,nj->n", states, fd, states)
-        err = np.einsum("ni,ij,nj->n", states, fe, states)
+        dbl, err = random_state_fractions(pair, 2000, rng)
         env = multiphoton_envelope(np.clip(dbl, 0.0, 1.0))
         assert np.all(err >= env - 1e-8)
 

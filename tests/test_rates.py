@@ -214,6 +214,12 @@ class TestTauNumeric:
         with pytest.raises(InfeasibleError):
             tau_numeric(ObservedStats(0.0, 0.7))
 
+    @pytest.mark.parametrize("d", [2.06e-61, 1e-12, 2.4e-10])
+    def test_tiny_delta_without_errors(self, d):
+        # at eps = 0 only xi <= 4 delta is admissible, below the grid start 1e-9
+        stats = ObservedStats(d, 0.0)
+        assert tau_numeric(stats) == pytest.approx(tau_closed_form(stats).tau, abs=1e-12)
+
 
 class TestTauLow:
     @pytest.mark.parametrize("e", [0.0, 0.05, 0.2, 0.4, 0.49])
