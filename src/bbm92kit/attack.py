@@ -39,10 +39,6 @@ class UnitaryMap:
         u.setflags(write=False)
         object.__setattr__(self, "entries", u)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class JointState:
@@ -127,20 +123,20 @@ def build_v(n_a: int, n_b: int) -> UnitaryMap:
     return UnitaryMap(v)
 
 
-def boundary_state(alpha: float, beta: float, n_b: int = 2) -> PolarizedFockState:
-    """Normalized sum over both bases of alpha |0_W> + beta |1_W> on n_b photons.
+def boundary_state(alpha: float, beta: float) -> PolarizedFockState:
+    """Normalized sum over both bases of alpha |0_W> + beta |1_W> on two photons.
 
-    For n_b = 2 these states hand the attacker every point of the lower
-    trade-off boundary as (alpha, beta) sweeps the unit circle.
+    These states hand the attacker every point of the lower trade-off
+    boundary as (alpha, beta) sweeps the unit circle.
     """
-    raw = np.zeros(n_b + 1)
+    raw = np.zeros(3)
     for w in (Basis.Z, Basis.X):
-        raw += alpha * basis_state(n_b, w, Bit.ZERO).amplitudes
-        raw += beta * basis_state(n_b, w, Bit.ONE).amplitudes
+        raw += alpha * basis_state(2, w, Bit.ZERO).amplitudes
+        raw += beta * basis_state(2, w, Bit.ONE).amplitudes
     norm = float(np.linalg.norm(raw))
     if norm < 1e-12:
         raise ValueError(f"state vanishes for alpha={alpha!r}, beta={beta!r}")
-    return PolarizedFockState(n_b, raw / norm)
+    return PolarizedFockState(2, raw / norm)
 
 
 def attack_state(chi: PolarizedFockState) -> JointState:

@@ -61,10 +61,6 @@ class PolarizedFockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class ModePartition:
@@ -72,15 +68,11 @@ class ModePartition:
 
     parts: tuple[int, ...]
 
-    def __init__(self, parts, n: int | None = None):
-        parts = tuple(int(p) for p in parts)
-        if not parts:
+    def __post_init__(self) -> None:
+        if not self.parts:
             raise ValueError("partition must contain at least one mode")
-        if any(p < 1 for p in parts):
-            raise ValueError(f"all parts must be >= 1, got {parts}")
-        if n is not None and sum(parts) != n:
-            raise ValueError(f"parts {parts} sum to {sum(parts)}, declared n={n}")
-        object.__setattr__(self, "parts", parts)
+        if any(p < 1 for p in self.parts):
+            raise ValueError(f"all parts must be >= 1, got {self.parts}")
 
     @property
     def n(self) -> int:

@@ -10,7 +10,7 @@ module traces numerically by supporting hyperplanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .fock import Basis, Bit, basis_state
 # Joint dimension (n_A+1)(n_B+1) allowed for dense operator work.  Everything
 # the bounds need shows up well below this.
 DIM_CAP = 64
+
+# A point counts as inside the multiphoton region up to this distance below
+# its lower envelope, which absorbs rounding in traced and sampled points.
+_MEMBERSHIP_TOL = 1e-9
 
 
 def eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,21 +57,6 @@ class HermitianOperator:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def expectation(self, vec: np.ndarray) -> float:
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        return float(v @ self.entries @ v)
-
-    def eigenvalues(self) -> np.ndarray:
-        return eigh_checked(self.entries)[0]
-
-    def is_povm_element(self, tol: float = 1e-10) -> bool:
-        w = self.eigenvalues()
-        return bool(w.min() >= -tol and w.max() <= 1.0 + tol)
-
 
 @dataclass(frozen=True)
 class PhotonPair:
@@ -75,15 +64,12 @@ class PhotonPair:
 
     n_a: int
     n_b: int
-    cap: int = field(default=DIM_CAP, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"photon numbers must be >= 1, got ({self.n_a}, {self.n_b})")
-        if self.joint_dim > self.cap:
-            raise ValueError(
-                f"joint dimension {self.joint_dim} exceeds cap {self.cap}"
-            )
+        if self.joint_dim > DIM_CAP:
+            raise ValueError(f"joint dimension {self.joint_dim} exceeds cap {DIM_CAP}")
 
     @property
     def joint_dim(self) -> int:
@@ -246,11 +232,11 @@ def random_state_fractions(
     return delta, eps
 
 
-def region_membership(p: TradeoffPoint, tol: float = 1e-9) -> bool:
+def region_membership(p: TradeoffPoint) -> bool:
     """Whether a (delta_m, eps_m) pair lies in the admissible multiphoton region.
 
     The region is the convex hull of the trade-off curve (delta, g(delta)) for
     delta <= 1/3 and the odd-odd corner (1/4, 0); its lower envelope is g up
     to the tangent point 1/6, then the straight line to (1/4, 0), then zero.
     """
-    return p.eps_m >= rates.multiphoton_envelope(p.delta_m) - tol
+    return p.eps_m >= rates.multiphoton_envelope(p.delta_m) - _MEMBERSHIP_TOL

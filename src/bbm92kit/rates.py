@@ -112,21 +112,6 @@ def multiphoton_envelope(delta):
     return float(out) if scalar else out
 
 
-def feasible_eps_limit(delta: float) -> float:
-    """Largest error fraction for which tau(delta, eps) is defined.
-
-    The curve g up to delta = 1/6, then the line 1/4 - delta, which reaches
-    zero at the odd-odd corner; beyond delta = 1/4 no key survives at any
-    error rate and the limit goes negative.
-    """
-    if delta < -_DOMAIN_TOL:
-        raise ValueError(f"delta must be >= 0, got {delta!r}")
-    delta = max(delta, 0.0)
-    if delta <= TANGENT_DELTA:
-        return float(g(delta))
-    return ODD_ODD_CORNER_DELTA - delta
-
-
 def in_stats_domain(delta, eps):
     """Whether (delta, eps) are observed fractions: each in [0, 1), sum at most 1.
 
@@ -140,11 +125,10 @@ def in_stats_domain(delta, eps):
 
 @dataclass(frozen=True)
 class ObservedStats:
-    """Observed double-click fraction, error fraction, and optional event count."""
+    """Observed double-click fraction and error fraction."""
 
     delta: float
     eps: float
-    n: int | None = None
 
     def __post_init__(self) -> None:
         if not in_stats_domain(self.delta, self.eps):
@@ -152,8 +136,6 @@ class ObservedStats:
                 f"(delta={self.delta!r}, eps={self.eps!r}) are not observed fractions: "
                 + _DOMAIN_RULE
             )
-        if self.n is not None and self.n < 0:
-            raise ValueError(f"event count must be >= 0, got {self.n!r}")
 
     @property
     def feasible(self) -> bool:
@@ -168,40 +150,11 @@ class KeyRateResult:
     tau: float
     region: str
     r_key: float | None = None
-    f_ec: float | None = None
     has_key: bool | None = None
 
     @property
     def feasible(self) -> bool:
         return self.region != "infeasible"
-
-
-@dataclass(frozen=True)
-class HiddenParams:
-    """In-principle-measurable split underlying one pair of observed fractions."""
-
-    xi: float
-    delta_m: float
-    eps_m: float
-    eps_1: float
-
-    def __post_init__(self) -> None:
-        for name in ("xi", "delta_m", "eps_m", "eps_1"):
-            value = getattr(self, name)
-            if not -_DOMAIN_TOL <= value <= 1.0 + _DOMAIN_TOL:
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-
-    def observed(self, n: int | None = None) -> ObservedStats:
-        """Observed fractions this split produces: delta = xi*delta_m, eps mixes."""
-        return ObservedStats(
-            self.xi * self.delta_m,
-            (1.0 - self.xi) * self.eps_1 + self.xi * self.eps_m,
-            n,
-        )
-
-    def consistent_with(self, stats: ObservedStats, tol: float = 1e-12) -> bool:
-        mixed = self.observed()
-        return abs(mixed.delta - stats.delta) <= tol and abs(mixed.eps - stats.eps) <= tol
 
 
 def _stats_arrays(delta, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +406,11 @@ def _tau_numeric_profile(xis, d, e) -> np.ndarray:
     hi = (e - xis * env) / (1.0 - xis)
     lo = np.maximum(0.0, (e - xis * (1.0 - dm)) / (1.0 - xis))
     eps1 = np.minimum(hi, 0.5)
-    ok = (eps1 >= lo - 1e-15) & (dm <= 1.0 + 1e-12)
+    # hi and lo round e and terms of size up to xis before dividing by
+    # 1 - xis, so the slack scales with them; a fixed slack would admit
+    # splits far below the envelope at tiny delta, such as xi = 6 delta at eps = 0.
+    slack = 1e-15 * (e + xis) / (1.0 - xis)
+    ok = (eps1 >= lo - slack) & (dm <= 1.0 + 1e-12)
     eps1 = np.clip(np.where(ok, eps1, 0.5), 0.0, 1.0)
     out = xis - d + (1.0 - xis) * binary_entropy(eps1)
     return np.where(ok, out, -np.inf)
@@ -655,7 +612,7 @@ def key_rate(stats: ObservedStats, f: float = 1.0) -> KeyRateResult:
             f"no certified key rate at (delta={stats.delta!r}, eps={stats.eps!r})"
         )
     r = float((_shrink(d, e, f) - tau)[0])
-    return KeyRateResult(tau=float(tau[0]), region=str(region[0]), r_key=r, f_ec=f, has_key=r > 0.0)
+    return KeyRateResult(tau=float(tau[0]), region=str(region[0]), r_key=r, has_key=r > 0.0)
 
 
 def conjectured_random_assignment_rate(stats: ObservedStats) -> float:

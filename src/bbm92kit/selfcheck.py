@@ -38,7 +38,7 @@ def _compositions(n: int):
 def _feasible_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
     """size x size (delta, eps) rows: delta in [0, 0.2499], eps from 0 to its feasible limit."""
     deltas = np.linspace(0.0, 0.2499, size)
-    limits = np.array([rates.feasible_eps_limit(float(d)) for d in deltas])
+    limits = rates.multiphoton_envelope(deltas)
     return np.repeat(deltas, size), np.outer(limits, np.linspace(0.0, 1.0, size)).ravel()
 
 
@@ -174,7 +174,7 @@ def check_tau_consistency(full: bool = False) -> CheckResult:
     edge_ab = e1 * (1.0 - 4.0 * d_ab)
     d_bc = np.linspace(0.0, 1.0 / 6.0 - 1e-9, 120)
     edge_bc = (1.0 - 6.0 * d_bc) * e1 + 0.5 * d_bc
-    limit_bc = np.array([rates.feasible_eps_limit(float(x)) for x in d_bc])
+    limit_bc = rates.multiphoton_envelope(d_bc)
     edge_d = np.concatenate([d_ab, d_bc])
     below = np.concatenate([np.maximum(edge_ab - 1e-12, 0.0), edge_bc - 1e-12])
     above = np.concatenate([edge_ab + 1e-12, np.minimum(edge_bc + 1e-12, limit_bc)])

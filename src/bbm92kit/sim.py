@@ -117,7 +117,6 @@ def _phi_plus_density() -> np.ndarray:
 class SourceModel:
     """Mixture of photon-number branches feeding the two apparatuses."""
 
-    kind: str
     branches: tuple[SourceBranch, ...]
 
     def __post_init__(self) -> None:
@@ -130,7 +129,7 @@ class SourceModel:
     @classmethod
     def ideal_pair(cls) -> "SourceModel":
         """Perfectly correlated single-photon pair: no errors, no double clicks."""
-        return cls("ideal_pair", (SourceBranch(1.0, 1, 1, _phi_plus_density()),))
+        return cls((SourceBranch(1.0, 1, 1, _phi_plus_density()),))
 
     @classmethod
     def werner(cls, visibility: float) -> "SourceModel":
@@ -138,7 +137,7 @@ class SourceModel:
         if not 0.0 <= visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {visibility!r}")
         rho = visibility * _phi_plus_density() + (1.0 - visibility) * np.eye(4) / 4.0
-        return cls("werner", (SourceBranch(1.0, 1, 1, rho),))
+        return cls((SourceBranch(1.0, 1, 1, rho),))
 
     @classmethod
     def eve_attack(cls, chi: PolarizedFockState, xi: float) -> "SourceModel":
@@ -150,12 +149,12 @@ class SourceModel:
             branches.append(SourceBranch(1.0 - xi, 1, 1, _phi_plus_density()))
         if xi > 0.0:
             branches.append(SourceBranch(xi, 1, 2, attack_density(chi)))
-        return cls("eve_attack", tuple(branches))
+        return cls(tuple(branches))
 
     @classmethod
     def custom(cls, branches) -> "SourceModel":
         """Arbitrary mixture of (weight, n_a, n_b, density) blocks; n=0 means vacuum."""
-        return cls("custom", tuple(SourceBranch(*b) for b in branches))
+        return cls(tuple(SourceBranch(*b) for b in branches))
 
     @cached_property
     def _outcome_tables(self) -> dict:
@@ -364,18 +363,9 @@ class SimulationReport:
     analytic: rates.KeyRateResult | None
     r_key_gap: float | None
     conjectured_rate_sampled: float | None
-    conjectured_rate_analytic: float | None
-
-    @property
-    def sampled_feasible(self) -> bool:
-        return self.sampled is not None
-
-    @property
-    def analytic_feasible(self) -> bool:
-        return self.analytic is not None
 
 
-def _try_key_rate(delta: float, eps: float, n: int | None, f: float):
+def _try_key_rate(delta: float, eps: float, f: float):
     """Key rate at the fractions, or None where no key rate is certified.
 
     Fractions outside the observed-fraction domain, such as delta = 1 when
@@ -384,7 +374,7 @@ def _try_key_rate(delta: float, eps: float, n: int | None, f: float):
     if not rates.in_stats_domain(delta, eps):
         return None
     try:
-        return rates.key_rate(rates.ObservedStats(delta, eps, n), f)
+        return rates.key_rate(rates.ObservedStats(delta, eps), f)
     except InfeasibleError:
         return None
 
@@ -407,13 +397,14 @@ def end_to_end(
 
     The report pairs the sampled key fraction with the analytic one from the
     source's exact fractions; infeasible sampled statistics are reported as
-    such rather than raising.  Conjectured random-assignment rates are carried
-    in explicitly labeled fields, never merged with proved rates.
+    such rather than raising.  The conjectured random-assignment rate of the
+    sampled fractions is carried in its own labeled field, never merged with
+    proved rates.
     """
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
-    sampled = _try_key_rate(tally.delta_hat, tally.eps_hat, tally.n, f)
-    analytic = _try_key_rate(a_delta, a_eps, None, f)
+    sampled = _try_key_rate(tally.delta_hat, tally.eps_hat, f)
+    analytic = _try_key_rate(a_delta, a_eps, f)
     gap = None
     if sampled is not None and analytic is not None:
         gap = sampled.r_key - analytic.r_key
@@ -432,5 +423,4 @@ def end_to_end(
         analytic=analytic,
         r_key_gap=gap,
         conjectured_rate_sampled=_try_conjectured(tally.delta_hat, tally.eps_hat),
-        conjectured_rate_analytic=_try_conjectured(a_delta, a_eps),
     )

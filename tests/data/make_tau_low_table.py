@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from bbm92kit import ObservedStats, feasible_eps_limit, tau_low
+from bbm92kit import ObservedStats, multiphoton_envelope, tau_low
 
 SEED = 20080430
 RANDOM_POINTS = 200
@@ -28,7 +28,7 @@ def points():
     rng = np.random.default_rng(SEED)
     for _ in range(RANDOM_POINTS):
         d = float(rng.uniform(0.0, 0.25))
-        yield d, float(rng.uniform(0.0, 1.0) * feasible_eps_limit(d))
+        yield d, float(rng.uniform(0.0, 1.0) * multiphoton_envelope(d))
 
 
 def main() -> None:

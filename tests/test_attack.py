@@ -6,7 +6,6 @@ import pytest
 from bbm92kit import (
     Basis,
     Bit,
-    HiddenParams,
     JointState,
     ObservedStats,
     PhotonPair,
@@ -174,19 +173,17 @@ class TestBoundarySweep:
             result = run_attack(boundary_state(math.cos(theta), math.sin(theta)))
             for xi in (0.3, 0.6, 0.9):
                 for eps_1 in (0.0, 0.05):
-                    hp = HiddenParams(xi, result.delta_m, result.eps_m, eps_1)
-                    stats = hp.observed()
+                    delta = xi * result.delta_m
+                    eps = (1.0 - xi) * eps_1 + xi * result.eps_m
                     rhs = (1.0 - xi) * binary_entropy(eps_1) + xi * (1.0 - result.delta_m)
                     objective = (
                         xi
-                        - stats.delta
+                        - delta
                         + (1.0 - xi)
-                        * binary_entropy(
-                            (stats.eps - xi * float(g(stats.delta / xi))) / (1.0 - xi)
-                        )
+                        * binary_entropy((eps - xi * float(g(delta / xi))) / (1.0 - xi))
                     )
                     assert objective == pytest.approx(rhs, abs=1e-8)
-                    assert tau_low(ObservedStats(stats.delta, stats.eps)) >= rhs - 1e-9
+                    assert tau_low(ObservedStats(delta, eps)) >= rhs - 1e-9
 
 
 class TestJointStateTypes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbm92kit import (
+    DIM_CAP,
     Basis,
     HermitianOperator,
     PhotonPair,
@@ -20,6 +21,14 @@ from bbm92kit import (
     trace_boundary,
 )
 from bbm92kit.povm import eigh_checked
+
+
+def pair_id(value) -> str:
+    """Test id that names a pair together with the dimension cap it is checked against."""
+    if isinstance(value, PhotonPair):
+        return f"PhotonPair(n_a={value.n_a}, n_b={value.n_b}, cap={DIM_CAP})"
+    return str(value)
+
 
 ALL_PAIRS = [
     PhotonPair(a, b)
@@ -76,7 +85,7 @@ class TestJointOperators:
 
     def test_error_operator_zero_on_correlated_pair(self):
         op = f_err(PhotonPair(1, 1))
-        assert op.expectation(phi_plus()) == pytest.approx(0.0, abs=1e-12)
+        assert phi_plus() @ op.entries @ phi_plus() == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
@@ -84,7 +93,7 @@ class TestJointOperators:
 
     def test_correct_operator_on_correlated_pair(self):
         op = f_cor(PhotonPair(1, 1))
-        assert op.expectation(phi_plus()) == pytest.approx(1.0, abs=1e-12)
+        assert phi_plus() @ op.entries @ phi_plus() == pytest.approx(1.0, abs=1e-12)
 
     def test_one_one_has_no_double_clicks(self):
         pair = PhotonPair(1, 1)
@@ -104,7 +113,8 @@ class TestJointOperators:
             fe.entries + fc.entries + fd.entries, np.eye(pair.joint_dim), atol=1e-12
         )
         for op in (fe, fc, fd):
-            assert op.is_povm_element(tol=1e-10)
+            w, _ = eigh_checked(op.entries)
+            assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
 
 
 class TestMinDoubleClick:
@@ -116,7 +126,7 @@ class TestMinDoubleClick:
             (PhotonPair(3, 3), 0.375),
             (PhotonPair(1, 5), 0.375),
         ],
-        ids=str,
+        ids=pair_id,
     )
     def test_known_values(self, pair, want):
         assert min_double_click(pair) == pytest.approx(want, abs=1e-9)
@@ -136,7 +146,7 @@ class TestMinDoubleClick:
         with pytest.raises(ValueError):
             min_double_click(PhotonPair(1, 1))
 
-    @pytest.mark.parametrize("pair", [PhotonPair(1, 2), PhotonPair(2, 2)], ids=str)
+    @pytest.mark.parametrize("pair", [PhotonPair(1, 2), PhotonPair(2, 2)], ids=pair_id)
     def test_rejects_even_pairs(self, pair):
         with pytest.raises(ValueError):
             min_double_click(pair)
@@ -162,7 +172,7 @@ class TestTraceBoundary:
                 )
 
     @pytest.mark.parametrize(
-        "pair", [PhotonPair(1, 2), PhotonPair(2, 2), PhotonPair(1, 4)], ids=str
+        "pair", [PhotonPair(1, 2), PhotonPair(2, 2), PhotonPair(1, 4)], ids=pair_id
     )
     def test_no_point_below_curve(self, pair):
         for p in trace_boundary(pair, num_points=300):

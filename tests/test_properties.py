@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from bbm92kit import (
     ObservedStats,
-    feasible_eps_limit,
     g,
     key_rate,
+    multiphoton_envelope,
     rates,
     tau_closed_form,
     tau_low,
@@ -28,7 +28,7 @@ fractions = st.floats(0.0, 1.0)
 @st.composite
 def feasible_points(draw):
     d = draw(deltas)
-    return d, draw(fractions) * feasible_eps_limit(d)
+    return d, draw(fractions) * multiphoton_envelope(d)
 
 
 def _interior(d: float, e: float) -> bool:
@@ -60,7 +60,7 @@ def test_tau_low_never_exceeds_tau(point):
 
 @given(deltas, st.lists(fractions, min_size=2, max_size=20))
 def test_tau_non_decreasing_in_eps(d, fracs):
-    eps = np.sort(np.array(fracs)) * feasible_eps_limit(d)
+    eps = np.sort(np.array(fracs)) * multiphoton_envelope(d)
     tau = rates.rate_table(d, eps).tau
     assert np.all(np.diff(tau) >= -1e-12)
 
@@ -104,3 +104,20 @@ def test_continuity_check_runs_on_batched_rows(monkeypatch):
     with pytest.raises(rates.NumericalError):
         rates.rate_table([off.delta, on_ab.delta], [off.eps, on_ab.eps])
     assert tau_closed_form(off).region == "a"
+
+
+@given(st.floats(0.0, 0.25), st.floats(0.0, 1.0 / 6.0))
+def test_tau_continuous_across_region_borders(d_ab, d_bc):
+    """tau moves by at most 1e-9 across eps = eps1* (1 - 4 delta) and (1 - 6 delta) eps1* + delta/2.
+
+    Each border is crossed from 1e-12 below to 1e-12 above, clipped to the
+    feasible range, in one `rate_table` call.
+    """
+    e1 = rates.eps1_star()
+    d = np.array([d_ab, d_bc])
+    edge = np.array([e1 * (1.0 - 4.0 * d_ab), (1.0 - 6.0 * d_bc) * e1 + 0.5 * d_bc])
+    limit = multiphoton_envelope(d)
+    below = np.clip(edge - 1e-12, 0.0, limit)
+    above = np.clip(edge + 1e-12, 0.0, limit)
+    tau = rates.rate_table(np.tile(d, 2), np.concatenate([below, above])).tau
+    assert np.all(np.abs(tau[2:] - tau[:2]) <= 1e-9)

@@ -365,7 +365,6 @@ class TestEndToEnd:
         source = SourceModel.eve_attack(chi, 1.0)
         report = end_to_end(source, 20000, f=1.0, seed=20)
         assert report.sampled is None
-        assert not report.sampled_feasible
         assert report.analytic is None
 
     def test_all_double_click_source_is_infeasible(self):
