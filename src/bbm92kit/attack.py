@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fock import Basis, Bit, PolarizedFockState, basis_state
-from .povm import DIM_CAP, outcome_projectors
+from .povm import capped_joint_dim, outcome_projectors
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ def build_v(n_a: int, n_b: int) -> UnitaryMap:
         raise ValueError(f"control photon number must be odd, got {n_a}")
     if n_b < 2 or n_b % 2 == 1:
         raise ValueError(f"target photon number must be even and >= 2, got {n_b}")
-    dim = (n_a + 1) * (n_b + 1)
-    if dim > DIM_CAP:
-        raise ValueError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
+    dim = capped_joint_dim(n_a, n_b)
     pairs = _generator_pairs(n_a, n_b)
     src = np.column_stack([s for s, _ in pairs])
     tgt = np.column_stack([t for _, t in pairs])

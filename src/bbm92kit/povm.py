@@ -22,6 +22,15 @@ from .fock import Basis, Bit, basis_state
 # the bounds need shows up well below this.
 DIM_CAP = 64
 
+
+def capped_joint_dim(n_a: int, n_b: int) -> int:
+    """Joint dimension (n_A+1)(n_B+1) of a photon-number pair (n = 0 allowed), capped."""
+    dim = (n_a + 1) * (n_b + 1)
+    if dim > DIM_CAP:
+        raise ValueError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
+    return dim
+
+
 # A point counts as inside the multiphoton region up to this distance below
 # its lower envelope, which absorbs rounding in traced and sampled points.
 _MEMBERSHIP_TOL = 1e-9
@@ -68,12 +77,11 @@ class PhotonPair:
     def __post_init__(self) -> None:
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"photon numbers must be >= 1, got ({self.n_a}, {self.n_b})")
-        if self.joint_dim > DIM_CAP:
-            raise ValueError(f"joint dimension {self.joint_dim} exceeds cap {DIM_CAP}")
+        capped_joint_dim(self.n_a, self.n_b)
 
     @property
     def joint_dim(self) -> int:
-        return (self.n_a + 1) * (self.n_b + 1)
+        return capped_joint_dim(self.n_a, self.n_b)
 
     @property
     def is_multiphoton(self) -> bool:

@@ -506,17 +506,15 @@ def tau_numeric(stats: ObservedStats, resolution: int = 2000) -> float:
     This search shares nothing with the tau_low maximiser, so it
     cross-checks it.  One-row wrapper around `tau_numeric_array`.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
     d, e = stats.delta, stats.eps
-    if not stats.feasible:
-        # the mixture program itself extends further, but values out there are
-        # not certified; refuse rather than extrapolate
-        raise InfeasibleError(
-            f"(delta={d!r}, eps={e!r}) lies outside the certified domain"
-        )
     value = tau_numeric_array(d, e, resolution)[0]
     if np.isnan(value):
+        if not stats.feasible:
+            # the mixture program itself extends further, but values out there are
+            # not certified; refuse rather than extrapolate
+            raise InfeasibleError(
+                f"(delta={d!r}, eps={e!r}) lies outside the certified domain"
+            )
         raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
     return float(value)
 

@@ -23,10 +23,13 @@ from . import rates
 from .attack import attack_density
 from .errors import InfeasibleError
 from .fock import Basis, Bit, PolarizedFockState, basis_state
-from .povm import DIM_CAP, outcome_projectors
+from .povm import capped_joint_dim, outcome_projectors
 
 _DRAWS_PER_EVENT = 4
-_PROB_FLOOR = 1e-12  # Born probabilities below numerical noise are exact zeros
+# Born probabilities at or below this are rounding noise on exact zeros: the cells that are
+# zero in exact arithmetic (ideal pair's error and double-click cells, Werner double-click
+# cells for v = 0, 0.01, ..., 1) compute to at most 1.1e-16 in magnitude.
+_PROB_FLOOR = 1e-12
 
 
 class Outcome(Enum):
@@ -87,9 +90,7 @@ class SourceBranch:
             raise ValueError(f"branch weight must be in (0, 1], got {self.weight!r}")
         if self.n_a < 0 or self.n_b < 0:
             raise ValueError("photon numbers must be >= 0")
-        dim = (self.n_a + 1) * (self.n_b + 1)
-        if dim > DIM_CAP:
-            raise ValueError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
+        dim = capped_joint_dim(self.n_a, self.n_b)
         rho = np.array(self.rho, dtype=float)
         if rho.shape != (dim, dim):
             raise ValueError(f"density must be {dim}x{dim}, got {rho.shape}")
@@ -157,13 +158,8 @@ class SourceModel:
         return cls(tuple(SourceBranch(*b) for b in branches))
 
     @cached_property
-    def _outcome_tables(self) -> dict:
-        """Outcome distributions of this source, built on first use and kept with it."""
-        return _tables(self)
-
-    @cached_property
     def _kernel(self) -> "_Kernel":
-        """Flat lookup table of the Monte Carlo kernel, built from the outcome tables."""
+        """Outcome table of this source, built on first use and kept with it."""
         return _build_kernel(self)
 
 
@@ -180,41 +176,6 @@ def _party_projectors(n: int, w: Basis) -> tuple[list[np.ndarray], list[int]]:
     )
 
 
-@dataclass(frozen=True)
-class _OutcomeTable:
-    codes_a: np.ndarray
-    codes_b: np.ndarray
-    cum: np.ndarray
-    probs: np.ndarray
-
-
-def _tables(source: SourceModel) -> dict:
-    """Per-branch, per-basis-pair outcome distributions and the branch CDF."""
-    tables = {}
-    for bi, branch in enumerate(source.branches):
-        for wa in _BASES:
-            proj_a, codes_a = _party_projectors(branch.n_a, wa)
-            for wb in _BASES:
-                proj_b, codes_b = _party_projectors(branch.n_b, wb)
-                probs, ca, cb = [], [], []
-                for pa, code_a in zip(proj_a, codes_a):
-                    for pb, code_b in zip(proj_b, codes_b):
-                        p = float(np.trace(branch.rho @ np.kron(pa, pb)))
-                        probs.append(p if p > _PROB_FLOOR else 0.0)
-                        ca.append(code_a)
-                        cb.append(code_b)
-                probs = np.array(probs)
-                total = probs.sum()
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(f"outcome probabilities sum to {total!r}")
-                probs /= total
-                tables[(bi, wa, wb)] = _OutcomeTable(
-                    np.array(ca), np.array(cb), np.cumsum(probs), probs
-                )
-    weights = np.array([b.weight for b in source.branches])
-    return {"tables": tables, "branch_cum": np.cumsum(weights)}
-
-
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform draws for events [start, start+count): shape (count, 4).
 
@@ -228,58 +189,70 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((count, _DRAWS_PER_EVENT))
 
 
-def _outcome_flags(table: _OutcomeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per outcome: both parties detected; a double click among them; a bit error."""
-    a, b = table.codes_a, table.codes_b
-    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
-    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
-    err = detected & ~dbl & (a != b)
-    return detected, dbl, err
-
-
 @dataclass(frozen=True)
 class _Kernel:
-    """Every (branch, basis pair) outcome table of a source in one flat lookup.
+    """Every (branch, basis pair) outcome distribution of a source in one table.
 
     Group g = 4 * branch + 2 * [Alice measures X] + [Bob measures X]; slot
-    g * width + s stands for outcome s of group g.  Column g of ``cut`` holds
-    the group's cumulative probabilities but the last, padded with 2.0, so the
-    count of its entries <= u is min(searchsorted(cum, u, "right"), len(cum) - 1),
-    the outcome drawn by u: the padding is never <= u < 1.  Row i of
-    ``indicators`` marks the slots counted by tally i, in the order n, dbl,
-    err, cor, mismatch, undetected.
+    g * width + s stands for outcome s of group g, whose Born probability is
+    ``probs[g, s]`` (zero-padded past the group's outcomes).  Column g of
+    ``cut`` holds the group's cumulative probabilities but the last, padded
+    with 2.0, so the count of its entries <= u is
+    min(searchsorted(cum, u, "right"), len(cum) - 1), the outcome drawn by u:
+    the padding is never <= u < 1.  Row i of ``indicators`` marks the slots
+    counted by tally i, in the order n, dbl, err, cor, mismatch, undetected.
     """
 
     branch_cum: np.ndarray
+    probs: np.ndarray
     cut: np.ndarray
     indicators: np.ndarray
 
 
-def _build_kernel(source: SourceModel) -> _Kernel:
-    cache = source._outcome_tables
-    groups = [
-        (cache["tables"][(bi, wa, wb)], wa is wb)
-        for bi in range(len(source.branches))
-        for wa in _BASES
-        for wb in _BASES
+def _group(rho: np.ndarray, side_a, side_b, same: bool) -> tuple[np.ndarray, tuple]:
+    """Born probabilities and tally indicator rows of one (branch, basis pair) group."""
+    (proj_a, codes_a), (proj_b, codes_b) = side_a, side_b
+    # one trace per cell: a batched einsum rounds some cells differently
+    cells = [
+        (float(np.trace(rho @ np.kron(pa, pb))), ca, cb)
+        for pa, ca in zip(proj_a, codes_a)
+        for pb, cb in zip(proj_b, codes_b)
     ]
-    width = max(len(table.cum) for table, _ in groups)
+    probs, a, b = (np.array(column) for column in zip(*cells))
+    probs = np.where(probs > _PROB_FLOOR, probs, 0.0)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities sum to {total!r}")
+    probs /= total
+    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
+    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
+    err = detected & ~dbl & (a != b)
+    kept = same & detected
+    mismatch = np.full(len(a), not same)
+    return probs, (kept, kept & dbl, kept & err, kept & ~dbl & ~err, mismatch, ~detected)
+
+
+def _build_kernel(source: SourceModel) -> _Kernel:
+    groups = []
+    for branch in source.branches:
+        sides_a = [_party_projectors(branch.n_a, w) for w in _BASES]
+        sides_b = [_party_projectors(branch.n_b, w) for w in _BASES]
+        groups += [
+            _group(branch.rho, side_a, side_b, ia == ib)
+            for ia, side_a in enumerate(sides_a)
+            for ib, side_b in enumerate(sides_b)
+        ]
+    width = max(len(probs) for probs, _ in groups)
+    table = np.zeros((len(groups), width))
     cut = np.full((width - 1, len(groups)), 2.0)
     indicators = np.zeros((6, len(groups), width), dtype=np.int64)
-    for g, (table, same) in enumerate(groups):
-        size = len(table.cum)
-        cut[: size - 1, g] = table.cum[:-1]
-        detected, dbl, err = _outcome_flags(table)
-        kept = same & detected
-        indicators[:, g, :size] = (
-            kept,
-            kept & dbl,
-            kept & err,
-            kept & ~dbl & ~err,
-            np.full(size, not same),
-            ~detected,
-        )
-    return _Kernel(cache["branch_cum"], cut, indicators.reshape(6, -1))
+    for g, (probs, rows) in enumerate(groups):
+        size = len(probs)
+        table[g, :size] = probs
+        cut[: size - 1, g] = np.cumsum(probs)[:-1]
+        indicators[:, g, :size] = rows
+    weights = np.array([b.weight for b in source.branches])
+    return _Kernel(np.cumsum(weights), table, cut, indicators.reshape(6, -1))
 
 
 def run_protocol(
@@ -327,19 +300,24 @@ def run_protocol(
 
 
 def analytic_fractions(source: SourceModel) -> tuple[float, float]:
-    """Exact double-click and error fractions among same-basis detected events."""
-    cache = source._outcome_tables
+    """Exact double-click and error fractions among same-basis detected events.
+
+    Sums the Born probabilities of the kernel's own table over the slots its
+    n, dbl and err indicators count, so the tallies and this cross-check read
+    one table.
+    """
+    kernel = source._kernel
+    n_row, dbl_row, err_row = kernel.indicators[:3].reshape(3, *kernel.probs.shape) != 0
     detect_mass = 0.0
     dbl_mass = 0.0
     err_mass = 0.0
     for bi, branch in enumerate(source.branches):
-        for w in _BASES:
-            table = cache["tables"][(bi, w, w)]
-            det, dbl, err = _outcome_flags(table)
+        for g in (4 * bi, 4 * bi + 3):  # Z/Z, then X/X
+            probs = kernel.probs[g]
             scale = 0.5 * branch.weight
-            detect_mass += scale * float(table.probs[det].sum())
-            dbl_mass += scale * float(table.probs[dbl].sum())
-            err_mass += scale * float(table.probs[err].sum())
+            detect_mass += scale * float(probs[n_row[g]].sum())
+            dbl_mass += scale * float(probs[dbl_row[g]].sum())
+            err_mass += scale * float(probs[err_row[g]].sum())
     if detect_mass <= 0.0:
         raise ValueError("source never produces a same-basis detected event")
     return dbl_mass / detect_mass, err_mass / detect_mass

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -372,20 +373,23 @@ class TestSelftestCommand:
         assert out.splitlines()[-1] == "9/10 checks passed"
 
 
+def run_module(*argv):
+    """``python -m bbm92kit.cli`` in a child process that imports this same package."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "bbm92kit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+
+
 class TestEntryPoint:
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bbm92kit.cli", "tau", "--bogus", "1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("tau", "--bogus", "1")
         assert proc.returncode == 2
 
     def test_version(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bbm92kit.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip()

@@ -8,7 +8,9 @@ from bbm92kit import (
     Basis,
     HermitianOperator,
     PhotonPair,
+    SourceBranch,
     TradeoffPoint,
+    build_v,
     f_cor,
     f_dbl,
     f_err,
@@ -252,6 +254,19 @@ class TestTypes:
             PhotonPair(0, 1)
         with pytest.raises(ValueError):
             PhotonPair(10, 10)  # joint dim 121 > cap
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PhotonPair(10, 10),
+            lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72),
+            lambda: build_v(7, 8),
+        ],
+        ids=["PhotonPair", "SourceBranch", "build_v"],
+    )
+    def test_joint_dimension_cap(self, build):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build()
 
     def test_tradeoff_point_validation(self):
         with pytest.raises(ValueError):

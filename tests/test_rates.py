@@ -213,7 +213,7 @@ class TestTauNumeric:
         assert np.max(np.abs(table.tau[feasible] - numeric)) <= 1e-5
 
     def test_infeasible_raises(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="certified domain"):
             tau_numeric(ObservedStats(0.0, 0.7))
 
     @pytest.mark.parametrize("d", [2.06e-61, 1e-20, 1e-16, 1e-12, 2.4e-10])

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -51,14 +52,53 @@ def _random_mixture(seed: int) -> SourceModel:
     )
 
 
+class _RefGroup(NamedTuple):
+    codes_a: np.ndarray
+    codes_b: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray
+
+
+_BIT_CODES = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
+
+
+def _reference_tables(source: SourceModel) -> tuple[np.ndarray, list[_RefGroup]]:
+    """Branch CDF and per-(branch, basis pair) outcome tables, built from the projectors.
+
+    Group g = 4 * branch + 2 * [Alice measures X] + [Bob measures X].  Each cell
+    is tr(rho (P_a x P_b)), zeroed at or below 1e-12 and normalised, the same
+    arithmetic the kernel must do, but by its own code.
+    """
+
+    def party(n, basis):
+        if n == 0:
+            return [(np.eye(1), Outcome.NO_DETECTION.value)]
+        return [(p.entries, c) for p, c in zip(outcome_projectors(n, basis), _BIT_CODES)]
+
+    groups = []
+    for branch in source.branches:
+        for basis_a in (Basis.Z, Basis.X):
+            for basis_b in (Basis.Z, Basis.X):
+                cells = [
+                    (float(np.trace(branch.rho @ np.kron(pa, pb))), a, b)
+                    for pa, a in party(branch.n_a, basis_a)
+                    for pb, b in party(branch.n_b, basis_b)
+                ]
+                probs = np.array([p if p > 1e-12 else 0.0 for p, _, _ in cells])
+                probs /= probs.sum()
+                codes_a = np.array([a for _, a, _ in cells])
+                codes_b = np.array([b for _, _, b in cells])
+                groups.append(_RefGroup(codes_a, codes_b, probs, np.cumsum(probs)))
+    return np.cumsum([b.weight for b in source.branches]), groups
+
+
 def _reference_run_protocol(
     source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 20
 ) -> SiftedTally:
     """The per-(branch, basis pair) mask loop run_protocol replaced, kept as its reference."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
-    cache = source._outcome_tables
-    branch_cum = cache["branch_cum"]
+    branch_cum, groups = _reference_tables(source)
     counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
     for start in range(0, num_events, chunk):
         count = min(chunk, num_events - start)
@@ -71,12 +111,12 @@ def _reference_run_protocol(
         out_a = np.empty(count, dtype=np.int8)
         out_b = np.empty(count, dtype=np.int8)
         for bi in range(len(source.branches)):
-            for ia, basis_a in enumerate(sim._BASES):
-                for ib, basis_b in enumerate(sim._BASES):
+            for ia in range(2):
+                for ib in range(2):
                     mask = (branch == bi) & (wa == ia) & (wb == ib)
                     if not mask.any():
                         continue
-                    table = cache["tables"][(bi, basis_a, basis_b)]
+                    table = groups[4 * bi + 2 * ia + ib]
                     k = np.minimum(
                         np.searchsorted(table.cum, u[mask, 3], side="right"),
                         len(table.cum) - 1,
@@ -163,18 +203,17 @@ class TestRunProtocol:
         # outcome where both parties report a bit
         source = _random_mixture(11)
         kernel = source._kernel
-        tables = source._outcome_tables["tables"]
+        _, groups = _reference_tables(source)
         width = len(kernel.cut) + 1
         n_row, _, err_row, cor_row = kernel.indicators[:4]
         bits = (Outcome.BIT0.value, Outcome.BIT1.value)
         checked = 0
-        for g in range(kernel.cut.shape[1]):
-            wa, wb = sim._BASES[(g >> 1) % 2], sim._BASES[g % 2]
-            table = tables[(g // 4, wa, wb)]
+        for g, table in enumerate(groups):
+            wa, wb = (g >> 1) % 2, g % 2
             for s, (a, b) in enumerate(zip(table.codes_a, table.codes_b)):
                 slot = g * width + s
                 if err_row[slot] or cor_row[slot]:
-                    assert wa is wb and a in bits and b in bits
+                    assert wa == wb and a in bits and b in bits
                     assert n_row[slot] == 1
                     checked += 1
                 if Outcome.DOUBLE.value in (a, b) or Outcome.NO_DETECTION.value in (a, b):
@@ -209,6 +248,23 @@ class TestKernelMatchesReference:
                     _reference_run_protocol(source, num_events, seed, chunk)
                 )
         assert run_protocol(source, 20000, seed) == _reference_run_protocol(source, 20000, seed)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_SOURCES))
+    def test_tables_equal_reference(self, name):
+        # the kernel's Born probabilities and cut points are the reference's to
+        # the bit, so a change of table arithmetic is named here before any
+        # golden digest moves
+        source = REFERENCE_SOURCES[name]()
+        kernel = source._kernel
+        branch_cum, groups = _reference_tables(source)
+        assert np.array_equal(kernel.branch_cum, branch_cum)
+        assert len(kernel.probs) == kernel.cut.shape[1] == len(groups)
+        for g, table in enumerate(groups):
+            size = len(table.probs)
+            assert np.array_equal(kernel.probs[g, :size], table.probs)
+            assert not kernel.probs[g, size:].any()
+            assert np.array_equal(kernel.cut[: size - 1, g], table.cum[:-1])
+            assert np.all(kernel.cut[size - 1 :, g] == 2.0)
 
     def test_rejects_bad_sizes(self):
         source = SourceModel.ideal_pair()
@@ -256,26 +312,23 @@ class TestBornRuleFidelity:
         ids=["ideal", "werner", "attack", "custom22"],
     )
     def test_empirical_frequencies_match_probabilities(self, source):
-        from bbm92kit.sim import _tables
-
         num = 10**6
         tally_u = event_uniforms(21, 0, num)
-        cache = _tables(source)
+        branch_cum, groups = _reference_tables(source)
         wa = (tally_u[:, 0] >= 0.5).astype(int)
         wb = (tally_u[:, 1] >= 0.5).astype(int)
         branch = np.minimum(
-            np.searchsorted(cache["branch_cum"], tally_u[:, 2], side="right"),
+            np.searchsorted(branch_cum, tally_u[:, 2], side="right"),
             len(source.branches) - 1,
         )
-        bases = (Basis.Z, Basis.X)
         for bi in range(len(source.branches)):
-            for ia, basis_a in enumerate(bases):
-                for ib, basis_b in enumerate(bases):
+            for ia in range(2):
+                for ib in range(2):
                     mask = (branch == bi) & (wa == ia) & (wb == ib)
                     m = int(mask.sum())
                     if m < 1000:
                         continue
-                    table = cache["tables"][(bi, basis_a, basis_b)]
+                    table = groups[4 * bi + 2 * ia + ib]
                     k = np.minimum(
                         np.searchsorted(table.cum, tally_u[mask, 3], side="right"),
                         len(table.cum) - 1,
@@ -448,6 +501,6 @@ class TestSourceLifetime:
     def test_tables_built_once_per_source(self):
         source = SourceModel.werner(0.9)
         first = run_protocol(source, 5000, seed=2)
-        tables = source._outcome_tables
+        kernel = source._kernel
         assert run_protocol(source, 5000, seed=2) == first
-        assert source._outcome_tables is tables
+        assert source._kernel is kernel
