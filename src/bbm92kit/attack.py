@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -121,20 +121,79 @@ def build_v(n_a: int, n_b: int) -> UnitaryMap:
     return UnitaryMap(v)
 
 
+# Two-photon basis states |b_W> in the order (Z,0), (Z,1), (X,0), (X,1).
+_BOB_BASIS = np.array(
+    [basis_state(2, w, b).amplitudes for w in (Basis.Z, Basis.X) for b in (Bit.ZERO, Bit.ONE)]
+)
+
+
+def _first_failure(bad: np.ndarray) -> int | None:
+    """Index of the first True row of a check's failure mask, or None."""
+    rows = np.flatnonzero(bad)
+    return int(rows[0]) if rows.size else None
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # np.vecdot is the same ddot as np.linalg.norm's 1-D path, so the norms
+    # equal the one-state checks' bit for bit.
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Stacked amplitudes of `boundary_state` for each (alpha, beta) row."""
+    raw = np.zeros((alpha.size, 3))
+    for bit0, bit1 in (_BOB_BASIS[:2], _BOB_BASIS[2:]):
+        raw += alpha[:, None] * bit0
+        raw += beta[:, None] * bit1
+    norm = _norms(raw)
+    i = _first_failure(norm < 1e-12)
+    if i is not None:
+        raise ValueError(f"state vanishes for alpha={float(alpha[i])!r}, beta={float(beta[i])!r}")
+    chis = raw / norm[:, None]
+    unit = _norms(chis)
+    i = _first_failure(np.abs(unit - 1.0) > 1e-12)
+    if i is not None:
+        raise ValueError(f"amplitudes must have unit norm, got {float(unit[i])!r}")
+    return chis
+
+
 def boundary_state(alpha: float, beta: float) -> PolarizedFockState:
     """Normalized sum over both bases of alpha |0_W> + beta |1_W> on two photons.
 
     These states hand the attacker every point of the lower trade-off
     boundary as (alpha, beta) sweeps the unit circle.
     """
-    raw = np.zeros(3)
+    chis = _boundary_states(np.array([alpha], dtype=float), np.array([beta], dtype=float))
+    return PolarizedFockState(2, chis[0])
+
+
+@cache
+def _phi_plus() -> np.ndarray:
+    phi_plus = np.zeros((2, 2))
+    for bit in (Bit.ZERO, Bit.ONE):
+        amp = basis_state(1, Basis.Z, bit).amplitudes
+        phi_plus += np.outer(amp, amp)
+    phi_plus /= np.sqrt(2.0)
+    phi_plus.setflags(write=False)
+    return phi_plus
+
+
+@cache
+def _eve_measurements() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(Alice's and Eve's bit state, Bob's bit-0 and bit-1 projectors) per basis and bit."""
+    terms = []
     for w in (Basis.Z, Basis.X):
-        raw += alpha * basis_state(2, w, Bit.ZERO).amplitudes
-        raw += beta * basis_state(2, w, Bit.ONE).amplitudes
-    norm = float(np.linalg.norm(raw))
-    if norm < 1e-12:
-        raise ValueError(f"state vanishes for alpha={alpha!r}, beta={beta!r}")
-    return PolarizedFockState(2, raw / norm)
+        p0, p1, _ = outcome_projectors(2, w)
+        for bit_a in (Bit.ZERO, Bit.ONE):
+            terms.append((basis_state(1, w, bit_a).amplitudes, p0.entries, p1.entries))
+    return tuple(terms)
+
+
+def _attack_tensors(chis: np.ndarray) -> np.ndarray:
+    """(N, 2, 3, 2) Alice/Bob/Eve amplitudes of the attack on each Bob state row."""
+    pre = np.einsum("ae,nb->nabe", _phi_plus(), chis)
+    post = build_v(1, 2).entries @ pre.reshape(-1, 6, 2)
+    return post.reshape(-1, 2, 3, 2)
 
 
 def attack_state(chi: PolarizedFockState) -> JointState:
@@ -146,21 +205,47 @@ def attack_state(chi: PolarizedFockState) -> JointState:
     """
     if chi.n != 2:
         raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
-    v = build_v(1, 2).entries
-    phi_plus = np.zeros((2, 2))
-    for bit in (Bit.ZERO, Bit.ONE):
-        amp = basis_state(1, Basis.Z, bit).amplitudes
-        phi_plus += np.outer(amp, amp)
-    phi_plus /= np.sqrt(2.0)
-    pre = np.einsum("ae,b->abe", phi_plus, chi.amplitudes)
-    post = (v @ pre.reshape(6, 2)).reshape(2, 3, 2)
-    return JointState((2, 3, 2), post.reshape(-1))
+    return JointState((2, 3, 2), _attack_tensors(chi.amplitudes[None, :])[0].reshape(-1))
 
 
 def attack_density(chi: PolarizedFockState) -> np.ndarray:
     """Reduced Alice/Bob density matrix of the attack state (6x6)."""
     mat = attack_state(chi).amplitudes.reshape(6, 2)
     return mat @ mat.T
+
+
+def _attack_kernel(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_m, eps_m, eve_bit_accuracy) arrays for a stack of two-photon Bob states.
+
+    Row i equals `run_attack` on row i bit for bit: every step below is the
+    one-state arithmetic applied elementwise or per stacked matrix, and each
+    one-state check runs over the whole stack, raising for its first failing
+    row.
+    """
+    # float_power is libm pow, as Python's float ** 2 is; x * x rounds
+    # differently from pow on some inputs.
+    squares = np.float_power(np.vecdot(chis[:, None, :], _BOB_BASIS), 2)
+    eps_m = 0.5 * (squares[:, 1] + squares[:, 3])
+    cor_m = 0.5 * (squares[:, 0] + squares[:, 2])
+    delta_m = np.maximum(1.0 - eps_m - cor_m, 0.0)
+
+    psi = _attack_tensors(chis)
+    norm = _norms(psi.reshape(-1, 12))
+    i = _first_failure(np.abs(norm - 1.0) > 1e-12)
+    if i is not None:
+        raise ValueError(f"state must have unit norm, got {float(norm[i])!r}")
+    matched = np.zeros(len(chis))
+    registered = np.zeros(len(chis))
+    for bit_state, *bob_projectors in _eve_measurements():
+        branch = np.einsum("a,nabe->nbe", bit_state, psi)
+        for bob in bob_projectors:
+            reg = bob @ branch
+            registered += np.sum(reg * reg, axis=(1, 2))
+            hit = reg @ bit_state
+            matched += np.vecdot(hit, hit)
+    if np.any(registered <= 0.0):
+        raise NumericalError("attack produced no registered events")
+    return delta_m, eps_m, matched / registered
 
 
 def run_attack(chi: PolarizedFockState) -> AttackResult:
@@ -174,44 +259,23 @@ def run_attack(chi: PolarizedFockState) -> AttackResult:
     because the unitary only flips Alice's qubit on the branch where Bob
     double-clicks and the event is discarded.
     """
-    overlaps = {
-        (w, b): float(np.dot(chi.amplitudes, basis_state(2, w, b).amplitudes))
-        for w in (Basis.Z, Basis.X)
-        for b in (Bit.ZERO, Bit.ONE)
-    }
-    eps_m = 0.5 * (overlaps[(Basis.Z, Bit.ONE)] ** 2 + overlaps[(Basis.X, Bit.ONE)] ** 2)
-    cor_m = 0.5 * (overlaps[(Basis.Z, Bit.ZERO)] ** 2 + overlaps[(Basis.X, Bit.ZERO)] ** 2)
-    delta_m = max(1.0 - eps_m - cor_m, 0.0)
-
-    psi = attack_state(chi).tensor()
-    matched = 0.0
-    registered = 0.0
-    for w in (Basis.Z, Basis.X):
-        p0, p1, _ = outcome_projectors(2, w)
-        for bit_a in (Bit.ZERO, Bit.ONE):
-            alice = basis_state(1, w, bit_a).amplitudes
-            eve = basis_state(1, w, bit_a).amplitudes
-            branch = np.einsum("a,abe->be", alice, psi)
-            for bob in (p0, p1):
-                reg = bob.entries @ branch
-                registered += float(np.sum(reg * reg))
-                hit = reg @ eve
-                matched += float(np.dot(hit, hit))
-    if registered <= 0.0:
-        raise NumericalError("attack produced no registered events")
-    return AttackResult(delta_m, eps_m, matched / registered)
+    if chi.n != 2:
+        raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
+    delta_m, eps_m, accuracy = _attack_kernel(chi.amplitudes[None, :])
+    return AttackResult(float(delta_m[0]), float(eps_m[0]), float(accuracy[0]))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One attack evaluation in an (alpha, beta) sweep of boundary states."""
+class Sweep(NamedTuple):
+    """Attack evaluations over an (alpha, beta) sweep, one array entry per angle."""
 
-    alpha: float
-    beta: float
-    result: AttackResult
+    alpha: np.ndarray
+    beta: np.ndarray
+    delta_m: np.ndarray
+    eps_m: np.ndarray
+    eve_bit_accuracy: np.ndarray
 
 
-def boundary_sweep(num_points: int = 720) -> list[SweepPoint]:
+def boundary_sweep(num_points: int = 720) -> Sweep:
     """Evaluate the attack over the real (alpha, beta) unit circle.
 
     Angles cover half the circle (the state only depends on the overall sign)
@@ -222,8 +286,5 @@ def boundary_sweep(num_points: int = 720) -> list[SweepPoint]:
         raise ValueError("num_points must be >= 2")
     thetas = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
     thetas = np.unique(np.concatenate([thetas, [np.pi / 4, -np.arctan(1.0 / 3.0)]]))
-    points = []
-    for theta in thetas:
-        alpha, beta = float(np.cos(theta)), float(np.sin(theta))
-        points.append(SweepPoint(alpha, beta, run_attack(boundary_state(alpha, beta))))
-    return points
+    alpha, beta = np.cos(thetas), np.sin(thetas)
+    return Sweep(alpha, beta, *_attack_kernel(_boundary_states(alpha, beta)))

@@ -234,11 +234,15 @@ def _cmd_keyrate(args) -> int:
     return EXIT_OK
 
 
-def _g_bound(delta_m: float) -> float | None:
-    """g(delta_m) for a point on the curve's domain delta_m <= 1/3, else None."""
-    if delta_m <= 1.0 / 3.0 + 1e-12:
-        return float(rates.g(min(delta_m, 1.0 / 3.0)))
-    return None
+def _g_bounds(delta_m: np.ndarray) -> np.ndarray:
+    """g(delta_m) for points on the curve's domain delta_m <= 1/3, NaN elsewhere."""
+    on_domain = delta_m <= 1.0 / 3.0 + 1e-12
+    return np.where(on_domain, rates.g(np.minimum(delta_m, 1.0 / 3.0)), np.nan)
+
+
+def _cells(values: np.ndarray) -> list:
+    """Python floats of an array, with None for NaN (an empty cell)."""
+    return [None if math.isnan(x) else x for x in values.tolist()]
 
 
 def _cmd_tradeoff(args) -> int:
@@ -262,17 +266,14 @@ def _cmd_tradeoff(args) -> int:
             summary_lines=[f"odd-odd pair: min double-click fraction = {value:.12g}"],
         )
         return EXIT_OK
-    rows = []
-    for p in povm.trace_boundary(pair, num_points=args.points):
-        bound = _g_bound(p.delta_m)
-        dev = None if bound is None else p.eps_m - bound
-        rows.append(
-            {"delta_m": p.delta_m, "eps_m": p.eps_m, "g_bound": bound, "eps_minus_bound": dev}
-        )
-    max_dev = max(
-        (abs(row["eps_minus_bound"]) for row in rows if row["eps_minus_bound"] is not None),
-        default=0.0,
-    )
+    points = povm.trace_boundary(pair, num_points=args.points)
+    delta_m = np.array([p.delta_m for p in points])
+    eps_m = np.array([p.eps_m for p in points])
+    bound = _g_bounds(delta_m)
+    dev = eps_m - bound
+    columns = ["delta_m", "eps_m", "g_bound", "eps_minus_bound"]
+    rows = _rows(columns, [delta_m.tolist(), eps_m.tolist(), _cells(bound), _cells(dev)])
+    max_dev = float(np.max(np.abs(dev[~np.isnan(dev)]), initial=0.0))
     delta, eps = povm.random_state_fractions(
         pair, args.samples, np.random.default_rng(args.seed)
     )
@@ -295,18 +296,14 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _attack_row(point: attack.SweepPoint) -> dict:
-    result = point.result
-    bound = _g_bound(result.delta_m)
-    return {
-        "alpha": point.alpha,
-        "beta": point.beta,
-        "delta_m": result.delta_m,
-        "eps_m": result.eps_m,
-        "g_bound": bound,
-        "on_boundary": bool(bound is not None and abs(result.eps_m - bound) <= 1e-9),
-        "eve_bit_accuracy": result.eve_bit_accuracy,
-    }
+def _attack_rows(alpha, beta, delta_m, eps_m, accuracy) -> tuple[list[dict], np.ndarray]:
+    """Attack rows from per-point arrays, and the mask of points on the curve g."""
+    bound = _g_bounds(delta_m)
+    on_boundary = np.abs(eps_m - bound) <= 1e-9
+    columns = ["alpha", "beta", "delta_m", "eps_m", "g_bound", "on_boundary", "eve_bit_accuracy"]
+    values = [alpha.tolist(), beta.tolist(), delta_m.tolist(), eps_m.tolist(), _cells(bound)]
+    values += [on_boundary.tolist(), accuracy.tolist()]
+    return _rows(columns, values), on_boundary
 
 
 def _cmd_attack(args) -> int:
@@ -314,18 +311,17 @@ def _cmd_attack(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ValueError("need --alpha and --beta, or --sweep N")
         result = attack.run_attack(attack.boundary_state(args.alpha, args.beta))
-        rows = [_attack_row(attack.SweepPoint(args.alpha, args.beta, result))]
-        _emit(args, rows)
+        point = [np.array([x]) for x in (args.alpha, args.beta, *result)]
+        _emit(args, _attack_rows(*point)[0])
         return EXIT_OK
-    rows = [_attack_row(p) for p in attack.boundary_sweep(args.sweep)]
-    on_curve = sorted(row["delta_m"] for row in rows if row["on_boundary"])
+    sweep = attack.boundary_sweep(args.sweep)
+    rows, on_boundary = _attack_rows(*sweep)
+    on_curve = np.sort(sweep.delta_m[on_boundary])
     coverage = {
-        "boundary_points": len(on_curve),
-        "delta_min": on_curve[0] if on_curve else None,
-        "delta_max": on_curve[-1] if on_curve else None,
-        "max_gap": max(
-            (b - a for a, b in zip(on_curve, on_curve[1:])), default=None
-        ),
+        "boundary_points": int(on_curve.size),
+        "delta_min": float(on_curve[0]) if on_curve.size else None,
+        "delta_max": float(on_curve[-1]) if on_curve.size else None,
+        "max_gap": float(np.max(np.diff(on_curve))) if on_curve.size > 1 else None,
     }
     _emit(
         args,

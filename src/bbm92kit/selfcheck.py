@@ -216,19 +216,18 @@ def check_attack(full: bool = False) -> CheckResult:
                     basis_state(2, w, Bit(b ^ a)).amplitudes,
                 )
                 defect = max(defect, float(np.max(np.abs(v @ src - tgt))))
-    sweep = [p.result for p in attack.boundary_sweep(4096 if full else 500)]
-    acc_dev = max(abs(r.eve_bit_accuracy - 1.0) for r in sweep)
-    deltas = np.array([r.delta_m for r in sweep])
-    epss = np.array([r.eps_m for r in sweep])
+    sweep = attack.boundary_sweep(4096 if full else 500)
+    acc_dev = float(np.max(np.abs(sweep.eve_bit_accuracy - 1.0)))
+    deltas, epss = sweep.delta_m, sweep.eps_m
     on_curve = deltas <= 1.0 / 3.0 + 1e-12
     gaps = epss[on_curve] - rates.g(np.minimum(deltas[on_curve], 1.0 / 3.0))
     curve_dev = float(np.min(gaps, initial=0.0))
-    covered = np.sort(deltas[on_curve][np.abs(gaps) <= 1e-6])
+    covered = np.sort(deltas[on_curve][np.abs(gaps) <= 1e-9])
     widest = float(np.max(np.diff(covered), initial=0.0))
     coverage_ok = (
         covered.size > 0
-        and covered[0] <= 1e-9
-        and covered[-1] >= 1.0 / 3.0 - 1e-9
+        and covered[0] <= 1e-12
+        and covered[-1] >= 1.0 / 3.0 - 1e-12
         and (widest <= 2e-3 or not full)
     )
     ok = defect <= 1e-10 and acc_dev <= 1e-12 and curve_dev >= -1e-9 and bool(coverage_ok)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbm92kit import (
+    AttackResult,
     Basis,
     Bit,
     JointState,
@@ -22,11 +25,97 @@ from bbm92kit import (
     f_dbl,
     f_err,
     g,
+    outcome_projectors,
     run_attack,
     tau_low,
 )
+from bbm92kit.attack import _attack_kernel, _boundary_states
+from bbm92kit.errors import NumericalError
 
 SQ2 = math.sqrt(2.0)
+
+
+# The one-state attack path that the stacked kernel replaced, kept verbatim as
+# its reference (library calls renamed to the copies below).
+
+
+def _reference_boundary_state(alpha: float, beta: float) -> PolarizedFockState:
+    raw = np.zeros(3)
+    for w in (Basis.Z, Basis.X):
+        raw += alpha * basis_state(2, w, Bit.ZERO).amplitudes
+        raw += beta * basis_state(2, w, Bit.ONE).amplitudes
+    norm = float(np.linalg.norm(raw))
+    if norm < 1e-12:
+        raise ValueError(f"state vanishes for alpha={alpha!r}, beta={beta!r}")
+    return PolarizedFockState(2, raw / norm)
+
+
+def _reference_attack_state(chi: PolarizedFockState) -> JointState:
+    if chi.n != 2:
+        raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
+    v = build_v(1, 2).entries
+    phi_plus = np.zeros((2, 2))
+    for bit in (Bit.ZERO, Bit.ONE):
+        amp = basis_state(1, Basis.Z, bit).amplitudes
+        phi_plus += np.outer(amp, amp)
+    phi_plus /= np.sqrt(2.0)
+    pre = np.einsum("ae,b->abe", phi_plus, chi.amplitudes)
+    post = (v @ pre.reshape(6, 2)).reshape(2, 3, 2)
+    return JointState((2, 3, 2), post.reshape(-1))
+
+
+def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
+    overlaps = {
+        (w, b): float(np.dot(chi.amplitudes, basis_state(2, w, b).amplitudes))
+        for w in (Basis.Z, Basis.X)
+        for b in (Bit.ZERO, Bit.ONE)
+    }
+    eps_m = 0.5 * (overlaps[(Basis.Z, Bit.ONE)] ** 2 + overlaps[(Basis.X, Bit.ONE)] ** 2)
+    cor_m = 0.5 * (overlaps[(Basis.Z, Bit.ZERO)] ** 2 + overlaps[(Basis.X, Bit.ZERO)] ** 2)
+    delta_m = max(1.0 - eps_m - cor_m, 0.0)
+
+    psi = _reference_attack_state(chi).tensor()
+    matched = 0.0
+    registered = 0.0
+    for w in (Basis.Z, Basis.X):
+        p0, p1, _ = outcome_projectors(2, w)
+        for bit_a in (Bit.ZERO, Bit.ONE):
+            alice = basis_state(1, w, bit_a).amplitudes
+            eve = basis_state(1, w, bit_a).amplitudes
+            branch = np.einsum("a,abe->be", alice, psi)
+            for bob in (p0, p1):
+                reg = bob.entries @ branch
+                registered += float(np.sum(reg * reg))
+                hit = reg @ eve
+                matched += float(np.dot(hit, hit))
+    if registered <= 0.0:
+        raise NumericalError("attack produced no registered events")
+    return AttackResult(delta_m, eps_m, matched / registered)
+
+
+def _reference_boundary_sweep(num_points: int = 720) -> list[tuple]:
+    if num_points < 2:
+        raise ValueError("num_points must be >= 2")
+    thetas = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
+    thetas = np.unique(np.concatenate([thetas, [np.pi / 4, -np.arctan(1.0 / 3.0)]]))
+    points = []
+    for theta in thetas:
+        alpha, beta = float(np.cos(theta)), float(np.sin(theta))
+        points.append(
+            (alpha, beta, *_reference_run_attack(_reference_boundary_state(alpha, beta)))
+        )
+    return points
+
+
+def _reference_rows(alphas, betas) -> list[tuple] | Exception:
+    """Reference (delta_m, eps_m, accuracy) per (alpha, beta), or the first error raised."""
+    try:
+        return [
+            tuple(_reference_run_attack(_reference_boundary_state(a, b)))
+            for a, b in zip(alphas, betas)
+        ]
+    except (ValueError, NumericalError) as exc:
+        return exc
 
 
 def joint(n_a, w, a, n_b, b):
@@ -149,23 +238,6 @@ class TestRunAttack:
 
 
 class TestBoundarySweep:
-    def test_sweep_traces_curve_and_covers_it(self):
-        points = boundary_sweep(1024)
-        accs = [p.result.eve_bit_accuracy for p in points]
-        assert max(abs(a - 1.0) for a in accs) <= 1e-12
-        on_curve = []
-        for p in points:
-            if p.result.delta_m <= 1.0 / 3.0 + 1e-12:
-                bound = float(g(min(p.result.delta_m, 1.0 / 3.0)))
-                assert p.result.eps_m >= bound - 1e-9
-                if abs(p.result.eps_m - bound) <= 1e-9:
-                    on_curve.append(p.result.delta_m)
-        on_curve.sort()
-        assert on_curve[0] <= 1e-12
-        assert on_curve[-1] >= 1.0 / 3.0 - 1e-12
-        gaps = np.diff(on_curve)
-        assert gaps.max() <= 3e-3
-
     def test_attack_realizes_tau_low_objective(self):
         # mixing the attack with clean single-photon rounds reproduces the
         # objective value of the tau_low maximization at the same xi
@@ -184,6 +256,56 @@ class TestBoundarySweep:
                     )
                     assert objective == pytest.approx(rhs, abs=1e-8)
                     assert tau_low(ObservedStats(delta, eps)) >= rhs - 1e-9
+
+
+class TestStackedKernelMatchesReference:
+    @pytest.mark.parametrize("num_points", [2, 37, 500, 1000, 2000, 7919])
+    def test_sweep_equals_reference(self, num_points):
+        want = np.array(_reference_boundary_sweep(num_points))
+        got = boundary_sweep(num_points)
+        assert len(got.alpha) == len(want)
+        for column, field in zip(want.T, got):
+            assert np.array_equal(field, column)
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40),
+        st.one_of(st.none(), st.integers(0, 40)),
+    )
+    def test_random_states_equal_reference(self, pairs, vanishing_at):
+        if vanishing_at is not None:
+            pairs.insert(vanishing_at, (0.0, 0.0))
+        alphas, betas = (np.array(column) for column in zip(*pairs))
+        want = _reference_rows(alphas.tolist(), betas.tolist())
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as raised:
+                _attack_kernel(_boundary_states(alphas, betas))
+            assert str(raised.value) == str(want)
+            return
+        got = np.column_stack(_attack_kernel(_boundary_states(alphas, betas)))
+        assert np.array_equal(got, np.array(want))
+        one_row = run_attack(boundary_state(alphas[0], betas[0]))
+        assert tuple(one_row) == want[0]
+        assert np.array_equal(
+            attack_state(boundary_state(alphas[0], betas[0])).amplitudes,
+            _reference_attack_state(_reference_boundary_state(alphas[0], betas[0])).amplitudes,
+        )
+
+    def test_checks_run_over_the_stack(self):
+        alphas = np.array([1.0, 0.5, 0.0, 0.0])
+        betas = np.array([0.0, 0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="state vanishes for alpha=0.0, beta=0.0"):
+            _boundary_states(alphas, betas)
+        # |raw|^2 overflows, so the state normalizes to zero and fails the unit-norm check.
+        with np.errstate(over="ignore"):
+            overflow = _reference_rows([1.0, 1e200], [0.0, 0.0])
+            with pytest.raises(ValueError, match="amplitudes must have unit norm, got 0.0"):
+                _boundary_states(np.array([1.0, 1e200]), np.zeros(2))
+        assert str(overflow) == "amplitudes must have unit norm, got 0.0"
+        chis = _boundary_states(alphas[:2], betas[:2])
+        chis[1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="state must have unit norm"):
+            _attack_kernel(chis)
 
 
 class TestJointStateTypes:
