@@ -206,8 +206,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_keyrate(args) -> int:
-    if args.f < 1.0:
-        raise ValueError(f"--f must be >= 1, got {args.f}")
+    rates._check_f(args.f, "--f")
     table = _rate_table(args, args.f)
     has_key = np.where(table.feasible, table.has_key, None)
     columns = [
@@ -358,8 +357,7 @@ def _cmd_simulate(args) -> int:
     source = parse_source(args.source)
     if args.events < 1:
         raise ValueError(f"--events must be >= 1, got {args.events}")
-    if args.f < 1.0:
-        raise ValueError(f"--f must be >= 1, got {args.f}")
+    rates._check_f(args.f, "--f")
     report = sim.end_to_end(source, args.events, f=args.f, seed=args.seed)
     row = {
         "source": args.source,

@@ -534,9 +534,10 @@ def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
     return (1.0 - d) * (1.0 - f * binary_entropy(np.minimum(qber, 0.5)))
 
 
-def _check_f(f: float) -> None:
-    if f < 1.0:
-        raise ValueError(f"error-correction inefficiency must be >= 1, got {f!r}")
+def _check_f(f: float, name: str = "error-correction inefficiency") -> None:
+    # stated as what f must be: NaN fails every comparison
+    if not (math.isfinite(f) and f >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {f!r}")
 
 
 @dataclass(frozen=True)

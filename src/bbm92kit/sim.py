@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,6 +30,11 @@ _DRAWS_PER_EVENT = 4
 # zero in exact arithmetic (ideal pair's error and double-click cells, Werner double-click
 # cells for v = 0, 0.01, ..., 1) compute to at most 1.1e-16 in magnitude.
 _PROB_FLOOR = 1e-12
+# Indexed search (Chen & Asau 1974; Devroye 1986, III.2.4): [0, 1) splits into 2**12
+# buckets, and a draw's bucket floor(u * 2**12) is exact, because draws are multiples of
+# 2**-53 and the scale is a power of two.
+_GUIDE_BITS = 12
+_GUIDE_SIZE = 1 << _GUIDE_BITS
 
 
 class Outcome(Enum):
@@ -166,14 +171,16 @@ class SourceModel:
 _BASES = (Basis.Z, Basis.X)
 
 
-def _party_projectors(n: int, w: Basis) -> tuple[list[np.ndarray], list[int]]:
+@cache
+def _party_projectors(n: int, w: Basis) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One party's outcome projectors, stacked read-only, and their outcome codes."""
     if n == 0:
-        return [np.eye(1)], [Outcome.NO_DETECTION.value]
-    p0, p1, pdbl = outcome_projectors(n, w)
-    return (
-        [p0.entries, p1.entries, pdbl.entries],
-        [Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value],
-    )
+        projectors, codes = np.eye(1)[None], (Outcome.NO_DETECTION.value,)
+    else:
+        projectors = np.array([p.entries for p in outcome_projectors(n, w)])
+        codes = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
+    projectors.setflags(write=False)
+    return projectors, codes
 
 
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -201,26 +208,46 @@ class _Kernel:
     min(searchsorted(cum, u, "right"), len(cum) - 1), the outcome drawn by u:
     the padding is never <= u < 1.  Row i of ``indicators`` marks the slots
     counted by tally i, in the order n, dbl, err, cor, mismatch, undetected.
+
+    ``guide[g, k]`` is that outcome for every u in bucket [k, k + 1) / 2**12,
+    or -1 where a cut point of group g lies strictly inside the bucket.
+    ``branch_guide[k]`` is likewise 4 * branch for bucket k of the branch
+    draw, from the cut points ``branch_cum[:-1]``, or -1.
     """
 
     branch_cum: np.ndarray
     probs: np.ndarray
     cut: np.ndarray
     indicators: np.ndarray
+    guide: np.ndarray
+    branch_guide: np.ndarray
+
+
+def _guide(cuts: np.ndarray) -> np.ndarray:
+    """Count of the sorted ``cuts`` <= each bucket's left edge, -1 where a cut splits it."""
+    counts = np.searchsorted(cuts, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+    scaled = cuts * _GUIDE_SIZE  # exact: a power-of-two scale
+    inside = (scaled < _GUIDE_SIZE) & (scaled != np.floor(scaled))
+    counts[scaled[inside].astype(np.intp)] = -1
+    return counts
 
 
 def _group(rho: np.ndarray, side_a, side_b, same: bool) -> tuple[np.ndarray, tuple]:
     """Born probabilities and tally indicator rows of one (branch, basis pair) group."""
     (proj_a, codes_a), (proj_b, codes_b) = side_a, side_b
+    (ka, da), (kb, db) = proj_a.shape[:2], proj_b.shape[:2]
+    # every kron(pa, pb) at once: each entry is the one product pa[i, j] * pb[k, l]
+    krons = (proj_a[:, None, :, None, :, None] * proj_b[None, :, None, :, None, :]).reshape(
+        ka * kb, da * db, da * db
+    )
     # one trace per cell: a batched einsum rounds some cells differently
-    cells = [
-        (float(np.trace(rho @ np.kron(pa, pb))), ca, cb)
-        for pa, ca in zip(proj_a, codes_a)
-        for pb, cb in zip(proj_b, codes_b)
-    ]
-    probs, a, b = (np.array(column) for column in zip(*cells))
+    probs = np.array([float(np.trace(rho @ k)) for k in krons])
+    a = np.repeat(codes_a, kb)
+    b = np.tile(codes_b, ka)
     probs = np.where(probs > _PROB_FLOOR, probs, 0.0)
     total = probs.sum()
+    # with no negative Born cell, |total - 1| <= 1e-10 (SourceBranch trace check) + 9 * 1e-12
+    # (floored cells) + 9 * 2**-46 (rounding of traces over <= 16 terms) < 1.1e-10 < 1e-9
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total!r}")
     probs /= total
@@ -251,39 +278,57 @@ def _build_kernel(source: SourceModel) -> _Kernel:
         table[g, :size] = probs
         cut[: size - 1, g] = np.cumsum(probs)[:-1]
         indicators[:, g, :size] = rows
-    weights = np.array([b.weight for b in source.branches])
-    return _Kernel(np.cumsum(weights), table, cut, indicators.reshape(6, -1))
+    guide = np.array([_guide(column) for column in cut.T], dtype=np.int8)
+    branch_cum = np.cumsum([b.weight for b in source.branches])
+    branch = _guide(branch_cum[:-1])
+    branch_guide = np.where(branch < 0, -1, 4 * branch).astype(np.int32)
+    return _Kernel(branch_cum, table, cut, indicators.reshape(6, -1), guide, branch_guide)
 
 
 def run_protocol(
-    source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 20
+    source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 16
 ) -> SiftedTally:
     """Simulate ``num_events`` rounds and tally the same-basis detected events.
 
     Each event's branch and bases pick its group and its outcome draw picks a
     slot of the source's flat kernel table; one bincount per chunk counts the
     slots, and the tallies are the slot counts summed over their indicators.
+    The outcome is one gather from the kernel's guide at group * 2**12 +
+    floor(2**12 * u); only draws in a bucket a cut point splits go on to
+    compare with the group's cut points.  The branch is looked up the same
+    way, with a search as its fallback, and only for mixtures.  The default
+    chunk of 2**16 events keeps its 2 MB of draws in cache across the passes.
     """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     kernel = source._kernel
-    last_branch = len(kernel.branch_cum) - 1
     width = len(kernel.cut) + 1
+    guide = kernel.guide.ravel()
+    key_type = np.int32 if guide.size <= np.iinfo(np.int32).max else np.intp
     totals = np.zeros(kernel.indicators.shape[1], dtype=np.int64)
     for start in range(0, num_events, chunk):
         u = event_uniforms(seed, start, min(chunk, num_events - start))
-        group = np.searchsorted(kernel.branch_cum, u[:, 2], side="right")
-        np.minimum(group, last_branch, out=group)
-        group *= 4
-        group += 2 * (u[:, 0] >= 0.5)
-        group += u[:, 1] >= 0.5
-        draw = u[:, 3].copy()
-        del u  # free the (count, 4) draws before the lookup passes allocate
-        outcome = np.zeros(len(group), dtype=np.int8)
-        for cut_j in kernel.cut:
-            outcome += cut_j[group] <= draw
+        group = (u[:, 0] >= 0.5).view(np.int8) << 1
+        group |= (u[:, 1] >= 0.5).view(np.int8)
+        if len(kernel.branch_cum) > 1:
+            base = kernel.branch_guide.take((u[:, 2] * _GUIDE_SIZE).astype(key_type))
+            split = np.flatnonzero(base < 0)
+            if split.size:
+                branch = np.searchsorted(kernel.branch_cum[:-1], u[split, 2], side="right")
+                base[split] = 4 * branch
+            group = base + group
+        key = (u[:, 3] * _GUIDE_SIZE).astype(key_type)
+        key += np.left_shift(group, _GUIDE_BITS, dtype=key_type)
+        outcome = guide.take(key)
+        split = np.flatnonzero(outcome < 0)
+        if split.size:
+            in_group, draw = group[split], u[split, 3]
+            found = np.zeros(split.size, dtype=np.int8)
+            for cut_j in kernel.cut:
+                found += cut_j[in_group] <= draw
+            outcome[split] = found
         group *= width
         group += outcome
         totals += np.bincount(group, minlength=len(totals))
@@ -379,6 +424,7 @@ def end_to_end(
     sampled fractions is carried in its own labeled field, never merged with
     proved rates.
     """
+    rates._check_f(f)
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
     sampled = _try_key_rate(tally.delta_hat, tally.eps_hat, f)

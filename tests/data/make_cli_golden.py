@@ -9,7 +9,7 @@ commit to pin, naming that commit:
     PYTHONPATH=src python tests/data/make_cli_golden.py COMMIT > cli_golden.json
 
 Commands, each in CSV and in JSON: `simulate` for each source kind at 2.2e6
-events, which is three chunks of `run_protocol`; `tradeoff` for the pairs
+events, which `run_protocol` tallies over many chunks; `tradeoff` for the pairs
 (1,2) and (2,2) with random states and for the odd-odd pair (1,3); `attack`
 for one point and for a sweep; one `tau` and one `keyrate` grid.
 """

@@ -357,6 +357,28 @@ class TestOutputPlumbing:
         assert "invalid" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("keyrate", "--delta", "0.01", "--eps", "0.01"),
+            ("simulate", "--source", "werner:0.9", "--events", "1000"),
+        ],
+        ids=["keyrate", "simulate"],
+    )
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_bad_f_exits_2(self, capsys, tmp_path, route, argv, value):
+        if route == "flag":
+            argv = (*argv, f"--f={value}")
+        else:
+            config = tmp_path / "f.cfg"
+            config.write_text(f"f = {value}\n")
+            argv = (*argv, "--config", str(config))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--f must be finite and >= 1" in err
+
+
 class TestSelftestCommand:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

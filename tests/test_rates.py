@@ -315,8 +315,11 @@ class TestKeyRate:
             key_rate(ObservedStats(0.3, 0.05))
 
     def test_rejects_bad_f(self):
-        with pytest.raises(ValueError):
-            key_rate(ObservedStats(0.0, 0.0), f=0.9)
+        for f in (0.9, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                key_rate(ObservedStats(0.0, 0.0), f=f)
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                rate_table([0.0], [0.0], f=f)
 
 
 class TestConjecturedRate:

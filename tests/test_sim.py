@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from typing import NamedTuple
 
@@ -300,6 +301,99 @@ def test_chunked_run_equals_single_pass_for_any_chunk(source, num_events, seed, 
     )
 
 
+_BUCKET = 2**-12  # width of one guide bucket
+
+
+def test_guide_marks_split_buckets():
+    # cut points on an edge leave their buckets whole; one or several strictly
+    # inside a bucket mark it; the 2.0 padding and a cut at 1 mark nothing
+    cuts = np.array([2**-20, 2**-19, 0.25, 0.25 + 2**-20, 0.5, 1.0, 2.0])
+    guide = sim._guide(cuts)
+    assert guide.shape == (2**12,)
+    assert guide[0] == -1
+    assert guide[1] == 2
+    assert guide[1023] == 2 and guide[1024] == -1 and guide[1025] == 4
+    assert guide[2048] == 5 and guide[-1] == 5
+    assert np.count_nonzero(guide < 0) == 2
+
+
+def _edge_probabilities(numerators: list[int]) -> np.ndarray:
+    """Probabilities on the 2**-20 grid, the last taking what the others leave."""
+    p = np.array(numerators, dtype=float) * 2.0**-20
+    return np.append(p, 1.0 - p.sum())
+
+
+_edge_numerators = st.one_of(
+    st.integers(1, 64).map(lambda k: 256 * k),  # on a bucket edge
+    st.integers(1, 255),  # inside bucket 0, where several cut points pile up
+    st.integers(1, 2**14),  # anywhere in the first 2**6 buckets
+)
+
+
+@st.composite
+def edge_sources(draw):
+    """Mixtures of diagonal single-photon pairs and dense blocks, cut points at bucket edges.
+
+    A diagonal density on the 2**-20 grid puts the Z/Z cut points, and the
+    weights put the branch cut points, on bucket edges, strictly inside
+    buckets, or several in one bucket; the dense blocks add cut points
+    anywhere.
+    """
+    count = draw(st.integers(1, 3))
+    weights = _edge_probabilities([draw(_edge_numerators) for _ in range(count - 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for w in weights:
+        if draw(st.booleans()):
+            diag = _edge_probabilities([draw(_edge_numerators) for _ in range(3)])
+            blocks.append((w, 1, 1, np.diag(rng.permutation(diag))))
+        else:
+            n_a, n_b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+            blocks.append((w, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1))))
+    return SourceModel.custom(blocks)
+
+
+def _edge_draws(source: SourceModel):
+    """Counter-based stand-in for event_uniforms that often draws a cut point or a neighbour.
+
+    Draw j of event i is a Philox uniform or, three times in four, a value
+    from the kernel's cut points, the bucket edges around them and 0.5, each
+    with its two neighbouring doubles, all in [0, 1).
+    """
+    kernel = source._kernel
+    cuts = np.concatenate([kernel.cut.ravel(), kernel.branch_cum[:-1], [0.5]])
+    cuts = cuts[cuts < 1.0]
+    edges = np.floor(cuts / _BUCKET) * _BUCKET
+    points = np.concatenate([cuts, edges, edges + _BUCKET])
+    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    pool = np.unique(points[(points >= 0.0) & (points < 1.0)])
+    philox = sim.event_uniforms
+
+    def draws(seed: int, start: int, count: int) -> np.ndarray:
+        u = philox(seed, start, count)
+        pick = philox(seed + 1, start, count)
+        chosen = pool[(pick * len(pool)).astype(np.intp)]
+        return np.where(pick < 0.75, chosen, u)
+
+    return draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_sources(), st.integers(1, 400), st.integers(0, 2**31), st.integers(1, 450))
+def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
+    assert run_protocol(source, num_events, seed, chunk) == _reference_run_protocol(
+        source, num_events, seed, chunk
+    )
+    draws = _edge_draws(source)
+    # the reference reads this module's event_uniforms, run_protocol reads sim's
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "event_uniforms", draws)
+        patch.setattr(sys.modules[__name__], "event_uniforms", draws)
+        assert run_protocol(source, num_events, seed, chunk) == _reference_run_protocol(
+            source, num_events, seed, chunk
+        )
+
+
 class TestBornRuleFidelity:
     @pytest.mark.parametrize(
         "source",
@@ -433,6 +527,14 @@ class TestEndToEnd:
         assert report.tally.n > 0 and report.tally.n_dbl == report.tally.n
         assert report.delta_hat == 1.0
         assert report.sampled is None and report.analytic is None
+
+    @pytest.mark.parametrize("f", [0.5, float("nan"), float("inf")])
+    def test_rejects_bad_f(self, f):
+        # checked before the run, so a source with no certified rate rejects it too
+        no_rate = SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0)
+        for source in (SourceModel.werner(0.9), no_rate):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                end_to_end(source, 1000, f=f, seed=1)
 
     def test_key_rate_errors_propagate(self, monkeypatch):
         def broken(stats, f=1.0):
