@@ -12,9 +12,7 @@ the sift-and-discard protocol.
 
 from .attack import (
     AttackResult,
-    JointState,
     Sweep,
-    UnitaryMap,
     attack_density,
     attack_state,
     boundary_state,
@@ -35,7 +33,6 @@ from .fock import (
 )
 from .povm import (
     DIM_CAP,
-    HermitianOperator,
     PhotonPair,
     TradeoffPoint,
     f_cor,
@@ -85,9 +82,7 @@ __all__ = [
     "Basis",
     "Bit",
     "DIM_CAP",
-    "HermitianOperator",
     "InfeasibleError",
-    "JointState",
     "KeyRateResult",
     "MAX_PHOTONS",
     "ModePartition",
@@ -103,7 +98,6 @@ __all__ = [
     "SourceModel",
     "Sweep",
     "TradeoffPoint",
-    "UnitaryMap",
     "analytic_fractions",
     "attack_density",
     "attack_state",

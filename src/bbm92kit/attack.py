@@ -11,8 +11,6 @@ attacker learns Alice's bit exactly on every sifted event.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple
 
@@ -21,46 +19,6 @@ import numpy as np
 from .errors import NumericalError
 from .fock import Basis, Bit, PolarizedFockState, basis_state
 from .povm import capped_joint_dim, outcome_projectors
-
-
-@dataclass(frozen=True)
-class UnitaryMap:
-    """Dense real orthogonal matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.array(self.entries, dtype=float)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"entries must be square, got shape {u.shape}")
-        defect = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-        if defect > 1e-10:
-            raise ValueError(f"matrix deviates from orthogonality by {defect:.3e}")
-        u.setflags(write=False)
-        object.__setattr__(self, "entries", u)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Pure state over several subsystems, stored as a flat unit vector."""
-
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        amps = np.array(self.amplitudes, dtype=float).reshape(-1)
-        if amps.size != math.prod(dims):
-            raise ValueError(f"amplitude length {amps.size} does not match dims {dims}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state must have unit norm, got {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
 
 
 class AttackResult(NamedTuple):
@@ -86,8 +44,8 @@ def _generator_pairs(n_a: int, n_b: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 @lru_cache(maxsize=16)
-def build_v(n_a: int, n_b: int) -> UnitaryMap:
-    """Orthogonal map sending |a_W>|b_W> to |a_W>|(b+a mod 2)_W> in both bases.
+def build_v(n_a: int, n_b: int) -> np.ndarray:
+    """Read-only orthogonal matrix sending |a_W>|b_W> to |a_W>|(b+a mod 2)_W> in both bases.
 
     Such a map exists because source and target families have identical Gram
     matrices: same-basis overlaps are Kronecker deltas unchanged by the bit
@@ -118,7 +76,11 @@ def build_v(n_a: int, n_b: int) -> UnitaryMap:
     defect = float(np.max(np.abs(v @ src - tgt)))
     if defect > 1e-10:
         raise NumericalError(f"bit-copying relation violated by {defect:.3e}")
-    return UnitaryMap(v)
+    defect = float(np.max(np.abs(v.T @ v - np.eye(dim))))
+    if defect > 1e-10:
+        raise NumericalError(f"matrix deviates from orthogonality by {defect:.3e}")
+    v.setflags(write=False)
+    return v
 
 
 # Two-photon basis states |b_W> in the order (Z,0), (Z,1), (X,0), (X,1).
@@ -185,19 +147,27 @@ def _eve_measurements() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     for w in (Basis.Z, Basis.X):
         p0, p1, _ = outcome_projectors(2, w)
         for bit_a in (Bit.ZERO, Bit.ONE):
-            terms.append((basis_state(1, w, bit_a).amplitudes, p0.entries, p1.entries))
+            terms.append((basis_state(1, w, bit_a).amplitudes, p0, p1))
     return tuple(terms)
 
 
 def _attack_tensors(chis: np.ndarray) -> np.ndarray:
-    """(N, 2, 3, 2) Alice/Bob/Eve amplitudes of the attack on each Bob state row."""
+    """(N, 2, 3, 2) Alice/Bob/Eve amplitudes of the attack on each Bob state row.
+
+    Each row's state is checked to have unit norm, raising for the first that
+    does not.
+    """
     pre = np.einsum("ae,nb->nabe", _phi_plus(), chis)
-    post = build_v(1, 2).entries @ pre.reshape(-1, 6, 2)
-    return post.reshape(-1, 2, 3, 2)
+    psi = (build_v(1, 2) @ pre.reshape(-1, 6, 2)).reshape(-1, 2, 3, 2)
+    norm = _norms(psi.reshape(-1, 12))
+    i = _first_failure(np.abs(norm - 1.0) > 1e-12)
+    if i is not None:
+        raise ValueError(f"state must have unit norm, got {float(norm[i])!r}")
+    return psi
 
 
-def attack_state(chi: PolarizedFockState) -> JointState:
-    """Joint Alice/Bob/Eve state after the bit-copying unitary is applied.
+def attack_state(chi: PolarizedFockState) -> np.ndarray:
+    """Joint Alice/Bob/Eve amplitudes, shape (2, 3, 2), after the bit-copying unitary.
 
     Alice's half of the entangled pair is system A (one photon), Bob receives
     the two-photon system B prepared in ``chi``, and E is the attacker's
@@ -205,12 +175,12 @@ def attack_state(chi: PolarizedFockState) -> JointState:
     """
     if chi.n != 2:
         raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
-    return JointState((2, 3, 2), _attack_tensors(chi.amplitudes[None, :])[0].reshape(-1))
+    return _attack_tensors(chi.amplitudes[None, :])[0]
 
 
 def attack_density(chi: PolarizedFockState) -> np.ndarray:
     """Reduced Alice/Bob density matrix of the attack state (6x6)."""
-    mat = attack_state(chi).amplitudes.reshape(6, 2)
+    mat = attack_state(chi).reshape(6, 2)
     return mat @ mat.T
 
 
@@ -230,10 +200,6 @@ def _attack_kernel(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     delta_m = np.maximum(1.0 - eps_m - cor_m, 0.0)
 
     psi = _attack_tensors(chis)
-    norm = _norms(psi.reshape(-1, 12))
-    i = _first_failure(np.abs(norm - 1.0) > 1e-12)
-    if i is not None:
-        raise ValueError(f"state must have unit norm, got {float(norm[i])!r}")
     matched = np.zeros(len(chis))
     registered = np.zeros(len(chis))
     for bit_state, *bob_projectors in _eve_measurements():

@@ -29,17 +29,6 @@ EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "BBM92KIT_OUT_DIR"
 
-_DEFAULTS = {
-    "format": "csv",
-    "f": 1.0,
-    "seed": 12345,
-    "resolution": 2000,
-    "points": 200,
-    "samples": 1000,
-    "events": 100000,
-    "sweep": None,
-}
-
 
 def _fmt_cell(value) -> str:
     if value is None:
@@ -82,7 +71,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
     Config values go through the same argparse types and choices as flags, by
     parsing them as flags placed before the command line's own, which then
-    override them.  Unset flags then take the built-in defaults.
+    override them.  Flags set by neither keep their parser defaults.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -93,10 +82,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                 raise ValueError(f"unknown config key {key!r}")
         # argv[0] is the command: the top-level parser's only options exit
         flags = [f"--{key.replace('_', '-')}={raw}" for key, raw in config.items()]
-        args = parser.parse_args([argv[0], *flags, *argv[1:]])
-    for key, default in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
     return args
 
 
@@ -410,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         p.add_argument("--config", help="key=value file supplying flag defaults")
 
     p_tau = sub.add_parser("tau", help="privacy-amplification fraction table")
@@ -418,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--delta-grid", dest="delta_grid")
     p_tau.add_argument("--eps", type=float)
     p_tau.add_argument("--eps-grid", dest="eps_grid")
-    p_tau.add_argument("--resolution", type=int, help="search resolution for tau_numeric")
+    p_tau.add_argument(
+        "--resolution", type=int, default=2000, help="search resolution for tau_numeric"
+    )
     common(p_tau)
     p_tau.set_defaults(func=_cmd_tau)
 
@@ -427,16 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_key.add_argument("--delta-grid", dest="delta_grid")
     p_key.add_argument("--eps", type=float)
     p_key.add_argument("--eps-grid", dest="eps_grid")
-    p_key.add_argument("--f", type=float, help="error-correction inefficiency >= 1")
+    p_key.add_argument("--f", type=float, default=1.0, help="error-correction inefficiency >= 1")
     common(p_key)
     p_key.set_defaults(func=_cmd_keyrate)
 
     p_trade = sub.add_parser("tradeoff", help="double-click/error trade-off boundary")
     p_trade.add_argument("--na", type=int, required=True)
     p_trade.add_argument("--nb", type=int, required=True)
-    p_trade.add_argument("--points", type=int, help="supporting-hyperplane sweep size")
-    p_trade.add_argument("--samples", type=int, help="random states for membership check")
-    p_trade.add_argument("--seed", type=int)
+    p_trade.add_argument(
+        "--points", type=int, default=200, help="supporting-hyperplane sweep size"
+    )
+    p_trade.add_argument(
+        "--samples", type=int, default=1000, help="random states for membership check"
+    )
+    p_trade.add_argument("--seed", type=int, default=12345)
     common(p_trade)
     p_trade.set_defaults(func=_cmd_tradeoff)
 
@@ -451,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--source", required=True, help="ideal | werner:V | attack:ALPHA,BETA,XI"
     )
-    p_sim.add_argument("--events", type=int)
-    p_sim.add_argument("--f", type=float)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--events", type=int, default=100000)
+    p_sim.add_argument("--f", type=float, default=1.0)
+    p_sim.add_argument("--seed", type=int, default=12345)
     common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -11,6 +11,7 @@ module traces numerically by supporting hyperplanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -57,24 +58,6 @@ def eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """Dense real symmetric operator on a joint measurement space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {a.shape}")
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if asym > 1e-12:
-            raise ValueError(f"matrix deviates from symmetry by {asym:.3e}")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-
-@dataclass(frozen=True)
 class PhotonPair:
     """Photon numbers arriving at the two detection apparatuses in one event."""
 
@@ -114,53 +97,48 @@ class TradeoffPoint:
         object.__setattr__(self, "eps_m", min(max(self.eps_m, 0.0), 1.0))
 
 
-def _projector(state) -> np.ndarray:
-    return np.outer(state.amplitudes, state.amplitudes)
-
-
-def outcome_projectors(
-    n: int, w: Basis
-) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """Projectors onto bit 0, bit 1 and the double-click subspace for one party.
+@cache
+def outcome_projectors(n: int, w: Basis) -> np.ndarray:
+    """Read-only (3, n+1, n+1) stack of one party's projectors: bit 0, bit 1, double click.
 
     A threshold-detector pair fires on one side only when all n photons share
     that polarization; the remaining n-1 dimensions make both detectors click.
+    Each projector is exactly symmetric: an outer product of one state with
+    itself, or the identity minus two such.
     """
-    p0 = _projector(basis_state(n, w, Bit.ZERO))
-    p1 = _projector(basis_state(n, w, Bit.ONE))
-    pdbl = np.eye(n + 1) - p0 - p1
-    return (HermitianOperator(p0), HermitianOperator(p1), HermitianOperator(pdbl))
+    states = [basis_state(n, w, b).amplitudes for b in (Bit.ZERO, Bit.ONE)]
+    p0, p1 = (np.outer(s, s) for s in states)
+    stack = np.array([p0, p1, np.eye(n + 1) - p0 - p1])
+    stack.setflags(write=False)
+    return stack
 
 
 def _joint_sum(pair: PhotonPair, same_bit: bool) -> np.ndarray:
     total = np.zeros((pair.joint_dim, pair.joint_dim))
     for w in (Basis.Z, Basis.X):
+        proj_a, proj_b = outcome_projectors(pair.n_a, w), outcome_projectors(pair.n_b, w)
         for b in (Bit.ZERO, Bit.ONE):
-            b_bob = b if same_bit else Bit(1 - b)
-            pa = _projector(basis_state(pair.n_a, w, b))
-            pb = _projector(basis_state(pair.n_b, w, b_bob))
-            total += np.kron(pa, pb)
+            total += np.kron(proj_a[b], proj_b[b if same_bit else 1 - b])
     return 0.5 * total
 
 
-def f_err(pair: PhotonPair) -> HermitianOperator:
+def f_err(pair: PhotonPair) -> np.ndarray:
     """Operator whose expectation is the bit-error fraction.
 
     Average over both bases of the projectors onto opposite bit values on the
     two sides.
     """
-    return HermitianOperator(_joint_sum(pair, same_bit=False))
+    return _joint_sum(pair, same_bit=False)
 
 
-def f_cor(pair: PhotonPair) -> HermitianOperator:
+def f_cor(pair: PhotonPair) -> np.ndarray:
     """Operator whose expectation is the same-bit fraction (both bases averaged)."""
-    return HermitianOperator(_joint_sum(pair, same_bit=True))
+    return _joint_sum(pair, same_bit=True)
 
 
-def f_dbl(pair: PhotonPair) -> HermitianOperator:
+def f_dbl(pair: PhotonPair) -> np.ndarray:
     """Complement of correct + error: the double-click fraction."""
-    dim = pair.joint_dim
-    return HermitianOperator(np.eye(dim) - f_cor(pair).entries - f_err(pair).entries)
+    return np.eye(pair.joint_dim) - f_cor(pair) - f_err(pair)
 
 
 def min_double_click(pair: PhotonPair) -> float:
@@ -173,7 +151,7 @@ def min_double_click(pair: PhotonPair) -> float:
         raise ValueError(f"({pair.n_a}, {pair.n_b}) is not an odd-odd pair")
     if not pair.is_multiphoton:
         raise ValueError("(1, 1) events admit no double clicks; need n_a + n_b >= 3")
-    combined = f_cor(pair).entries + f_err(pair).entries
+    combined = f_cor(pair) + f_err(pair)
     w, _ = eigh_checked(combined)
     return 1.0 - float(w[-1])
 
@@ -249,8 +227,8 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> list[TradeoffPoin
         )
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    fe = f_err(pair).entries
-    fd = f_dbl(pair).entries
+    fe = f_err(pair)
+    fd = f_dbl(pair)
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
     blocks = [
         _support_points(fe + block[:, None, None] * fd, fd, fd, fe)
@@ -273,8 +251,8 @@ def random_state_fractions(
     """
     states = rng.standard_normal((count, pair.joint_dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    delta = np.einsum("ni,ij,nj->n", states, f_dbl(pair).entries, states)
-    eps = np.einsum("ni,ij,nj->n", states, f_err(pair).entries, states)
+    delta = np.einsum("ni,ij,nj->n", states, f_dbl(pair), states)
+    eps = np.einsum("ni,ij,nj->n", states, f_err(pair), states)
     return delta, eps
 
 

@@ -66,11 +66,7 @@ def check_povm_completeness(full: bool = False) -> CheckResult:
             if (n_a + 1) * (n_b + 1) > povm.DIM_CAP:
                 continue
             pair = povm.PhotonPair(n_a, n_b)
-            total = (
-                povm.f_cor(pair).entries
-                + povm.f_err(pair).entries
-                + povm.f_dbl(pair).entries
-            )
+            total = povm.f_cor(pair) + povm.f_err(pair) + povm.f_dbl(pair)
             worst = max(worst, float(np.max(np.abs(total - np.eye(pair.joint_dim)))))
     return CheckResult("POVM completeness", worst <= 1e-12, f"max |sum - I| {worst:.2e}")
 
@@ -203,19 +199,9 @@ def check_attack(full: bool = False) -> CheckResult:
     Only the full size requires the on-curve points to leave no gap wider
     than 2e-3 in delta: the quick size's 500 angles leave gaps of 3.5e-3.
     """
-    v = attack.build_v(1, 2).entries
-    defect = 0.0
-    for w in (Basis.Z, Basis.X):
-        for a in (Bit.ZERO, Bit.ONE):
-            for b in (Bit.ZERO, Bit.ONE):
-                src = np.kron(
-                    basis_state(1, w, a).amplitudes, basis_state(2, w, b).amplitudes
-                )
-                tgt = np.kron(
-                    basis_state(1, w, a).amplitudes,
-                    basis_state(2, w, Bit(b ^ a)).amplitudes,
-                )
-                defect = max(defect, float(np.max(np.abs(v @ src - tgt))))
+    v = attack.build_v(1, 2)
+    pairs = attack._generator_pairs(1, 2)
+    defect = max(float(np.max(np.abs(v @ src - tgt))) for src, tgt in pairs)
     sweep = attack.boundary_sweep(4096 if full else 500)
     acc_dev = float(np.max(np.abs(sweep.eve_bit_accuracy - 1.0)))
     deltas, epss = sweep.delta_m, sweep.eps_m

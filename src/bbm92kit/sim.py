@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +102,9 @@ class SourceBranch:
         if float(np.max(np.abs(rho - rho.T))) > 1e-10:
             raise ValueError("density matrix must be symmetric")
         rho = 0.5 * (rho + rho.T)
-        if abs(float(np.trace(rho)) - 1.0) > 1e-10:
-            raise ValueError(f"density trace must be 1, got {np.trace(rho)!r}")
+        trace = float(np.trace(rho))
+        if abs(trace - 1.0) > 1e-10:
+            raise ValueError(f"density trace must be 1, got {trace!r}")
         if float(np.linalg.eigvalsh(rho).min()) < -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
         rho.setflags(write=False)
@@ -171,16 +172,12 @@ class SourceModel:
 _BASES = (Basis.Z, Basis.X)
 
 
-@cache
 def _party_projectors(n: int, w: Basis) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One party's outcome projectors, stacked read-only, and their outcome codes."""
+    """One party's stacked outcome projectors and their outcome codes; n = 0 is vacuum."""
     if n == 0:
-        projectors, codes = np.eye(1)[None], (Outcome.NO_DETECTION.value,)
-    else:
-        projectors = np.array([p.entries for p in outcome_projectors(n, w)])
-        codes = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
-    projectors.setflags(write=False)
-    return projectors, codes
+        return np.eye(1)[None], (Outcome.NO_DETECTION.value,)
+    codes = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
+    return outcome_projectors(n, w), codes
 
 
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -244,13 +241,18 @@ def _group(rho: np.ndarray, side_a, side_b, same: bool) -> tuple[np.ndarray, tup
     probs = np.array([float(np.trace(rho @ k)) for k in krons])
     a = np.repeat(codes_a, kb)
     b = np.tile(codes_b, ka)
-    probs = np.where(probs > _PROB_FLOOR, probs, 0.0)
-    total = probs.sum()
-    # with no negative Born cell, |total - 1| <= 1e-10 (SourceBranch trace check) + 9 * 1e-12
-    # (floored cells) + 9 * 2**-46 (rounding of traces over <= 16 terms) < 1.1e-10 < 1e-9
+    total = float(probs.sum())
+    # The cells sum to tr(rho sum_ab P_a (x) P_b) = tr(rho), held within 1e-10 of 1 by
+    # SourceBranch.  Each of the <= 9 cell traces rounds by at most gamma_128 sum_ij |rho_ij|
+    # <= 128 * 2**-53 * 64 < 1e-12 (d <= 64, and a PSD unit-trace rho has sum_ij |rho_ij| <= d),
+    # and the projectors sum to the identity within a few ulps per entry, so
+    # |total - 1| < 1.1e-10 < 1e-9.  The sum is taken before the floor below, which raises it
+    # by up to 1e-12 per cell and by the size of each negative cell that the branch's
+    # eigenvalue tolerance admits.
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total!r}")
-    probs /= total
+    probs = np.where(probs > _PROB_FLOOR, probs, 0.0)
+    probs /= probs.sum()
     detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
     dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
     err = detected & ~dbl & (a != b)

@@ -9,11 +9,9 @@ from bbm92kit import (
     AttackResult,
     Basis,
     Bit,
-    JointState,
     ObservedStats,
     PhotonPair,
     PolarizedFockState,
-    UnitaryMap,
     attack_density,
     attack_state,
     basis_state,
@@ -29,6 +27,7 @@ from bbm92kit import (
     run_attack,
     tau_low,
 )
+from bbm92kit import attack
 from bbm92kit.attack import _attack_kernel, _boundary_states
 from bbm92kit.errors import NumericalError
 
@@ -50,10 +49,10 @@ def _reference_boundary_state(alpha: float, beta: float) -> PolarizedFockState:
     return PolarizedFockState(2, raw / norm)
 
 
-def _reference_attack_state(chi: PolarizedFockState) -> JointState:
+def _reference_attack_state(chi: PolarizedFockState) -> np.ndarray:
     if chi.n != 2:
         raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
-    v = build_v(1, 2).entries
+    v = build_v(1, 2)
     phi_plus = np.zeros((2, 2))
     for bit in (Bit.ZERO, Bit.ONE):
         amp = basis_state(1, Basis.Z, bit).amplitudes
@@ -61,7 +60,10 @@ def _reference_attack_state(chi: PolarizedFockState) -> JointState:
     phi_plus /= np.sqrt(2.0)
     pre = np.einsum("ae,b->abe", phi_plus, chi.amplitudes)
     post = (v @ pre.reshape(6, 2)).reshape(2, 3, 2)
-    return JointState((2, 3, 2), post.reshape(-1))
+    norm = float(np.linalg.norm(post.reshape(-1)))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state must have unit norm, got {norm!r}")
+    return post
 
 
 def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
@@ -74,7 +76,7 @@ def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
     cor_m = 0.5 * (overlaps[(Basis.Z, Bit.ZERO)] ** 2 + overlaps[(Basis.X, Bit.ZERO)] ** 2)
     delta_m = max(1.0 - eps_m - cor_m, 0.0)
 
-    psi = _reference_attack_state(chi).tensor()
+    psi = _reference_attack_state(chi)
     matched = 0.0
     registered = 0.0
     for w in (Basis.Z, Basis.X):
@@ -84,7 +86,7 @@ def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
             eve = basis_state(1, w, bit_a).amplitudes
             branch = np.einsum("a,abe->be", alice, psi)
             for bob in (p0, p1):
-                reg = bob.entries @ branch
+                reg = bob @ branch
                 registered += float(np.sum(reg * reg))
                 hit = reg @ eve
                 matched += float(np.dot(hit, hit))
@@ -131,7 +133,7 @@ def random_chi(seed: int) -> PolarizedFockState:
 class TestBuildV:
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4), (3, 2)])
     def test_bit_copy_relation_on_all_defining_states(self, n_a, n_b):
-        v = build_v(n_a, n_b).entries
+        v = build_v(n_a, n_b)
         for w in (Basis.Z, Basis.X):
             for a in (Bit.ZERO, Bit.ONE):
                 for b in (Bit.ZERO, Bit.ONE):
@@ -140,7 +142,7 @@ class TestBuildV:
                     assert np.max(np.abs(v @ src - tgt)) <= 1e-10
 
     def test_specific_one_two_mappings(self):
-        v = build_v(1, 2).entries
+        v = build_v(1, 2)
         # control bit 0 acts trivially
         s = joint(1, Basis.Z, Bit.ZERO, 2, Bit.ZERO)
         assert np.max(np.abs(v @ s - s)) <= 1e-10
@@ -154,23 +156,33 @@ class TestBuildV:
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4), (3, 2)])
     def test_orthogonality(self, n_a, n_b):
-        v = build_v(n_a, n_b).entries
+        v = build_v(n_a, n_b)
         assert np.max(np.abs(v.T @ v - np.eye(v.shape[0]))) <= 1e-10
+        assert not v.flags.writeable
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4)])
     def test_conjugated_operators_act_only_on_bob(self, n_a, n_b):
         # V^T F V must look like identity_on_Alice (x) M for a single-photon
         # Alice, i.e. commute with every Alice-side operator
-        v = build_v(n_a, n_b).entries
+        v = build_v(n_a, n_b)
         pair = PhotonPair(n_a, n_b)
         dim_b = n_b + 1
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
-        for op in (f_err(pair).entries, f_cor(pair).entries):
+        for op in (f_err(pair), f_cor(pair)):
             conj = v.T @ op @ v
             for sigma in (sigma_x, sigma_z):
                 lifted = np.kron(sigma, np.eye(dim_b))
                 assert np.max(np.abs(conj @ lifted - lifted @ conj)) <= 1e-9
+
+    def test_rejects_non_orthogonal_map(self, monkeypatch):
+        # Equal Gram matrices over different spans: the map meets the bit-copy
+        # relation on its one pair but cannot be orthogonal.
+        eye = np.eye(6)
+        monkeypatch.setattr(attack, "_generator_pairs", lambda n_a, n_b: [(eye[0], eye[1])])
+        build_v.cache_clear()
+        with pytest.raises(NumericalError, match="deviates from orthogonality by 1"):
+            build_v(1, 2)
 
     def test_rejects_bad_parities(self):
         with pytest.raises(ValueError):
@@ -226,13 +238,13 @@ class TestRunAttack:
         result = run_attack(chi)
         rho = attack_density(chi)
         pair = PhotonPair(1, 2)
-        assert float(np.trace(rho @ f_err(pair).entries)) == pytest.approx(
+        assert float(np.trace(rho @ f_err(pair))) == pytest.approx(
             result.eps_m, abs=1e-12
         )
-        assert float(np.trace(rho @ f_dbl(pair).entries)) == pytest.approx(
+        assert float(np.trace(rho @ f_dbl(pair))) == pytest.approx(
             result.delta_m, abs=1e-12
         )
-        assert float(np.trace(rho @ f_cor(pair).entries)) == pytest.approx(
+        assert float(np.trace(rho @ f_cor(pair))) == pytest.approx(
             1.0 - result.delta_m - result.eps_m, abs=1e-12
         )
 
@@ -287,8 +299,8 @@ class TestStackedKernelMatchesReference:
         one_row = run_attack(boundary_state(alphas[0], betas[0]))
         assert tuple(one_row) == want[0]
         assert np.array_equal(
-            attack_state(boundary_state(alphas[0], betas[0])).amplitudes,
-            _reference_attack_state(_reference_boundary_state(alphas[0], betas[0])).amplitudes,
+            attack_state(boundary_state(alphas[0], betas[0])),
+            _reference_attack_state(_reference_boundary_state(alphas[0], betas[0])),
         )
 
     def test_checks_run_over_the_stack(self):
@@ -311,23 +323,18 @@ class TestStackedKernelMatchesReference:
 class TestJointStateTypes:
     def test_attack_state_is_normalized(self):
         state = attack_state(boundary_state(1.0, 0.3))
-        assert state.dims == (2, 3, 2)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert state.shape == (2, 3, 2)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_attack_density_is_a_state(self):
         rho = attack_density(random_chi(5))
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
-    def test_joint_state_validation(self):
-        with pytest.raises(ValueError):
-            JointState((2, 2), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            JointState((2,), np.array([1.0, 1.0]))
-
-    def test_unitary_map_validation(self):
-        with pytest.raises(ValueError):
-            UnitaryMap(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    def test_rejects_off_norm_state(self, monkeypatch):
+        monkeypatch.setattr(attack, "build_v", lambda n_a, n_b: (1.0 + 1e-9) * np.eye(6))
+        with pytest.raises(ValueError, match=r"state must have unit norm, got 1\.00000000"):
+            attack_state(boundary_state(1.0, 0.3))
 
     def test_run_attack_rejects_wrong_photon_number(self):
         with pytest.raises(ValueError):

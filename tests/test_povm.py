@@ -6,7 +6,6 @@ import pytest
 from bbm92kit import (
     DIM_CAP,
     Basis,
-    HermitianOperator,
     PhotonPair,
     SourceBranch,
     TradeoffPoint,
@@ -87,8 +86,8 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> list[T
         )
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    fe = f_err(pair).entries
-    fd = f_dbl(pair).entries
+    fe = f_err(pair)
+    fd = f_dbl(pair)
     points: list[TradeoffPoint] = []
     for lam in [0.0, *np.logspace(-3.0, 3.0, num_points)]:
         points.extend(_reference_support_points(fe + lam * fd, fd, fd, fe))
@@ -110,33 +109,31 @@ class TestOutcomeProjectors:
     def test_single_photon_has_no_double_clicks(self):
         for w in Basis:
             _, _, pdbl = outcome_projectors(1, w)
-            assert np.allclose(pdbl.entries, 0.0, atol=1e-15)
+            assert np.allclose(pdbl, 0.0, atol=1e-15)
 
     def test_two_photon_z_double_click_projector(self):
         _, _, pdbl = outcome_projectors(2, Basis.Z)
         # one H and one V photon is the only double-click direction
-        assert np.allclose(pdbl.entries, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
+        assert np.allclose(pdbl, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
 
     def test_three_photon_x_double_click_rank(self):
         _, _, pdbl = outcome_projectors(3, Basis.X)
-        assert np.trace(pdbl.entries) == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(pdbl) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("w", [Basis.Z, Basis.X])
     def test_completeness_and_idempotence(self, n, w):
         p0, p1, pdbl = outcome_projectors(n, w)
-        assert np.allclose(
-            p0.entries + p1.entries + pdbl.entries, np.eye(n + 1), atol=1e-13
-        )
+        assert np.allclose(p0 + p1 + pdbl, np.eye(n + 1), atol=1e-13)
         for p in (p0, p1, pdbl):
-            assert np.allclose(p.entries @ p.entries, p.entries, atol=1e-12)
+            assert np.allclose(p @ p, p, atol=1e-12)
 
 
 class TestJointOperators:
     def test_error_operator_spectrum_one_one(self):
         # eigen-decomposition oracle: spectrum {0, 1/2, 1/2, 1}, largest at the
         # singlet which anticorrelates in both bases
-        w, v = eigh_checked(f_err(PhotonPair(1, 1)).entries)
+        w, v = eigh_checked(f_err(PhotonPair(1, 1)))
         assert np.allclose(sorted(w), [0.0, 0.5, 0.5, 1.0], atol=1e-12)
         top = v[:, -1]
         overlap = abs(float(top @ singlet()))
@@ -144,35 +141,33 @@ class TestJointOperators:
 
     def test_error_operator_zero_on_correlated_pair(self):
         op = f_err(PhotonPair(1, 1))
-        assert phi_plus() @ op.entries @ phi_plus() == pytest.approx(0.0, abs=1e-12)
+        assert phi_plus() @ op @ phi_plus() == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
-        assert np.trace(f_err(pair).entries) == pytest.approx(2.0, abs=1e-10)
+        assert np.trace(f_err(pair)) == pytest.approx(2.0, abs=1e-10)
 
     def test_correct_operator_on_correlated_pair(self):
         op = f_cor(PhotonPair(1, 1))
-        assert phi_plus() @ op.entries @ phi_plus() == pytest.approx(1.0, abs=1e-12)
+        assert phi_plus() @ op @ phi_plus() == pytest.approx(1.0, abs=1e-12)
 
     def test_one_one_has_no_double_clicks(self):
         pair = PhotonPair(1, 1)
-        combined = f_cor(pair).entries + f_err(pair).entries
+        combined = f_cor(pair) + f_err(pair)
         assert np.allclose(combined, np.eye(4), atol=1e-13)
-        assert np.allclose(f_dbl(pair).entries, 0.0, atol=1e-13)
+        assert np.allclose(f_dbl(pair), 0.0, atol=1e-13)
 
     def test_three_one_top_eigenvalue(self):
         pair = PhotonPair(3, 1)
-        w, _ = eigh_checked(f_cor(pair).entries + f_err(pair).entries)
+        w, _ = eigh_checked(f_cor(pair) + f_err(pair))
         assert w[-1] == pytest.approx(0.75, abs=1e-12)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_povm_completeness_and_positivity(self, pair):
         fe, fc, fd = f_err(pair), f_cor(pair), f_dbl(pair)
-        assert np.allclose(
-            fe.entries + fc.entries + fd.entries, np.eye(pair.joint_dim), atol=1e-12
-        )
+        assert np.allclose(fe + fc + fd, np.eye(pair.joint_dim), atol=1e-12)
         for op in (fe, fc, fd):
-            w, _ = eigh_checked(op.entries)
+            w, _ = eigh_checked(op)
             assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
 
 
@@ -250,10 +245,10 @@ class TestTraceBoundary:
         assert np.max(np.abs(interp - g(grid))) <= 1e-5
 
     def test_swap_symmetry_of_support_function(self):
-        fe12 = f_err(PhotonPair(1, 2)).entries
-        fd12 = f_dbl(PhotonPair(1, 2)).entries
-        fe21 = f_err(PhotonPair(2, 1)).entries
-        fd21 = f_dbl(PhotonPair(2, 1)).entries
+        fe12 = f_err(PhotonPair(1, 2))
+        fd12 = f_dbl(PhotonPair(1, 2))
+        fe21 = f_err(PhotonPair(2, 1))
+        fd21 = f_dbl(PhotonPair(2, 1))
         for lam in [0.0, *np.logspace(-3, 3, 40)]:
             a = np.linalg.eigvalsh(fe12 + lam * fd12)[0]
             b = np.linalg.eigvalsh(fe21 + lam * fd21)[0]
@@ -274,8 +269,8 @@ class TestTraceBoundary:
         # The lowest eigenvalue cluster of every operator a 400-point trace
         # minimizes is far narrower than the cut, and the next eigenvalue is far
         # above it, so the eigenspace dimension does not hinge on the cut's value.
-        fe = f_err(PhotonPair(*pair)).entries
-        fd = f_dbl(PhotonPair(*pair)).entries
+        fe = f_err(PhotonPair(*pair))
+        fd = f_dbl(PhotonPair(*pair))
         lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 400)])
         w, _ = eigh_checked(np.concatenate([fe + lams[:, None, None] * fd, fd[None]]))
         dims = np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
@@ -338,9 +333,16 @@ class TestRegionMembership:
 
 
 class TestTypes:
-    def test_hermitian_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_operators_are_exactly_symmetric(self, pair):
+        for op in (f_err(pair), f_cor(pair), f_dbl(pair)):
+            assert np.array_equal(op, op.T)
+        for n in (pair.n_a, pair.n_b):
+            for w in Basis:
+                stack = outcome_projectors(n, w)
+                assert stack.shape == (3, n + 1, n + 1) and not stack.flags.writeable
+                assert np.array_equal(stack, stack.mT)
+                assert outcome_projectors(n, w) is stack
 
     def test_photon_pair_validation(self):
         with pytest.raises(ValueError):

@@ -163,26 +163,6 @@ class TestTauClosedForm:
         assert math.isnan(result.tau)
         assert not result.feasible
 
-    def test_continuity_across_a_b(self):
-        e1 = eps1_star()
-        for d in np.linspace(0.0, 0.2499, 60):
-            edge = e1 * (1.0 - 4.0 * d)
-            if edge < 0.0:
-                continue
-            below = tau_closed_form(ObservedStats(float(d), max(edge - 1e-12, 0.0))).tau
-            above = tau_closed_form(ObservedStats(float(d), edge + 1e-12)).tau
-            assert abs(above - below) <= 1e-9
-
-    def test_continuity_across_b_c(self):
-        e1 = eps1_star()
-        for d in np.linspace(0.0, TANGENT - 1e-9, 60):
-            edge = (1.0 - 6.0 * d) * e1 + 0.5 * d
-            below = tau_closed_form(ObservedStats(float(d), edge - 1e-12)).tau
-            above = tau_closed_form(
-                ObservedStats(float(d), min(edge + 1e-12, multiphoton_envelope(float(d))))
-            ).tau
-            assert abs(above - below) <= 1e-9
-
     def test_monotone_in_eps(self):
         for d in np.linspace(0.0, 0.24, 13):
             limit = multiphoton_envelope(float(d))
@@ -260,18 +240,10 @@ class TestKeyRate:
         assert result.r_key == 1.0
         assert result.has_key
 
-    def test_zero_crossing_at_quarter(self):
-        assert key_rate(ObservedStats(0.25, 0.0)).r_key == pytest.approx(0.0, abs=1e-12)
-
     def test_junction_value(self):
         e1 = eps1_star()
         result = key_rate(ObservedStats(0.0, e1))
         assert result.r_key == pytest.approx(1.0 - 2.0 * binary_entropy(e1), abs=1e-12)
-
-    def test_error_free_line_is_exactly_linear(self):
-        ds = np.linspace(0.0, 0.25, 26)
-        rs = [key_rate(ObservedStats(float(d), 0.0)).r_key for d in ds]
-        assert np.allclose(rs, 1.0 - 4.0 * ds, atol=1e-12)
 
     def test_negative_rate_reported_with_flag(self):
         result = key_rate(ObservedStats(0.2, 0.05))

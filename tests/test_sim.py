@@ -74,7 +74,7 @@ def _reference_tables(source: SourceModel) -> tuple[np.ndarray, list[_RefGroup]]
     def party(n, basis):
         if n == 0:
             return [(np.eye(1), Outcome.NO_DETECTION.value)]
-        return [(p.entries, c) for p, c in zip(outcome_projectors(n, basis), _BIT_CODES)]
+        return list(zip(outcome_projectors(n, basis), _BIT_CODES))
 
     groups = []
     for branch in source.branches:
@@ -474,6 +474,25 @@ class TestCustomSources:
         with pytest.raises(ValueError):
             SourceModel.custom([(0.5, 1, 1, np.eye(4) / 4.0)])  # weights short of 1
 
+    def test_trace_error_prints_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"density trace must be 1, got 1\.2$"):
+            SourceModel.custom([(1.0, 1, 1, np.diag([1.2, 0.0, 0.0, 0.0]))])
+        side = sim._party_projectors(1, Basis.Z)
+        with pytest.raises(ValueError, match=r"outcome probabilities sum to 1\.2$"):
+            sim._group(np.diag([1.2, 0.0, 0.0, 0.0]), side, side, True)
+
+    @pytest.mark.parametrize("big", range(16))
+    def test_negative_cells_within_tolerance_build(self, big):
+        # Eigenvalues of -0.95e-10 pass SourceBranch; flooring the negative Born
+        # cells they leave raises the cells' sum by up to 1.4e-9.
+        d = np.full(16, -0.95e-10)
+        d[big] = 1.0 + 15 * 0.95e-10
+        source = SourceModel.custom([(1.0, 3, 3, np.diag(d))])
+        probs = source._kernel.probs
+        assert np.all(probs >= 0.0)
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert run_protocol(source, 1000, seed=1).n_events == 1000
+
     def test_rejects_bad_visibility(self):
         with pytest.raises(ValueError):
             SourceModel.werner(1.2)
@@ -518,7 +537,7 @@ class TestEndToEnd:
         # Alice double-clicks in Z, Bob in X: every sifted event is discarded,
         # so delta_hat = 1, outside the observed-fraction domain
         def double_click_state(basis):
-            vals, vecs = np.linalg.eigh(outcome_projectors(2, basis)[2].entries)
+            vals, vecs = np.linalg.eigh(outcome_projectors(2, basis)[2])
             return vecs[:, -1]
 
         psi = np.kron(double_click_state(Basis.Z), double_click_state(Basis.X))
