@@ -26,7 +26,6 @@ from .fock import (
     Basis,
     Bit,
     ModePartition,
-    PolarizedFockState,
     basis_state,
     inner_product,
     multimode_inner_product,
@@ -34,7 +33,6 @@ from .fock import (
 from .povm import (
     DIM_CAP,
     PhotonPair,
-    TradeoffPoint,
     f_cor,
     f_dbl,
     f_err,
@@ -90,14 +88,12 @@ __all__ = [
     "ObservedStats",
     "Outcome",
     "PhotonPair",
-    "PolarizedFockState",
     "RateTable",
     "SiftedTally",
     "SimulationReport",
     "SourceBranch",
     "SourceModel",
     "Sweep",
-    "TradeoffPoint",
     "analytic_fractions",
     "attack_density",
     "attack_state",

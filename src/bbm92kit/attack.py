@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .fock import Basis, Bit, PolarizedFockState, basis_state
+from .fock import Basis, Bit, basis_state
 from .povm import capped_joint_dim, outcome_projectors
 
 
@@ -32,13 +32,8 @@ def _generator_pairs(n_a: int, n_b: int) -> list[tuple[np.ndarray, np.ndarray]]:
     for w in (Basis.Z, Basis.X):
         for a in (Bit.ZERO, Bit.ONE):
             for b in (Bit.ZERO, Bit.ONE):
-                src = np.kron(
-                    basis_state(n_a, w, a).amplitudes, basis_state(n_b, w, b).amplitudes
-                )
-                tgt = np.kron(
-                    basis_state(n_a, w, a).amplitudes,
-                    basis_state(n_b, w, Bit(b ^ a)).amplitudes,
-                )
+                src = np.kron(basis_state(n_a, w, a), basis_state(n_b, w, b))
+                tgt = np.kron(basis_state(n_a, w, a), basis_state(n_b, w, Bit(b ^ a)))
                 pairs.append((src, tgt))
     return pairs
 
@@ -85,7 +80,7 @@ def build_v(n_a: int, n_b: int) -> np.ndarray:
 
 # Two-photon basis states |b_W> in the order (Z,0), (Z,1), (X,0), (X,1).
 _BOB_BASIS = np.array(
-    [basis_state(2, w, b).amplitudes for w in (Basis.Z, Basis.X) for b in (Bit.ZERO, Bit.ONE)]
+    [basis_state(2, w, b) for w in (Basis.Z, Basis.X) for b in (Bit.ZERO, Bit.ONE)]
 )
 
 
@@ -119,21 +114,23 @@ def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return chis
 
 
-def boundary_state(alpha: float, beta: float) -> PolarizedFockState:
+def boundary_state(alpha: float, beta: float) -> np.ndarray:
     """Normalized sum over both bases of alpha |0_W> + beta |1_W> on two photons.
 
-    These states hand the attacker every point of the lower trade-off
-    boundary as (alpha, beta) sweeps the unit circle.
+    Returns the read-only (3,) amplitudes.  These states hand the attacker
+    every point of the lower trade-off boundary as (alpha, beta) sweeps the
+    unit circle.
     """
-    chis = _boundary_states(np.array([alpha], dtype=float), np.array([beta], dtype=float))
-    return PolarizedFockState(2, chis[0])
+    chi = _boundary_states(np.array([alpha], dtype=float), np.array([beta], dtype=float))[0]
+    chi.setflags(write=False)
+    return chi
 
 
 @cache
 def _phi_plus() -> np.ndarray:
     phi_plus = np.zeros((2, 2))
     for bit in (Bit.ZERO, Bit.ONE):
-        amp = basis_state(1, Basis.Z, bit).amplitudes
+        amp = basis_state(1, Basis.Z, bit)
         phi_plus += np.outer(amp, amp)
     phi_plus /= np.sqrt(2.0)
     phi_plus.setflags(write=False)
@@ -147,16 +144,21 @@ def _eve_measurements() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     for w in (Basis.Z, Basis.X):
         p0, p1, _ = outcome_projectors(2, w)
         for bit_a in (Bit.ZERO, Bit.ONE):
-            terms.append((basis_state(1, w, bit_a).amplitudes, p0, p1))
+            terms.append((basis_state(1, w, bit_a), p0, p1))
     return tuple(terms)
 
 
 def _attack_tensors(chis: np.ndarray) -> np.ndarray:
     """(N, 2, 3, 2) Alice/Bob/Eve amplitudes of the attack on each Bob state row.
 
-    Each row's state is checked to have unit norm, raising for the first that
-    does not.
+    The rows must be two-photon states, (N, 3), and each row's attack state
+    is checked to have unit norm, raising for the first that does not.
     """
+    if chis.shape[1:] != (3,):
+        raise ValueError(
+            "attack is constructed for two-photon Bob states of 3 amplitudes, "
+            f"got shape {chis.shape[1:]}"
+        )
     pre = np.einsum("ae,nb->nabe", _phi_plus(), chis)
     psi = (build_v(1, 2) @ pre.reshape(-1, 6, 2)).reshape(-1, 2, 3, 2)
     norm = _norms(psi.reshape(-1, 12))
@@ -166,19 +168,17 @@ def _attack_tensors(chis: np.ndarray) -> np.ndarray:
     return psi
 
 
-def attack_state(chi: PolarizedFockState) -> np.ndarray:
+def attack_state(chi: np.ndarray) -> np.ndarray:
     """Joint Alice/Bob/Eve amplitudes, shape (2, 3, 2), after the bit-copying unitary.
 
     Alice's half of the entangled pair is system A (one photon), Bob receives
     the two-photon system B prepared in ``chi``, and E is the attacker's
     retained qubit, correlated with A in both bases.
     """
-    if chi.n != 2:
-        raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
-    return _attack_tensors(chi.amplitudes[None, :])[0]
+    return _attack_tensors(np.asarray(chi, dtype=float)[None])[0]
 
 
-def attack_density(chi: PolarizedFockState) -> np.ndarray:
+def attack_density(chi: np.ndarray) -> np.ndarray:
     """Reduced Alice/Bob density matrix of the attack state (6x6)."""
     mat = attack_state(chi).reshape(6, 2)
     return mat @ mat.T
@@ -192,6 +192,7 @@ def _attack_kernel(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     one-state check runs over the whole stack, raising for its first failing
     row.
     """
+    psi = _attack_tensors(chis)
     # float_power is libm pow, as Python's float ** 2 is; x * x rounds
     # differently from pow on some inputs.
     squares = np.float_power(np.vecdot(chis[:, None, :], _BOB_BASIS), 2)
@@ -199,7 +200,6 @@ def _attack_kernel(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     cor_m = 0.5 * (squares[:, 0] + squares[:, 2])
     delta_m = np.maximum(1.0 - eps_m - cor_m, 0.0)
 
-    psi = _attack_tensors(chis)
     matched = np.zeros(len(chis))
     registered = np.zeros(len(chis))
     for bit_state, *bob_projectors in _eve_measurements():
@@ -214,7 +214,7 @@ def _attack_kernel(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return delta_m, eps_m, matched / registered
 
 
-def run_attack(chi: PolarizedFockState) -> AttackResult:
+def run_attack(chi: np.ndarray) -> AttackResult:
     """Double-click fraction, error fraction, and the attacker's bit accuracy.
 
     The fractions depend only on ``chi``: the error (correct) fraction is the
@@ -225,9 +225,7 @@ def run_attack(chi: PolarizedFockState) -> AttackResult:
     because the unitary only flips Alice's qubit on the branch where Bob
     double-clicks and the event is discarded.
     """
-    if chi.n != 2:
-        raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
-    delta_m, eps_m, accuracy = _attack_kernel(chi.amplitudes[None, :])
+    delta_m, eps_m, accuracy = _attack_kernel(np.asarray(chi, dtype=float)[None])
     return AttackResult(float(delta_m[0]), float(eps_m[0]), float(accuracy[0]))
 
 

@@ -1,7 +1,7 @@
 """n-photon two-polarization states and their overlap rules.
 
 A state of n photons shared between the horizontal (H) and vertical (V)
-polarization modes is stored as a real amplitude vector of length n+1,
+polarization modes is a plain read-only array of n+1 real amplitudes,
 indexed by the number k of H photons.  All four measurement basis states
 (H/V and the +/-45 degree diagonals) have real amplitudes in this basis,
 so real arithmetic suffices throughout the toolkit.
@@ -37,32 +37,6 @@ class Bit(IntEnum):
 
 
 @dataclass(frozen=True)
-class PolarizedFockState:
-    """Normalized pure state of ``n`` photons over the H/V occupation basis.
-
-    ``amplitudes[k]`` is the coefficient of the state with k photons in H
-    and n-k photons in V.
-    """
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"photon count must be >= 1, got {self.n}")
-        amps = np.array(self.amplitudes, dtype=float)
-        if amps.shape != (self.n + 1,):
-            raise ValueError(
-                f"expected {self.n + 1} amplitudes for n={self.n}, got shape {amps.shape}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class ModePartition:
     """Split of ``n`` photons into per-mode photon numbers ``parts``."""
 
@@ -79,13 +53,14 @@ class ModePartition:
         return sum(self.parts)
 
 
-def basis_state(n: int, w: Basis, b: Bit) -> PolarizedFockState:
+def basis_state(n: int, w: Basis, b: Bit) -> np.ndarray:
     """State selected by detector bit ``b`` when measuring ``n`` photons in basis ``w``.
 
-    In the Z basis these are the pure-H (bit 0) and pure-V (bit 1) occupation
-    states.  In the X basis they are the n-fold diagonal states, whose
-    occupation amplitudes are signed square roots of binomial coefficients
-    scaled by 2^(-n/2).
+    Returns the read-only (n+1,) amplitudes, entry k the coefficient of k
+    photons in H and n-k in V, checked to unit norm.  In the Z basis these
+    are the pure-H (bit 0) and pure-V (bit 1) occupation states.  In the X
+    basis they are the n-fold diagonal states, whose occupation amplitudes
+    are signed square roots of binomial coefficients scaled by 2^(-n/2).
     """
     if n < 1:
         raise ValueError(f"photon count must be >= 1, got {n}")
@@ -100,14 +75,18 @@ def basis_state(n: int, w: Basis, b: Bit) -> PolarizedFockState:
         scale = 2.0 ** (-n / 2.0)
         for k in range(n + 1):
             amps[k] = sign ** (n - k) * scale * math.sqrt(math.comb(n, k))
-    return PolarizedFockState(n, amps)
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > 1e-12:
+        raise NumericalError(f"amplitudes must have unit norm, got {norm!r}")
+    amps.setflags(write=False)
+    return amps
 
 
-def inner_product(s1: PolarizedFockState, s2: PolarizedFockState) -> float:
-    """Overlap of two states with the same photon number."""
-    if s1.n != s2.n:
-        raise ValueError(f"photon numbers differ: {s1.n} != {s2.n}")
-    return float(np.dot(s1.amplitudes, s2.amplitudes))
+def inner_product(s1: np.ndarray, s2: np.ndarray) -> float:
+    """Overlap of two amplitude vectors with the same photon number (the same length)."""
+    if len(s1) != len(s2):
+        raise ValueError(f"photon numbers differ: {len(s1) - 1} != {len(s2) - 1}")
+    return float(np.dot(s1, s2))
 
 
 def multimode_inner_product(

@@ -56,14 +56,20 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _check_within(arr: np.ndarray, lo: float, hi: float, what: str) -> None:
+    """Raise ValueError naming the first value of ``arr`` outside [lo, hi]; NaN passes."""
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        first = arr[(arr < lo) | (arr > hi)][0]
+        raise ValueError(f"{what}: {float(first)!r}")
+
+
 def binary_entropy(x):
     """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0.
 
     Accepts scalars or arrays; raises on inputs outside [0, 1].
     """
     arr, scalar = _as_array(x)
-    if arr.size and (arr.min() < -_DOMAIN_TOL or arr.max() > 1.0 + _DOMAIN_TOL):
-        raise ValueError(f"entropy argument outside [0, 1]: {x!r}")
+    _check_within(arr, -_DOMAIN_TOL, 1.0 + _DOMAIN_TOL, "entropy argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     inner = (arr > 0.0) & (arr < 1.0)
     safe = np.where(inner, arr, 0.5)
@@ -78,8 +84,7 @@ def g(delta):
     even photon number; decreases from 1/2 at delta=0 to 0 at delta=1/3.
     """
     arr, scalar = _as_array(delta)
-    if arr.size and (arr.min() < -_DOMAIN_TOL or arr.max() > 1.0 / 3.0 + 1e-9):
-        raise ValueError(f"trade-off curve argument outside [0, 1/3]: {delta!r}")
+    _check_within(arr, -_DOMAIN_TOL, 1.0 / 3.0 + 1e-9, "trade-off curve argument outside [0, 1/3]")
     arr = np.clip(arr, 0.0, 1.0 / 3.0)
     out = 0.5 * (1.0 - arr) - np.sqrt(arr * (1.0 - 2.0 * arr))
     return float(out) if scalar else out
@@ -103,8 +108,7 @@ def multiphoton_envelope(delta):
     beyond the odd-odd corner.
     """
     arr, scalar = _as_array(delta)
-    if arr.size and (arr.min() < -_DOMAIN_TOL or arr.max() > 1.0 + 1e-10):
-        raise ValueError(f"envelope argument outside [0, 1]: {delta!r}")
+    _check_within(arr, -_DOMAIN_TOL, 1.0 + 1e-10, "envelope argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     curve = g(np.minimum(arr, TANGENT_DELTA))
     line = ODD_ODD_CORNER_DELTA - arr
@@ -132,10 +136,8 @@ class ObservedStats:
 
     def __post_init__(self) -> None:
         if not in_stats_domain(self.delta, self.eps):
-            raise ValueError(
-                f"(delta={self.delta!r}, eps={self.eps!r}) are not observed fractions: "
-                + _DOMAIN_RULE
-            )
+            d, e = float(self.delta), float(self.eps)
+            raise ValueError(f"(delta={d!r}, eps={e!r}) are not observed fractions: {_DOMAIN_RULE}")
 
     @property
     def feasible(self) -> bool:
@@ -395,7 +397,9 @@ def tau_low(stats: ObservedStats) -> float:
     """
     tau = tau_low_array(stats.delta, stats.eps)[0]
     if np.isnan(tau):
-        raise InfeasibleError(f"no admissible multiphoton fraction for delta={stats.delta!r}")
+        raise InfeasibleError(
+            f"no admissible multiphoton fraction for delta={float(stats.delta)!r}"
+        )
     return float(tau)
 
 
@@ -506,7 +510,7 @@ def tau_numeric(stats: ObservedStats, resolution: int = 2000) -> float:
     This search shares nothing with the tau_low maximiser, so it
     cross-checks it.  One-row wrapper around `tau_numeric_array`.
     """
-    d, e = stats.delta, stats.eps
+    d, e = float(stats.delta), float(stats.eps)
     value = tau_numeric_array(d, e, resolution)[0]
     if np.isnan(value):
         if not stats.feasible:
@@ -537,7 +541,7 @@ def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
 def _check_f(f: float, name: str = "error-correction inefficiency") -> None:
     # stated as what f must be: NaN fails every comparison
     if not (math.isfinite(f) and f >= 1.0):
-        raise ValueError(f"{name} must be finite and >= 1, got {f!r}")
+        raise ValueError(f"{name} must be finite and >= 1, got {float(f)!r}")
 
 
 @dataclass(frozen=True)
@@ -608,7 +612,7 @@ def key_rate(stats: ObservedStats, f: float = 1.0) -> KeyRateResult:
     region, tau, _ = _tau_arrays(d, e)
     if region[0] == "infeasible":
         raise InfeasibleError(
-            f"no certified key rate at (delta={stats.delta!r}, eps={stats.eps!r})"
+            f"no certified key rate at (delta={float(stats.delta)!r}, eps={float(stats.eps)!r})"
         )
     r = float((_shrink(d, e, f) - tau)[0])
     return KeyRateResult(tau=float(tau[0]), region=str(region[0]), r_key=r, has_key=r > 0.0)

@@ -98,9 +98,7 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     the interpolation error alone is 3.4e-5, while every point lies on g to 1e-13.
     """
     ok = abs(float(rates.g(0.0)) - 0.5) <= 1e-15 and abs(float(rates.g(1.0 / 3.0))) <= 1e-15
-    points = povm.trace_boundary(povm.PhotonPair(1, 2), num_points=2000 if full else 400)
-    deltas = np.array([p.delta_m for p in points])
-    epss = np.array([p.eps_m for p in points])
+    deltas, epss = povm.trace_boundary(povm.PhotonPair(1, 2), 2000 if full else 400).T
     on_curve = deltas <= 1.0 / 3.0 + 1e-12
     dev = float(
         np.max(np.abs(epss[on_curve] - rates.g(np.clip(deltas[on_curve], 0, 1.0 / 3.0))))
@@ -113,11 +111,9 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     grid = np.linspace(0.0, 1.0 / 3.0, 200)
     interp_dev = float(np.max(np.abs(np.interp(grid, xs[curve], ys[curve]) - rates.g(grid))))
     ok &= interp_dev <= 1e-5 or not full
-    margin = 0.0
-    for pair in (povm.PhotonPair(2, 2), povm.PhotonPair(1, 4)):
-        for p in povm.trace_boundary(pair, num_points=400):
-            if p.delta_m <= 1.0 / 3.0 + 1e-12:
-                margin = min(margin, p.eps_m - float(rates.g(min(p.delta_m, 1.0 / 3.0))))
+    even = np.concatenate([povm.trace_boundary(povm.PhotonPair(*p), 400) for p in ((2, 2), (1, 4))])
+    even = even[even[:, 0] <= 1.0 / 3.0 + 1e-12]
+    margin = float(np.min(even[:, 1] - rates.g(np.minimum(even[:, 0], 1.0 / 3.0)), initial=0.0))
     ok &= margin >= -1e-8
     return CheckResult(
         "trade-off boundary",
@@ -139,9 +135,8 @@ def check_region_soundness(full: bool = False) -> CheckResult:
     ]
     violations = 0
     for pair in pairs:
-        delta, eps = povm.random_state_fractions(pair, count, rng)
-        env = rates.multiphoton_envelope(np.clip(delta, 0.0, 1.0))
-        violations += int(np.sum(eps < env - 1e-8))
+        inside = povm.region_membership(*povm.random_state_fractions(pair, count, rng))
+        violations += int(np.sum(~inside))
     return CheckResult(
         "trade-off region soundness",
         violations == 0,

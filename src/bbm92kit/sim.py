@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from . import rates
-from .attack import attack_density
+from .attack import _phi_plus, attack_density
 from .errors import InfeasibleError
-from .fock import Basis, Bit, PolarizedFockState, basis_state
+from .fock import Basis
 from .povm import capped_joint_dim, outcome_projectors
 
 _DRAWS_PER_EVENT = 4
@@ -92,7 +92,7 @@ class SourceBranch:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"branch weight must be in (0, 1], got {self.weight!r}")
+            raise ValueError(f"branch weight must be in (0, 1], got {float(self.weight)!r}")
         if self.n_a < 0 or self.n_b < 0:
             raise ValueError("photon numbers must be >= 0")
         dim = capped_joint_dim(self.n_a, self.n_b)
@@ -112,11 +112,7 @@ class SourceBranch:
 
 
 def _phi_plus_density() -> np.ndarray:
-    phi = np.zeros(4)
-    for bit in (Bit.ZERO, Bit.ONE):
-        amp = basis_state(1, Basis.Z, bit).amplitudes
-        phi += np.kron(amp, amp)
-    phi /= np.sqrt(2.0)
+    phi = _phi_plus().ravel()  # the (2, 2) amplitudes of |00> + |11> over sqrt(2)
     return np.outer(phi, phi)
 
 
@@ -131,7 +127,7 @@ class SourceModel:
             raise ValueError("source needs at least one branch")
         total = sum(b.weight for b in self.branches)
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"branch weights must sum to 1, got {total!r}")
+            raise ValueError(f"branch weights must sum to 1, got {float(total)!r}")
 
     @classmethod
     def ideal_pair(cls) -> "SourceModel":
@@ -142,15 +138,15 @@ class SourceModel:
     def werner(cls, visibility: float) -> "SourceModel":
         """Entangled pair mixed with white noise: error rate (1-v)/2, no double clicks."""
         if not 0.0 <= visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {visibility!r}")
+            raise ValueError(f"visibility must be in [0, 1], got {float(visibility)!r}")
         rho = visibility * _phi_plus_density() + (1.0 - visibility) * np.eye(4) / 4.0
         return cls((SourceBranch(1.0, 1, 1, rho),))
 
     @classmethod
-    def eve_attack(cls, chi: PolarizedFockState, xi: float) -> "SourceModel":
+    def eve_attack(cls, chi: np.ndarray, xi: float) -> "SourceModel":
         """Ideal pairs diluted with the explicit attack in a fraction xi of events."""
         if not 0.0 <= xi <= 1.0:
-            raise ValueError(f"multiphoton fraction must be in [0, 1], got {xi!r}")
+            raise ValueError(f"multiphoton fraction must be in [0, 1], got {float(xi)!r}")
         branches = []
         if xi < 1.0:
             branches.append(SourceBranch(1.0 - xi, 1, 1, _phi_plus_density()))

@@ -11,7 +11,6 @@ from bbm92kit import (
     Bit,
     ObservedStats,
     PhotonPair,
-    PolarizedFockState,
     attack_density,
     attack_state,
     basis_state,
@@ -34,31 +33,36 @@ from bbm92kit.errors import NumericalError
 SQ2 = math.sqrt(2.0)
 
 
-# The one-state attack path that the stacked kernel replaced, kept verbatim as
-# its reference (library calls renamed to the copies below).
+# The one-state attack path that the stacked kernel replaced, kept as its
+# reference (library calls renamed to the copies below, states as arrays; the
+# state checks the removed state type made are kept).
 
 
-def _reference_boundary_state(alpha: float, beta: float) -> PolarizedFockState:
+def _reference_boundary_state(alpha: float, beta: float) -> np.ndarray:
     raw = np.zeros(3)
     for w in (Basis.Z, Basis.X):
-        raw += alpha * basis_state(2, w, Bit.ZERO).amplitudes
-        raw += beta * basis_state(2, w, Bit.ONE).amplitudes
+        raw += alpha * basis_state(2, w, Bit.ZERO)
+        raw += beta * basis_state(2, w, Bit.ONE)
     norm = float(np.linalg.norm(raw))
     if norm < 1e-12:
         raise ValueError(f"state vanishes for alpha={alpha!r}, beta={beta!r}")
-    return PolarizedFockState(2, raw / norm)
+    chi = raw / norm
+    unit = float(np.linalg.norm(chi))
+    if abs(unit - 1.0) > 1e-12:
+        raise ValueError(f"amplitudes must have unit norm, got {unit!r}")
+    return chi
 
 
-def _reference_attack_state(chi: PolarizedFockState) -> np.ndarray:
-    if chi.n != 2:
-        raise ValueError(f"attack is constructed for a two-photon Bob state, got n={chi.n}")
+def _reference_attack_state(chi: np.ndarray) -> np.ndarray:
+    if chi.shape != (3,):
+        raise ValueError(f"attack is constructed for a two-photon Bob state, got {chi.shape}")
     v = build_v(1, 2)
     phi_plus = np.zeros((2, 2))
     for bit in (Bit.ZERO, Bit.ONE):
-        amp = basis_state(1, Basis.Z, bit).amplitudes
+        amp = basis_state(1, Basis.Z, bit)
         phi_plus += np.outer(amp, amp)
     phi_plus /= np.sqrt(2.0)
-    pre = np.einsum("ae,b->abe", phi_plus, chi.amplitudes)
+    pre = np.einsum("ae,b->abe", phi_plus, chi)
     post = (v @ pre.reshape(6, 2)).reshape(2, 3, 2)
     norm = float(np.linalg.norm(post.reshape(-1)))
     if abs(norm - 1.0) > 1e-12:
@@ -66,9 +70,9 @@ def _reference_attack_state(chi: PolarizedFockState) -> np.ndarray:
     return post
 
 
-def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
+def _reference_run_attack(chi: np.ndarray) -> AttackResult:
     overlaps = {
-        (w, b): float(np.dot(chi.amplitudes, basis_state(2, w, b).amplitudes))
+        (w, b): float(np.dot(chi, basis_state(2, w, b)))
         for w in (Basis.Z, Basis.X)
         for b in (Bit.ZERO, Bit.ONE)
     }
@@ -82,8 +86,8 @@ def _reference_run_attack(chi: PolarizedFockState) -> AttackResult:
     for w in (Basis.Z, Basis.X):
         p0, p1, _ = outcome_projectors(2, w)
         for bit_a in (Bit.ZERO, Bit.ONE):
-            alice = basis_state(1, w, bit_a).amplitudes
-            eve = basis_state(1, w, bit_a).amplitudes
+            alice = basis_state(1, w, bit_a)
+            eve = basis_state(1, w, bit_a)
             branch = np.einsum("a,abe->be", alice, psi)
             for bob in (p0, p1):
                 reg = bob @ branch
@@ -121,13 +125,13 @@ def _reference_rows(alphas, betas) -> list[tuple] | Exception:
 
 
 def joint(n_a, w, a, n_b, b):
-    return np.kron(basis_state(n_a, w, a).amplitudes, basis_state(n_b, w, b).amplitudes)
+    return np.kron(basis_state(n_a, w, a), basis_state(n_b, w, b))
 
 
-def random_chi(seed: int) -> PolarizedFockState:
+def random_chi(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(3)
-    return PolarizedFockState(2, x / np.linalg.norm(x))
+    return x / np.linalg.norm(x)
 
 
 class TestBuildV:
@@ -147,12 +151,9 @@ class TestBuildV:
         s = joint(1, Basis.Z, Bit.ZERO, 2, Bit.ZERO)
         assert np.max(np.abs(v @ s - s)) <= 1e-10
         # control bit 1 flips Bob's bit, in either basis
-        assert np.max(
-            np.abs(v @ joint(1, Basis.Z, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.Z, Bit.ONE, 2, Bit.ONE))
-        ) <= 1e-10
-        assert np.max(
-            np.abs(v @ joint(1, Basis.X, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.X, Bit.ONE, 2, Bit.ONE))
-        ) <= 1e-10
+        for w in (Basis.Z, Basis.X):
+            flipped = v @ joint(1, w, Bit.ONE, 2, Bit.ZERO) - joint(1, w, Bit.ONE, 2, Bit.ONE)
+            assert np.max(np.abs(flipped)) <= 1e-10
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4), (3, 2)])
     def test_orthogonality(self, n_a, n_b):
@@ -193,14 +194,16 @@ class TestBuildV:
 
 class TestBoundaryState:
     def test_bit_zero_component(self):
-        raw = basis_state(2, Basis.Z, Bit.ZERO).amplitudes + basis_state(2, Basis.X, Bit.ZERO).amplitudes
+        raw = basis_state(2, Basis.Z, Bit.ZERO) + basis_state(2, Basis.X, Bit.ZERO)
         want = raw / np.linalg.norm(raw)
-        assert np.allclose(boundary_state(1.0, 0.0).amplitudes, want, atol=1e-14)
+        chi = boundary_state(1.0, 0.0)
+        assert np.allclose(chi, want, atol=1e-14)
+        assert chi.shape == (3,) and not chi.flags.writeable
 
     def test_bit_one_component(self):
-        raw = basis_state(2, Basis.Z, Bit.ONE).amplitudes + basis_state(2, Basis.X, Bit.ONE).amplitudes
+        raw = basis_state(2, Basis.Z, Bit.ONE) + basis_state(2, Basis.X, Bit.ONE)
         want = raw / np.linalg.norm(raw)
-        assert np.allclose(boundary_state(0.0, 1.0).amplitudes, want, atol=1e-14)
+        assert np.allclose(boundary_state(0.0, 1.0), want, atol=1e-14)
 
     def test_rejects_zero_state(self):
         with pytest.raises(ValueError):
@@ -337,5 +340,11 @@ class TestJointStateTypes:
             attack_state(boundary_state(1.0, 0.3))
 
     def test_run_attack_rejects_wrong_photon_number(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"3 amplitudes, got shape \(4,\)"):
             run_attack(basis_state(3, Basis.Z, Bit.ZERO))
+
+    def test_attack_state_rejects_wrong_photon_number(self):
+        with pytest.raises(ValueError, match=r"3 amplitudes, got shape \(4,\)"):
+            attack_state(basis_state(3, Basis.Z, Bit.ZERO))
+        with pytest.raises(ValueError, match=r"3 amplitudes, got shape \(4,\)"):
+            attack_density(np.ones(4) / 2.0)

@@ -8,7 +8,6 @@ from bbm92kit import (
     Basis,
     PhotonPair,
     SourceBranch,
-    TradeoffPoint,
     build_v,
     f_cor,
     f_dbl,
@@ -21,8 +20,9 @@ from bbm92kit import (
     region_membership,
     trace_boundary,
 )
+from bbm92kit import povm
 from bbm92kit.errors import NumericalError
-from bbm92kit.povm import _DEGENERACY_TOL, eigh_checked
+from bbm92kit.povm import _DEGENERACY_TOL, _MEMBERSHIP_TOL, eigh_checked
 
 
 def pair_id(value) -> str:
@@ -38,6 +38,7 @@ ALL_PAIRS = [
     for b in range(1, 8)
     if (a + 1) * (b + 1) <= 64
 ]
+EVEN_PAIRS = [p for p in ALL_PAIRS if p.n_a % 2 == 0 or p.n_b % 2 == 0]
 
 
 # Photon-number pairs whose 400-point boundaries the benchmark's operators
@@ -45,8 +46,8 @@ ALL_PAIRS = [
 BOUNDARY_PAIRS = [(1, 2), (1, 4), (2, 2), (3, 4), (5, 6)]
 
 
-# The per-slope trace that the stacked one replaced, kept verbatim as its
-# reference (library calls renamed to the copies below).
+# The per-slope trace that the stacked one replaced, kept as its reference
+# (library calls renamed to the copies below, points as array rows).
 
 
 def _reference_eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +64,7 @@ def _reference_eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reference_support_points(
     minimized: np.ndarray, tie_break: np.ndarray, fd: np.ndarray, fe: np.ndarray
-) -> list[TradeoffPoint]:
+) -> list[tuple[float, float]]:
     w, v = _reference_eigh_checked(minimized)
     members = v[:, w <= w[0] + 1e-10]
     if members.shape[1] == 1:
@@ -75,11 +76,11 @@ def _reference_support_points(
     points = []
     for i in range(vecs.shape[1]):
         vec = vecs[:, i]
-        points.append(TradeoffPoint(float(vec @ fd @ vec), float(vec @ fe @ vec)))
+        points.append((float(vec @ fd @ vec), float(vec @ fe @ vec)))
     return points
 
 
-def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> list[TradeoffPoint]:
+def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         raise ValueError(
             f"({pair.n_a}, {pair.n_b}) is odd-odd; use min_double_click instead"
@@ -88,12 +89,12 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> list[T
         raise ValueError("num_points must be >= 2")
     fe = f_err(pair)
     fd = f_dbl(pair)
-    points: list[TradeoffPoint] = []
+    points: list[tuple[float, float]] = []
     for lam in [0.0, *np.logspace(-3.0, 3.0, num_points)]:
         points.extend(_reference_support_points(fe + lam * fd, fd, fd, fe))
     # lambda -> infinity limit: minimize double clicks outright, then errors.
     points.extend(_reference_support_points(fd, fe, fd, fe))
-    return points
+    return np.array([[min(max(x, 0.0), 1.0) for x in point] for point in points])
 
 
 def phi_plus() -> np.ndarray:
@@ -208,9 +209,7 @@ class TestMinDoubleClick:
 
 class TestTraceBoundary:
     def test_one_two_endpoints(self):
-        points = trace_boundary(PhotonPair(1, 2), num_points=300)
-        deltas = np.array([p.delta_m for p in points])
-        epss = np.array([p.eps_m for p in points])
+        deltas, epss = trace_boundary(PhotonPair(1, 2), num_points=300).T
         at_zero = epss[np.argmin(deltas)]
         assert deltas.min() == pytest.approx(0.0, abs=1e-10)
         assert at_zero == pytest.approx(0.5, abs=1e-9)  # g(0) = 1/2
@@ -221,25 +220,19 @@ class TestTraceBoundary:
         "pair", [PhotonPair(1, 2), PhotonPair(2, 2), PhotonPair(1, 4)], ids=pair_id
     )
     def test_no_point_below_curve(self, pair):
-        for p in trace_boundary(pair, num_points=300):
-            if p.delta_m <= 1.0 / 3.0 + 1e-12:
-                assert p.eps_m >= float(g(min(p.delta_m, 1.0 / 3.0))) - 1e-8
+        deltas, epss = trace_boundary(pair, num_points=300).T
+        sel = deltas <= 1.0 / 3.0 + 1e-12
+        assert np.all(epss[sel] >= g(np.minimum(deltas[sel], 1.0 / 3.0)) - 1e-8)
 
     def test_two_two_boundary_coincides_with_curve(self):
-        points = trace_boundary(PhotonPair(2, 2), num_points=500)
-        deltas = np.array([p.delta_m for p in points])
-        epss = np.array([p.eps_m for p in points])
+        deltas, epss = trace_boundary(PhotonPair(2, 2), num_points=500).T
         sel = deltas <= 1.0 / 3.0 + 1e-12
         dev = np.abs(epss[sel] - g(np.clip(deltas[sel], 0.0, 1.0 / 3.0)))
         assert dev.max() <= 1e-6
 
     def test_interpolated_tightness_one_two(self):
         points = trace_boundary(PhotonPair(1, 2), num_points=2000)
-        curve = sorted(
-            (p.delta_m, p.eps_m) for p in points if p.delta_m <= 1.0 / 3.0 + 1e-9
-        )
-        xs = np.array([c[0] for c in curve])
-        ys = np.array([c[1] for c in curve])
+        xs, ys = np.array(sorted(map(tuple, points[points[:, 0] <= 1.0 / 3.0 + 1e-9]))).T
         grid = np.linspace(0.0, 1.0 / 3.0, 50)
         interp = np.interp(grid, xs, ys)
         assert np.max(np.abs(interp - g(grid))) <= 1e-5
@@ -262,7 +255,33 @@ class TestTraceBoundary:
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_equals_reference(self, pair, num_points):
         got = trace_boundary(PhotonPair(*pair), num_points)
-        assert got == _reference_trace_boundary(PhotonPair(*pair), num_points)
+        assert np.array_equal(got, _reference_trace_boundary(PhotonPair(*pair), num_points))
+
+    def test_returns_read_only_rows(self):
+        points = trace_boundary(PhotonPair(1, 2), num_points=50)
+        assert points.ndim == 2 and points.shape[1] == 2 and len(points) >= 52
+        assert not points.flags.writeable
+
+    @pytest.mark.parametrize(
+        "point",
+        [(0.7, 0.5), (-0.1, 0.0), (0.5, 1.1), (np.nan, 0.0)],
+        ids=["sum-above-one", "negative", "above-one", "nan"],
+    )
+    def test_rejects_out_of_range_point(self, monkeypatch, point):
+        # A traced point outside the fractions' range is an internal failure.
+        def one_bad_point(minimized, *operators):
+            return np.full(len(minimized), point[0]), np.full(len(minimized), point[1])
+
+        monkeypatch.setattr(povm, "_support_points", one_bad_point)
+        with pytest.raises(NumericalError, match="is not a pair of fractions"):
+            trace_boundary(PhotonPair(1, 2), num_points=10)
+
+    def test_clamps_rounding_noise(self, monkeypatch):
+        noise = (np.array([1e-14, -1e-14, -0.0]), np.array([-1e-14, 1.0 + 1e-14, 0.5]))
+        monkeypatch.setattr(povm, "_support_points", lambda *operators: noise)
+        points = trace_boundary(PhotonPair(1, 2), num_points=2)
+        assert points[:3].tolist() == [[1e-14, 0.0], [0.0, 1.0], [-0.0, 0.5]]
+        assert math.copysign(1.0, points[2, 0]) == -1.0  # as min(max(-0.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_degeneracy_cut_sits_in_the_spectral_gap(self, pair):
@@ -303,22 +322,38 @@ class TestEighChecked:
         eigh_checked(stack[0])
 
 
+MEMBERSHIP_EXAMPLES = [
+    ((0.0, 0.5), True),  # boundary: curve start
+    ((0.0, 0.4), False),  # below the curve at delta = 0
+    ((1.0 / 3.0, 0.0), True),  # curve end
+    ((0.25, 0.0), True),  # odd-odd corner
+    ((1.0 / 6.0, 1.0 / 12.0), True),  # tangent point
+    ((0.2, 0.04), False),  # below the tangent segment
+    ((0.2, 0.06), True),  # above it
+    ((0.5, 0.0), True),  # right of the corner
+]
+
+
 class TestRegionMembership:
-    @pytest.mark.parametrize(
-        "point, want",
-        [
-            ((0.0, 0.5), True),  # boundary: curve start
-            ((0.0, 0.4), False),  # below the curve at delta = 0
-            ((1.0 / 3.0, 0.0), True),  # curve end
-            ((0.25, 0.0), True),  # odd-odd corner
-            ((1.0 / 6.0, 1.0 / 12.0), True),  # tangent point
-            ((0.2, 0.04), False),  # below the tangent segment
-            ((0.2, 0.06), True),  # above it
-            ((0.5, 0.0), True),  # right of the corner
-        ],
-    )
+    @pytest.mark.parametrize("point, want", MEMBERSHIP_EXAMPLES)
     def test_examples(self, point, want):
-        assert region_membership(TradeoffPoint(*point)) is want
+        assert region_membership(*point) is want
+        got = region_membership(np.array([point[0]]), np.array([point[1]]))
+        assert got.shape == (1,) and got[0] == want
+
+    def test_vector_call_matches_scalars(self):
+        points = [point for point, _ in MEMBERSHIP_EXAMPLES]
+        got = region_membership(*np.array(points).T)
+        assert got.tolist() == [region_membership(*point) for point in points]
+        assert got.tolist() == [want for _, want in MEMBERSHIP_EXAMPLES]
+
+    @pytest.mark.parametrize("pair", EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_traced_points_are_members(self, pair):
+        # The traced boundary lies on the region's edge, so every point is a
+        # member within rounding, far inside _MEMBERSHIP_TOL.
+        deltas, epss = trace_boundary(pair, num_points=400).T
+        assert np.all(region_membership(deltas, epss))
+        assert np.max(multiphoton_envelope(deltas) - epss) < _MEMBERSHIP_TOL / 1e3
 
     @pytest.mark.parametrize(
         "pair",
@@ -327,9 +362,7 @@ class TestRegionMembership:
     )
     def test_random_states_stay_inside(self, pair):
         rng = np.random.default_rng(1000 + 64 * pair.n_a + pair.n_b)
-        dbl, err = random_state_fractions(pair, 2000, rng)
-        env = multiphoton_envelope(np.clip(dbl, 0.0, 1.0))
-        assert np.all(err >= env - 1e-8)
+        assert np.all(region_membership(*random_state_fractions(pair, 2000, rng)))
 
 
 class TestTypes:
@@ -362,11 +395,3 @@ class TestTypes:
     def test_joint_dimension_cap(self, build):
         with pytest.raises(ValueError, match="exceeds cap"):
             build()
-
-    def test_tradeoff_point_validation(self):
-        with pytest.raises(ValueError):
-            TradeoffPoint(0.7, 0.5)
-        with pytest.raises(ValueError):
-            TradeoffPoint(-0.1, 0.0)
-        p = TradeoffPoint(1e-14, -1e-14)  # clamps numerical noise
-        assert p.delta_m >= 0.0 and p.eps_m >= 0.0

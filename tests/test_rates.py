@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from bbm92kit import (
     InfeasibleError,
     ObservedStats,
+    SourceBranch,
+    SourceModel,
     binary_entropy,
+    boundary_state,
     conjectured_random_assignment_rate,
     eps1_star,
     g,
@@ -19,6 +23,7 @@ from bbm92kit import (
     tau_numeric,
     tau_numeric_array,
 )
+from bbm92kit import rates
 
 TANGENT = 1.0 / 6.0
 
@@ -147,9 +152,7 @@ class TestTauClosedForm:
 
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.25, 11))
     def test_error_free_line(self, d):
-        assert tau_closed_form(ObservedStats(float(d), 0.0)).tau == pytest.approx(
-            3.0 * d, abs=1e-12
-        )
+        assert tau_closed_form(ObservedStats(float(d), 0.0)).tau == pytest.approx(3 * d, abs=1e-12)
 
     def test_pure_single_photon_cost(self):
         for e in np.linspace(0.0, eps1_star(), 8):
@@ -179,9 +182,7 @@ class TestTauNumeric:
 
     def test_cross_validation_point(self):
         stats = ObservedStats(0.05, 0.02)
-        assert tau_numeric(stats) == pytest.approx(
-            tau_closed_form(stats).tau, abs=1e-6
-        )
+        assert tau_numeric(stats) == pytest.approx(tau_closed_form(stats).tau, abs=1e-6)
 
     def test_grid_agreement(self):
         deltas = np.linspace(0.0, 0.2499, 40)
@@ -209,17 +210,13 @@ class TestTauLow:
     @pytest.mark.parametrize("e", [0.0, 0.05, 0.2, 0.4, 0.49])
     def test_no_double_clicks_gives_entropy(self, e):
         # at delta = 0 the maximizer is the xi -> 0 limit
-        assert tau_low(ObservedStats(0.0, e)) == pytest.approx(
-            binary_entropy(e), abs=1e-9
-        )
+        assert tau_low(ObservedStats(0.0, e)) == pytest.approx(binary_entropy(e), abs=1e-9)
 
     def test_equals_closed_form_in_region_c(self):
         for d, e in [(0.05, 0.15), (0.0, 0.3), (0.1, 0.09), (0.15, 0.09)]:
             stats = ObservedStats(d, e)
             assert region_of(stats) == "c"
-            assert tau_closed_form(stats).tau == pytest.approx(
-                tau_low(stats), abs=1e-12
-            )
+            assert tau_closed_form(stats).tau == pytest.approx(tau_low(stats), abs=1e-12)
 
     def test_lower_bound_everywhere(self):
         for stats in feasible_grid(30, 30):
@@ -299,9 +296,8 @@ class TestConjecturedRate:
         assert conjectured_random_assignment_rate(ObservedStats(0.0, 0.0)) == 1.0
 
     def test_saturated_entropy(self):
-        assert conjectured_random_assignment_rate(
-            ObservedStats(0.2, 0.4)
-        ) == pytest.approx(-1.0, abs=1e-12)
+        got = conjectured_random_assignment_rate(ObservedStats(0.2, 0.4))
+        assert got == pytest.approx(-1.0, abs=1e-12)
 
     def test_direct_value(self):
         got = conjectured_random_assignment_rate(ObservedStats(0.1, 0.05))
@@ -320,3 +316,40 @@ class TestObservedStats:
             ObservedStats(0.0, 1.0)
         with pytest.raises(ValueError):
             ObservedStats(0.7, 0.4)
+
+
+
+
+def _no_admissible_split(monkeypatch):
+    # tau_numeric's second message: a feasible row whose search finds no split
+    monkeypatch.setattr(rates, "tau_numeric_array", lambda d, e, resolution: np.array([np.nan]))
+    tau_numeric(ObservedStats(np.float64(0.1), np.float64(0.05)))
+
+
+F64, RHO = np.float64, np.eye(4) / 4.0
+ABOVE_ONE = "1.0204081632653061"  # the first value of np.linspace(0, 2, 50) above 1
+PLAIN_FLOAT_CASES = {
+    "branch-weight": (lambda mp: SourceBranch(F64(1.5), 1, 1, RHO), "got 1.5"),
+    "weight-sum": (lambda mp: SourceModel.custom([(F64(0.5), 1, 1, RHO)]), "got 0.5"),
+    "werner": (lambda mp: SourceModel.werner(F64(1.5)), "got 1.5"),
+    "eve_attack": (lambda mp: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), "got 2.0"),
+    "binary_entropy": (lambda mp: binary_entropy(F64(1.5)), "]: 1.5"),
+    "binary_entropy-array": (lambda mp: binary_entropy(np.linspace(0, 2, 50)), ABOVE_ONE),
+    "g": (lambda mp: g(F64(0.5)), "]: 0.5"),
+    "envelope-array": (lambda mp: multiphoton_envelope(np.linspace(0, 2, 50)), ABOVE_ONE),
+    "ObservedStats": (lambda mp: ObservedStats(F64(1.5), F64(0.0)), "(delta=1.5, eps=0.0)"),
+    "tau_low": (lambda mp: tau_low(ObservedStats(F64(0.5), F64(0.1))), "delta=0.5"),
+    "tau_numeric": (lambda mp: tau_numeric(ObservedStats(F64(0.3), F64(0.5))), "delta=0.3, "),
+    "tau_numeric-no-split": (_no_admissible_split, "(delta=0.1, eps=0.05)"),
+    "key_rate": (lambda mp: key_rate(ObservedStats(F64(0.3), F64(0.5))), "(delta=0.3, eps=0.5)"),
+    "key_rate-f": (lambda mp: key_rate(ObservedStats(0.0, 0.0), F64(0.5)), "got 0.5"),
+}
+
+
+@pytest.mark.parametrize("call, shown", PLAIN_FLOAT_CASES.values(), ids=PLAIN_FLOAT_CASES)
+def test_errors_print_plain_floats(call, shown, monkeypatch):
+    # A numpy scalar or array argument shows in the message as its offending float alone.
+    with pytest.raises(ValueError) as raised:
+        call(monkeypatch)
+    assert shown in str(raised.value)
+    assert "np.float64(" not in str(raised.value) and "array(" not in str(raised.value)
