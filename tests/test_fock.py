@@ -68,6 +68,11 @@ class TestBasisState:
                 assert state.shape == (n + 1,) and not state.flags.writeable
                 assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-13)
 
+    def test_amplitudes_read_only(self):
+        state = basis_state(2, Basis.X, Bit.ZERO)
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+
     def test_rejects_off_norm_amplitudes(self, monkeypatch):
         comb = math.comb
         monkeypatch.setattr(fock.math, "comb", lambda n, k: 2 * comb(n, k))
