@@ -178,33 +178,44 @@ def _rate_table(args, f: float = 1.0) -> rates.RateTable:
     return table
 
 
-def _rows(**columns) -> list[dict]:
-    """One dict per row from equal-length named columns, arrays as Python values."""
-    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
+def _rows(columns: list[str], values: list[list]) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _cmd_tau(args) -> int:
     table = _rate_table(args)
     numeric = rates.tau_numeric_array(table.delta, table.eps, args.resolution)
-    rows = _rows(
-        delta=table.delta, eps=table.eps, tau_closed=table.tau, tau_numeric=numeric,
-        tau_low=table.tau_low, region=table.region,
-    )
-    _emit(args, rows)
+    columns = ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"]
+    values = [table.delta, table.eps, table.tau, numeric, table.tau_low, table.region]
+    _emit(args, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
 
 
 def _cmd_keyrate(args) -> int:
     rates._check_f(args.f, "--f")
     table = _rate_table(args, args.f)
-    rows = _rows(
-        delta=table.delta, eps=table.eps, region=table.region, tau=table.tau,
-        r_key=table.r_key, r_upper=table.r_upper,
-        r_conjectured_random_assignment=table.r_conjectured_random_assignment,
-        has_key=np.where(table.feasible, table.has_key, None),
-    )
-    _emit(args, rows)
+    has_key = np.where(table.feasible, table.has_key, None)
+    columns = [
+        "delta",
+        "eps",
+        "region",
+        "tau",
+        "r_key",
+        "r_upper",
+        "r_conjectured_random_assignment",
+        "has_key",
+    ]
+    values = [
+        table.delta,
+        table.eps,
+        table.region,
+        table.tau,
+        table.r_key,
+        table.r_upper,
+        table.r_conjectured_random_assignment,
+        has_key,
+    ]
+    _emit(args, _rows(columns, [v.tolist() for v in values]))
     return EXIT_OK
 
 
@@ -225,7 +236,14 @@ def _cmd_tradeoff(args) -> int:
         value = povm.min_double_click(pair)
         l_sum = (pair.n_a - 1) // 2 + (pair.n_b - 1) // 2
         closed = 0.5 * (1.0 - 2.0 ** (-l_sum))
-        rows = _rows(n_a=[pair.n_a], n_b=[pair.n_b], min_double_click=[value], closed_form=[closed])
+        rows = [
+            {
+                "n_a": pair.n_a,
+                "n_b": pair.n_b,
+                "min_double_click": value,
+                "closed_form": closed,
+            }
+        ]
         _emit(
             args,
             rows,
@@ -236,10 +254,13 @@ def _cmd_tradeoff(args) -> int:
     delta_m, eps_m = povm.trace_boundary(pair, num_points=args.points).T
     bound = _g_bounds(delta_m)
     dev = eps_m - bound
-    rows = _rows(delta_m=delta_m, eps_m=eps_m, g_bound=_cells(bound), eps_minus_bound=_cells(dev))
+    columns = ["delta_m", "eps_m", "g_bound", "eps_minus_bound"]
+    rows = _rows(columns, [delta_m.tolist(), eps_m.tolist(), _cells(bound), _cells(dev)])
     max_dev = float(np.max(np.abs(dev[~np.isnan(dev)]), initial=0.0))
-    fractions = povm.random_state_fractions(pair, args.samples, np.random.default_rng(args.seed))
-    inside = int(np.sum(povm.region_membership(*fractions)))
+    delta, eps = povm.random_state_fractions(
+        pair, args.samples, np.random.default_rng(args.seed)
+    )
+    inside = int(np.sum(povm.region_membership(delta, eps)))
     summary = {
         "max_abs_eps_minus_bound": max_dev,
         "random_states_inside": inside,
@@ -261,11 +282,10 @@ def _attack_rows(alpha, beta, delta_m, eps_m, accuracy) -> tuple[list[dict], np.
     """Attack rows from per-point arrays, and the mask of points on the curve g."""
     bound = _g_bounds(delta_m)
     on_boundary = np.abs(eps_m - bound) <= 1e-9
-    rows = _rows(
-        alpha=alpha, beta=beta, delta_m=delta_m, eps_m=eps_m, g_bound=_cells(bound),
-        on_boundary=on_boundary, eve_bit_accuracy=accuracy,
-    )
-    return rows, on_boundary
+    columns = ["alpha", "beta", "delta_m", "eps_m", "g_bound", "on_boundary", "eve_bit_accuracy"]
+    values = [alpha.tolist(), beta.tolist(), delta_m.tolist(), eps_m.tolist(), _cells(bound)]
+    values += [on_boundary.tolist(), accuracy.tolist()]
+    return _rows(columns, values), on_boundary
 
 
 def _cmd_attack(args) -> int:
@@ -376,13 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         p.add_argument("--config", help="key=value file supplying flag defaults")
 
-    def grid(p):
-        for name in ("delta", "eps"):
-            p.add_argument(f"--{name}", type=float)
-            p.add_argument(f"--{name}-grid", dest=f"{name}_grid")
-
     p_tau = sub.add_parser("tau", help="privacy-amplification fraction table")
-    grid(p_tau)
+    p_tau.add_argument("--delta", type=float)
+    p_tau.add_argument("--delta-grid", dest="delta_grid")
+    p_tau.add_argument("--eps", type=float)
+    p_tau.add_argument("--eps-grid", dest="eps_grid")
     p_tau.add_argument(
         "--resolution", type=int, default=2000, help="search resolution for tau_numeric"
     )
@@ -390,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.set_defaults(func=_cmd_tau)
 
     p_key = sub.add_parser("keyrate", help="final key fraction table")
-    grid(p_key)
+    p_key.add_argument("--delta", type=float)
+    p_key.add_argument("--delta-grid", dest="delta_grid")
+    p_key.add_argument("--eps", type=float)
+    p_key.add_argument("--eps-grid", dest="eps_grid")
     p_key.add_argument("--f", type=float, default=1.0, help="error-correction inefficiency >= 1")
     common(p_key)
     p_key.set_defaults(func=_cmd_keyrate)
@@ -398,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trade = sub.add_parser("tradeoff", help="double-click/error trade-off boundary")
     p_trade.add_argument("--na", type=int, required=True)
     p_trade.add_argument("--nb", type=int, required=True)
-    p_trade.add_argument("--points", type=int, default=200, help="supporting-hyperplane sweep size")
+    p_trade.add_argument(
+        "--points", type=int, default=200, help="supporting-hyperplane sweep size"
+    )
     p_trade.add_argument(
         "--samples", type=int, default=1000, help="random states for membership check"
     )
@@ -414,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.set_defaults(func=_cmd_attack)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol run")
-    p_sim.add_argument("--source", required=True, help="ideal | werner:V | attack:ALPHA,BETA,XI")
+    p_sim.add_argument(
+        "--source", required=True, help="ideal | werner:V | attack:ALPHA,BETA,XI"
+    )
     p_sim.add_argument("--events", type=int, default=100000)
     p_sim.add_argument("--f", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=12345)

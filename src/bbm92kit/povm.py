@@ -225,9 +225,7 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     ]
     # lambda -> infinity limit: minimize double clicks outright, then errors.
     blocks.append(_support_points(fd[None], fe, fd, fe))
-    points = np.column_stack(
-        [np.concatenate([d for d, _ in blocks]), np.concatenate([e for _, e in blocks])]
-    )
+    points = np.column_stack([np.concatenate(coords) for coords in zip(*blocks)])
     bad = ~((points >= -1e-10) & (points <= 1.0 + 1e-10)).all(axis=1)
     bad |= points.sum(axis=1) > 1.0 + 1e-10
     if bad.any():

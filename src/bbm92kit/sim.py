@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from . import rates
-from .attack import _phi_plus, attack_density
+from .attack import attack_density
 from .errors import InfeasibleError
-from .fock import Basis
+from .fock import Basis, Bit, basis_state
 from .povm import capped_joint_dim, outcome_projectors
 
 _DRAWS_PER_EVENT = 4
@@ -112,7 +112,11 @@ class SourceBranch:
 
 
 def _phi_plus_density() -> np.ndarray:
-    phi = _phi_plus().ravel()  # the (2, 2) amplitudes of |00> + |11> over sqrt(2)
+    phi = np.zeros(4)
+    for bit in (Bit.ZERO, Bit.ONE):
+        amp = basis_state(1, Basis.Z, bit)
+        phi += np.kron(amp, amp)
+    phi /= np.sqrt(2.0)
     return np.outer(phi, phi)
 
 

@@ -151,9 +151,12 @@ class TestBuildV:
         s = joint(1, Basis.Z, Bit.ZERO, 2, Bit.ZERO)
         assert np.max(np.abs(v @ s - s)) <= 1e-10
         # control bit 1 flips Bob's bit, in either basis
-        for w in (Basis.Z, Basis.X):
-            flipped = v @ joint(1, w, Bit.ONE, 2, Bit.ZERO) - joint(1, w, Bit.ONE, 2, Bit.ONE)
-            assert np.max(np.abs(flipped)) <= 1e-10
+        assert np.max(
+            np.abs(v @ joint(1, Basis.Z, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.Z, Bit.ONE, 2, Bit.ONE))
+        ) <= 1e-10
+        assert np.max(
+            np.abs(v @ joint(1, Basis.X, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.X, Bit.ONE, 2, Bit.ONE))
+        ) <= 1e-10
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4), (3, 2)])
     def test_orthogonality(self, n_a, n_b):

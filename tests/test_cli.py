@@ -1,6 +1,4 @@
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -84,8 +82,9 @@ class TestKeyrateCommand:
         assert rows[-1]["r_key"] == pytest.approx(0.0, abs=1e-10)
 
     def test_upper_bound_dominates(self, capsys):
-        argv = ("keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9"
+        )
         assert code == 0
         _, rows = cli.read_table(out)
         feasible = [r for r in rows if r["region"] != "infeasible"]
@@ -117,7 +116,9 @@ class TestTradeoffCommand:
         assert "0.25" in err
 
     def test_one_two_boundary_summary(self, capsys):
-        code, out, err = run_cli(capsys, "tradeoff", "--na", "1", "--nb", "2", "--points", "300")
+        code, out, err = run_cli(
+            capsys, "tradeoff", "--na", "1", "--nb", "2", "--points", "300"
+        )
         assert code == 0
         _, rows = cli.read_table(out)
         devs = [abs(r["eps_minus_bound"]) for r in rows if r["eps_minus_bound"] is not None]
@@ -125,8 +126,10 @@ class TestTradeoffCommand:
         assert "membership" in err
 
     def test_two_two_respects_bound(self, capsys):
-        argv = ("tradeoff", "--na", "2", "--nb", "2", "--points", "200", "--format", "json")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "tradeoff", "--na", "2", "--nb", "2", "--points", "200",
+            "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         for row in payload["rows"]:
@@ -168,8 +171,9 @@ class TestAttackCommand:
 
 class TestSimulateCommand:
     def test_ideal_source(self, capsys):
-        argv = ("simulate", "--source", "ideal", "--events", "20000", "--seed", "3")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--source", "ideal", "--events", "20000", "--seed", "3"
+        )
         assert code == 0
         _, rows = cli.read_table(out)
         row = rows[0]
@@ -178,16 +182,20 @@ class TestSimulateCommand:
         assert row["seed"] == 3
 
     def test_werner_source(self, capsys):
-        argv = ("simulate", "--source", "werner:0.9", "--events", "100000", "--seed", "4")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--source", "werner:0.9", "--events", "100000",
+            "--seed", "4",
+        )
         assert code == 0
         _, rows = cli.read_table(out)
         row = rows[0]
         assert abs(row["eps_hat"] - 0.05) <= 5.0 * row["eps_se"]
 
     def test_attack_source_composition(self, capsys):
-        argv = ("simulate", "--source", "attack:1,0,0.5", "--events", "200000", "--seed", "5")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--source", "attack:1,0,0.5", "--events", "200000",
+            "--seed", "5",
+        )
         assert code == 0
         _, rows = cli.read_table(out)
         row = rows[0]
@@ -256,8 +264,11 @@ class TestOutputPlumbing:
     def test_csv_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.2:7", "--eps-grid", "0:0.05:4")
         header, rows = cli.read_table(out)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        import csv as _csv
+        import io as _io
+
+        buf = _io.StringIO()
+        writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([cli._fmt_cell(row[c]) for c in header])
@@ -272,7 +283,9 @@ class TestOutputPlumbing:
                     assert v1 == v2
 
     def test_json_meta(self, capsys):
-        code, out, _ = run_cli(capsys, "tau", "--delta", "0", "--eps", "0", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "tau", "--delta", "0", "--eps", "0", "--format", "json"
+        )
         assert code == 0
         payload = json.loads(out)
         assert payload["meta"]["command"] == "tau"
@@ -281,8 +294,10 @@ class TestOutputPlumbing:
         assert payload["rows"][0]["region"] == "a"
 
     def test_json_infeasible_rows_are_null_not_nan(self, capsys):
-        argv = ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04", "--format", "json")
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(
+            capsys, "tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04",
+            "--format", "json",
+        )
         assert code == 0
         assert "NaN" not in out
         payload = json.loads(out)
@@ -291,7 +306,9 @@ class TestOutputPlumbing:
 
     def test_out_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "table.csv"
-        code, out, _ = run_cli(capsys, "tau", "--delta", "0", "--eps", "0", "--out", str(target))
+        code, out, _ = run_cli(
+            capsys, "tau", "--delta", "0", "--eps", "0", "--out", str(target)
+        )
         assert code == 0 and out == ""
         assert target.read_text().startswith("delta,eps")
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
@@ -302,20 +319,27 @@ class TestOutputPlumbing:
     def test_config_file_defaults_and_override(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# defaults\nevents = 5000\nseed = 77\nf = 1.0\n")
-        code, out1, _ = run_cli(capsys, "simulate", "--source", "ideal", "--config", str(config))
+        code, out1, _ = run_cli(
+            capsys, "simulate", "--source", "ideal", "--config", str(config)
+        )
         assert code == 0
         _, rows = cli.read_table(out1)
         assert rows[0]["seed"] == 77 and rows[0]["events"] == 5000
-        argv = ("simulate", "--source", "ideal", "--config", str(config), "--seed", "78")
-        code, out2, _ = run_cli(capsys, *argv)
+        code, out2, _ = run_cli(
+            capsys, "simulate", "--source", "ideal", "--config", str(config),
+            "--seed", "78",
+        )
         _, rows2 = cli.read_table(out2)
         assert rows2[0]["seed"] == 78  # flag overrides config
 
     def test_unknown_config_key(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("bogus = 1\n")
-        code, _, err = run_cli(capsys, "tau", "--delta", "0", "--eps", "0", "--config", str(config))
+        code, _, err = run_cli(
+            capsys, "tau", "--delta", "0", "--eps", "0", "--config", str(config)
+        )
         assert code == 2
+
 
     @pytest.mark.parametrize(
         "line, argv",
@@ -331,6 +355,7 @@ class TestOutputPlumbing:
             cli.main([*argv, "--config", str(config)])
         assert exc.value.code == 2
         assert "invalid" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5"])
     @pytest.mark.parametrize(

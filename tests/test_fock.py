@@ -14,7 +14,6 @@ from bbm92kit import (
 )
 from bbm92kit import fock
 from bbm92kit.errors import NumericalError
-from bbm92kit.selfcheck import _compositions
 
 SQ2 = math.sqrt(2.0)
 
@@ -39,6 +38,15 @@ def ladder_oracle(n: int, sign: int) -> np.ndarray:
         assert h + v == n
         out[h] = a / scale
     return out
+
+
+def compositions(n: int):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
 
 
 class TestBasisState:
@@ -145,7 +153,7 @@ class TestMultimode:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_all_partitions_match_single_mode(self, n):
-        for parts in _compositions(n):
+        for parts in compositions(n):
             partition = ModePartition(parts)
             assert partition.n == n
             for b in Bit:

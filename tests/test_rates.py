@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -152,7 +151,9 @@ class TestTauClosedForm:
 
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.25, 11))
     def test_error_free_line(self, d):
-        assert tau_closed_form(ObservedStats(float(d), 0.0)).tau == pytest.approx(3 * d, abs=1e-12)
+        assert tau_closed_form(ObservedStats(float(d), 0.0)).tau == pytest.approx(
+            3.0 * d, abs=1e-12
+        )
 
     def test_pure_single_photon_cost(self):
         for e in np.linspace(0.0, eps1_star(), 8):
@@ -182,7 +183,9 @@ class TestTauNumeric:
 
     def test_cross_validation_point(self):
         stats = ObservedStats(0.05, 0.02)
-        assert tau_numeric(stats) == pytest.approx(tau_closed_form(stats).tau, abs=1e-6)
+        assert tau_numeric(stats) == pytest.approx(
+            tau_closed_form(stats).tau, abs=1e-6
+        )
 
     def test_grid_agreement(self):
         deltas = np.linspace(0.0, 0.2499, 40)
@@ -210,13 +213,17 @@ class TestTauLow:
     @pytest.mark.parametrize("e", [0.0, 0.05, 0.2, 0.4, 0.49])
     def test_no_double_clicks_gives_entropy(self, e):
         # at delta = 0 the maximizer is the xi -> 0 limit
-        assert tau_low(ObservedStats(0.0, e)) == pytest.approx(binary_entropy(e), abs=1e-9)
+        assert tau_low(ObservedStats(0.0, e)) == pytest.approx(
+            binary_entropy(e), abs=1e-9
+        )
 
     def test_equals_closed_form_in_region_c(self):
         for d, e in [(0.05, 0.15), (0.0, 0.3), (0.1, 0.09), (0.15, 0.09)]:
             stats = ObservedStats(d, e)
             assert region_of(stats) == "c"
-            assert tau_closed_form(stats).tau == pytest.approx(tau_low(stats), abs=1e-12)
+            assert tau_closed_form(stats).tau == pytest.approx(
+                tau_low(stats), abs=1e-12
+            )
 
     def test_lower_bound_everywhere(self):
         for stats in feasible_grid(30, 30):
@@ -296,8 +303,9 @@ class TestConjecturedRate:
         assert conjectured_random_assignment_rate(ObservedStats(0.0, 0.0)) == 1.0
 
     def test_saturated_entropy(self):
-        got = conjectured_random_assignment_rate(ObservedStats(0.2, 0.4))
-        assert got == pytest.approx(-1.0, abs=1e-12)
+        assert conjectured_random_assignment_rate(
+            ObservedStats(0.2, 0.4)
+        ) == pytest.approx(-1.0, abs=1e-12)
 
     def test_direct_value(self):
         got = conjectured_random_assignment_rate(ObservedStats(0.1, 0.05))
@@ -316,8 +324,6 @@ class TestObservedStats:
             ObservedStats(0.0, 1.0)
         with pytest.raises(ValueError):
             ObservedStats(0.7, 0.4)
-
-
 
 
 def _no_admissible_split(monkeypatch):

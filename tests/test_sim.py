@@ -224,6 +224,11 @@ class TestRunProtocol:
         assert checked > 0
 
 
+def _random_custom_source(seed: int, n_a: int, n_b: int) -> SourceModel:
+    rng = np.random.default_rng(seed)
+    return SourceModel.custom([(1.0, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))])
+
+
 REFERENCE_SOURCES = {
     "ideal": SourceModel.ideal_pair,
     "werner": lambda: SourceModel.werner(0.9),
@@ -396,7 +401,7 @@ class TestBornRuleFidelity:
             SourceModel.ideal_pair(),
             SourceModel.werner(0.7),
             make_attack_source(0.6)[0],
-            SourceModel.custom([(1.0, 2, 2, _random_density(np.random.default_rng(23), 9))]),
+            _random_custom_source(23, 2, 2),
         ],
         ids=["ideal", "werner", "attack", "custom22"],
     )
@@ -435,17 +440,25 @@ class TestCustomSources:
         phi[0] = phi[3] = 1 / np.sqrt(2)
         rho_pair = np.outer(phi, phi)
         rho_bob_only = np.eye(2) / 2.0
-        source = SourceModel.custom([(0.7, 1, 1, rho_pair), (0.3, 0, 1, rho_bob_only)])
+        source = SourceModel.custom(
+            [(0.7, 1, 1, rho_pair), (0.3, 0, 1, rho_bob_only)]
+        )
         tally = run_protocol(source, 50000, seed=14)
         assert tally.n_undetected > 0
         expected_undetected = 0.3 * 50000
-        assert abs(tally.n_undetected - expected_undetected) <= 5 * np.sqrt(50000 * 0.3 * 0.7)
+        assert abs(tally.n_undetected - expected_undetected) <= 5 * np.sqrt(
+            50000 * 0.3 * 0.7
+        )
         delta, eps = analytic_fractions(source)
         assert delta == 0.0 and eps == 0.0
         assert tally.n_err == 0
 
     def test_custom_two_photon_density(self):
-        rho = _random_density(np.random.default_rng(15), 9)
+        rng = np.random.default_rng(15)
+        dim = 9
+        m = rng.standard_normal((dim, dim))
+        rho = m @ m.T
+        rho /= np.trace(rho)
         source = SourceModel.custom([(1.0, 2, 2, rho)])
         tally = run_protocol(source, 200000, seed=16)
         delta, eps = analytic_fractions(source)
