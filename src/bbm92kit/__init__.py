@@ -74,59 +74,3 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackResult",
-    "Basis",
-    "Bit",
-    "DIM_CAP",
-    "InfeasibleError",
-    "KeyRateResult",
-    "MAX_PHOTONS",
-    "ModePartition",
-    "NumericalError",
-    "ObservedStats",
-    "Outcome",
-    "PhotonPair",
-    "RateTable",
-    "SiftedTally",
-    "SimulationReport",
-    "SourceBranch",
-    "SourceModel",
-    "Sweep",
-    "analytic_fractions",
-    "attack_density",
-    "attack_state",
-    "basis_state",
-    "binary_entropy",
-    "boundary_state",
-    "boundary_sweep",
-    "build_v",
-    "conjectured_random_assignment_rate",
-    "end_to_end",
-    "eps1_star",
-    "event_uniforms",
-    "f_cor",
-    "f_dbl",
-    "f_err",
-    "g",
-    "in_stats_domain",
-    "inner_product",
-    "key_rate",
-    "min_double_click",
-    "multimode_inner_product",
-    "multiphoton_envelope",
-    "outcome_projectors",
-    "random_state_fractions",
-    "rate_table",
-    "region_membership",
-    "region_of",
-    "run_attack",
-    "run_protocol",
-    "tau_closed_form",
-    "tau_low",
-    "tau_low_array",
-    "tau_numeric",
-    "tau_numeric_array",
-    "trace_boundary",
-]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InfeasibleError, NumericalError
 
@@ -57,9 +56,10 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
 
 
 def _check_within(arr: np.ndarray, lo: float, hi: float, what: str) -> None:
-    """Raise ValueError naming the first value of ``arr`` outside [lo, hi]; NaN passes."""
-    if arr.size and (arr.min() < lo or arr.max() > hi):
-        first = arr[(arr < lo) | (arr > hi)][0]
+    """Raise ValueError naming the first value of ``arr`` that is NaN or outside [lo, hi]."""
+    # min and max propagate NaN, and a comparison with NaN is false
+    if arr.size and not (arr.min() >= lo and arr.max() <= hi):
+        first = arr[~((arr >= lo) & (arr <= hi))][0]
         raise ValueError(f"{what}: {float(first)!r}")
 
 
@@ -92,13 +92,22 @@ def g(delta):
 
 @lru_cache(maxsize=1)
 def eps1_star() -> float:
-    """Root of 16 x (1-x)^3 = 1 in (0, 0.4), approximately 0.080.
+    """Root of 16 x (1-x)^3 = 1 in (0, 1/2), approximately 0.080.
 
-    x = 1/2 also satisfies the defining equation, so the bracket deliberately
-    stops short of it.  At this error rate the plane through the odd-odd
-    corner (1/4, 0, 3/4) is tangent to the single-photon cost curve H.
+    At this error rate the plane through the odd-odd corner (1/4, 0, 3/4) is
+    tangent to the single-photon cost curve H.  Since
+    16 x (1-x)^3 - 1 = (2x - 1) p(x) with p(x) = -8x^3 + 20x^2 - 14x + 1, the
+    root is the zero of the cubic p in (0, 1/2).  p is convex and decreasing
+    on [0, 1/2] and p(0.08) > 0, so Newton's method from 0.08 rises
+    monotonically to the root and never overshoots; it stops at the first
+    step that no longer raises x, which leaves the correctly rounded root.
     """
-    return float(brentq(lambda x: 16.0 * x * (1.0 - x) ** 3 - 1.0, 1e-6, 0.4, xtol=1e-14))
+    x = 0.08
+    while True:
+        nxt = x - (((-8.0 * x + 20.0) * x - 14.0) * x + 1.0) / ((-24.0 * x + 40.0) * x - 14.0)
+        if nxt <= x:
+            return x
+        x = nxt
 
 
 def multiphoton_envelope(delta):

@@ -57,11 +57,6 @@ class TestTauCommand:
         _, rows = cli.read_table(out)
         assert abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5
 
-    def test_infeasible_scalar_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "tau", "--delta", "0.3", "--eps", "0.1")
-        assert code == 3
-        assert "infeasible" in err
-
     def test_infeasible_grid_rows_are_labeled(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04")
         assert code == 0
@@ -159,15 +154,6 @@ class TestAttackCommand:
         for row in payload["rows"]:
             assert row["eve_bit_accuracy"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_zero_state(self, capsys):
-        code, _, err = run_cli(capsys, "attack", "--alpha", "0", "--beta", "0")
-        assert code == 2
-        assert "error" in err
-
-    def test_missing_arguments(self, capsys):
-        code, _, _ = run_cli(capsys, "attack")
-        assert code == 2
-
 
 class TestSimulateCommand:
     def test_ideal_source(self, capsys):
@@ -201,10 +187,6 @@ class TestSimulateCommand:
         row = rows[0]
         assert abs(row["delta_hat"] - 0.5 / 6.0) <= 5.0 * row["delta_se"]
         assert abs(row["eps_hat"] - 0.5 / 12.0) <= 5.0 * row["eps_se"]
-
-    def test_bad_source_spec(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--source", "nope:1", "--events", "10")
-        assert code == 2
 
 
 class TestOutputPlumbing:
@@ -332,13 +314,28 @@ class TestOutputPlumbing:
         _, rows2 = cli.read_table(out2)
         assert rows2[0]["seed"] == 78  # flag overrides config
 
-    def test_unknown_config_key(self, capsys, tmp_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("bogus = 1\n")
-        code, _, err = run_cli(
-            capsys, "tau", "--delta", "0", "--eps", "0", "--config", str(config)
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv, line, exit_code, prefix",
+        [
+            (("tau", "--delta", "0.3", "--eps", "0.1"), None, 3, "infeasible: "),
+            (("attack", "--alpha", "0", "--beta", "0"), None, 2, "error: state vanishes"),
+            (("attack",), None, 2, "error: need --alpha and --beta"),
+            (
+                ("simulate", "--source", "nope:1", "--events", "10"),
+                None, 2, "error: unknown source kind",
+            ),
+            (("tau", "--delta", "0", "--eps", "0"), "bogus = 1", 2, "error: unknown config key"),
+        ],
+        ids=["infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key"],
+    )
+    def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
+        if line is not None:
+            config = tmp_path / "bad.cfg"
+            config.write_text(line + "\n")
+            argv = (*argv, "--config", str(config))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(prefix)
 
 
     @pytest.mark.parametrize(
@@ -395,11 +392,11 @@ class TestSelftestCommand:
         assert out.splitlines()[-1] == "9/10 checks passed"
 
 
-def run_module(*argv):
-    """``python -m bbm92kit.cli`` in a child process that imports this same package."""
+def run_python(*args):
+    """A child Python process that imports this same package."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "bbm92kit.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
@@ -408,10 +405,22 @@ def run_module(*argv):
 
 class TestEntryPoint:
     def test_unknown_flag_exits_2(self):
-        proc = run_module("tau", "--bogus", "1")
+        proc = run_python("-m", "bbm92kit.cli", "tau", "--bogus", "1")
         assert proc.returncode == 2
 
     def test_version(self):
-        proc = run_module("--version")
+        proc = run_python("-m", "bbm92kit.cli", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_cli_call_loads_no_scipy(self):
+        # numpy is the package's only runtime dependency
+        code = (
+            "import sys\n"
+            "from bbm92kit import cli\n"
+            "assert cli.main(['tau', '--delta', '0.05', '--eps', '0.02']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

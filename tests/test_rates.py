@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,16 +83,33 @@ class TestTradeoffCurve:
 
 
 class TestEps1Star:
-    def test_defining_equation(self):
-        x = eps1_star()
-        assert abs(16.0 * x * (1.0 - x) ** 3 - 1.0) <= 1e-10
+    def test_correctly_rounded_root(self):
+        # 16 x (1-x)^3 - 1 = (2x - 1) p(x); eps1_star is the root of the cubic p in (0, 1/2)
+        def p(x):
+            return -8 * x**3 + 20 * x**2 - 14 * x + 1
 
-    def test_approximate_value(self):
-        assert eps1_star() == pytest.approx(0.080, abs=5e-4)
+        x = Fraction(3, 7)
+        assert 16 * x * (1 - x) ** 3 - 1 == (2 * x - 1) * p(x)
+        root = eps1_star()
+        assert root == 0.08035662239291944
+        # p changes sign between the midpoints to the neighbouring doubles: no double is nearer
+        below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+        above = (Fraction(root) + Fraction(math.nextafter(root, 1.0))) / 2
+        assert p(below) > 0 > p(above)
 
-    def test_selects_root_below_half(self):
-        # x = 1/2 also satisfies the defining equation; the bracket avoids it
-        assert eps1_star() < 0.1
+
+@pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "func, outside",
+    [(binary_entropy, 2.0), (g, 1.0), (multiphoton_envelope, 5.0)],
+    ids=["binary_entropy", "g", "multiphoton_envelope"],
+)
+def test_domain_check_rejects_nan(func, outside, array):
+    # the first NaN or out-of-range value is named, and a NaN hides no other value
+    for values in ([math.nan, outside], [outside, math.nan]):
+        arg = np.array([0.1, *values]) if array else values[0]
+        with pytest.raises(ValueError, match=rf": {values[0]!r}$"):
+            func(arg)
 
 
 class TestEnvelope:
