@@ -5,14 +5,16 @@ Born-rule outcome for the configured source.  Events where the bases match
 and both parties detect photons enter the tally; double clicks on either side
 are counted and discarded, the rest split into correct and error bits.
 
-Randomness contract: every event consumes exactly four uniform draws from a
+Randomness contract: every event consumes exactly four 64-bit words from a
 counter-based generator keyed by the seed, so chunked or per-event parallel
-generation reproduces the serial stream bit-for-bit.
+generation reproduces the serial stream bit-for-bit.  Word w stands for the
+uniform draw u = (w >> 11) * 2**-53, the double ``Generator.random`` makes of it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,10 +33,17 @@ _DRAWS_PER_EVENT = 4
 # cells for v = 0, 0.01, ..., 1) compute to at most 1.1e-16 in magnitude.
 _PROB_FLOOR = 1e-12
 # Indexed search (Chen & Asau 1974; Devroye 1986, III.2.4): [0, 1) splits into 2**12
-# buckets, and a draw's bucket floor(u * 2**12) is exact, because draws are multiples of
-# 2**-53 and the scale is a power of two.
+# buckets, and the bucket floor(u * 2**12) of the draw u = (w >> 11) * 2**-53 is the top
+# 12 bits of its word w, read from the word's high 16 bits.
 _GUIDE_BITS = 12
 _GUIDE_SIZE = 1 << _GUIDE_BITS
+# Index of a uint64's high uint16 among its four uint16 parts in memory, and the shift
+# from those 16 bits to the top _GUIDE_BITS.
+_HIGH_UINT16 = 3 if sys.byteorder == "little" else 0
+_BUCKET_SHIFT = 16 - _GUIDE_BITS
+# Scale from a cut point c to the w >> 11 domain: c <= u iff ceil(c * 2**53) <= w >> 11.
+# The 2.0 padding becomes 2**54, above every draw.
+_WORD_SCALE = 2.0**53
 
 
 class Outcome(Enum):
@@ -181,16 +190,22 @@ def _party_projectors(n: int, w: Basis) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform draws for events [start, start+count): shape (count, 4).
+    """Raw Philox words for events [start, start+count): uint64, shape (count, 4).
 
-    Counter-based: one Philox counter block yields exactly the four doubles of
-    one event, so any chunking of the event range reproduces the same
-    per-event draws.
+    Word w stands for the uniform draw u = (w >> 11) * 2**-53 in [0, 1), bit
+    for bit the double ``Generator.random`` makes of it.  Counter-based: one
+    Philox counter block yields exactly the four words of one event, so any
+    chunking of the event range reproduces the same per-event draws.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     bitgen = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
-    return np.random.Generator(bitgen).random((count, _DRAWS_PER_EVENT))
+    return bitgen.random_raw(count * _DRAWS_PER_EVENT).reshape(count, _DRAWS_PER_EVENT)
+
+
+def _high_uint16(words: np.ndarray) -> np.ndarray:
+    """The high 16 bits of each word of (count, 4) uint64 words, as a uint16 view."""
+    return words.view(np.uint16)[:, _HIGH_UINT16::4]
 
 
 @dataclass(frozen=True)
@@ -207,9 +222,10 @@ class _Kernel:
     counted by tally i, in the order n, dbl, err, cor, mismatch, undetected.
 
     ``guide[g, k]`` is that outcome for every u in bucket [k, k + 1) / 2**12,
-    or -1 where a cut point of group g lies strictly inside the bucket.
-    ``branch_guide[k]`` is likewise 4 * branch for bucket k of the branch
-    draw, from the cut points ``branch_cum[:-1]``, or -1.
+    the draws whose word has top 12 bits k, or -1 where a cut point of group g
+    lies strictly inside the bucket.  ``branch_guide[k]`` is likewise
+    4 * branch for bucket k of the branch draw, from the cut points
+    ``branch_cum[:-1]``, or -1.
     """
 
     branch_cum: np.ndarray
@@ -295,11 +311,16 @@ def run_protocol(
     Each event's branch and bases pick its group and its outcome draw picks a
     slot of the source's flat kernel table; one bincount per chunk counts the
     slots, and the tallies are the slot counts summed over their indicators.
-    The outcome is one gather from the kernel's guide at group * 2**12 +
-    floor(2**12 * u); only draws in a bucket a cut point splits go on to
-    compare with the group's cut points.  The branch is looked up the same
-    way, with a search as its fallback, and only for mixtures.  The default
-    chunk of 2**16 events keeps its 2 MB of draws in cache across the passes.
+    The kernel reads the raw words of ``event_uniforms`` and never forms the
+    draws u = (w >> 11) * 2**-53: a basis is X when its word's top bit is set
+    (u >= 1/2), and the outcome is one gather from the kernel's guide at
+    group * 2**12 + floor(2**12 * u), whose bucket is the top 12 bits of the
+    word.  Only draws in a bucket a cut point splits go on to compare w >> 11
+    with the group's cut points c, scaled once per call to the integers
+    ceil(c * 2**53); c <= u exactly when that integer is <= w >> 11.  The
+    branch is looked up the same way, with a search as its fallback, and only
+    for mixtures.  The default chunk of 2**16 events keeps its 2 MB of words
+    in cache across the passes.
     """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
@@ -309,26 +330,31 @@ def run_protocol(
     width = len(kernel.cut) + 1
     guide = kernel.guide.ravel()
     key_type = np.int32 if guide.size <= np.iinfo(np.int32).max else np.intp
+    # exact: a power-of-two scale of values <= 2, and integers <= 2**54 convert exactly
+    cut = np.ceil(kernel.cut * _WORD_SCALE).astype(np.uint64)
+    branch_cut = np.ceil(kernel.branch_cum[:-1] * _WORD_SCALE).astype(np.uint64)
     totals = np.zeros(kernel.indicators.shape[1], dtype=np.int64)
     for start in range(0, num_events, chunk):
-        u = event_uniforms(seed, start, min(chunk, num_events - start))
-        group = (u[:, 0] >= 0.5).view(np.int8) << 1
-        group |= (u[:, 1] >= 0.5).view(np.int8)
-        if len(kernel.branch_cum) > 1:
-            base = kernel.branch_guide.take((u[:, 2] * _GUIDE_SIZE).astype(key_type))
+        words = event_uniforms(seed, start, min(chunk, num_events - start))
+        high = _high_uint16(words)
+        group = (high[:, 0] >= 1 << 15).view(np.int8) << 1
+        group |= (high[:, 1] >= 1 << 15).view(np.int8)
+        if len(branch_cut):
+            bucket = np.right_shift(high[:, 2], _BUCKET_SHIFT, dtype=np.intp)
+            base = kernel.branch_guide.take(bucket)
             split = np.flatnonzero(base < 0)
             if split.size:
-                branch = np.searchsorted(kernel.branch_cum[:-1], u[split, 2], side="right")
+                branch = np.searchsorted(branch_cut, words[split, 2] >> 11, side="right")
                 base[split] = 4 * branch
             group = base + group
-        key = (u[:, 3] * _GUIDE_SIZE).astype(key_type)
+        key = np.right_shift(high[:, 3], _BUCKET_SHIFT, dtype=key_type)
         key += np.left_shift(group, _GUIDE_BITS, dtype=key_type)
         outcome = guide.take(key)
         split = np.flatnonzero(outcome < 0)
         if split.size:
-            in_group, draw = group[split], u[split, 3]
+            in_group, draw = group[split], words[split, 3] >> 11
             found = np.zeros(split.size, dtype=np.int8)
-            for cut_j in kernel.cut:
+            for cut_j in cut:
                 found += cut_j[in_group] <= draw
             outcome[split] = found
         group *= width

@@ -137,11 +137,17 @@ class TestEnvelope:
         assert multiphoton_envelope(1.0) == 0.0
 
     def test_tangency_is_smooth(self):
-        # the line 1/4 - delta touches the curve with matching slope at 1/6
-        assert g(TANGENT) == pytest.approx(1.0 / 12.0, abs=1e-15)
-        h = 1e-7
-        slope = (g(TANGENT + h) - g(TANGENT - h)) / (2 * h)
-        assert slope == pytest.approx(-1.0, abs=1e-5)
+        # the envelope's own tangent point T is where the line 1/4 - delta touches
+        # the curve with matching slope: g(T) = 1/4 - T and g'(T) = -1, with
+        # g'(d) = -1/2 - (1 - 4d) / (2 sqrt(d (1 - 2d))) in closed form
+        t = rates.TANGENT_DELTA
+        assert g(t) == pytest.approx(0.25 - t, abs=1e-15)
+        slope = -0.5 - (1.0 - 4.0 * t) / (2.0 * math.sqrt(t * (1.0 - 2.0 * t)))
+        assert slope == pytest.approx(-1.0, abs=1e-15)
+        # and the envelope joins the two pieces continuously there
+        around = [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+        values = [multiphoton_envelope(float(x)) for x in around]
+        assert max(values) - min(values) <= 1e-15
 
     def test_envelope_below_curve(self):
         xs = np.linspace(0.0, 1.0 / 3.0, 100)

@@ -63,6 +63,11 @@ class _RefGroup(NamedTuple):
 _BIT_CODES = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform draws (w >> 11) * 2**-53 that raw Philox words stand for."""
+    return (words >> 11) * 2.0**-53
+
+
 def _reference_tables(source: SourceModel) -> tuple[np.ndarray, list[_RefGroup]]:
     """Branch CDF and per-(branch, basis pair) outcome tables, built from the projectors.
 
@@ -103,7 +108,7 @@ def _reference_run_protocol(
     counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
     for start in range(0, num_events, chunk):
         count = min(chunk, num_events - start)
-        u = event_uniforms(seed, start, count)
+        u = _uniforms(event_uniforms(seed, start, count))
         wa = (u[:, 0] >= 0.5).astype(np.int8)
         wb = (u[:, 1] >= 0.5).astype(np.int8)
         branch = np.minimum(
@@ -151,11 +156,24 @@ def _reference_run_protocol(
 class TestRandomnessContract:
     def test_chunking_reproduces_serial_stream(self):
         full = event_uniforms(42, 0, 64)
+        assert full.dtype == np.uint64 and full.shape == (64, 4)
         assert np.array_equal(full[5:13], event_uniforms(42, 5, 8))
         assert np.array_equal(full[63:], event_uniforms(42, 63, 1))
+        assert event_uniforms(42, 7, 0).shape == (0, 4)
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(event_uniforms(1, 0, 4), event_uniforms(2, 0, 4))
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (42, 5), (7, 2**40)])
+    def test_words_map_to_generator_uniforms(self, seed, start):
+        # (w >> 11) * 2**-53 is the double Generator.random makes of each word
+        bitgen = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
+        want = np.random.Generator(bitgen).random((1000, 4))
+        assert np.array_equal(_uniforms(event_uniforms(seed, start, 1000)), want)
+
+    def test_high_uint16_is_top_16_bits(self):
+        words = event_uniforms(5, 0, 1 << 16)
+        assert np.array_equal(sim._high_uint16(words), words >> 48)
 
 
 class TestRunProtocol:
@@ -317,8 +335,8 @@ def test_guide_marks_split_buckets():
     assert np.count_nonzero(guide < 0) == 2
 
 
-def _edge_probabilities(numerators: list[int]) -> np.ndarray:
-    """Probabilities on the 2**-20 grid, the last taking what the others leave."""
+def _edge_probabilities(numerators: list[float]) -> np.ndarray:
+    """Probabilities numerator * 2**-20, the last taking what the others leave."""
     p = np.array(numerators, dtype=float) * 2.0**-20
     return np.append(p, 1.0 - p.sum())
 
@@ -327,6 +345,7 @@ _edge_numerators = st.one_of(
     st.integers(1, 64).map(lambda k: 256 * k),  # on a bucket edge
     st.integers(1, 255),  # inside bucket 0, where several cut points pile up
     st.integers(1, 2**14),  # anywhere in the first 2**6 buckets
+    st.floats(1.0, 2.0**14),  # there too, off the 2**-53 grid of the draws
 )
 
 
@@ -334,10 +353,10 @@ _edge_numerators = st.one_of(
 def edge_sources(draw):
     """Mixtures of diagonal single-photon pairs and dense blocks, cut points at bucket edges.
 
-    A diagonal density on the 2**-20 grid puts the Z/Z cut points, and the
-    weights put the branch cut points, on bucket edges, strictly inside
-    buckets, or several in one bucket; the dense blocks add cut points
-    anywhere.
+    A diagonal density with entries k * 2**-20 puts the Z/Z cut points, and
+    the weights put the branch cut points, on bucket edges, strictly inside
+    buckets, several in one bucket, or between two neighbouring draws (k not
+    an integer); the dense blocks add cut points anywhere.
     """
     count = draw(st.integers(1, 3))
     weights = _edge_probabilities([draw(_edge_numerators) for _ in range(count - 1)])
@@ -356,9 +375,13 @@ def edge_sources(draw):
 def _edge_draws(source: SourceModel):
     """Counter-based stand-in for event_uniforms that often draws a cut point or a neighbour.
 
-    Draw j of event i is a Philox uniform or, three times in four, a value
-    from the kernel's cut points, the bucket edges around them and 0.5, each
-    with its two neighbouring doubles, all in [0, 1).
+    Word j of event i is a Philox word or, three times in four, one whose top
+    53 bits m are taken from a pool: int(p * 2**53) for each value p among the
+    kernel's cut points, the bucket edges around them and 0.5, each with its
+    two neighbouring doubles, and the integer boundaries ceil(c * 2**53) and
+    one below it for each cut point c, all in [0, 2**53).  The low 11 bits of
+    every word stay random, so a kernel that reads them disagrees with the
+    reference.
     """
     kernel = source._kernel
     cuts = np.concatenate([kernel.cut.ravel(), kernel.branch_cum[:-1], [0.5]])
@@ -366,14 +389,17 @@ def _edge_draws(source: SourceModel):
     edges = np.floor(cuts / _BUCKET) * _BUCKET
     points = np.concatenate([cuts, edges, edges + _BUCKET])
     points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
-    pool = np.unique(points[(points >= 0.0) & (points < 1.0)])
+    points = points[(points >= 0.0) & (points < 1.0)]
+    bounds = np.ceil(cuts * 2.0**53)
+    tops = np.concatenate([np.trunc(points * 2.0**53), bounds, bounds - 1.0])
+    pool = np.unique(tops[(tops >= 0.0) & (tops < 2.0**53)].astype(np.uint64))
     philox = sim.event_uniforms
 
     def draws(seed: int, start: int, count: int) -> np.ndarray:
-        u = philox(seed, start, count)
-        pick = philox(seed + 1, start, count)
-        chosen = pool[(pick * len(pool)).astype(np.intp)]
-        return np.where(pick < 0.75, chosen, u)
+        words = philox(seed, start, count)
+        pick = _uniforms(philox(seed + 1, start, count))
+        chosen = pool[(pick * len(pool)).astype(np.intp)] << 11 | words & 0x7FF
+        return np.where(pick < 0.75, chosen, words)
 
     return draws
 
@@ -407,7 +433,7 @@ class TestBornRuleFidelity:
     )
     def test_empirical_frequencies_match_probabilities(self, source):
         num = 10**6
-        tally_u = event_uniforms(21, 0, num)
+        tally_u = _uniforms(event_uniforms(21, 0, num))
         branch_cum, groups = _reference_tables(source)
         wa = (tally_u[:, 0] >= 0.5).astype(int)
         wb = (tally_u[:, 1] >= 0.5).astype(int)
