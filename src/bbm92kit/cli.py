@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -95,8 +96,47 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(args, rows, meta_extra=None, summary_lines=()) -> None:
-    """Write the rows, never empty, as CSV or JSON; the first row's keys are the columns."""
+def _json_cell(value) -> str:
+    """A cell as json.dumps writes it, but NaN as null and an infinity as its repr."""
+    if isinstance(value, float):
+        return "null" if value != value else float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_rows(columns: dict[str, list]) -> str:
+    """The items of the rows array as json.dumps(..., indent=2) nests them in the payload."""
+    cells = [list(map(_json_cell, values)) for values in columns.values()]
+    if any("inf" in column or "-inf" in column for column in cells):
+        # the error json.dumps raises at the first infinity in row order
+        for row in zip(*columns.values()):
+            for value in row:
+                if isinstance(value, float) and math.isinf(value):
+                    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    fields = ",\n".join(
+        f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in columns
+    )
+    template = "    {\n" + fields + "\n    }"
+    return ",\n".join(template % row for row in zip(*cells))
+
+
+def _emit(args, columns: dict[str, list], meta_extra=None, summary_lines=()) -> None:
+    """Write a table of equal-length columns of Python scalars as CSV or JSON.
+
+    CSV has a header row and each cell through _fmt_cell (NaN as nan).  JSON
+    is json.dumps({"meta": ..., "rows": [...]}, indent=2, allow_nan=False)
+    byte for byte, with NaN as null: meta goes through json.dumps, and every
+    row fills one template with its column's cells, each encoded once.
+    """
     meta = {
         "version": __version__,
         "command": args.command,
@@ -109,21 +149,15 @@ def _emit(args, rows, meta_extra=None, summary_lines=()) -> None:
     if meta_extra:
         meta.update(meta_extra)
     if args.format == "json":
-        clean = [
-            {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in row.items()
-            }
-            for row in rows
-        ]
-        payload = {"meta": meta, "rows": clean}
-        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
+        head = json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
+        rows = _json_rows(columns)
+        body = f"[\n{rows}\n  ]" if rows else "[]"
+        text = f'{head},\n  "rows": {body}\n}}\n'
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(rows[0]))
-        for row in rows:
-            writer.writerow([_fmt_cell(value) for value in row.values()])
+        writer.writerow(columns)
+        writer.writerows(zip(*(map(_fmt_cell, values) for values in columns.values())))
         text = buf.getvalue()
         for line in summary_lines:
             print(f"# {line}", file=sys.stderr)
@@ -178,16 +212,18 @@ def _rate_table(args, f: float = 1.0) -> rates.RateTable:
     return table
 
 
-def _rows(columns: list[str], values: list[list]) -> list[dict]:
-    return [dict(zip(columns, row)) for row in zip(*values)]
-
-
 def _cmd_tau(args) -> int:
     table = _rate_table(args)
     numeric = rates.tau_numeric_array(table.delta, table.eps, args.resolution)
-    columns = ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"]
-    values = [table.delta, table.eps, table.tau, numeric, table.tau_low, table.region]
-    _emit(args, _rows(columns, [v.tolist() for v in values]))
+    columns = {
+        "delta": table.delta.tolist(),
+        "eps": table.eps.tolist(),
+        "tau_closed": table.tau.tolist(),
+        "tau_numeric": numeric.tolist(),
+        "tau_low": table.tau_low.tolist(),
+        "region": table.region.tolist(),
+    }
+    _emit(args, columns)
     return EXIT_OK
 
 
@@ -195,27 +231,17 @@ def _cmd_keyrate(args) -> int:
     rates._check_f(args.f, "--f")
     table = _rate_table(args, args.f)
     has_key = np.where(table.feasible, table.has_key, None)
-    columns = [
-        "delta",
-        "eps",
-        "region",
-        "tau",
-        "r_key",
-        "r_upper",
-        "r_conjectured_random_assignment",
-        "has_key",
-    ]
-    values = [
-        table.delta,
-        table.eps,
-        table.region,
-        table.tau,
-        table.r_key,
-        table.r_upper,
-        table.r_conjectured_random_assignment,
-        has_key,
-    ]
-    _emit(args, _rows(columns, [v.tolist() for v in values]))
+    columns = {
+        "delta": table.delta.tolist(),
+        "eps": table.eps.tolist(),
+        "region": table.region.tolist(),
+        "tau": table.tau.tolist(),
+        "r_key": table.r_key.tolist(),
+        "r_upper": table.r_upper.tolist(),
+        "r_conjectured_random_assignment": table.r_conjectured_random_assignment.tolist(),
+        "has_key": has_key.tolist(),
+    }
+    _emit(args, columns)
     return EXIT_OK
 
 
@@ -236,17 +262,15 @@ def _cmd_tradeoff(args) -> int:
         value = povm.min_double_click(pair)
         l_sum = (pair.n_a - 1) // 2 + (pair.n_b - 1) // 2
         closed = 0.5 * (1.0 - 2.0 ** (-l_sum))
-        rows = [
-            {
-                "n_a": pair.n_a,
-                "n_b": pair.n_b,
-                "min_double_click": value,
-                "closed_form": closed,
-            }
-        ]
+        columns = {
+            "n_a": [pair.n_a],
+            "n_b": [pair.n_b],
+            "min_double_click": [value],
+            "closed_form": [closed],
+        }
         _emit(
             args,
-            rows,
+            columns,
             meta_extra={"summary": {"min_double_click": value}},
             summary_lines=[f"odd-odd pair: min double-click fraction = {value:.12g}"],
         )
@@ -254,8 +278,12 @@ def _cmd_tradeoff(args) -> int:
     delta_m, eps_m = povm.trace_boundary(pair, num_points=args.points).T
     bound = _g_bounds(delta_m)
     dev = eps_m - bound
-    columns = ["delta_m", "eps_m", "g_bound", "eps_minus_bound"]
-    rows = _rows(columns, [delta_m.tolist(), eps_m.tolist(), _cells(bound), _cells(dev)])
+    columns = {
+        "delta_m": delta_m.tolist(),
+        "eps_m": eps_m.tolist(),
+        "g_bound": _cells(bound),
+        "eps_minus_bound": _cells(dev),
+    }
     max_dev = float(np.max(np.abs(dev[~np.isnan(dev)]), initial=0.0))
     delta, eps = povm.random_state_fractions(
         pair, args.samples, np.random.default_rng(args.seed)
@@ -268,7 +296,7 @@ def _cmd_tradeoff(args) -> int:
     }
     _emit(
         args,
-        rows,
+        columns,
         meta_extra={"summary": summary},
         summary_lines=[
             f"max |eps_m - g(delta_m)| over traced points with delta_m <= 1/3: {max_dev:.12g}",
@@ -278,14 +306,20 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _attack_rows(alpha, beta, delta_m, eps_m, accuracy) -> tuple[list[dict], np.ndarray]:
-    """Attack rows from per-point arrays, and the mask of points on the curve g."""
+def _attack_columns(alpha, beta, delta_m, eps_m, accuracy) -> tuple[dict[str, list], np.ndarray]:
+    """Attack table columns from per-point arrays, and the mask of points on the curve g."""
     bound = _g_bounds(delta_m)
     on_boundary = np.abs(eps_m - bound) <= 1e-9
-    columns = ["alpha", "beta", "delta_m", "eps_m", "g_bound", "on_boundary", "eve_bit_accuracy"]
-    values = [alpha.tolist(), beta.tolist(), delta_m.tolist(), eps_m.tolist(), _cells(bound)]
-    values += [on_boundary.tolist(), accuracy.tolist()]
-    return _rows(columns, values), on_boundary
+    columns = {
+        "alpha": alpha.tolist(),
+        "beta": beta.tolist(),
+        "delta_m": delta_m.tolist(),
+        "eps_m": eps_m.tolist(),
+        "g_bound": _cells(bound),
+        "on_boundary": on_boundary.tolist(),
+        "eve_bit_accuracy": accuracy.tolist(),
+    }
+    return columns, on_boundary
 
 
 def _cmd_attack(args) -> int:
@@ -294,10 +328,10 @@ def _cmd_attack(args) -> int:
             raise ValueError("need --alpha and --beta, or --sweep N")
         result = attack.run_attack(attack.boundary_state(args.alpha, args.beta))
         point = [np.array([x]) for x in (args.alpha, args.beta, *result)]
-        _emit(args, _attack_rows(*point)[0])
+        _emit(args, _attack_columns(*point)[0])
         return EXIT_OK
     sweep = attack.boundary_sweep(args.sweep)
-    rows, on_boundary = _attack_rows(*sweep)
+    columns, on_boundary = _attack_columns(*sweep)
     on_curve = np.sort(sweep.delta_m[on_boundary])
     coverage = {
         "boundary_points": int(on_curve.size),
@@ -307,7 +341,7 @@ def _cmd_attack(args) -> int:
     }
     _emit(
         args,
-        rows,
+        columns,
         meta_extra={"summary": coverage},
         summary_lines=[
             f"boundary coverage: delta_m in [{coverage['delta_min']:.12g}, "
@@ -363,7 +397,7 @@ def _cmd_simulate(args) -> int:
         "r_conjectured_random_assignment": report.conjectured_rate_sampled,
         "f_ec": report.f_ec,
     }
-    _emit(args, [row])
+    _emit(args, {name: [value] for name, value in row.items()})
     return EXIT_OK
 
 

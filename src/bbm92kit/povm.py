@@ -248,6 +248,8 @@ def random_state_fractions(
     The states are the normalized rows of one (count, joint_dim) standard
     normal draw from `rng`.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     states = rng.standard_normal((count, pair.joint_dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     delta = np.einsum("ni,ij,nj->n", states, f_dbl(pair), states)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bbm92kit import cli, selfcheck
@@ -325,8 +326,15 @@ class TestOutputPlumbing:
                 None, 2, "error: unknown source kind",
             ),
             (("tau", "--delta", "0", "--eps", "0"), "bogus = 1", 2, "error: unknown config key"),
+            (
+                ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
+                None, 2, "error: count must be >= 0, got -1",
+            ),
         ],
-        ids=["infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key"],
+        ids=[
+            "infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key",
+            "negative-samples",
+        ],
     )
     def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
         if line is not None:
@@ -374,6 +382,86 @@ class TestOutputPlumbing:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "--f must be finite and >= 1" in err
+
+
+# every cell type a table may hold; strings with the characters JSON, CSV and
+# the row template treat specially
+MIXED_COLUMNS = {
+    "x": [-0.0, 5e-324, 1e16, 0.1, math.nan, np.float64(1 / 3), 2.5],
+    "n": [0, -7, 2**70, 1, 3, 12345, -1],
+    "flag": [True, False, None, True, False, None, True],
+    'odd "key", 100% \\ \u00e9': [
+        'a "b"', "back\\slash", "\u00e9\u4e2d\U0001f600", "50%", "x, y", "", "%s"
+    ],
+    "mixed": [None, 1.5, math.nan, "s", 4, True, -0.0],
+}
+
+
+class TestTableWriter:
+    @staticmethod
+    def _args(fmt):
+        return cli.build_parser().parse_args(["attack", "--sweep", "3", "--format", fmt])
+
+    @staticmethod
+    def _reference(args, columns):
+        meta = {
+            "version": cli.__version__,
+            "command": args.command,
+            "flags": {"format": args.format, "sweep": args.sweep},
+        }
+        rows = [
+            {
+                name: None if isinstance(value, float) and math.isnan(value) else value
+                for name, value in zip(columns, row)
+            }
+            for row in zip(*columns.values())
+        ]
+        return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7])
+    @pytest.mark.parametrize("shift", range(len(MIXED_COLUMNS)))
+    def test_json_equals_stdlib_encoder(self, capsys, size, shift):
+        names = list(MIXED_COLUMNS)
+        names = names[shift:] + names[:shift]
+        columns = {name: MIXED_COLUMNS[name][:size] for name in names}
+        args = self._args("json")
+        cli._emit(args, columns)
+        assert capsys.readouterr().out == self._reference(args, columns)
+
+    def test_csv_writes_nan_as_nan(self, capsys):
+        cli._emit(self._args("csv"), MIXED_COLUMNS)
+        header, *records = capsys.readouterr().out.splitlines()
+        assert header == 'x,n,flag,"odd ""key"", 100% \\ \u00e9",mixed'
+        assert records[4] == 'nan,3,false,"x, y",4'
+        assert records[2] == '1e+16,1180591620717411303424,,\u00e9\u4e2d\U0001f600,nan'
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"a": [1.0, math.inf]},
+            {"a": [1.0, -math.inf], "b": [math.inf, 2.0]},
+            {"a": [math.nan, np.float64(-math.inf)]},
+        ],
+    )
+    def test_infinity_raises_stdlib_error(self, columns):
+        args = self._args("json")
+        with pytest.raises(ValueError) as want:
+            self._reference(args, columns)
+        with pytest.raises(ValueError) as got:
+            cli._emit(args, columns)
+        assert str(got.value) == str(want.value)
+
+    def test_infinite_cell_exits_2(self, capsys, monkeypatch):
+        def infinite(delta, eps, resolution):
+            return np.full(delta.shape, np.inf)
+
+        monkeypatch.setattr(cli.rates, "tau_numeric_array", infinite)
+        code, out, err = run_cli(
+            capsys, "tau", "--delta", "0.05", "--eps", "0.02", "--format", "json"
+        )
+        with pytest.raises(ValueError) as want:
+            json.dumps([math.inf], indent=2, allow_nan=False)
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
 class TestSelftestCommand:

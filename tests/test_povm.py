@@ -364,6 +364,13 @@ class TestRegionMembership:
         rng = np.random.default_rng(1000 + 64 * pair.n_a + pair.n_b)
         assert np.all(region_membership(*random_state_fractions(pair, 2000, rng)))
 
+    def test_random_state_count(self):
+        rng = np.random.default_rng(0)
+        delta, eps = random_state_fractions(PhotonPair(1, 2), 0, rng)
+        assert delta.shape == eps.shape == (0,)
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            random_state_fractions(PhotonPair(1, 2), -1, rng)
+
 
 class TestTypes:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
