@@ -98,6 +98,11 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Stacked amplitudes of `boundary_state` for each (alpha, beta) row."""
+    i = _first_failure(~(np.isfinite(alpha) & np.isfinite(beta)))
+    if i is not None:
+        raise ValueError(
+            f"alpha and beta must be finite, got alpha={float(alpha[i])!r}, beta={float(beta[i])!r}"
+        )
     raw = np.zeros((alpha.size, 3))
     for bit0, bit1 in (_BOB_BASIS[:2], _BOB_BASIS[2:]):
         raw += alpha[:, None] * bit0

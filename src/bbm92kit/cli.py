@@ -2,8 +2,8 @@
 
 Commands: tau, keyrate, tradeoff, attack, simulate, selftest.  Output is CSV
 (default) or JSON (--format json); grids use inclusive start:stop:count
-specs.  Exit codes: 0 success, 2 invalid arguments, 3 infeasible inputs,
-4 internal numerical failure.
+specs.  Exit codes: 0 success, 2 invalid arguments (a request too large to
+allocate among them), 3 infeasible inputs, 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -500,6 +500,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: request too large to allocate ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -143,9 +143,9 @@ def min_double_click(pair: PhotonPair) -> float:
 
 # Eigenvalues within this distance of the lowest one span the degenerate
 # eigenspace.  Over every pair with an even photon number up to n = 7 and
-# every slope of a 400-point trace, that cluster spreads at most 8e-13 and the
-# next eigenvalue sits at least 1.5e-5 above it, so the cut falls well inside
-# the gap.
+# every slope of a 400-point trace, on the click states `trace_boundary`
+# solves, that cluster spreads at most 9.7e-13 and the next eigenvalue sits at
+# least 1.5e-5 above it, so the cut falls well inside the gap.
 _DEGENERACY_TOL = 1e-10
 
 # Slopes per stacked eigendecomposition, which bounds a trace's working memory.
@@ -158,7 +158,12 @@ def _quadratic_forms(vecs: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def _support_points(
-    minimized: np.ndarray, tie_break: np.ndarray, fd: np.ndarray, fe: np.ndarray
+    minimized: np.ndarray,
+    tie_break: np.ndarray,
+    fd: np.ndarray,
+    fe: np.ndarray,
+    outside: np.ndarray,
+    outside_dim: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points from minimizing a stack of operators, degeneracy resolved by another.
 
@@ -167,6 +172,15 @@ def _support_points(
     eigenspace yields the facet's extreme points (and some interior ones, all
     on the same supporting line).  Returns the (delta_m, eps_m) arrays of the
     points in stack order, each matrix's points in eigenvector order.
+
+    The operators act on `outside_dim` more dimensions that the stack leaves
+    out, where f_dbl is the identity, f_err is zero and matrix i of the stack
+    is `outside[i]` times the identity.  Where that value ties with the
+    matrix's lowest eigenvalue, each of those dimensions adds the point (1, 0)
+    after the matrix's own points.  That is where a dense solve puts them when
+    the tie-break is f_dbl, which is 1 there, its largest value.  (With f_err
+    as the tie-break they would come first, but the pure double-click
+    minimization, the one that uses it, never ties: see `trace_boundary`.)
 
     The matrices are grouped by the dimension k of their minimal eigenspace,
     and each group's compression and quadratic forms are stacked calls whose
@@ -189,7 +203,42 @@ def _support_points(
         group_eps = _quadratic_forms(vecs.mT, fe)
         for j, row in enumerate(rows):
             delta[row], eps[row] = group_delta[j], group_eps[j]
+    for row in np.flatnonzero(outside <= w[:, 0] + _DEGENERACY_TOL):
+        delta[row] = np.concatenate([delta[row], np.ones(outside_dim)])
+        eps[row] = np.concatenate([eps[row], np.zeros(outside_dim)])
     return np.concatenate(delta), np.concatenate(eps)
+
+
+# The four click states of one side span its whole (n+1)-dimensional space up
+# to this many photons (ranks 2, 3, 4 at n = 1, 2, 3), so no compression.
+_FULL_SPAN_PHOTONS = 3
+
+# Bound on |f_err P| and |P f_dbl P - P| entrywise, P the projector off the
+# click states, where both vanish exactly.  Each entry is a dot product of
+# length joint_dim <= 64 between rows of norm <= 1, so one product rounds by
+# at most gamma_64 = 64 u / (1 - 64 u) < 7.2e-15 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., eq. 3.5), and the operators, the
+# QR basis and P carry a few ulps more.  Measured: at most 5.6e-16 over every
+# pair with an even photon number under DIM_CAP.  A real leak is O(1).
+_COMPRESSION_TOL = 1e-12
+
+
+def _click_basis(n: int) -> np.ndarray:
+    """Orthonormal (n+1, r) basis of the span of one side's four click states.
+
+    The states are |H^n>, |V^n>, |D^n> and |A^n>, the `basis_state`s, whose
+    projectors are that side's bit outcomes.  For n <= `_FULL_SPAN_PHOTONS`
+    they span the whole space, and the basis is the identity.
+    """
+    if n <= _FULL_SPAN_PHOTONS:
+        return np.eye(n + 1)
+    states = np.column_stack([basis_state(n, w, b) for w in Basis for b in Bit])
+    return np.linalg.qr(states)[0]
+
+
+def _compress(op: np.ndarray, q: np.ndarray) -> np.ndarray:
+    compressed = q.T @ op @ q
+    return 0.5 * (compressed + compressed.T)
 
 
 def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
@@ -202,10 +251,23 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     for each slope lambda >= 0 the minimum-eigenvalue state of
     error + lambda * double_click supplies one boundary point.  The sweep uses
     lambda = 0, a logarithmic ladder, and a final pure double-click
-    minimization; results are ordered by lambda.  The slopes are
-    diagonalized in stacked blocks of `_LAMBDA_BLOCK`.  Every coordinate must
-    lie in [0, 1] and every row sum at most 1, each within 1e-10 (else
-    NumericalError); the coordinates are then clamped to [0, 1].
+    minimization; results are ordered by lambda.
+
+    Every bit outcome is a projector onto a click state |H^n>, |V^n>, |D^n>
+    or |A^n> of one side, so off the span Q of the joint click states error
+    is exactly 0 and double_click exactly the identity (checked to
+    `_COMPRESSION_TOL`, else NumericalError).  The slopes are therefore
+    diagonalized on Q alone, in stacked blocks of `_LAMBDA_BLOCK`: 16
+    dimensions instead of 42 for (5, 6).  The complement of Q has eigenvalue
+    lambda on slope lambda and 1 under the pure double-click minimization.
+    Q holds states that error annihilates (four linear conditions on at
+    least 8 dimensions), so its minimum is at most lambda: the complement
+    ties with it at lambda = 0, adding its points (1, 0), and lies above it
+    elsewhere.  For pairs with both photon numbers <= 3, Q is the whole space.
+
+    Every coordinate must lie in [0, 1] and every row sum at most 1, each
+    within 1e-10 (else NumericalError); the coordinates are then clamped to
+    [0, 1].
 
     Only pairs with at least one even photon number trace a curve; odd-odd
     pairs are rejected (their constraint is the scalar `min_double_click`).
@@ -218,13 +280,24 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
         raise ValueError("num_points must be >= 2")
     fe = f_err(pair)
     fd = f_dbl(pair)
+    q = np.kron(_click_basis(pair.n_a), _click_basis(pair.n_b))
+    # Since 0 <= f_dbl <= I, P f_dbl P = P also gives f_dbl P = P, so both
+    # operators are block diagonal across Q and its complement.
+    off = np.eye(pair.joint_dim) - q @ q.T
+    leak = max(np.max(np.abs(fe @ off)), np.max(np.abs(off @ fd @ off - off)))
+    if not leak <= _COMPRESSION_TOL:
+        raise NumericalError(
+            f"operators leak {float(leak):.3e} off the click states, above {_COMPRESSION_TOL}"
+        )
+    fe, fd = _compress(fe, q), _compress(fd, q)
+    outside_dim = pair.joint_dim - q.shape[1]
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
     blocks = [
-        _support_points(fe + block[:, None, None] * fd, fd, fd, fe)
+        _support_points(fe + block[:, None, None] * fd, fd, fd, fe, block, outside_dim)
         for block in np.split(lams, range(_LAMBDA_BLOCK, lams.size, _LAMBDA_BLOCK))
     ]
     # lambda -> infinity limit: minimize double clicks outright, then errors.
-    blocks.append(_support_points(fd[None], fe, fd, fe))
+    blocks.append(_support_points(fd[None], fe, fd, fe, np.ones(1), outside_dim))
     points = np.column_stack([np.concatenate(coords) for coords in zip(*blocks)])
     bad = ~((points >= -1e-10) & (points <= 1.0 + 1e-10)).all(axis=1)
     bad |= points.sum(axis=1) > 1.0 + 1e-10

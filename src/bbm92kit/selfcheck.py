@@ -96,8 +96,14 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     Only the full size requires the (1,2) points' interpolation onto 200
     points of [0, 1/3] to be within 1e-5 of g: at the quick size's 400 points
     the interpolation error alone is 3.4e-5, while every point lies on g to 1e-13.
+    The envelope's tangent point T must be where the line 1/4 - delta touches
+    g: g(T) = 1/4 - T and g'(T) = -1, each to 1e-12, with
+    g'(d) = -1/2 - (1 - 4d) / (2 sqrt(d (1 - 2d))) in closed form.
     """
     ok = abs(float(rates.g(0.0)) - 0.5) <= 1e-15 and abs(float(rates.g(1.0 / 3.0))) <= 1e-15
+    t = rates.TANGENT_DELTA
+    slope = -0.5 - (1.0 - 4.0 * t) / (2.0 * np.sqrt(t * (1.0 - 2.0 * t)))
+    ok &= abs(float(rates.g(t)) - (0.25 - t)) <= 1e-12 and abs(slope + 1.0) <= 1e-12
     deltas, epss = povm.trace_boundary(povm.PhotonPair(1, 2), 2000 if full else 400).T
     on_curve = deltas <= 1.0 / 3.0 + 1e-12
     dev = float(

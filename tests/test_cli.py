@@ -330,10 +330,22 @@ class TestOutputPlumbing:
                 ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
                 None, 2, "error: count must be >= 0, got -1",
             ),
+            (
+                ("attack", "--alpha", "nan", "--beta", "0"),
+                None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
+            ),
+            (
+                ("attack", "--alpha", "inf", "--beta", "0"),
+                None, 2, "error: alpha and beta must be finite, got alpha=inf, beta=0.0\n",
+            ),
+            (
+                ("simulate", "--source", "attack:nan,0,0.5", "--events", "10"),
+                None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
+            ),
         ],
         ids=[
             "infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key",
-            "negative-samples",
+            "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
         ],
     )
     def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
@@ -345,6 +357,25 @@ class TestOutputPlumbing:
         assert (code, out) == (exit_code, "")
         assert err.startswith(prefix)
 
+
+    @pytest.mark.parametrize(
+        "error, detail",
+        [
+            (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch, error, detail):
+        # A request too large for memory is refused like any other invalid
+        # argument, with one line on stderr and no traceback.
+        def too_large(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.povm, "trace_boundary", too_large)
+        code, out, err = run_cli(capsys, "tradeoff", "--na", "2", "--nb", "2", "--points", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: request too large to allocate ({detail})\n"
 
     @pytest.mark.parametrize(
         "line, argv",

@@ -22,6 +22,7 @@ from bbm92kit import (
 )
 from bbm92kit import povm
 from bbm92kit.errors import NumericalError
+from bbm92kit.fock import Bit
 from bbm92kit.povm import _DEGENERACY_TOL, _MEMBERSHIP_TOL, eigh_checked
 
 
@@ -39,6 +40,13 @@ ALL_PAIRS = [
     if (a + 1) * (b + 1) <= 64
 ]
 EVEN_PAIRS = [p for p in ALL_PAIRS if p.n_a % 2 == 0 or p.n_b % 2 == 0]
+# Every pair that traces a curve: one photon number even, joint dimension <= DIM_CAP.
+CAPPED_EVEN_PAIRS = [
+    PhotonPair(a, b)
+    for a in range(1, DIM_CAP)
+    for b in range(1, DIM_CAP)
+    if (a + 1) * (b + 1) <= DIM_CAP and (a % 2 == 0 or b % 2 == 0)
+]
 
 
 # Photon-number pairs whose 400-point boundaries the benchmark's operators
@@ -95,6 +103,18 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.nda
     # lambda -> infinity limit: minimize double clicks outright, then errors.
     points.extend(_reference_support_points(fd, fe, fd, fe))
     return np.array([[min(max(x, 0.0), 1.0) for x in point] for point in points])
+
+
+def _click_space(pair: PhotonPair) -> np.ndarray:
+    """Orthonormal basis Q of the joint click states, as `trace_boundary` builds it."""
+    return np.kron(povm._click_basis(pair.n_a), povm._click_basis(pair.n_b))
+
+
+def _lowest_clusters(fe: np.ndarray, fd: np.ndarray, num_points: int = 400):
+    """Spectra of the operators a trace minimizes, and each lowest cluster's dimension."""
+    lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
+    w = np.linalg.eigvalsh(np.concatenate([fe + lams[:, None, None] * fd, fd[None]]))
+    return lams, w, np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
 
 
 def phi_plus() -> np.ndarray:
@@ -254,8 +274,38 @@ class TestTraceBoundary:
     @pytest.mark.parametrize("num_points", [200, 400])
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_equals_reference(self, pair, num_points):
-        got = trace_boundary(PhotonPair(*pair), num_points)
-        assert np.array_equal(got, _reference_trace_boundary(PhotonPair(*pair), num_points))
+        """The stacked trace gives the per-slope dense trace's points, in its order.
+
+        Where both photon numbers are <= 3 the trace solves the full operators,
+        and the points are equal bit for bit.  Otherwise it solves them
+        compressed onto the click states, so the bits differ by construction,
+        and the bound is derived.  Each point is a pair of quadratic forms, of
+        operators with norm <= 1, at a unit vector from a backward-stable
+        eigensolve: its cluster spans the exact lowest eigenspace of a matrix
+        within |E| <= d u |A| of A (d <= joint_dim the dimension solved, u the
+        unit roundoff).  By Davis-Kahan that space turns by at most |E| / gap
+        from the exact one, gap the distance from the lowest cluster to the
+        next eigenvalue, and each quadratic form moves by at most twice the
+        angle.  Inside a cluster the points are the tie-break's eigenpairs;
+        where its eigenvalues tie, as on the mirror-image states of a facet,
+        the points coincide, so no smaller gap enters.  Both traces err so:
+        |delta| <= 4 d u max |A| / gap over the trace's matrices.  The gap is
+        the one `test_degeneracy_cut_sits_in_the_spectral_gap` pins; for
+        (5, 6) the bound is 3.1e-10, inside the benchmark's 1e-9 point check.
+        """
+        pair = PhotonPair(*pair)
+        got = trace_boundary(pair, num_points)
+        want = _reference_trace_boundary(pair, num_points)
+        if max(pair.n_a, pair.n_b) <= povm._FULL_SPAN_PHOTONS:
+            assert np.array_equal(got, want)
+            return
+        _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair), num_points)
+        rows = np.arange(len(w))
+        gap = w[rows, dims] - w[rows, dims - 1]
+        bound = 4 * pair.joint_dim * np.finfo(float).eps / 2 * np.max(np.abs(w).max(axis=1) / gap)
+        assert bound <= 1e-9
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= bound
 
     def test_returns_read_only_rows(self):
         points = trace_boundary(PhotonPair(1, 2), num_points=50)
@@ -286,17 +336,65 @@ class TestTraceBoundary:
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_degeneracy_cut_sits_in_the_spectral_gap(self, pair):
         # The lowest eigenvalue cluster of every operator a 400-point trace
-        # minimizes is far narrower than the cut, and the next eigenvalue is far
-        # above it, so the eigenspace dimension does not hinge on the cut's value.
+        # minimizes, on the full space as the reference solves it and on the
+        # click states as the trace does, is far narrower than the cut, and the
+        # next eigenvalue is far above it, so the eigenspace dimension does not
+        # hinge on the cut's value.
         fe = f_err(PhotonPair(*pair))
         fd = f_dbl(PhotonPair(*pair))
-        lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 400)])
-        w, _ = eigh_checked(np.concatenate([fe + lams[:, None, None] * fd, fd[None]]))
-        dims = np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
-        rows = np.arange(len(w))
-        assert np.all(dims < w.shape[1])
-        assert np.max(w[rows, dims - 1] - w[:, 0]) < _DEGENERACY_TOL / 10
-        assert np.min(w[rows, dims] - w[rows, dims - 1]) > 1e3 * _DEGENERACY_TOL
+        q = _click_space(PhotonPair(*pair))
+        for operators in ((fe, fd), (povm._compress(fe, q), povm._compress(fd, q))):
+            _, w, dims = _lowest_clusters(*operators)
+            rows = np.arange(len(w))
+            assert np.all(dims < w.shape[1])
+            assert np.max(w[rows, dims - 1] - w[:, 0]) < _DEGENERACY_TOL / 10
+            assert np.min(w[rows, dims] - w[rows, dims - 1]) > 1e3 * _DEGENERACY_TOL
+
+    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_click_state_compression_is_exact(self, pair):
+        # Off the click states f_err vanishes and f_dbl is the identity, and the
+        # click states' span has dimension min(n+1, 4) on each side.
+        q = _click_space(pair)
+        off = np.eye(pair.joint_dim) - q @ q.T
+        assert q.shape[1] == min(pair.n_a + 1, 4) * min(pair.n_b + 1, 4)
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
+        assert np.max(np.abs(f_err(pair) @ off)) <= povm._COMPRESSION_TOL
+        assert np.max(np.abs(off @ f_dbl(pair) @ off - off)) <= povm._COMPRESSION_TOL
+
+    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_complement_ties_only_at_zero_slope(self, pair):
+        # The complement of the click states has eigenvalue lambda on slope
+        # lambda and 1 under the pure double-click minimization.  It ties with
+        # the compressed minimum at lambda = 0 and sits far above it elsewhere,
+        # so which slopes gain its points does not hinge on the cut's value.
+        q = _click_space(pair)
+        fe, fd = povm._compress(f_err(pair), q), povm._compress(f_dbl(pair), q)
+        lams, w, _ = _lowest_clusters(fe, fd)
+        margins = np.append(lams, 1.0) - w[:, 0]
+        assert abs(margins[0]) < _DEGENERACY_TOL / 10
+        assert np.min(margins[1:]) >= 1e3 * _DEGENERACY_TOL
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda states: np.linalg.qr(states[:, :3])[0],
+            lambda states: np.eye(len(states))[:, 1:5],
+        ],
+        ids=["one-state-dropped", "occupation-states"],
+    )
+    def test_wrong_click_basis_raises(self, monkeypatch, wrong):
+        # A basis that misses the click states leaves part of f_err outside it.
+        right = povm._click_basis
+
+        def patched(n):
+            if n <= povm._FULL_SPAN_PHOTONS:
+                return right(n)
+            states = np.column_stack([povm.basis_state(n, w, b) for w in Basis for b in Bit])
+            return wrong(states)
+
+        monkeypatch.setattr(povm, "_click_basis", patched)
+        with pytest.raises(NumericalError, match="off the click states"):
+            trace_boundary(PhotonPair(5, 6), num_points=10)
 
 
 class TestEighChecked:

@@ -23,7 +23,7 @@ from bbm92kit import (
     tau_numeric,
     tau_numeric_array,
 )
-from bbm92kit import rates
+from bbm92kit import rates, selfcheck
 
 TANGENT = 1.0 / 6.0
 
@@ -148,6 +148,11 @@ class TestEnvelope:
         around = [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
         values = [multiphoton_envelope(float(x)) for x in around]
         assert max(values) - min(values) <= 1e-15
+
+    def test_selfcheck_catches_moved_tangent_point(self, monkeypatch):
+        assert selfcheck.check_tradeoff_boundary().passed
+        monkeypatch.setattr(rates, "TANGENT_DELTA", 1.0 / 6.0 + 1e-3)
+        assert not selfcheck.check_tradeoff_boundary().passed
 
     def test_envelope_below_curve(self):
         xs = np.linspace(0.0, 1.0 / 3.0, 100)
