@@ -113,7 +113,7 @@ def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         raise ValueError(f"state vanishes for alpha={float(alpha[i])!r}, beta={float(beta[i])!r}")
     chis = raw / norm[:, None]
     unit = _norms(chis)
-    i = _first_failure(np.abs(unit - 1.0) > 1e-12)
+    i = _first_failure(~(np.abs(unit - 1.0) <= 1e-12))  # stated as what holds: NaN fails
     if i is not None:
         raise ValueError(f"amplitudes must have unit norm, got {float(unit[i])!r}")
     return chis
@@ -167,7 +167,7 @@ def _attack_tensors(chis: np.ndarray) -> np.ndarray:
     pre = np.einsum("ae,nb->nabe", _phi_plus(), chis)
     psi = (build_v(1, 2) @ pre.reshape(-1, 6, 2)).reshape(-1, 2, 3, 2)
     norm = _norms(psi.reshape(-1, 12))
-    i = _first_failure(np.abs(norm - 1.0) > 1e-12)
+    i = _first_failure(~(np.abs(norm - 1.0) <= 1e-12))  # stated as what holds: NaN fails
     if i is not None:
         raise ValueError(f"state must have unit norm, got {float(norm[i])!r}")
     return psi

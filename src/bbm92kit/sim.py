@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -108,6 +109,9 @@ class SourceBranch:
         rho = np.array(self.rho, dtype=float)
         if rho.shape != (dim, dim):
             raise ValueError(f"density must be {dim}x{dim}, got {rho.shape}")
+        bad = ~np.isfinite(rho)  # NaN would pass every check below, and inf warn in them
+        if bad.any():
+            raise ValueError(f"density entries must be finite, got {float(rho[bad][0])!r}")
         if float(np.max(np.abs(rho - rho.T))) > 1e-10:
             raise ValueError("density matrix must be symmetric")
         rho = 0.5 * (rho + rho.T)
@@ -398,22 +402,33 @@ def analytic_fractions(source: SourceModel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Sampled and analytic key-rate figures for one simulated run."""
+    """Sampled and analytic key-rate figures for one simulated run.
+
+    The event count, sampled fractions and their standard errors are read from
+    the tally, and the key-rate gap from the two rates; none is stored twice.
+    """
 
     seed: int
     f_ec: float
-    num_events: int
     tally: SiftedTally
-    delta_hat: float
-    eps_hat: float
-    delta_se: float
-    eps_se: float
     sampled: rates.KeyRateResult | None
     analytic_delta: float
     analytic_eps: float
     analytic: rates.KeyRateResult | None
-    r_key_gap: float | None
     conjectured_rate_sampled: float | None
+
+    num_events = property(attrgetter("tally.n_events"))
+    delta_hat = property(attrgetter("tally.delta_hat"))
+    eps_hat = property(attrgetter("tally.eps_hat"))
+    delta_se = property(attrgetter("tally.delta_se"))
+    eps_se = property(attrgetter("tally.eps_se"))
+
+    @property
+    def r_key_gap(self) -> float | None:
+        """Sampled minus analytic key fraction, or None unless both are certified."""
+        if self.sampled is None or self.analytic is None:
+            return None
+        return self.sampled.r_key - self.analytic.r_key
 
 
 def _try_key_rate(delta: float, eps: float, f: float):
@@ -455,24 +470,13 @@ def end_to_end(
     rates._check_f(f)
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
-    sampled = _try_key_rate(tally.delta_hat, tally.eps_hat, f)
-    analytic = _try_key_rate(a_delta, a_eps, f)
-    gap = None
-    if sampled is not None and analytic is not None:
-        gap = sampled.r_key - analytic.r_key
     return SimulationReport(
         seed=seed,
         f_ec=f,
-        num_events=num_events,
         tally=tally,
-        delta_hat=tally.delta_hat,
-        eps_hat=tally.eps_hat,
-        delta_se=tally.delta_se,
-        eps_se=tally.eps_se,
-        sampled=sampled,
+        sampled=_try_key_rate(tally.delta_hat, tally.eps_hat, f),
         analytic_delta=a_delta,
         analytic_eps=a_eps,
-        analytic=analytic,
-        r_key_gap=gap,
+        analytic=_try_key_rate(a_delta, a_eps, f),
         conjectured_rate_sampled=_try_conjectured(tally.delta_hat, tally.eps_hat),
     )

@@ -196,17 +196,14 @@ class TestBuildV:
 
 
 class TestBoundaryState:
-    def test_bit_zero_component(self):
-        raw = basis_state(2, Basis.Z, Bit.ZERO) + basis_state(2, Basis.X, Bit.ZERO)
-        want = raw / np.linalg.norm(raw)
-        chi = boundary_state(1.0, 0.0)
-        assert np.allclose(chi, want, atol=1e-14)
+    @pytest.mark.parametrize(
+        "alpha, beta, bit", [(1.0, 0.0, Bit.ZERO), (0.0, 1.0, Bit.ONE)], ids=["bit-0", "bit-1"]
+    )
+    def test_component(self, alpha, beta, bit):
+        raw = basis_state(2, Basis.Z, bit) + basis_state(2, Basis.X, bit)
+        chi = boundary_state(alpha, beta)
+        assert np.allclose(chi, raw / np.linalg.norm(raw), atol=1e-14)
         assert chi.shape == (3,) and not chi.flags.writeable
-
-    def test_bit_one_component(self):
-        raw = basis_state(2, Basis.Z, Bit.ONE) + basis_state(2, Basis.X, Bit.ONE)
-        want = raw / np.linalg.norm(raw)
-        assert np.allclose(boundary_state(0.0, 1.0), want, atol=1e-14)
 
     def test_rejects_zero_state(self):
         with pytest.raises(ValueError):
@@ -214,22 +211,14 @@ class TestBoundaryState:
 
 
 class TestRunAttack:
-    def test_no_double_click_point(self):
-        result = run_attack(boundary_state(1.0, 1.0))
-        assert result.delta_m == pytest.approx(0.0, abs=1e-12)
-        assert result.eps_m == pytest.approx(0.5, abs=1e-12)
-        assert result.eve_bit_accuracy == pytest.approx(1.0, abs=1e-12)
-
-    def test_no_error_point(self):
-        result = run_attack(boundary_state(3.0, -1.0))
-        assert result.delta_m == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert result.eps_m == pytest.approx(0.0, abs=1e-12)
-        assert result.eve_bit_accuracy == pytest.approx(1.0, abs=1e-12)
-
-    def test_tangent_point(self):
-        result = run_attack(boundary_state(1.0, 0.0))
-        assert result.delta_m == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert result.eps_m == pytest.approx(1.0 / 12.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "alpha, beta, want",
+        [(1, 1, (0.0, 0.5, 1.0)), (3, -1, (1 / 3, 0.0, 1.0)), (1, 0, (1 / 6, 1 / 12, 1.0))],
+        ids=["no-double-click", "no-error", "tangent"],
+    )
+    def test_known_point(self, alpha, beta, want):
+        # want is (delta_m, eps_m, eve_bit_accuracy)
+        assert run_attack(boundary_state(alpha, beta)) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_states_give_perfect_eavesdropping(self, seed):

@@ -35,159 +35,134 @@ class TestGridSpec:
             cli.parse_grid("0:1:0")
 
 
-class TestTauCommand:
-    def test_origin_row(self, capsys):
-        code, out, _ = run_cli(capsys, "tau", "--delta", "0", "--eps", "0")
-        assert code == 0
-        header, rows = cli.read_table(out)
-        assert header == ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"]
-        assert rows[0]["tau_closed"] == 0
-        assert rows[0]["region"] == "a"
-
-    def test_error_free_grid_is_three_delta(self, capsys):
-        code, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.25:50", "--eps", "0")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        assert len(rows) == 50
-        for row in rows:
-            assert row["tau_closed"] == pytest.approx(3.0 * row["delta"], abs=1e-10)
-
-    def test_closed_and_numeric_agree(self, capsys):
-        code, out, _ = run_cli(capsys, "tau", "--delta", "0.05", "--eps", "0.02")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        assert abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5
-
-    def test_infeasible_grid_rows_are_labeled(self, capsys):
-        code, out, _ = run_cli(capsys, "tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        regions = [row["region"] for row in rows]
-        assert regions[0] == "b"
-        assert regions[-1] == "infeasible"
-        assert math.isnan(rows[-1]["tau_closed"])
+def _all(rows, pred) -> bool:
+    """Whether there are rows and pred holds on each."""
+    return bool(rows) and all(pred(row) for row in rows)
 
 
-class TestKeyrateCommand:
-    def test_zero_error_column(self, capsys):
-        code, out, _ = run_cli(capsys, "keyrate", "--delta-grid", "0:0.25:26", "--eps", "0")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        for row in rows:
-            assert row["r_key"] == pytest.approx(1.0 - 4.0 * row["delta"], abs=1e-10)
-        assert rows[-1]["r_key"] == pytest.approx(0.0, abs=1e-10)
+# One row per command run: argv, then the conditions on (header, rows, summary, stderr)
+# that must all hold; a JSON run's header is None and its summary the meta summary.
+COMMAND_CASES = {
+    "tau-origin-row": (
+        ("tau", "--delta", "0", "--eps", "0"),
+        lambda h, rows, s, err: [
+            h == ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"],
+            rows[0]["tau_closed"] == 0,
+            rows[0]["region"] == "a",
+        ],
+    ),
+    "tau-error-free-grid-is-three-delta": (
+        ("tau", "--delta-grid", "0:0.25:50", "--eps", "0"),
+        lambda h, rows, s, err: [
+            len(rows) == 50,
+            _all(rows, lambda r: r["tau_closed"] == pytest.approx(3.0 * r["delta"], abs=1e-10)),
+        ],
+    ),
+    "tau-closed-and-numeric-agree": (
+        ("tau", "--delta", "0.05", "--eps", "0.02"),
+        lambda h, rows, s, err: [abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5],
+    ),
+    "tau-infeasible-grid-rows-are-labeled": (
+        ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04"),
+        lambda h, rows, s, err: [
+            rows[0]["region"] == "b",
+            rows[-1]["region"] == "infeasible",
+            math.isnan(rows[-1]["tau_closed"]),
+        ],
+    ),
+    "keyrate-zero-error-column": (
+        ("keyrate", "--delta-grid", "0:0.25:26", "--eps", "0"),
+        lambda h, rows, s, err: [
+            _all(rows, lambda r: r["r_key"] == pytest.approx(1.0 - 4.0 * r["delta"], abs=1e-10)),
+            rows[-1]["r_key"] == pytest.approx(0.0, abs=1e-10),
+        ],
+    ),
+    "keyrate-upper-bound-dominates": (
+        ("keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9"),
+        lambda h, rows, s, err: [
+            _all(
+                [r for r in rows if r["region"] != "infeasible"],
+                lambda r: r["r_upper"] >= r["r_key"] - 1e-9,
+            )
+        ],
+    ),
+    "keyrate-perfect-row-and-conjectured-label": (
+        ("keyrate", "--delta", "0", "--eps", "0"),
+        lambda h, rows, s, err: [
+            rows[0]["r_key"] == 1.0,
+            rows[0]["r_upper"] == 1.0,
+            rows[0]["r_conjectured_random_assignment"] == 1.0,
+            any("conjectured" in name for name in h),
+        ],
+    ),
+    "tradeoff-odd-odd-routes-to-scalar": (
+        ("tradeoff", "--na", "1", "--nb", "3"),
+        lambda h, rows, s, err: [
+            rows[0]["min_double_click"] == pytest.approx(0.25, abs=1e-9), "0.25" in err
+        ],
+    ),
+    "tradeoff-one-two-boundary-summary": (
+        ("tradeoff", "--na", "1", "--nb", "2", "--points", "300"),
+        lambda h, rows, s, err: [
+            max(abs(r["eps_minus_bound"]) for r in rows if r["eps_minus_bound"] is not None)
+            <= 1e-5,
+            "membership" in err,
+        ],
+    ),
+    "tradeoff-two-two-respects-bound": (
+        ("tradeoff", "--na", "2", "--nb", "2", "--points", "200", "--format", "json"),
+        lambda h, rows, s, err: [
+            all(r["eps_minus_bound"] >= -1e-8 for r in rows if r["eps_minus_bound"] is not None),
+            s["random_states_inside"] == s["random_states_total"],
+        ],
+    ),
+    "attack-single-point": (
+        ("attack", "--alpha", "1", "--beta", "0"),
+        lambda h, rows, s, err: [
+            rows[0]["on_boundary"] is True, rows[0]["eve_bit_accuracy"] == 1.0
+        ],
+    ),
+    "attack-sweep-reports-coverage": (
+        ("attack", "--sweep", "400", "--format", "json"),
+        lambda h, rows, s, err: [
+            s["delta_min"] <= 1e-12,
+            s["delta_max"] >= 1.0 / 3.0 - 1e-12,
+            _all(rows, lambda r: r["eve_bit_accuracy"] == pytest.approx(1.0, abs=1e-12)),
+        ],
+    ),
+    "simulate-ideal-source": (
+        ("simulate", "--source", "ideal", "--events", "20000", "--seed", "3"),
+        lambda h, rows, s, err: [
+            rows[0]["delta_hat"] == 0 and rows[0]["eps_hat"] == 0,
+            rows[0]["r_key"] == 1.0,
+            rows[0]["seed"] == 3,
+        ],
+    ),
+    "simulate-werner-source": (
+        ("simulate", "--source", "werner:0.9", "--events", "100000", "--seed", "4"),
+        lambda h, rows, s, err: [abs(rows[0]["eps_hat"] - 0.05) <= 5.0 * rows[0]["eps_se"]],
+    ),
+    "simulate-attack-source-composition": (
+        ("simulate", "--source", "attack:1,0,0.5", "--events", "200000", "--seed", "5"),
+        lambda h, rows, s, err: [
+            abs(rows[0]["delta_hat"] - 0.5 / 6.0) <= 5.0 * rows[0]["delta_se"],
+            abs(rows[0]["eps_hat"] - 0.5 / 12.0) <= 5.0 * rows[0]["eps_se"],
+        ],
+    ),
+}
 
-    def test_upper_bound_dominates(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9"
-        )
-        assert code == 0
-        _, rows = cli.read_table(out)
-        feasible = [r for r in rows if r["region"] != "infeasible"]
-        assert feasible
-        for row in feasible:
-            assert row["r_upper"] >= row["r_key"] - 1e-9
 
-    def test_perfect_row_has_all_three_rates_equal_one(self, capsys):
-        code, out, _ = run_cli(capsys, "keyrate", "--delta", "0", "--eps", "0")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        row = rows[0]
-        assert row["r_key"] == 1.0
-        assert row["r_upper"] == 1.0
-        assert row["r_conjectured_random_assignment"] == 1.0
-
-    def test_conjectured_column_is_labeled(self, capsys):
-        _, out, _ = run_cli(capsys, "keyrate", "--delta", "0", "--eps", "0")
-        header, _ = cli.read_table(out)
-        assert any("conjectured" in name for name in header)
-
-
-class TestTradeoffCommand:
-    def test_odd_odd_routes_to_scalar(self, capsys):
-        code, out, err = run_cli(capsys, "tradeoff", "--na", "1", "--nb", "3")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        assert rows[0]["min_double_click"] == pytest.approx(0.25, abs=1e-9)
-        assert "0.25" in err
-
-    def test_one_two_boundary_summary(self, capsys):
-        code, out, err = run_cli(
-            capsys, "tradeoff", "--na", "1", "--nb", "2", "--points", "300"
-        )
-        assert code == 0
-        _, rows = cli.read_table(out)
-        devs = [abs(r["eps_minus_bound"]) for r in rows if r["eps_minus_bound"] is not None]
-        assert max(devs) <= 1e-5
-        assert "membership" in err
-
-    def test_two_two_respects_bound(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "tradeoff", "--na", "2", "--nb", "2", "--points", "200",
-            "--format", "json",
-        )
-        assert code == 0
+@pytest.mark.parametrize("argv, conditions", COMMAND_CASES.values(), ids=COMMAND_CASES)
+def test_command_output(capsys, argv, conditions):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if "json" in argv:
         payload = json.loads(out)
-        for row in payload["rows"]:
-            if row["eps_minus_bound"] is not None:
-                assert row["eps_minus_bound"] >= -1e-8
-        assert payload["meta"]["summary"]["random_states_inside"] == (
-            payload["meta"]["summary"]["random_states_total"]
-        )
-
-
-class TestAttackCommand:
-    def test_single_point(self, capsys):
-        code, out, _ = run_cli(capsys, "attack", "--alpha", "1", "--beta", "0")
-        assert code == 0
-        _, rows = cli.read_table(out)
-        row = rows[0]
-        assert row["on_boundary"] is True
-        assert row["eve_bit_accuracy"] == 1.0
-
-    def test_sweep_reports_coverage(self, capsys):
-        code, out, err = run_cli(capsys, "attack", "--sweep", "400", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        summary = payload["meta"]["summary"]
-        assert summary["delta_min"] <= 1e-12
-        assert summary["delta_max"] >= 1.0 / 3.0 - 1e-12
-        for row in payload["rows"]:
-            assert row["eve_bit_accuracy"] == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSimulateCommand:
-    def test_ideal_source(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--source", "ideal", "--events", "20000", "--seed", "3"
-        )
-        assert code == 0
-        _, rows = cli.read_table(out)
-        row = rows[0]
-        assert row["delta_hat"] == 0 and row["eps_hat"] == 0
-        assert row["r_key"] == 1.0
-        assert row["seed"] == 3
-
-    def test_werner_source(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--source", "werner:0.9", "--events", "100000",
-            "--seed", "4",
-        )
-        assert code == 0
-        _, rows = cli.read_table(out)
-        row = rows[0]
-        assert abs(row["eps_hat"] - 0.05) <= 5.0 * row["eps_se"]
-
-    def test_attack_source_composition(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--source", "attack:1,0,0.5", "--events", "200000",
-            "--seed", "5",
-        )
-        assert code == 0
-        _, rows = cli.read_table(out)
-        row = rows[0]
-        assert abs(row["delta_hat"] - 0.5 / 6.0) <= 5.0 * row["delta_se"]
-        assert abs(row["eps_hat"] - 0.5 / 12.0) <= 5.0 * row["eps_se"]
+        header, rows, summary = None, payload["rows"], payload["meta"]["summary"]
+    else:
+        (header, rows), summary = cli.read_table(out), None
+    failed = [i for i, held in enumerate(conditions(header, rows, summary, err)) if not held]
+    assert not failed, f"conditions {failed} do not hold"
 
 
 class TestOutputPlumbing:
@@ -357,7 +332,6 @@ class TestOutputPlumbing:
         assert (code, out) == (exit_code, "")
         assert err.startswith(prefix)
 
-
     @pytest.mark.parametrize(
         "error, detail",
         [
@@ -391,7 +365,6 @@ class TestOutputPlumbing:
             cli.main([*argv, "--config", str(config)])
         assert exc.value.code == 2
         assert "invalid" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5"])
     @pytest.mark.parametrize(

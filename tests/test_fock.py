@@ -49,19 +49,37 @@ def compositions(n: int):
             yield (first, *rest)
 
 
+def overlap(n, w1, b1, w2, b2) -> float:
+    return inner_product(basis_state(n, w1, b1), basis_state(n, w2, b2))
+
+
+Z, X, B0, B1 = Basis.Z, Basis.X, Bit.ZERO, Bit.ONE
+# call, expected amplitudes or overlap, absolute tolerance
+KNOWN_VALUES = {
+    "single-photon-z0": (lambda: basis_state(1, Z, B0), [0, 1], 1e-15),
+    "single-photon-z1": (lambda: basis_state(1, Z, B1), [1, 0], 1e-15),
+    "single-photon-x0": (lambda: basis_state(1, X, B0), [1 / SQ2, 1 / SQ2], 1e-15),
+    "single-photon-x1": (lambda: basis_state(1, X, B1), [-1 / SQ2, 1 / SQ2], 1e-15),
+    # expansion of the two-photon diagonal state
+    "two-photon-x0": (lambda: basis_state(2, X, B0), [0.5, 1 / SQ2, 0.5], 1e-15),
+    "overlap-1-x0-z0": (lambda: overlap(1, X, B0, Z, B0), 2**-0.5, 1e-12),
+    "overlap-2-x1-z1": (lambda: overlap(2, X, B1, Z, B1), 0.5, 1e-12),
+    "overlap-3-x1-z1": (lambda: overlap(3, X, B1, Z, B1), -(2**-1.5), 1e-12),
+    "multimode-1+1-x0-z0": (
+        lambda: multimode_inner_product(ModePartition((1, 1)), X, B0, Z, B0), 0.5, 1e-12
+    ),
+    "multimode-2+1-x1-z1": (
+        lambda: multimode_inner_product(ModePartition((2, 1)), X, B1, Z, B1), -(2**-1.5), 1e-12
+    ),
+}
+
+
+@pytest.mark.parametrize("call, want, tol", KNOWN_VALUES.values(), ids=KNOWN_VALUES)
+def test_known_value(call, want, tol):
+    assert np.allclose(call(), want, rtol=0.0, atol=tol)
+
+
 class TestBasisState:
-    def test_single_photon_z(self):
-        assert np.allclose(basis_state(1, Basis.Z, Bit.ZERO), [0, 1])
-        assert np.allclose(basis_state(1, Basis.Z, Bit.ONE), [1, 0])
-
-    def test_single_photon_x(self):
-        assert np.allclose(basis_state(1, Basis.X, Bit.ZERO), [1 / SQ2, 1 / SQ2])
-        assert np.allclose(basis_state(1, Basis.X, Bit.ONE), [-1 / SQ2, 1 / SQ2])
-
-    def test_two_photon_x(self):
-        # expansion of the two-photon diagonal state
-        assert np.allclose(basis_state(2, Basis.X, Bit.ZERO), [0.5, 1 / SQ2, 0.5], atol=1e-15)
-
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("b", [Bit.ZERO, Bit.ONE])
     def test_x_states_match_ladder_oracle(self, n, b):
@@ -97,31 +115,18 @@ class TestBasisState:
 
 
 class TestInnerProduct:
-    def test_known_overlap_values(self):
-        assert inner_product(
-            basis_state(1, Basis.X, Bit.ZERO), basis_state(1, Basis.Z, Bit.ZERO)
-        ) == pytest.approx(2**-0.5, abs=1e-12)
-        assert inner_product(
-            basis_state(2, Basis.X, Bit.ONE), basis_state(2, Basis.Z, Bit.ONE)
-        ) == pytest.approx(0.5, abs=1e-12)
-        assert inner_product(
-            basis_state(3, Basis.X, Bit.ONE), basis_state(3, Basis.Z, Bit.ONE)
-        ) == pytest.approx(-(2**-1.5), abs=1e-12)
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_overlap_law(self, n):
         for b in Bit:
             for b2 in Bit:
-                got = inner_product(basis_state(n, Basis.X, b), basis_state(n, Basis.Z, b2))
+                got = overlap(n, Basis.X, b, Basis.Z, b2)
                 want = (-1.0) ** (int(b) * int(b2) * n) * 2.0 ** (-n / 2.0)
                 assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("w", [Basis.Z, Basis.X])
     def test_same_basis_orthogonality(self, n, w):
-        assert inner_product(
-            basis_state(n, w, Bit.ZERO), basis_state(n, w, Bit.ONE)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert overlap(n, w, Bit.ZERO, w, Bit.ONE) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_mismatched_photon_numbers(self):
         with pytest.raises(ValueError):
@@ -129,18 +134,6 @@ class TestInnerProduct:
 
 
 class TestMultimode:
-    def test_two_single_photon_modes(self):
-        got = multimode_inner_product(
-            ModePartition((1, 1)), Basis.X, Bit.ZERO, Basis.Z, Bit.ZERO
-        )
-        assert got == pytest.approx(0.5, abs=1e-12)
-
-    def test_two_one_split_of_three(self):
-        got = multimode_inner_product(
-            ModePartition((2, 1)), Basis.X, Bit.ONE, Basis.Z, Bit.ONE
-        )
-        assert got == pytest.approx(-(2**-1.5), abs=1e-12)
-
     def test_degenerate_partition(self):
         for w1, b1, w2, b2 in [
             (Basis.X, Bit.ZERO, Basis.Z, Bit.ONE),
@@ -148,7 +141,7 @@ class TestMultimode:
             (Basis.X, Bit.ONE, Basis.X, Bit.ZERO),
         ]:
             got = multimode_inner_product(ModePartition((3,)), w1, b1, w2, b2)
-            want = inner_product(basis_state(3, w1, b1), basis_state(3, w2, b2))
+            want = overlap(3, w1, b1, w2, b2)
             assert got == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 7))

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bbm92kit import (
     ObservedStats,
     SourceBranch,
     SourceModel,
+    attack_state,
     binary_entropy,
     boundary_state,
     conjectured_random_assignment_rate,
@@ -18,6 +20,7 @@ from bbm92kit import (
     multiphoton_envelope,
     rate_table,
     region_of,
+    run_attack,
     tau_closed_form,
     tau_low,
     tau_numeric,
@@ -39,47 +42,56 @@ def feasible_grid(n_delta: int, n_eps: int):
                 yield stats
 
 
+ORIGIN = ObservedStats(0.0, 0.0)
+# call, expected value, and the absolute tolerance or None for exact equality
+KNOWN_VALUES = {
+    "binary_entropy-0": (lambda: binary_entropy(0.0), 0.0, None),
+    "binary_entropy-1": (lambda: binary_entropy(1.0), 0.0, None),
+    "binary_entropy-half": (lambda: binary_entropy(0.5), 1.0, None),
+    # frozen from 40-digit evaluation of -x log2 x - (1-x) log2(1-x)
+    "binary_entropy-0.11": (lambda: binary_entropy(0.11), 0.4999159581645280, 1e-12),
+    "binary_entropy-0.11-direct": (
+        lambda: binary_entropy(0.11), -(0.11 * math.log2(0.11) + 0.89 * math.log2(0.89)), 1e-15
+    ),
+    "g-0": (lambda: g(0.0), 0.5, 1e-15),
+    "g-third": (lambda: g(1.0 / 3.0), 0.0, 1e-15),
+    "g-quarter": (lambda: g(0.25), 0.375 - math.sqrt(0.125), 1e-15),
+    "g-quarter-frozen": (lambda: g(0.25), 0.0214466094067262, 1e-13),
+    "tau_closed_form-origin": (lambda: tau_closed_form(ORIGIN).tau, 0.0, None),
+    "tau_closed_form-origin-region": (lambda: tau_closed_form(ORIGIN).region, "a", None),
+    "tau_closed_form-has-no-key-flag": (lambda: tau_closed_form(ORIGIN).has_key, None, None),
+    "tau_numeric-origin": (lambda: tau_numeric(ORIGIN), 0.0, 1e-12),
+    # only xi = 3 delta admits a zero error rate, giving 2 delta
+    "tau_low-error-free-line": (lambda: tau_low(ObservedStats(0.1, 0.0)), 0.2, 1e-9),
+    "key_rate-perfect": (lambda: key_rate(ORIGIN, f=1.0).r_key, 1.0, None),
+    "key_rate-perfect-has-key": (lambda: key_rate(ORIGIN, f=1.0).has_key, True, None),
+    "conjectured-perfect": (lambda: conjectured_random_assignment_rate(ORIGIN), 1.0, None),
+    "conjectured-saturated": (
+        lambda: conjectured_random_assignment_rate(ObservedStats(0.2, 0.4)), -1.0, 1e-12
+    ),
+    "conjectured-direct": (
+        lambda: conjectured_random_assignment_rate(ObservedStats(0.1, 0.05)),
+        1.0 - 2.0 * binary_entropy(0.1),
+        1e-12,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, want, tol", KNOWN_VALUES.values(), ids=KNOWN_VALUES)
+def test_known_value(call, want, tol):
+    assert call() == (want if tol is None else pytest.approx(want, abs=tol))
+
+
 class TestBinaryEntropy:
-    def test_endpoints_and_maximum(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == 1.0
-
-    def test_direct_evaluation(self):
-        # frozen from 40-digit evaluation of -x log2 x - (1-x) log2(1-x)
-        assert binary_entropy(0.11) == pytest.approx(0.4999159581645280, abs=1e-12)
-        direct = -(0.11 * math.log2(0.11) + 0.89 * math.log2(0.89))
-        assert binary_entropy(0.11) == pytest.approx(direct, abs=1e-15)
-
     def test_symmetry(self):
         xs = np.linspace(0.0, 1.0, 101)
         assert np.allclose(binary_entropy(xs), binary_entropy(1.0 - xs), atol=1e-13)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.01)
-        with pytest.raises(ValueError):
-            binary_entropy(1.01)
-
 
 class TestTradeoffCurve:
-    def test_endpoints(self):
-        assert g(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert g(1.0 / 3.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quarter_point(self):
-        assert g(0.25) == pytest.approx(0.375 - math.sqrt(0.125), abs=1e-15)
-        assert g(0.25) == pytest.approx(0.0214466094067262, abs=1e-13)
-
     def test_monotone_decreasing(self):
         xs = np.linspace(0.0, 1.0 / 3.0, 200)
         assert np.all(np.diff(g(xs)) < 0.0)
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            g(0.34)
-        with pytest.raises(ValueError):
-            g(-0.01)
 
 
 class TestEps1Star:
@@ -184,11 +196,6 @@ class TestRegions:
 
 
 class TestTauClosedForm:
-    def test_origin(self):
-        result = tau_closed_form(ObservedStats(0.0, 0.0))
-        assert result.tau == 0.0
-        assert result.region == "a"
-
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.25, 11))
     def test_error_free_line(self, d):
         assert tau_closed_form(ObservedStats(float(d), 0.0)).tau == pytest.approx(
@@ -218,9 +225,6 @@ class TestTauClosedForm:
 
 
 class TestTauNumeric:
-    def test_origin(self):
-        assert tau_numeric(ObservedStats(0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-
     def test_cross_validation_point(self):
         stats = ObservedStats(0.05, 0.02)
         assert tau_numeric(stats) == pytest.approx(
@@ -235,10 +239,6 @@ class TestTauNumeric:
         feasible = table.feasible
         numeric = tau_numeric_array(d[feasible], e[feasible], resolution=1000)
         assert np.max(np.abs(table.tau[feasible] - numeric)) <= 1e-5
-
-    def test_infeasible_raises(self):
-        with pytest.raises(InfeasibleError, match="certified domain"):
-            tau_numeric(ObservedStats(0.0, 0.7))
 
     @pytest.mark.parametrize("d", [2.06e-61, 1e-20, 1e-16, 1e-12, 2.4e-10])
     def test_tiny_delta_without_errors(self, d):
@@ -269,21 +269,8 @@ class TestTauLow:
         for stats in feasible_grid(30, 30):
             assert tau_closed_form(stats).tau >= tau_low(stats) - 1e-9
 
-    def test_error_free_line_value(self):
-        # only xi = 3 delta admits a zero error rate, giving 2 delta
-        assert tau_low(ObservedStats(0.1, 0.0)) == pytest.approx(0.2, abs=1e-9)
-
-    def test_infeasible_for_large_delta(self):
-        with pytest.raises(InfeasibleError):
-            tau_low(ObservedStats(0.4, 0.05))
-
 
 class TestKeyRate:
-    def test_perfect_statistics(self):
-        result = key_rate(ObservedStats(0.0, 0.0), f=1.0)
-        assert result.r_key == 1.0
-        assert result.has_key
-
     def test_junction_value(self):
         e1 = eps1_star()
         result = key_rate(ObservedStats(0.0, e1))
@@ -326,76 +313,97 @@ class TestKeyRate:
             second = np.diff(first)
             assert np.max(np.abs(second)) <= 0.1 * np.min(np.abs(first))
 
-    def test_infeasible_raises(self):
-        with pytest.raises(InfeasibleError):
-            key_rate(ObservedStats(0.3, 0.05))
 
-    def test_rejects_bad_f(self):
-        for f in (0.9, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite and >= 1"):
-                key_rate(ObservedStats(0.0, 0.0), f=f)
-            with pytest.raises(ValueError, match="finite and >= 1"):
-                rate_table([0.0], [0.0], f=f)
-
-
-class TestConjecturedRate:
-    def test_perfect_statistics(self):
-        assert conjectured_random_assignment_rate(ObservedStats(0.0, 0.0)) == 1.0
-
-    def test_saturated_entropy(self):
-        assert conjectured_random_assignment_rate(
-            ObservedStats(0.2, 0.4)
-        ) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_direct_value(self):
-        got = conjectured_random_assignment_rate(ObservedStats(0.1, 0.05))
-        assert got == pytest.approx(1.0 - 2.0 * binary_entropy(0.1), abs=1e-12)
-
-    def test_rejects_domain_violation(self):
-        with pytest.raises(ValueError):
-            conjectured_random_assignment_rate(ObservedStats(0.4, 0.35))
-
-
-class TestObservedStats:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservedStats(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            ObservedStats(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ObservedStats(0.7, 0.4)
-
-
-def _no_admissible_split(monkeypatch):
+def _no_admissible_split():
     # tau_numeric's second message: a feasible row whose search finds no split
-    monkeypatch.setattr(rates, "tau_numeric_array", lambda d, e, resolution: np.array([np.nan]))
-    tau_numeric(ObservedStats(np.float64(0.1), np.float64(0.05)))
+    with mock.patch.object(rates, "tau_numeric_array", lambda *args: np.array([np.nan])):
+        tau_numeric(ObservedStats(np.float64(0.1), np.float64(0.05)))
 
 
-F64, RHO = np.float64, np.eye(4) / 4.0
+def _density(i: int, j: int, value: float) -> np.ndarray:
+    """The 4x4 maximally mixed density with entries (i, j) and (j, i) set to value."""
+    rho = np.eye(4) / 4.0
+    rho[i, j] = rho[j, i] = value
+    return rho
+
+
+F64, RHO, NAN_CHI = np.float64, np.eye(4) / 4.0, np.array([math.nan, 0.0, 0.0])
 ABOVE_ONE = "1.0204081632653061"  # the first value of np.linspace(0, 2, 50) above 1
-PLAIN_FLOAT_CASES = {
-    "branch-weight": (lambda mp: SourceBranch(F64(1.5), 1, 1, RHO), "got 1.5"),
-    "weight-sum": (lambda mp: SourceModel.custom([(F64(0.5), 1, 1, RHO)]), "got 0.5"),
-    "werner": (lambda mp: SourceModel.werner(F64(1.5)), "got 1.5"),
-    "eve_attack": (lambda mp: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), "got 2.0"),
-    "binary_entropy": (lambda mp: binary_entropy(F64(1.5)), "]: 1.5"),
-    "binary_entropy-array": (lambda mp: binary_entropy(np.linspace(0, 2, 50)), ABOVE_ONE),
-    "g": (lambda mp: g(F64(0.5)), "]: 0.5"),
-    "envelope-array": (lambda mp: multiphoton_envelope(np.linspace(0, 2, 50)), ABOVE_ONE),
-    "ObservedStats": (lambda mp: ObservedStats(F64(1.5), F64(0.0)), "(delta=1.5, eps=0.0)"),
-    "tau_low": (lambda mp: tau_low(ObservedStats(F64(0.5), F64(0.1))), "delta=0.5"),
-    "tau_numeric": (lambda mp: tau_numeric(ObservedStats(F64(0.3), F64(0.5))), "delta=0.3, "),
-    "tau_numeric-no-split": (_no_admissible_split, "(delta=0.1, eps=0.05)"),
-    "key_rate": (lambda mp: key_rate(ObservedStats(F64(0.3), F64(0.5))), "(delta=0.3, eps=0.5)"),
-    "key_rate-f": (lambda mp: key_rate(ObservedStats(0.0, 0.0), F64(0.5)), "got 0.5"),
+# call, the exact exception type it raises and a fragment of its message
+REJECTION_CASES = {
+    "branch-weight": (lambda: SourceBranch(F64(1.5), 1, 1, RHO), ValueError, "got 1.5"),
+    "weight-sum": (lambda: SourceModel.custom([(F64(0.5), 1, 1, RHO)]), ValueError, "got 0.5"),
+    "density-nan": (
+        lambda: SourceModel.custom([(1.0, 1, 1, _density(0, 1, math.nan))]), ValueError, "got nan"
+    ),
+    "density-inf-diagonal": (
+        lambda: SourceBranch(1.0, 1, 1, _density(2, 2, math.inf)), ValueError, "finite, got inf"
+    ),
+    "werner": (lambda: SourceModel.werner(F64(1.5)), ValueError, "got 1.5"),
+    "eve_attack": (
+        lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
+    ),
+    "run_attack-nan": (lambda: run_attack(NAN_CHI), ValueError, "unit norm, got nan"),
+    "attack_state-nan": (lambda: attack_state(NAN_CHI), ValueError, "unit norm, got nan"),
+    "binary_entropy": (lambda: binary_entropy(F64(1.5)), ValueError, "]: 1.5"),
+    "binary_entropy-below": (lambda: binary_entropy(-0.01), ValueError, "]: -0.01"),
+    "binary_entropy-above": (lambda: binary_entropy(1.01), ValueError, "]: 1.01"),
+    "binary_entropy-array": (lambda: binary_entropy(np.linspace(0, 2, 50)), ValueError, ABOVE_ONE),
+    "g": (lambda: g(F64(0.5)), ValueError, "]: 0.5"),
+    "g-above": (lambda: g(0.34), ValueError, "]: 0.34"),
+    "g-below": (lambda: g(-0.01), ValueError, "]: -0.01"),
+    "envelope-array": (lambda: multiphoton_envelope(np.linspace(0, 2, 50)), ValueError, ABOVE_ONE),
+    "ObservedStats": (
+        lambda: ObservedStats(F64(1.5), F64(0.0)), ValueError, "(delta=1.5, eps=0.0)"
+    ),
+    "ObservedStats-negative-delta": (
+        lambda: ObservedStats(-0.1, 0.0), ValueError, "(delta=-0.1, eps=0.0)"
+    ),
+    "ObservedStats-eps-one": (lambda: ObservedStats(0.0, 1.0), ValueError, "(delta=0.0, eps=1.0)"),
+    "ObservedStats-sum-above-one": (
+        lambda: ObservedStats(0.7, 0.4), ValueError, "(delta=0.7, eps=0.4)"
+    ),
+    "tau_low": (lambda: tau_low(ObservedStats(F64(0.5), F64(0.1))), InfeasibleError, "delta=0.5"),
+    "tau_low-large-delta": (
+        lambda: tau_low(ObservedStats(0.4, 0.05)), InfeasibleError, "delta=0.4"
+    ),
+    "tau_numeric": (
+        lambda: tau_numeric(ObservedStats(F64(0.3), F64(0.5))), InfeasibleError, "delta=0.3, "
+    ),
+    "tau_numeric-infeasible": (
+        lambda: tau_numeric(ObservedStats(0.0, 0.7)), InfeasibleError, "certified domain"
+    ),
+    "tau_numeric-no-split": (_no_admissible_split, InfeasibleError, "(delta=0.1, eps=0.05)"),
+    "key_rate": (
+        lambda: key_rate(ObservedStats(F64(0.3), F64(0.5))),
+        InfeasibleError,
+        "(delta=0.3, eps=0.5)",
+    ),
+    "key_rate-infeasible": (
+        lambda: key_rate(ObservedStats(0.3, 0.05)), InfeasibleError, "no certified key rate"
+    ),
+    "key_rate-f": (lambda: key_rate(ORIGIN, F64(0.5)), ValueError, "got 0.5"),
+    **{
+        f"{name}-f={f}": (lambda call=call, f=f: call(f), ValueError, "finite and >= 1")
+        for name, call in [
+            ("key_rate", lambda f: key_rate(ORIGIN, f=f)),
+            ("rate_table", lambda f: rate_table([0.0], [0.0], f=f)),
+        ]
+        for f in (0.9, math.nan, math.inf, -math.inf)
+    },
+    "conjectured-domain": (
+        lambda: conjectured_random_assignment_rate(ObservedStats(0.4, 0.35)),
+        ValueError,
+        "exceeds 1/2",
+    ),
 }
 
 
-@pytest.mark.parametrize("call, shown", PLAIN_FLOAT_CASES.values(), ids=PLAIN_FLOAT_CASES)
-def test_errors_print_plain_floats(call, shown, monkeypatch):
+@pytest.mark.parametrize("call, error, shown", REJECTION_CASES.values(), ids=REJECTION_CASES)
+def test_errors_print_plain_floats(call, error, shown):
     # A numpy scalar or array argument shows in the message as its offending float alone.
-    with pytest.raises(ValueError) as raised:
-        call(monkeypatch)
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
     assert shown in str(raised.value)
     assert "np.float64(" not in str(raised.value) and "array(" not in str(raised.value)

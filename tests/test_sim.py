@@ -558,6 +558,7 @@ class TestEndToEnd:
         report = end_to_end(source, 20000, f=1.0, seed=20)
         assert report.sampled is None
         assert report.analytic is None
+        assert report.r_key_gap is None
 
     def test_all_double_click_source_is_infeasible(self):
         # Alice double-clicks in Z, Bob in X: every sifted event is discarded,
@@ -609,7 +610,7 @@ class TestEndToEnd:
     def test_seed_is_echoed_and_deterministic(self):
         a = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
         b = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
-        assert a.seed == 21
+        assert a.seed == 21 and a.num_events == 30000
         assert a.tally == b.tally
         assert a.sampled == b.sampled
 
