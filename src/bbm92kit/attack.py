@@ -103,6 +103,11 @@ def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"alpha and beta must be finite, got alpha={float(alpha[i])!r}, beta={float(beta[i])!r}"
         )
+    # (alpha, beta) only sets a direction: scaling both by the same power of
+    # two is exact, and brings the larger into [1/2, 1) so no sum overflows or
+    # vanishes.  (0, 0) stays zero.
+    exponent = np.frexp(np.maximum(np.abs(alpha), np.abs(beta)))[1]
+    alpha, beta = np.ldexp(alpha, -exponent), np.ldexp(beta, -exponent)
     raw = np.zeros((alpha.size, 3))
     for bit0, bit1 in (_BOB_BASIS[:2], _BOB_BASIS[2:]):
         raw += alpha[:, None] * bit0
@@ -122,7 +127,8 @@ def _boundary_states(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def boundary_state(alpha: float, beta: float) -> np.ndarray:
     """Normalized sum over both bases of alpha |0_W> + beta |1_W> on two photons.
 
-    Returns the read-only (3,) amplitudes.  These states hand the attacker
+    Returns the read-only (3,) amplitudes; only the direction of a nonzero
+    finite (alpha, beta) counts.  These states hand the attacker
     every point of the lower trade-off boundary as (alpha, beta) sweeps the
     unit circle.
     """

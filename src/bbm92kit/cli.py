@@ -76,7 +76,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
+    if getattr(args, "config", None):
         config = _read_config(args.config)
         for key in config:
             if not hasattr(args, key):
@@ -169,27 +169,6 @@ def _emit(args, columns: dict[str, list], meta_extra=None, summary_lines=()) -> 
             fh.write(text)
 
 
-def read_table(text: str) -> tuple[list[str], list[dict]]:
-    """Parse a CSV table produced by this tool back into typed rows."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    rows = []
-    for record in reader:
-        row = {}
-        for key, cell in zip(header, record):
-            if cell == "":
-                row[key] = None
-            elif cell in ("true", "false"):
-                row[key] = cell == "true"
-            else:
-                try:
-                    row[key] = int(cell) if cell.lstrip("+-").isdigit() else float(cell)
-                except ValueError:
-                    row[key] = cell
-        rows.append(row)
-    return header, rows
-
-
 def _grid_values(scalar, grid_spec, name: str) -> np.ndarray:
     if scalar is not None and grid_spec is not None:
         raise ValueError(f"give either --{name} or --{name}-grid, not both")
@@ -257,6 +236,8 @@ def _cells(values: np.ndarray) -> list:
 
 
 def _cmd_tradeoff(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     pair = povm.PhotonPair(args.na, args.nb)
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         value = povm.min_double_click(pair)
@@ -375,6 +356,7 @@ def _cmd_simulate(args) -> int:
     if args.events < 1:
         raise ValueError(f"--events must be >= 1, got {args.events}")
     rates._check_f(args.f, "--f")
+    sim._check_seed(args.seed, "--seed")
     report = sim.end_to_end(source, args.events, f=args.f, seed=args.seed)
     row = {
         "source": args.source,
@@ -481,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(p_self)
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -91,17 +91,42 @@ def outcome_projectors(n: int, w: Basis) -> np.ndarray:
     Each projector is exactly symmetric: an outer product of one state with
     itself, or the identity minus two such.
     """
-    states = [basis_state(n, w, b) for b in (Bit.ZERO, Bit.ONE)]
-    p0, p1 = (np.outer(s, s) for s in states)
-    stack = np.array([p0, p1, np.eye(n + 1) - p0 - p1])
+    return _projector_stack(*(basis_state(n, w, b) for b in (Bit.ZERO, Bit.ONE)))
+
+
+def _projector_stack(state0: np.ndarray, state1: np.ndarray) -> np.ndarray:
+    p0, p1 = np.outer(state0, state0), np.outer(state1, state1)
+    stack = np.array([p0, p1, np.eye(len(state0)) - p0 - p1])
     stack.setflags(write=False)
     return stack
 
 
-def _joint_sum(pair: PhotonPair, same_bit: bool) -> np.ndarray:
-    total = np.zeros((pair.joint_dim, pair.joint_dim))
+@cache
+def _span_projectors(n: int, w: Basis) -> np.ndarray:
+    """Read-only stack of one side's `outcome_projectors` on the span of its click states.
+
+    The bit outcomes project onto the click states |H^n>, |V^n>, |D^n> and
+    |A^n>.  For n <= 3 the (n+1)-dimensional Fock space is no larger than
+    their span, and the stack is `outcome_projectors` itself.  For n >= 4 it
+    is 4x4: the states' Gram matrix G follows from the overlap law alone
+    (<H|V> = <D|A> = 0, <H|D> = <H|A> = <V|D> = 2^(-n/2) and
+    <V|A> = (-1)^n 2^(-n/2)), and the columns of its Cholesky factor R,
+    R^T R = G, are the states' coordinates in an orthonormal basis of the
+    span (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    """
+    if n <= 3:
+        return outcome_projectors(n, w)
+    s = 2.0 ** (-n / 2.0)
+    t = (-1) ** n * s
+    gram = np.array([[1.0, 0.0, s, s], [0.0, 1.0, s, t], [s, s, 1.0, 0.0], [s, t, 0.0, 1.0]])
+    r = np.linalg.cholesky(gram).T
+    return _projector_stack(*(r[:, :2] if w is Basis.Z else r[:, 2:]).T)
+
+
+def _joint_sum(pair: PhotonPair, same_bit: bool, projectors=outcome_projectors) -> np.ndarray:
+    total = 0.0
     for w in (Basis.Z, Basis.X):
-        proj_a, proj_b = outcome_projectors(pair.n_a, w), outcome_projectors(pair.n_b, w)
+        proj_a, proj_b = projectors(pair.n_a, w), projectors(pair.n_b, w)
         for b in (Bit.ZERO, Bit.ONE):
             total += np.kron(proj_a[b], proj_b[b if same_bit else 1 - b])
     return 0.5 * total
@@ -144,7 +169,7 @@ def min_double_click(pair: PhotonPair) -> float:
 # Eigenvalues within this distance of the lowest one span the degenerate
 # eigenspace.  Over every pair with an even photon number up to n = 7 and
 # every slope of a 400-point trace, on the click states `trace_boundary`
-# solves, that cluster spreads at most 9.7e-13 and the next eigenvalue sits at
+# solves, that cluster spreads at most 6.8e-13 and the next eigenvalue sits at
 # least 1.5e-5 above it, so the cut falls well inside the gap.
 _DEGENERACY_TOL = 1e-10
 
@@ -209,38 +234,6 @@ def _support_points(
     return np.concatenate(delta), np.concatenate(eps)
 
 
-# The four click states of one side span its whole (n+1)-dimensional space up
-# to this many photons (ranks 2, 3, 4 at n = 1, 2, 3), so no compression.
-_FULL_SPAN_PHOTONS = 3
-
-# Bound on |f_err P| and |P f_dbl P - P| entrywise, P the projector off the
-# click states, where both vanish exactly.  Each entry is a dot product of
-# length joint_dim <= 64 between rows of norm <= 1, so one product rounds by
-# at most gamma_64 = 64 u / (1 - 64 u) < 7.2e-15 (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., eq. 3.5), and the operators, the
-# QR basis and P carry a few ulps more.  Measured: at most 5.6e-16 over every
-# pair with an even photon number under DIM_CAP.  A real leak is O(1).
-_COMPRESSION_TOL = 1e-12
-
-
-def _click_basis(n: int) -> np.ndarray:
-    """Orthonormal (n+1, r) basis of the span of one side's four click states.
-
-    The states are |H^n>, |V^n>, |D^n> and |A^n>, the `basis_state`s, whose
-    projectors are that side's bit outcomes.  For n <= `_FULL_SPAN_PHOTONS`
-    they span the whole space, and the basis is the identity.
-    """
-    if n <= _FULL_SPAN_PHOTONS:
-        return np.eye(n + 1)
-    states = np.column_stack([basis_state(n, w, b) for w in Basis for b in Bit])
-    return np.linalg.qr(states)[0]
-
-
-def _compress(op: np.ndarray, q: np.ndarray) -> np.ndarray:
-    compressed = q.T @ op @ q
-    return 0.5 * (compressed + compressed.T)
-
-
 def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     """Trace the lower boundary of the achievable (delta_m, eps_m) region.
 
@@ -255,15 +248,16 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
 
     Every bit outcome is a projector onto a click state |H^n>, |V^n>, |D^n>
     or |A^n> of one side, so off the span Q of the joint click states error
-    is exactly 0 and double_click exactly the identity (checked to
-    `_COMPRESSION_TOL`, else NumericalError).  The slopes are therefore
-    diagonalized on Q alone, in stacked blocks of `_LAMBDA_BLOCK`: 16
-    dimensions instead of 42 for (5, 6).  The complement of Q has eigenvalue
-    lambda on slope lambda and 1 under the pure double-click minimization.
-    Q holds states that error annihilates (four linear conditions on at
-    least 8 dimensions), so its minimum is at most lambda: the complement
-    ties with it at lambda = 0, adding its points (1, 0), and lies above it
-    elsewhere.  For pairs with both photon numbers <= 3, Q is the whole space.
+    is exactly 0 and double_click exactly the identity.  Both operators are
+    therefore built on Q alone, from the per-side stacks of
+    `_span_projectors` (the click states' Cholesky coordinates for n >= 4,
+    the Fock basis for n <= 3), and the slopes are diagonalized there in
+    stacked blocks of `_LAMBDA_BLOCK`: 16 dimensions instead of 42 for
+    (5, 6).  The complement of Q has eigenvalue lambda on slope lambda and 1
+    under the pure double-click minimization.  Q holds states that error
+    annihilates (four linear conditions on at least 8 dimensions), so its
+    minimum is at most lambda: the complement ties with it at lambda = 0,
+    adding one point (1, 0) per dimension, and lies above it elsewhere.
 
     Every coordinate must lie in [0, 1] and every row sum at most 1, each
     within 1e-10 (else NumericalError); the coordinates are then clamped to
@@ -278,19 +272,9 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
         )
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    fe = f_err(pair)
-    fd = f_dbl(pair)
-    q = np.kron(_click_basis(pair.n_a), _click_basis(pair.n_b))
-    # Since 0 <= f_dbl <= I, P f_dbl P = P also gives f_dbl P = P, so both
-    # operators are block diagonal across Q and its complement.
-    off = np.eye(pair.joint_dim) - q @ q.T
-    leak = max(np.max(np.abs(fe @ off)), np.max(np.abs(off @ fd @ off - off)))
-    if not leak <= _COMPRESSION_TOL:
-        raise NumericalError(
-            f"operators leak {float(leak):.3e} off the click states, above {_COMPRESSION_TOL}"
-        )
-    fe, fd = _compress(fe, q), _compress(fd, q)
-    outside_dim = pair.joint_dim - q.shape[1]
+    fe = _joint_sum(pair, False, _span_projectors)
+    fd = np.eye(len(fe)) - _joint_sum(pair, True, _span_projectors) - fe
+    outside_dim = pair.joint_dim - len(fe)
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
     blocks = [
         _support_points(fe + block[:, None, None] * fd, fd, fd, fe, block, outside_dim)

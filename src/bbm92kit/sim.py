@@ -193,6 +193,12 @@ def _party_projectors(n: int, w: Basis) -> tuple[np.ndarray, tuple[int, ...]]:
     return outcome_projectors(n, w), codes
 
 
+def _check_seed(seed: int, name: str = "seed") -> None:
+    # the Philox key is 128 bits
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"{name} must be in [0, 2**128), got {seed}")
+
+
 def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Raw Philox words for events [start, start+count): uint64, shape (count, 4).
 
@@ -201,6 +207,7 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     Philox counter block yields exactly the four words of one event, so any
     chunking of the event range reproduces the same per-event draws.
     """
+    _check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     bitgen = np.random.Philox(key=seed, counter=[start, 0, 0, 0])

@@ -39,6 +39,8 @@ SQ2 = math.sqrt(2.0)
 
 
 def _reference_boundary_state(alpha: float, beta: float) -> np.ndarray:
+    exponent = math.frexp(max(abs(alpha), abs(beta)))[1]
+    alpha, beta = math.ldexp(alpha, -exponent), math.ldexp(beta, -exponent)
     raw = np.zeros(3)
     for w in (Basis.Z, Basis.X):
         raw += alpha * basis_state(2, w, Bit.ZERO)
@@ -303,12 +305,15 @@ class TestStackedKernelMatchesReference:
         betas = np.array([0.0, 0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="state vanishes for alpha=0.0, beta=0.0"):
             _boundary_states(alphas, betas)
-        # |raw|^2 overflows, so the state normalizes to zero and fails the unit-norm check.
-        with np.errstate(over="ignore"):
-            overflow = _reference_rows([1.0, 1e200], [0.0, 0.0])
-            with pytest.raises(ValueError, match="amplitudes must have unit norm, got 0.0"):
-                _boundary_states(np.array([1.0, 1e200]), np.zeros(2))
-        assert str(overflow) == "amplitudes must have unit norm, got 0.0"
+        # Only the direction of (alpha, beta) counts, however large or small:
+        # both are scaled exactly by a power of two first, so alpha = 1e200
+        # gives the state of its mantissa bit for bit, and that of 1 to an ulp.
+        for scale in (1e200, 1e-200, 5e-324):
+            chis = _boundary_states(np.array([1.0, scale, math.frexp(scale)[0]]), np.zeros(3))
+            assert np.array_equal(chis[1], chis[2])
+            assert np.array_equal(chis[0], boundary_state(1.0, 0.0))
+            assert np.max(np.abs(chis[1] - chis[0])) <= np.finfo(float).eps
+            assert np.array_equal(_reference_boundary_state(scale, 0.0), chis[1])
         chis = _boundary_states(alphas[:2], betas[:2])
         chis[1] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="state must have unit norm"):

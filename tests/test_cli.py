@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,6 +25,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_table(text: str) -> tuple[list[str], list[dict]]:
+    """Parse a CSV table the CLI wrote back into typed rows."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    rows = []
+    for record in reader:
+        row = {}
+        for key, cell in zip(header, record):
+            if cell == "":
+                row[key] = None
+            elif cell in ("true", "false"):
+                row[key] = cell == "true"
+            else:
+                try:
+                    row[key] = int(cell) if cell.lstrip("+-").isdigit() else float(cell)
+                except ValueError:
+                    row[key] = cell
+        rows.append(row)
+    return header, rows
+
+
 class TestGridSpec:
     def test_inclusive_endpoints(self):
         grid = cli.parse_grid("0:0.25:6")
@@ -40,12 +63,12 @@ def _all(rows, pred) -> bool:
     return bool(rows) and all(pred(row) for row in rows)
 
 
-# One row per command run: argv, then the conditions on (header, rows, summary, stderr)
-# that must all hold; a JSON run's header is None and its summary the meta summary.
+# One row per command run: argv, then the conditions on (header, rows, meta, stderr)
+# that must all hold; a CSV run's meta is None and a JSON run's header is None.
 COMMAND_CASES = {
     "tau-origin-row": (
         ("tau", "--delta", "0", "--eps", "0"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             h == ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"],
             rows[0]["tau_closed"] == 0,
             rows[0]["region"] == "a",
@@ -53,33 +76,48 @@ COMMAND_CASES = {
     ),
     "tau-error-free-grid-is-three-delta": (
         ("tau", "--delta-grid", "0:0.25:50", "--eps", "0"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             len(rows) == 50,
             _all(rows, lambda r: r["tau_closed"] == pytest.approx(3.0 * r["delta"], abs=1e-10)),
         ],
     ),
     "tau-closed-and-numeric-agree": (
         ("tau", "--delta", "0.05", "--eps", "0.02"),
-        lambda h, rows, s, err: [abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5],
+        lambda h, rows, m, err: [abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5],
+    ),
+    "tau-json-meta": (
+        ("tau", "--delta", "0", "--eps", "0", "--format", "json"),
+        lambda h, rows, m, err: [
+            m["command"] == "tau",
+            m["flags"]["delta"] == 0.0,
+            "version" in m,
+            rows[0]["region"] == "a",
+        ],
     ),
     "tau-infeasible-grid-rows-are-labeled": (
         ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             rows[0]["region"] == "b",
             rows[-1]["region"] == "infeasible",
             math.isnan(rows[-1]["tau_closed"]),
         ],
     ),
+    "tau-json-infeasible-rows-are-null-not-nan": (
+        ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04", "--format", "json"),
+        lambda h, rows, m, err: [
+            rows[-1]["region"] == "infeasible", rows[-1]["tau_closed"] is None
+        ],
+    ),
     "keyrate-zero-error-column": (
         ("keyrate", "--delta-grid", "0:0.25:26", "--eps", "0"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             _all(rows, lambda r: r["r_key"] == pytest.approx(1.0 - 4.0 * r["delta"], abs=1e-10)),
             rows[-1]["r_key"] == pytest.approx(0.0, abs=1e-10),
         ],
     ),
     "keyrate-upper-bound-dominates": (
         ("keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             _all(
                 [r for r in rows if r["region"] != "infeasible"],
                 lambda r: r["r_upper"] >= r["r_key"] - 1e-9,
@@ -88,7 +126,7 @@ COMMAND_CASES = {
     ),
     "keyrate-perfect-row-has-all-three-rates-equal-one": (
         ("keyrate", "--delta", "0", "--eps", "0"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             rows[0]["r_key"] == 1.0,
             rows[0]["r_upper"] == 1.0,
             rows[0]["r_conjectured_random_assignment"] == 1.0,
@@ -96,17 +134,17 @@ COMMAND_CASES = {
     ),
     "keyrate-conjectured-column-is-labeled": (
         ("keyrate", "--delta", "0", "--eps", "0"),
-        lambda h, rows, s, err: [any("conjectured" in name for name in h)],
+        lambda h, rows, m, err: [any("conjectured" in name for name in h)],
     ),
     "tradeoff-odd-odd-routes-to-scalar": (
         ("tradeoff", "--na", "1", "--nb", "3"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             rows[0]["min_double_click"] == pytest.approx(0.25, abs=1e-9), "0.25" in err
         ],
     ),
     "tradeoff-one-two-boundary-summary": (
         ("tradeoff", "--na", "1", "--nb", "2", "--points", "300"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             max(abs(r["eps_minus_bound"]) for r in rows if r["eps_minus_bound"] is not None)
             <= 1e-5,
             "membership" in err,
@@ -114,28 +152,28 @@ COMMAND_CASES = {
     ),
     "tradeoff-two-two-respects-bound": (
         ("tradeoff", "--na", "2", "--nb", "2", "--points", "200", "--format", "json"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             all(r["eps_minus_bound"] >= -1e-8 for r in rows if r["eps_minus_bound"] is not None),
-            s["random_states_inside"] == s["random_states_total"],
+            m["summary"]["random_states_inside"] == m["summary"]["random_states_total"],
         ],
     ),
     "attack-single-point": (
         ("attack", "--alpha", "1", "--beta", "0"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             rows[0]["on_boundary"] is True, rows[0]["eve_bit_accuracy"] == 1.0
         ],
     ),
     "attack-sweep-reports-coverage": (
         ("attack", "--sweep", "400", "--format", "json"),
-        lambda h, rows, s, err: [
-            s["delta_min"] <= 1e-12,
-            s["delta_max"] >= 1.0 / 3.0 - 1e-12,
+        lambda h, rows, m, err: [
+            m["summary"]["delta_min"] <= 1e-12,
+            m["summary"]["delta_max"] >= 1.0 / 3.0 - 1e-12,
             _all(rows, lambda r: r["eve_bit_accuracy"] == pytest.approx(1.0, abs=1e-12)),
         ],
     ),
     "simulate-ideal-source": (
         ("simulate", "--source", "ideal", "--events", "20000", "--seed", "3"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             rows[0]["delta_hat"] == 0 and rows[0]["eps_hat"] == 0,
             rows[0]["r_key"] == 1.0,
             rows[0]["seed"] == 3,
@@ -143,11 +181,11 @@ COMMAND_CASES = {
     ),
     "simulate-werner-source": (
         ("simulate", "--source", "werner:0.9", "--events", "100000", "--seed", "4"),
-        lambda h, rows, s, err: [abs(rows[0]["eps_hat"] - 0.05) <= 5.0 * rows[0]["eps_se"]],
+        lambda h, rows, m, err: [abs(rows[0]["eps_hat"] - 0.05) <= 5.0 * rows[0]["eps_se"]],
     ),
     "simulate-attack-source-composition": (
         ("simulate", "--source", "attack:1,0,0.5", "--events", "200000", "--seed", "5"),
-        lambda h, rows, s, err: [
+        lambda h, rows, m, err: [
             abs(rows[0]["delta_hat"] - 0.5 / 6.0) <= 5.0 * rows[0]["delta_se"],
             abs(rows[0]["eps_hat"] - 0.5 / 12.0) <= 5.0 * rows[0]["eps_se"],
         ],
@@ -160,11 +198,12 @@ def test_command_output(capsys, argv, conditions):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     if "json" in argv:
+        assert "NaN" not in out  # an infeasible cell is null
         payload = json.loads(out)
-        header, rows, summary = None, payload["rows"], payload["meta"]["summary"]
+        header, rows, meta = None, payload["rows"], payload["meta"]
     else:
-        (header, rows), summary = cli.read_table(out), None
-    failed = [i for i, held in enumerate(conditions(header, rows, summary, err)) if not held]
+        (header, rows), meta = read_table(out), None
+    failed = [i for i, held in enumerate(conditions(header, rows, meta, err)) if not held]
     assert not failed, f"conditions {failed} do not hold"
 
 
@@ -224,17 +263,14 @@ class TestOutputPlumbing:
 
     def test_csv_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.2:7", "--eps-grid", "0:0.05:4")
-        header, rows = cli.read_table(out)
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        header, rows = read_table(out)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([cli._fmt_cell(row[c]) for c in header])
         assert buf.getvalue() == out
-        header2, rows2 = cli.read_table(buf.getvalue())
+        header2, rows2 = read_table(buf.getvalue())
         for r1, r2 in zip(rows, rows2):
             for c in header:
                 v1, v2 = r1[c], r2[c]
@@ -242,28 +278,6 @@ class TestOutputPlumbing:
                     assert math.isnan(v2)
                 else:
                     assert v1 == v2
-
-    def test_json_meta(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "tau", "--delta", "0", "--eps", "0", "--format", "json"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["meta"]["command"] == "tau"
-        assert payload["meta"]["flags"]["delta"] == 0.0
-        assert "version" in payload["meta"]
-        assert payload["rows"][0]["region"] == "a"
-
-    def test_json_infeasible_rows_are_null_not_nan(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04",
-            "--format", "json",
-        )
-        assert code == 0
-        assert "NaN" not in out
-        payload = json.loads(out)
-        assert payload["rows"][-1]["region"] == "infeasible"
-        assert payload["rows"][-1]["tau_closed"] is None
 
     def test_out_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "table.csv"
@@ -284,13 +298,13 @@ class TestOutputPlumbing:
             capsys, "simulate", "--source", "ideal", "--config", str(config)
         )
         assert code == 0
-        _, rows = cli.read_table(out1)
+        _, rows = read_table(out1)
         assert rows[0]["seed"] == 77 and rows[0]["events"] == 5000
         code, out2, _ = run_cli(
             capsys, "simulate", "--source", "ideal", "--config", str(config),
             "--seed", "78",
         )
-        _, rows2 = cli.read_table(out2)
+        _, rows2 = read_table(out2)
         assert rows2[0]["seed"] == 78  # flag overrides config
 
     @pytest.mark.parametrize(
@@ -320,10 +334,32 @@ class TestOutputPlumbing:
                 ("simulate", "--source", "attack:nan,0,0.5", "--events", "10"),
                 None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
             ),
+            (
+                ("simulate", "--source", "ideal", "--events", "10", "--seed", "-1"),
+                None, 2, "error: --seed must be in [0, 2**128), got -1\n",
+            ),
+            (
+                ("simulate", "--source", "ideal", "--events", "10"),
+                "seed = -1", 2, "error: --seed must be in [0, 2**128), got -1\n",
+            ),
+            (
+                ("simulate", "--source", "ideal", "--events", "10", "--seed", str(2**128)),
+                None, 2, f"error: --seed must be in [0, 2**128), got {2**128}\n",
+            ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "2", "--seed", "-1"),
+                None, 2, "error: --seed must be >= 0, got -1\n",
+            ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "2"),
+                "seed = -1", 2, "error: --seed must be >= 0, got -1\n",
+            ),
         ],
         ids=[
             "infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key",
             "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
+            "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
+            "negative-tradeoff-seed", "negative-tradeoff-seed-config",
         ],
     )
     def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
@@ -477,6 +513,31 @@ class TestSelftestCommand:
         assert code == 0
         assert out.count("[PASS]") == 10
         assert out.splitlines()[-1] == "10/10 checks passed"
+
+    def test_output_is_pinned(self, capsys):
+        # the exact text of every check's detail line, which a change must keep
+        # or state why it moves
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3b5cdbef0182391a522271301026a5d91bd71bede4500d26d961b3c544aa4389"
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--out", "f.json", "--format", "json"), ("--config", "run.cfg")],
+        ids=["output-flags", "config"],
+    )
+    def test_rejects_flags_it_would_ignore(self, capsys, tmp_path, monkeypatch, flags):
+        # selftest prints its checks as text to stdout, so it takes no output
+        # or config flags; they are unknown arguments, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", *flags])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failing_check_exits_4(self, capsys, monkeypatch):
         failed = selfcheck.CheckResult("tangency error rate", False, "forced failure")

@@ -22,7 +22,7 @@ from bbm92kit import (
 )
 from bbm92kit import povm
 from bbm92kit.errors import NumericalError
-from bbm92kit.fock import Bit
+from bbm92kit.fock import Bit, basis_state
 from bbm92kit.povm import _DEGENERACY_TOL, _MEMBERSHIP_TOL, eigh_checked
 
 
@@ -105,9 +105,50 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.nda
     return np.array([[min(max(x, 0.0), 1.0) for x in point] for point in points])
 
 
-def _click_space(pair: PhotonPair) -> np.ndarray:
-    """Orthonormal basis Q of the joint click states, as `trace_boundary` builds it."""
-    return np.kron(povm._click_basis(pair.n_a), povm._click_basis(pair.n_b))
+def _click_coordinates(n: int) -> np.ndarray:
+    """Orthonormal basis S R^-1 of one side's click states S, or the Fock basis for n <= 3.
+
+    R is the Cholesky factor of the states' Gram matrix S^T S, so the click
+    states have coordinates R in it, as `povm._span_projectors` places them.
+    """
+    if n <= 3:
+        return np.eye(n + 1)
+    states = np.column_stack([basis_state(n, w, b) for w in Basis for b in Bit])
+    r = np.linalg.cholesky(states.T @ states).T
+    return np.linalg.solve(r.T, states.T).T
+
+
+def _span_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray]:
+    """f_err and f_dbl on the click states, as `trace_boundary` builds them."""
+    fe = povm._joint_sum(pair, False, povm._span_projectors)
+    return fe, np.eye(len(fe)) - povm._joint_sum(pair, True, povm._span_projectors) - fe
+
+
+# Bound on each entry of Q^T f Q - f_span, f P and P f_dbl P - P, Q the joint
+# click-state basis and P = I - Q Q^T the projector off it, for f = f_err and
+# f_dbl, where all vanish exactly.  Each entry is a dot product of length
+# joint_dim <= 64 between rows of norm <= 1, so one product rounds by at most
+# gamma_64 = 64 u / (1 - 64 u) < 7.2e-15 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., eq. 3.5), and the operators, the Cholesky
+# factors, Q and P carry a few ulps more.  Measured: at most 6.7e-16 over every
+# pair in CAPPED_EVEN_PAIRS.  A real leak or a wrong coordinate is O(1).
+_SPAN_TOL = 1e-12
+
+
+def _check_click_span(pair: PhotonPair, side_basis=_click_coordinates) -> None:
+    """Assert that the dense operators live on the click states and equal the span ones there.
+
+    Since 0 <= f_dbl <= I, P f_dbl P = P also gives f_dbl P = P, so both
+    operators are block diagonal across Q and its complement.
+    """
+    q = np.kron(side_basis(pair.n_a), side_basis(pair.n_b))
+    fe, fd = f_err(pair), f_dbl(pair)
+    off = np.eye(pair.joint_dim) - q @ q.T
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
+    leak = max(np.max(np.abs(fe @ off)), np.max(np.abs(off @ fd @ off - off)))
+    assert leak <= _SPAN_TOL, f"operators leak {leak:.3e} off the click states"
+    for dense, span in zip((fe, fd), _span_operators(pair)):
+        assert np.max(np.abs(q.T @ dense @ q - span)) <= _SPAN_TOL
 
 
 def _lowest_clusters(fe: np.ndarray, fd: np.ndarray, num_points: int = 400):
@@ -296,7 +337,7 @@ class TestTraceBoundary:
         pair = PhotonPair(*pair)
         got = trace_boundary(pair, num_points)
         want = _reference_trace_boundary(pair, num_points)
-        if max(pair.n_a, pair.n_b) <= povm._FULL_SPAN_PHOTONS:
+        if max(pair.n_a, pair.n_b) <= 3:
             assert np.array_equal(got, want)
             return
         _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair), num_points)
@@ -340,10 +381,8 @@ class TestTraceBoundary:
         # click states as the trace does, is far narrower than the cut, and the
         # next eigenvalue is far above it, so the eigenspace dimension does not
         # hinge on the cut's value.
-        fe = f_err(PhotonPair(*pair))
-        fd = f_dbl(PhotonPair(*pair))
-        q = _click_space(PhotonPair(*pair))
-        for operators in ((fe, fd), (povm._compress(fe, q), povm._compress(fd, q))):
+        pair = PhotonPair(*pair)
+        for operators in ((f_err(pair), f_dbl(pair)), _span_operators(pair)):
             _, w, dims = _lowest_clusters(*operators)
             rows = np.arange(len(w))
             assert np.all(dims < w.shape[1])
@@ -352,14 +391,12 @@ class TestTraceBoundary:
 
     @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_click_state_compression_is_exact(self, pair):
-        # Off the click states f_err vanishes and f_dbl is the identity, and the
-        # click states' span has dimension min(n+1, 4) on each side.
-        q = _click_space(pair)
-        off = np.eye(pair.joint_dim) - q @ q.T
-        assert q.shape[1] == min(pair.n_a + 1, 4) * min(pair.n_b + 1, 4)
-        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
-        assert np.max(np.abs(f_err(pair) @ off)) <= povm._COMPRESSION_TOL
-        assert np.max(np.abs(off @ f_dbl(pair) @ off - off)) <= povm._COMPRESSION_TOL
+        # In the click states' basis Q = S R^-1 the dense f_err and f_dbl are
+        # the operators `trace_boundary` builds from the overlap law; off Q
+        # f_err vanishes and f_dbl is the identity.  The span has dimension
+        # min(n+1, 4) on each side.
+        assert len(_span_operators(pair)[0]) == min(pair.n_a + 1, 4) * min(pair.n_b + 1, 4)
+        _check_click_span(pair)
 
     @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_complement_ties_only_at_zero_slope(self, pair):
@@ -367,9 +404,7 @@ class TestTraceBoundary:
         # lambda and 1 under the pure double-click minimization.  It ties with
         # the compressed minimum at lambda = 0 and sits far above it elsewhere,
         # so which slopes gain its points does not hinge on the cut's value.
-        q = _click_space(pair)
-        fe, fd = povm._compress(f_err(pair), q), povm._compress(f_dbl(pair), q)
-        lams, w, _ = _lowest_clusters(fe, fd)
+        lams, w, _ = _lowest_clusters(*_span_operators(pair))
         margins = np.append(lams, 1.0) - w[:, 0]
         assert abs(margins[0]) < _DEGENERACY_TOL / 10
         assert np.min(margins[1:]) >= 1e3 * _DEGENERACY_TOL
@@ -382,19 +417,16 @@ class TestTraceBoundary:
         ],
         ids=["one-state-dropped", "occupation-states"],
     )
-    def test_wrong_click_basis_raises(self, monkeypatch, wrong):
-        # A basis that misses the click states leaves part of f_err outside it.
-        right = povm._click_basis
+    def test_wrong_click_basis_raises(self, wrong):
+        # A basis that misses the click states leaves part of f_err outside it,
+        # so the check above is not vacuous.
+        def side_basis(n):
+            if n <= 3:
+                return np.eye(n + 1)
+            return wrong(np.column_stack([basis_state(n, w, b) for w in Basis for b in Bit]))
 
-        def patched(n):
-            if n <= povm._FULL_SPAN_PHOTONS:
-                return right(n)
-            states = np.column_stack([povm.basis_state(n, w, b) for w in Basis for b in Bit])
-            return wrong(states)
-
-        monkeypatch.setattr(povm, "_click_basis", patched)
-        with pytest.raises(NumericalError, match="off the click states"):
-            trace_boundary(PhotonPair(5, 6), num_points=10)
+        with pytest.raises(AssertionError, match="off the click states"):
+            _check_click_span(PhotonPair(5, 6), side_basis)
 
 
 class TestEighChecked:

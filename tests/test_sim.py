@@ -171,6 +171,14 @@ class TestRandomnessContract:
         want = np.random.Generator(bitgen).random((1000, 4))
         assert np.array_equal(_uniforms(event_uniforms(seed, start, 1000)), want)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "past-128-bits"])
+    def test_rejects_seed_outside_the_key_range(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*128\), got {seed}$"):
+            event_uniforms(seed, 0, 1)
+        with pytest.raises(ValueError, match="^seed must be in"):
+            run_protocol(SourceModel.ideal_pair(), 10, seed=seed)
+        assert event_uniforms(2**128 - 1, 0, 1).shape == (1, 4)
+
     def test_high_uint16_is_top_16_bits(self):
         words = event_uniforms(5, 0, 1 << 16)
         assert np.array_equal(sim._high_uint16(words), words >> 48)
