@@ -287,10 +287,31 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+# Bound r on the rounding error of an attack's delta_m (u = 2**-53).  delta_m = 1 - eps_m
+# - cor_m: two subtractions of numbers <= 1, 2u.  eps_m and cor_m are half sums of squared
+# overlaps o = <b|chi> of the unit state chi with the four bit states.  Each o is a 3-term
+# dot product of unit vectors, off by at most gamma_3 ~ 3u, so its square is off by at most
+# 2 gamma_3 |o| + u o**2, and each sum adds u times its terms.  As |o_0| + |o_1| <= sqrt(2)
+# in each basis and all squares sum to <= 2, the two fractions are off by at most
+# 2 sqrt(2) gamma_3 + 2u < 11u together.  chi's norm is 1 within about 7u, which moves the
+# fractions of the unit state by as much.  So |delta_m - delta| < 20u = 10 eps (measured:
+# at most 1.9 eps over `attack --sweep 4096`, against a 50-digit evaluation); r = 16 eps.
+_DELTA_ROUNDING = 16 * np.finfo(float).eps
+
+
 def _attack_columns(alpha, beta, delta_m, eps_m, accuracy) -> tuple[dict[str, list], np.ndarray]:
-    """Attack table columns from per-point arrays, and the mask of points on the curve g."""
-    bound = _g_bounds(delta_m)
-    on_boundary = np.abs(eps_m - bound) <= 1e-9
+    """Attack table columns from per-point arrays, and the mask of points on the curve g.
+
+    A point is on the curve when eps_m is within 1e-9 of g(delta) for some
+    delta within the rounding r of delta_m.  g decreases, so that is
+    g(delta_m + r) - 1e-9 <= eps_m <= g(delta_m - r) + 1e-9: by the mean
+    value theorem, the 1e-9 widened by |g'| * r.  A fixed tolerance alone
+    misses the curve's delta = 0 end, where g' is infinite: ``--alpha 1
+    --beta 1`` gives delta_m = 2**-52 and eps_m 1.5e-8 above g(delta_m).
+    """
+    shifts = _DELTA_ROUNDING * np.array([[0.0], [1.0], [-1.0]])
+    bound, low, high = _g_bounds(np.maximum(delta_m + shifts, 0.0))  # NaN off the domain
+    on_boundary = (low - 1e-9 <= eps_m) & (eps_m <= high + 1e-9)
     columns = {
         "alpha": alpha.tolist(),
         "beta": beta.tolist(),

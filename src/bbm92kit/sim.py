@@ -17,15 +17,15 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 
 import numpy as np
 
 from . import rates
-from .attack import attack_density
+from .attack import _phi_plus, attack_density
 from .errors import InfeasibleError
-from .fock import Basis, Bit, basis_state
+from .fock import Basis
 from .povm import capped_joint_dim, outcome_projectors
 
 _DRAWS_PER_EVENT = 4
@@ -124,13 +124,13 @@ class SourceBranch:
         object.__setattr__(self, "rho", rho)
 
 
+@cache
 def _phi_plus_density() -> np.ndarray:
-    phi = np.zeros(4)
-    for bit in (Bit.ZERO, Bit.ONE):
-        amp = basis_state(1, Basis.Z, bit)
-        phi += np.kron(amp, amp)
-    phi /= np.sqrt(2.0)
-    return np.outer(phi, phi)
+    """Read-only 4x4 density of the single-photon pair (|00> + |11>)/sqrt(2)."""
+    phi = _phi_plus().ravel()  # outer(amp, amp).ravel() is kron(amp, amp), entry for entry
+    rho = np.outer(phi, phi)
+    rho.setflags(write=False)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +183,6 @@ class SourceModel:
 
 
 _BASES = (Basis.Z, Basis.X)
-
-
-def _party_projectors(n: int, w: Basis) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One party's stacked outcome projectors and their outcome codes; n = 0 is vacuum."""
-    if n == 0:
-        return np.eye(1)[None], (Outcome.NO_DETECTION.value,)
-    codes = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
-    return outcome_projectors(n, w), codes
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
@@ -247,70 +239,94 @@ class _Kernel:
     branch_guide: np.ndarray
 
 
-def _guide(cuts: np.ndarray) -> np.ndarray:
-    """Count of the sorted ``cuts`` <= each bucket's left edge, -1 where a cut splits it."""
-    counts = np.searchsorted(cuts, np.arange(_GUIDE_SIZE) / _GUIDE_SIZE, side="right")
+def _guides(cuts: np.ndarray) -> np.ndarray:
+    """Per row of sorted ``cuts``, the count <= each bucket's left edge; -1 where one splits it."""
+    rows, width = cuts.shape
     scaled = cuts * _GUIDE_SIZE  # exact: a power-of-two scale
+    # c <= k / 2**12 exactly when ceil(c * 2**12) <= k, so a row's count steps up by one at
+    # bucket ceil(c * 2**12) of each cut (cuts at or past 1, the 2.0 padding among them,
+    # never), and count j fills the run of buckets from step j to step j + 1
+    steps = np.minimum(np.ceil(scaled), _GUIDE_SIZE).astype(np.intp)
+    runs = np.diff(steps, axis=1, prepend=0, append=_GUIDE_SIZE)
+    # the smallest signed type that holds the counts 0..width and -1
+    outcomes = np.arange(width + 1, dtype=np.min_scalar_type(-1 - width))
+    counts = np.repeat(np.tile(outcomes, rows), runs.ravel())
+    counts = counts.reshape(rows, _GUIDE_SIZE)
     inside = (scaled < _GUIDE_SIZE) & (scaled != np.floor(scaled))
-    counts[scaled[inside].astype(np.intp)] = -1
+    counts[np.nonzero(inside)[0], scaled[inside].astype(np.intp)] = -1
     return counts
 
 
-def _group(rho: np.ndarray, side_a, side_b, same: bool) -> tuple[np.ndarray, tuple]:
-    """Born probabilities and tally indicator rows of one (branch, basis pair) group."""
-    (proj_a, codes_a), (proj_b, codes_b) = side_a, side_b
-    (ka, da), (kb, db) = proj_a.shape[:2], proj_b.shape[:2]
-    # every kron(pa, pb) at once: each entry is the one product pa[i, j] * pb[k, l]
-    krons = (proj_a[:, None, :, None, :, None] * proj_b[None, :, None, :, None, :]).reshape(
-        ka * kb, da * db, da * db
-    )
-    # one trace per cell: a batched einsum rounds some cells differently
-    probs = np.array([float(np.trace(rho @ k)) for k in krons])
-    a = np.repeat(codes_a, kb)
-    b = np.tile(codes_b, ka)
-    total = float(probs.sum())
-    # The cells sum to tr(rho sum_ab P_a (x) P_b) = tr(rho), held within 1e-10 of 1 by
+# Whether each basis pair of a branch, in group order Z/Z, Z/X, X/Z, X/X, is sifted.
+_SAME_BASIS = np.array([[True], [False], [False], [True]])
+
+
+def _party_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One party's (2, k, d, d) outcome projectors in Z and X, and their outcome codes.
+
+    n = 0 is vacuum: one outcome, no detection, with the 1x1 identity.
+    """
+    if n == 0:
+        return np.ones((2, 1, 1, 1)), np.array([Outcome.NO_DETECTION.value])
+    codes = np.array([Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value])
+    return np.stack([outcome_projectors(n, w) for w in _BASES]), codes
+
+
+def _branch_tables(rho: np.ndarray, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Born probabilities (4, cells) and tally indicator rows (6, 4, cells) of one branch.
+
+    Row 2 * [Alice measures X] + [Bob measures X] is one basis pair; cell
+    i * kb + j is Alice's outcome i and Bob's outcome j, of kb outcomes.
+    """
+    (proj_a, codes_a), (proj_b, codes_b) = _party_projectors(n_a), _party_projectors(n_b)
+    (ka, da), (kb, db) = proj_a.shape[1:3], proj_b.shape[1:3]
+    # every basis pair's kron(pa, pb) at once: each entry is the one product pa[i, j] * pb[k, l]
+    krons = (
+        proj_a[:, None, :, None, :, None, :, None] * proj_b[None, :, None, :, None, :, None, :]
+    ).reshape(4, ka * kb, da * db, da * db)
+    # One stacked pass: the matmul is one gemm per cell and the trace sums each cell's own
+    # diagonal, so every cell equals the per-cell float(np.trace(rho @ kron(pa, pb))) bit for
+    # bit, as the tests check for every photon-number pair under the caps.  (A single einsum
+    # orders the sums differently and moves some cells by an ulp.)
+    probs = np.trace(rho @ krons, axis1=-2, axis2=-1)
+    total = probs.sum(axis=1)
+    # Each row sums to tr(rho sum_ab P_a (x) P_b) = tr(rho), held within 1e-10 of 1 by
     # SourceBranch.  Each of the <= 9 cell traces rounds by at most gamma_128 sum_ij |rho_ij|
     # <= 128 * 2**-53 * 64 < 1e-12 (d <= 64, and a PSD unit-trace rho has sum_ij |rho_ij| <= d),
     # and the projectors sum to the identity within a few ulps per entry, so
     # |total - 1| < 1.1e-10 < 1e-9.  The sum is taken before the floor below, which raises it
     # by up to 1e-12 per cell and by the size of each negative cell that the branch's
     # eigenvalue tolerance admits.
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total!r}")
+    bad = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"outcome probabilities sum to {float(total[bad[0]])!r}")
     probs = np.where(probs > _PROB_FLOOR, probs, 0.0)
-    probs /= probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    a, b = np.repeat(codes_a, kb), np.tile(codes_b, ka)
     detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
     dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
     err = detected & ~dbl & (a != b)
-    kept = same & detected
-    mismatch = np.full(len(a), not same)
-    return probs, (kept, kept & dbl, kept & err, kept & ~dbl & ~err, mismatch, ~detected)
+    kept = _SAME_BASIS & detected
+    rows = (kept, kept & dbl, kept & err, kept & ~dbl & ~err, ~_SAME_BASIS, ~detected)
+    return probs, np.stack(np.broadcast_arrays(*rows))
 
 
 def _build_kernel(source: SourceModel) -> _Kernel:
-    groups = []
-    for branch in source.branches:
-        sides_a = [_party_projectors(branch.n_a, w) for w in _BASES]
-        sides_b = [_party_projectors(branch.n_b, w) for w in _BASES]
-        groups += [
-            _group(branch.rho, side_a, side_b, ia == ib)
-            for ia, side_a in enumerate(sides_a)
-            for ib, side_b in enumerate(sides_b)
-        ]
-    width = max(len(probs) for probs, _ in groups)
-    table = np.zeros((len(groups), width))
-    cut = np.full((width - 1, len(groups)), 2.0)
-    indicators = np.zeros((6, len(groups), width), dtype=np.int64)
-    for g, (probs, rows) in enumerate(groups):
-        size = len(probs)
-        table[g, :size] = probs
-        cut[: size - 1, g] = np.cumsum(probs)[:-1]
-        indicators[:, g, :size] = rows
-    guide = np.array([_guide(column) for column in cut.T], dtype=np.int8)
+    tables = [_branch_tables(b.rho, b.n_a, b.n_b) for b in source.branches]
+    width = max(probs.shape[1] for probs, _ in tables)
+    groups = 4 * len(tables)
+    table = np.zeros((groups, width))
+    cut = np.full((width - 1, groups), 2.0)
+    indicators = np.zeros((6, groups, width), dtype=np.int64)
+    for g, (probs, rows) in zip(range(0, groups, 4), tables):
+        size = probs.shape[1]
+        table[g : g + 4, :size] = probs
+        cut[: size - 1, g : g + 4] = np.cumsum(probs, axis=1)[:, :-1].T
+        indicators[:, g : g + 4, :size] = rows
+    guide = _guides(cut.T).astype(np.int8, copy=False)
     branch_cum = np.cumsum([b.weight for b in source.branches])
-    branch = _guide(branch_cum[:-1])
-    branch_guide = np.where(branch < 0, -1, 4 * branch).astype(np.int32)
+    branch = _guides(branch_cum[None, :-1])[0].astype(np.int32)
+    branch_guide = np.where(branch < 0, -1, 4 * branch)
     return _Kernel(branch_cum, table, cut, indicators.reshape(6, -1), guide, branch_guide)
 
 

@@ -163,6 +163,15 @@ COMMAND_CASES = {
             rows[0]["on_boundary"] is True, rows[0]["eve_bit_accuracy"] == 1.0
         ],
     ),
+    "attack-curve-end-is-on-boundary": (
+        # delta_m = 2**-52 sits one rounding error from the curve's end, where g' is infinite
+        ("attack", "--alpha", "1", "--beta", "1", "--format", "json"),
+        lambda h, rows, m, err: [
+            rows[0]["delta_m"] == 2.0**-52,
+            rows[0]["eps_m"] - rows[0]["g_bound"] > 1e-8,
+            rows[0]["on_boundary"] is True,
+        ],
+    ),
     "attack-sweep-reports-coverage": (
         ("attack", "--sweep", "400", "--format", "json"),
         lambda h, rows, m, err: [

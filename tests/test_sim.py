@@ -1,6 +1,7 @@
 import gc
 import sys
 import weakref
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -9,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbm92kit import (
+    DIM_CAP,
+    MAX_PHOTONS,
     Basis,
+    Bit,
     Outcome,
     SiftedTally,
     SourceModel,
     analytic_fractions,
     attack_density,
+    basis_state,
     boundary_state,
     end_to_end,
     event_uniforms,
@@ -61,6 +66,9 @@ class _RefGroup(NamedTuple):
 
 
 _BIT_CODES = (Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value)
+
+
+_BUCKET = 2**-12  # width of one guide bucket
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -262,6 +270,30 @@ REFERENCE_SOURCES = {
     "mixture0": lambda: _random_mixture(0),
     "mixture1": lambda: _random_mixture(1),
 }
+# one seeded random density for every photon-number pair under the caps, vacuum sides included
+TABLE_SOURCES = REFERENCE_SOURCES | {
+    f"pair-{n_a}-{n_b}": partial(_random_custom_source, 64 * n_a + n_b, n_a, n_b)
+    for n_a in range(MAX_PHOTONS + 1)
+    for n_b in range(min(DIM_CAP // (n_a + 1), MAX_PHOTONS + 1))
+}
+
+
+def _reference_guide(cuts: np.ndarray) -> np.ndarray:
+    """Count of the sorted ``cuts`` <= each bucket's left edge, -1 where one lies inside it."""
+    edges = np.arange(2**12) * _BUCKET
+    at_left = np.searchsorted(cuts, edges, side="right")
+    below_right = np.searchsorted(cuts, edges + _BUCKET, side="left")
+    return np.where(below_right > at_left, -1, at_left)
+
+
+def _reference_indicators(table: _RefGroup, same: bool) -> np.ndarray:
+    """Tally rows n, dbl, err, cor, mismatch, undetected of one group's cells, from their codes."""
+    a, b = table.codes_a, table.codes_b
+    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
+    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
+    kept = detected & same
+    cor, err = kept & ~dbl & (a == b), kept & ~dbl & (a != b)
+    return np.array([kept, kept & dbl, err, cor, np.full(a.shape, not same), ~detected])
 
 
 class TestKernelMatchesReference:
@@ -276,22 +308,31 @@ class TestKernelMatchesReference:
                 )
         assert run_protocol(source, 20000, seed) == _reference_run_protocol(source, 20000, seed)
 
-    @pytest.mark.parametrize("name", list(REFERENCE_SOURCES))
+    @pytest.mark.parametrize("name", list(TABLE_SOURCES))
     def test_tables_equal_reference(self, name):
-        # the kernel's Born probabilities and cut points are the reference's to
-        # the bit, so a change of table arithmetic is named here before any
-        # golden digest moves
-        source = REFERENCE_SOURCES[name]()
+        # the kernel's Born probabilities, cut points, indicators and guides are
+        # the per-cell reference's to the bit, so a change of table arithmetic is
+        # named here before any golden digest moves
+        source = TABLE_SOURCES[name]()
         kernel = source._kernel
         branch_cum, groups = _reference_tables(source)
         assert np.array_equal(kernel.branch_cum, branch_cum)
-        assert len(kernel.probs) == kernel.cut.shape[1] == len(groups)
+        branch = _reference_guide(branch_cum[:-1])
+        assert np.array_equal(kernel.branch_guide, np.where(branch < 0, -1, 4 * branch))
+        width = len(kernel.cut) + 1
+        assert kernel.probs.shape == (len(groups), width)
+        assert kernel.guide.shape == (len(groups), 2**12)
+        indicators = kernel.indicators.reshape(6, len(groups), width)
         for g, table in enumerate(groups):
             size = len(table.probs)
             assert np.array_equal(kernel.probs[g, :size], table.probs)
             assert not kernel.probs[g, size:].any()
             assert np.array_equal(kernel.cut[: size - 1, g], table.cum[:-1])
             assert np.all(kernel.cut[size - 1 :, g] == 2.0)
+            same = g % 4 in (0, 3)
+            assert np.array_equal(indicators[:, g, :size], _reference_indicators(table, same))
+            assert not indicators[:, g, size:].any()
+            assert np.array_equal(kernel.guide[g], _reference_guide(table.cum[:-1]))
 
     def test_rejects_bad_sizes(self):
         source = SourceModel.ideal_pair()
@@ -327,20 +368,30 @@ def test_chunked_run_equals_single_pass_for_any_chunk(source, num_events, seed, 
     )
 
 
-_BUCKET = 2**-12  # width of one guide bucket
-
-
 def test_guide_marks_split_buckets():
     # cut points on an edge leave their buckets whole; one or several strictly
-    # inside a bucket mark it; the 2.0 padding and a cut at 1 mark nothing
-    cuts = np.array([2**-20, 2**-19, 0.25, 0.25 + 2**-20, 0.5, 1.0, 2.0])
-    guide = sim._guide(cuts)
-    assert guide.shape == (2**12,)
-    assert guide[0] == -1
-    assert guide[1] == 2
-    assert guide[1023] == 2 and guide[1024] == -1 and guide[1025] == 4
-    assert guide[2048] == 5 and guide[-1] == 5
-    assert np.count_nonzero(guide < 0) == 2
+    # inside a bucket mark it; the 2.0 padding and a cut at 1 mark nothing.
+    # Row 1 is all padding; row 2 is a branch guide's cuts 0.3 and 0.6, padded.
+    cuts = np.array(
+        [
+            [2**-20, 2**-19, 0.25, 0.25 + 2**-20, 0.5, 1.0, 2.0],
+            [2.0] * 7,
+            [0.3, 0.6] + [2.0] * 5,
+        ]
+    )
+    guide = sim._guides(cuts)
+    assert guide.shape == (3, 2**12)
+    assert guide[0, 0] == -1
+    assert guide[0, 1] == 2
+    assert guide[0, 1023] == 2 and guide[0, 1024] == -1 and guide[0, 1025] == 4
+    assert guide[0, 2048] == 5 and guide[0, -1] == 5
+    assert np.count_nonzero(guide[0] < 0) == 2
+    assert not guide[1].any()
+    split = [int(0.3 * 2**12), int(0.6 * 2**12)]
+    assert np.array_equal(np.flatnonzero(guide[2] < 0), split)
+    assert guide[2, split[0] - 1] == 0 and guide[2, split[0] + 1] == 1 and guide[2, -1] == 2
+    for row, want in zip(cuts, guide):
+        assert np.array_equal(_reference_guide(row), want)
 
 
 def _edge_probabilities(numerators: list[float]) -> np.ndarray:
@@ -511,9 +562,8 @@ class TestCustomSources:
     def test_trace_error_prints_a_plain_float(self):
         with pytest.raises(ValueError, match=r"density trace must be 1, got 1\.2$"):
             SourceModel.custom([(1.0, 1, 1, np.diag([1.2, 0.0, 0.0, 0.0]))])
-        side = sim._party_projectors(1, Basis.Z)
         with pytest.raises(ValueError, match=r"outcome probabilities sum to 1\.2$"):
-            sim._group(np.diag([1.2, 0.0, 0.0, 0.0]), side, side, True)
+            sim._branch_tables(np.diag([1.2, 0.0, 0.0, 0.0]), 1, 1)
 
     @pytest.mark.parametrize("big", range(16))
     def test_negative_cells_within_tolerance_build(self, big):
@@ -526,6 +576,21 @@ class TestCustomSources:
         assert np.all(probs >= 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
         assert run_protocol(source, 1000, seed=1).n_events == 1000
+
+    def test_phi_plus_density_equals_the_kron_construction(self):
+        # the one cached, read-only density is the kron-and-outer construction bit for bit
+        phi = np.zeros(4)
+        for bit in (Bit.ZERO, Bit.ONE):
+            amp = basis_state(1, Basis.Z, bit)
+            phi += np.kron(amp, amp)
+        phi /= np.sqrt(2.0)
+        rho = sim._phi_plus_density()
+        assert rho is sim._phi_plus_density() and not rho.flags.writeable
+        assert np.array_equal(rho, np.outer(phi, phi))
+        assert np.array_equal(SourceModel.ideal_pair().branches[0].rho, rho)
+        for v in np.linspace(0.0, 1.0, 101):
+            want = v * np.outer(phi, phi) + (1.0 - v) * np.eye(4) / 4.0
+            assert np.array_equal(SourceModel.werner(v).branches[0].rho, 0.5 * (want + want.T))
 
     def test_rejects_bad_visibility(self):
         with pytest.raises(ValueError):
