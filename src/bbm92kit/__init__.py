@@ -57,7 +57,6 @@ from .rates import (
     region_of,
     tau_closed_form,
     tau_low,
-    tau_low_array,
     tau_numeric,
     tau_numeric_array,
 )

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rates
 from .errors import NumericalError
 from .fock import Basis, Bit, basis_state
 from .povm import capped_joint_dim, outcome_projectors
@@ -238,6 +239,45 @@ def run_attack(chi: np.ndarray) -> AttackResult:
     """
     delta_m, eps_m, accuracy = _attack_kernel(np.asarray(chi, dtype=float)[None])
     return AttackResult(float(delta_m[0]), float(eps_m[0]), float(accuracy[0]))
+
+
+# Bound r on the rounding error of an attack's delta_m (u = 2**-53).  delta_m = 1 - eps_m
+# - cor_m: two subtractions of numbers <= 1, 2u.  eps_m and cor_m are half sums of squared
+# overlaps o = <b|chi> of the unit state chi with the four bit states.  Each o is a 3-term
+# dot product of unit vectors, off by at most gamma_3 ~ 3u, so its square is off by at most
+# 2 gamma_3 |o| + u o**2, and each sum adds u times its terms.  As |o_0| + |o_1| <= sqrt(2)
+# in each basis and all squares sum to <= 2, the two fractions are off by at most
+# 2 sqrt(2) gamma_3 + 2u < 11u together.  chi's norm is 1 within about 7u, which moves the
+# fractions of the unit state by as much.  So |delta_m - delta| < 20u = 10 eps (measured:
+# at most 1.9 eps over `attack --sweep 4096`, against a 50-digit evaluation); r = 16 eps.
+_DELTA_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _curve_bounds(delta_m: np.ndarray, eps_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(delta_m) of attack points, NaN off the curve's domain, and the mask of points on g.
+
+    A point is on the curve when eps_m is within 1e-9 of g(delta) for some
+    delta within the rounding r of delta_m.  g decreases, so that is
+    g(delta_m + r) - 1e-9 <= eps_m <= g(delta_m - r) + 1e-9: by the mean
+    value theorem, the 1e-9 widened by |g'| * r.  A fixed tolerance alone
+    misses the curve's delta = 0 end, where g' is infinite: ``--alpha 1
+    --beta 1`` gives delta_m = 2**-52 and eps_m 1.5e-8 above g(delta_m).
+    """
+    shifts = _DELTA_ROUNDING * np.array([[0.0], [1.0], [-1.0]])
+    # one g evaluation for all three rows
+    bound, low, high = rates._g_on_domain(np.maximum(delta_m + shifts, 0.0))
+    return bound, (low - 1e-9 <= eps_m) & (eps_m <= high + 1e-9)
+
+
+def _coverage(delta_m: np.ndarray, on_curve: np.ndarray) -> dict:
+    """Count, delta range and widest delta gap of a sweep's on-curve points; None if undefined."""
+    covered = np.sort(delta_m[on_curve])
+    return {
+        "boundary_points": int(covered.size),
+        "delta_min": float(covered[0]) if covered.size else None,
+        "delta_max": float(covered[-1]) if covered.size else None,
+        "max_gap": float(np.max(np.diff(covered))) if covered.size > 1 else None,
+    }
 
 
 class Sweep(NamedTuple):

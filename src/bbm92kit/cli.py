@@ -224,12 +224,6 @@ def _cmd_keyrate(args) -> int:
     return EXIT_OK
 
 
-def _g_bounds(delta_m: np.ndarray) -> np.ndarray:
-    """g(delta_m) for points on the curve's domain delta_m <= 1/3, NaN elsewhere."""
-    on_domain = delta_m <= 1.0 / 3.0 + 1e-12
-    return np.where(on_domain, rates.g(np.minimum(delta_m, 1.0 / 3.0)), np.nan)
-
-
 def _cells(values: np.ndarray) -> list:
     """Python floats of an array, with None for NaN (an empty cell)."""
     return [None if math.isnan(x) else x for x in values.tolist()]
@@ -241,13 +235,11 @@ def _cmd_tradeoff(args) -> int:
     pair = povm.PhotonPair(args.na, args.nb)
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         value = povm.min_double_click(pair)
-        l_sum = (pair.n_a - 1) // 2 + (pair.n_b - 1) // 2
-        closed = 0.5 * (1.0 - 2.0 ** (-l_sum))
         columns = {
             "n_a": [pair.n_a],
             "n_b": [pair.n_b],
             "min_double_click": [value],
-            "closed_form": [closed],
+            "closed_form": [povm._min_double_click_closed_form(pair)],
         }
         _emit(
             args,
@@ -257,7 +249,7 @@ def _cmd_tradeoff(args) -> int:
         )
         return EXIT_OK
     delta_m, eps_m = povm.trace_boundary(pair, num_points=args.points).T
-    bound = _g_bounds(delta_m)
+    bound = rates._g_on_domain(delta_m)
     dev = eps_m - bound
     columns = {
         "delta_m": delta_m.tolist(),
@@ -287,31 +279,9 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-# Bound r on the rounding error of an attack's delta_m (u = 2**-53).  delta_m = 1 - eps_m
-# - cor_m: two subtractions of numbers <= 1, 2u.  eps_m and cor_m are half sums of squared
-# overlaps o = <b|chi> of the unit state chi with the four bit states.  Each o is a 3-term
-# dot product of unit vectors, off by at most gamma_3 ~ 3u, so its square is off by at most
-# 2 gamma_3 |o| + u o**2, and each sum adds u times its terms.  As |o_0| + |o_1| <= sqrt(2)
-# in each basis and all squares sum to <= 2, the two fractions are off by at most
-# 2 sqrt(2) gamma_3 + 2u < 11u together.  chi's norm is 1 within about 7u, which moves the
-# fractions of the unit state by as much.  So |delta_m - delta| < 20u = 10 eps (measured:
-# at most 1.9 eps over `attack --sweep 4096`, against a 50-digit evaluation); r = 16 eps.
-_DELTA_ROUNDING = 16 * np.finfo(float).eps
-
-
 def _attack_columns(alpha, beta, delta_m, eps_m, accuracy) -> tuple[dict[str, list], np.ndarray]:
-    """Attack table columns from per-point arrays, and the mask of points on the curve g.
-
-    A point is on the curve when eps_m is within 1e-9 of g(delta) for some
-    delta within the rounding r of delta_m.  g decreases, so that is
-    g(delta_m + r) - 1e-9 <= eps_m <= g(delta_m - r) + 1e-9: by the mean
-    value theorem, the 1e-9 widened by |g'| * r.  A fixed tolerance alone
-    misses the curve's delta = 0 end, where g' is infinite: ``--alpha 1
-    --beta 1`` gives delta_m = 2**-52 and eps_m 1.5e-8 above g(delta_m).
-    """
-    shifts = _DELTA_ROUNDING * np.array([[0.0], [1.0], [-1.0]])
-    bound, low, high = _g_bounds(np.maximum(delta_m + shifts, 0.0))  # NaN off the domain
-    on_boundary = (low - 1e-9 <= eps_m) & (eps_m <= high + 1e-9)
+    """Attack table columns from per-point arrays, and the mask of points on the curve g."""
+    bound, on_boundary = attack._curve_bounds(delta_m, eps_m)
     columns = {
         "alpha": alpha.tolist(),
         "beta": beta.tolist(),
@@ -334,13 +304,7 @@ def _cmd_attack(args) -> int:
         return EXIT_OK
     sweep = attack.boundary_sweep(args.sweep)
     columns, on_boundary = _attack_columns(*sweep)
-    on_curve = np.sort(sweep.delta_m[on_boundary])
-    coverage = {
-        "boundary_points": int(on_curve.size),
-        "delta_min": float(on_curve[0]) if on_curve.size else None,
-        "delta_max": float(on_curve[-1]) if on_curve.size else None,
-        "max_gap": float(np.max(np.diff(on_curve))) if on_curve.size > 1 else None,
-    }
+    coverage = attack._coverage(sweep.delta_m, on_boundary)
     _emit(
         args,
         columns,

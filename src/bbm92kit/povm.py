@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rates
 from .errors import NumericalError
-from .fock import Basis, Bit, basis_state
+from .fock import MAX_PHOTONS, Basis, Bit, basis_state
 
 # Joint dimension (n_A+1)(n_B+1) allowed for dense operator work.  Everything
 # the bounds need shows up well below this.
@@ -25,7 +25,14 @@ DIM_CAP = 64
 
 
 def capped_joint_dim(n_a: int, n_b: int) -> int:
-    """Joint dimension (n_A+1)(n_B+1) of a photon-number pair (n = 0 allowed), capped."""
+    """Joint dimension (n_A+1)(n_B+1) of a photon-number pair (n = 0 allowed), capped.
+
+    Each photon number must also be one `basis_state` supports, so a pair is
+    rejected where it is built, not where its states are first formed.
+    """
+    for n in (n_a, n_b):
+        if n > MAX_PHOTONS:
+            raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
     dim = (n_a + 1) * (n_b + 1)
     if dim > DIM_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
@@ -151,11 +158,16 @@ def f_dbl(pair: PhotonPair) -> np.ndarray:
     return np.eye(pair.joint_dim) - f_cor(pair) - f_err(pair)
 
 
+def _min_double_click_closed_form(pair: PhotonPair) -> float:
+    """`min_double_click` in closed form: (1 - 2^-(l_A+l_B))/2 for n = 2 l + 1 on each side."""
+    return 0.5 * (1.0 - 2.0 ** (-((pair.n_a - 1) // 2 + (pair.n_b - 1) // 2)))
+
+
 def min_double_click(pair: PhotonPair) -> float:
     """Smallest achievable double-click fraction for an odd-odd multiphoton pair.
 
     Computed as 1 minus the largest eigenvalue of correct+error; equals
-    (1 - 2^-(l_A+l_B))/2 for n_A = 2 l_A + 1, n_B = 2 l_B + 1, hence >= 1/4.
+    `_min_double_click_closed_form`, hence >= 1/4.
     """
     if pair.n_a % 2 == 0 or pair.n_b % 2 == 0:
         raise ValueError(f"({pair.n_a}, {pair.n_b}) is not an odd-odd pair")

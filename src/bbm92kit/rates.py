@@ -8,10 +8,10 @@ admissible splits into single-photon and multiphoton events, of
 cover the whole domain where a key can survive; `tau_numeric` recomputes the
 same maximum by direct search as an independent cross-check.
 
-The tau layer works on arrays of observed (delta, eps): `rate_table`,
-`tau_low_array` and `tau_numeric_array` evaluate every row in one call, and
-the scalar functions taking an `ObservedStats` are one-row wrappers around
-them, so both give bit-identical values.
+The tau layer works on arrays of observed (delta, eps): `rate_table` and
+`tau_numeric_array` evaluate every row in one call, and the scalar functions
+taking an `ObservedStats` are one-row wrappers around them, so both give
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -91,6 +91,17 @@ def g(delta):
     arr = np.clip(arr, 0.0, 1.0 / 3.0)
     out = 0.5 * (1.0 - arr) - np.sqrt(arr * (1.0 - 2.0 * arr))
     return float(out) if scalar else out
+
+
+def _g_on_domain(delta: np.ndarray) -> np.ndarray:
+    """g(delta) where delta lies on the curve's domain delta <= 1/3, NaN elsewhere.
+
+    A delta past 1/3 by at most _DOMAIN_TOL is rounding at the curve's end
+    and reads g(1/3).  Every comparison of a point with the curve reads
+    its bound here, so all of them agree on which points the curve covers.
+    """
+    on_domain = delta <= 1.0 / 3.0 + _DOMAIN_TOL
+    return np.where(on_domain, g(np.minimum(delta, 1.0 / 3.0)), np.nan)
 
 
 @lru_cache(maxsize=1)
@@ -362,8 +373,8 @@ def _tau_low_objective(x, d, e) -> np.ndarray:
     return x - d + (1.0 - x) * binary_entropy(eps1)
 
 
-def tau_low_array(delta, eps) -> np.ndarray:
-    """tau_low for every row of broadcast (delta, eps); NaN where delta > 1/3.
+def _tau_low_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """tau_low for 1-D float64 rows inside the observed-fraction domain; NaN where delta > 1/3.
 
     Maximizes f(xi) = xi - delta + (1 - xi) H(eps_1(xi)), with
     eps_1 = (eps - xi g(delta/xi)) / (1 - xi), over the multiphoton fraction
@@ -383,11 +394,6 @@ def tau_low_array(delta, eps) -> np.ndarray:
     the xi -> 0 limit H(eps); at eps = 0 the interval is the single point
     3 delta.
     """
-    return _tau_low_rows(*_stats_arrays(delta, eps))
-
-
-def _tau_low_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """`tau_low_array` for 1-D float64 rows already inside the observed-fraction domain."""
     tau = np.full(d.shape, np.nan)
     admissible = 3.0 * d <= 1.0 + 1e-15
     full = admissible & (e >= g(np.minimum(d, 1.0 / 3.0)) - 1e-12)
@@ -414,7 +420,7 @@ def tau_low(stats: ObservedStats) -> float:
     the multiphoton fraction xi, with xi >= 3 delta so delta/xi stays in the
     curve's domain and the entropy argument confined to [0, 1].  This is a
     lower bound on tau everywhere and equals it in region (c).  One-row
-    form of `tau_low_array`, which documents the closed-form upper limit
+    form of `_tau_low_rows`, which documents the closed-form upper limit
     xi_hi and the Newton stopping rule.
     """
     tau = _tau_low_rows(np.array([stats.delta], float), np.array([stats.eps], float))[0]
@@ -519,10 +525,10 @@ def tau_numeric_array(delta, eps, resolution: int = 2000) -> np.ndarray:
     return out
 
 
-def tau_numeric(stats: ObservedStats, resolution: int = 2000) -> float:
+def tau_numeric(stats: ObservedStats) -> float:
     """Privacy-amplification fraction by direct search over admissible splits.
 
-    Discretizes the multiphoton fraction xi on `resolution` points of
+    Discretizes the multiphoton fraction xi on 2000 points of
     [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each grid value the
     single-photon error rate is pushed to the largest admissible value not
     exceeding 1/2 (the entropy term is monotone below 1/2), with the
@@ -533,7 +539,7 @@ def tau_numeric(stats: ObservedStats, resolution: int = 2000) -> float:
     cross-checks it.  One-row wrapper around `tau_numeric_array`.
     """
     d, e = float(stats.delta), float(stats.eps)
-    value = tau_numeric_array(d, e, resolution)[0]
+    value = tau_numeric_array(d, e)[0]
     if np.isnan(value):
         if not stats.feasible:
             # the mixture program itself extends further, but values out there are

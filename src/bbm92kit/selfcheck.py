@@ -59,16 +59,32 @@ def check_overlap_law(full: bool = False) -> CheckResult:
 
 
 def check_povm_completeness(full: bool = False) -> CheckResult:
-    """Correct + error + double click = identity for every pair; both sizes are the same."""
-    worst = 0.0
-    for n_a in range(1, 8):
-        for n_b in range(1, 8):
-            if (n_a + 1) * (n_b + 1) > povm.DIM_CAP:
-                continue
-            pair = povm.PhotonPair(n_a, n_b)
-            total = povm.f_cor(pair) + povm.f_err(pair) + povm.f_dbl(pair)
-            worst = max(worst, float(np.max(np.abs(total - np.eye(pair.joint_dim)))))
-    return CheckResult("POVM completeness", worst <= 1e-12, f"max |sum - I| {worst:.2e}")
+    """Correct, error and double click are a POVM for every pair under the cap.
+
+    f_dbl is I - f_cor - f_err, so the three sum to I whatever the
+    projectors are.  What completeness rests on is checked instead: every
+    operator's spectrum lies in [0, 1], within 1e-10, and on every side the
+    two bit states of each basis are orthogonal, within 1e-12.  Both sizes
+    are the same.
+    """
+    sizes = product(range(1, povm.DIM_CAP), repeat=2)
+    pairs = [povm.PhotonPair(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP]
+    low, high = np.inf, -np.inf
+    for pair in pairs:
+        w = np.linalg.eigvalsh(np.stack([povm.f_err(pair), povm.f_cor(pair), povm.f_dbl(pair)]))
+        low, high = min(low, float(w.min())), max(high, float(w.max()))
+    overlap = max(
+        abs(inner_product(basis_state(n, w, Bit.ZERO), basis_state(n, w, Bit.ONE)))
+        for n in {pair.n_a for pair in pairs}
+        for w in Basis
+    )
+    ok = low >= -1e-10 and high <= 1.0 + 1e-10 and overlap <= 1e-12
+    return CheckResult(
+        "POVM completeness",
+        ok,
+        f"{len(pairs)} pairs, eigenvalues in [{low:.2e}, 1{high - 1.0:+.2e}], "
+        f"max same-basis bit overlap {overlap:.2e}",
+    )
 
 
 def check_odd_odd_bound(full: bool = False) -> CheckResult:
@@ -79,9 +95,9 @@ def check_odd_odd_bound(full: bool = False) -> CheckResult:
         for n_b in range(1, 9, 2):
             if n_a + n_b < 3 or n_a + n_b > 9:
                 continue
-            l_sum = (n_a - 1) // 2 + (n_b - 1) // 2
-            want = 0.5 * (1.0 - 2.0 ** (-l_sum))
-            got = povm.min_double_click(povm.PhotonPair(n_a, n_b))
+            pair = povm.PhotonPair(n_a, n_b)
+            want = povm._min_double_click_closed_form(pair)
+            got = povm.min_double_click(pair)
             worst = max(worst, abs(got - want))
             lowest = min(lowest, got)
     ok = worst <= 1e-9 and lowest >= 0.25 - 1e-9
@@ -105,21 +121,18 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     slope = -0.5 - (1.0 - 4.0 * t) / (2.0 * np.sqrt(t * (1.0 - 2.0 * t)))
     ok &= abs(float(rates.g(t)) - (0.25 - t)) <= 1e-12 and abs(slope + 1.0) <= 1e-12
     deltas, epss = povm.trace_boundary(povm.PhotonPair(1, 2), 2000 if full else 400).T
-    on_curve = deltas <= 1.0 / 3.0 + 1e-12
-    dev = float(
-        np.max(np.abs(epss[on_curve] - rates.g(np.clip(deltas[on_curve], 0, 1.0 / 3.0))))
-    )
+    gaps = epss - rates._g_on_domain(deltas)
+    on_curve = ~np.isnan(gaps)
+    dev = float(np.max(np.abs(gaps[on_curve])))
     ok &= dev <= 1e-6 and float(deltas.min()) <= 1e-9
     ok &= abs(float(epss[np.argmin(deltas)]) - 0.5) <= 1e-6
-    order = np.lexsort((epss, deltas))
-    xs, ys = deltas[order], epss[order]
-    curve = xs <= 1.0 / 3.0 + 1e-9
+    xs, ys = deltas[on_curve], epss[on_curve]
+    order = np.lexsort((ys, xs))
     grid = np.linspace(0.0, 1.0 / 3.0, 200)
-    interp_dev = float(np.max(np.abs(np.interp(grid, xs[curve], ys[curve]) - rates.g(grid))))
+    interp_dev = float(np.max(np.abs(np.interp(grid, xs[order], ys[order]) - rates.g(grid))))
     ok &= interp_dev <= 1e-5 or not full
     even = np.concatenate([povm.trace_boundary(povm.PhotonPair(*p), 400) for p in ((2, 2), (1, 4))])
-    even = even[even[:, 0] <= 1.0 / 3.0 + 1e-12]
-    margin = float(np.min(even[:, 1] - rates.g(np.minimum(even[:, 0], 1.0 / 3.0)), initial=0.0))
+    margin = float(np.fmin.reduce(even[:, 1] - rates._g_on_domain(even[:, 0]), initial=0.0))
     ok &= margin >= -1e-8
     return CheckResult(
         "trade-off boundary",
@@ -205,24 +218,22 @@ def check_attack(full: bool = False) -> CheckResult:
     defect = max(float(np.max(np.abs(v @ src - tgt))) for src, tgt in pairs)
     sweep = attack.boundary_sweep(4096 if full else 500)
     acc_dev = float(np.max(np.abs(sweep.eve_bit_accuracy - 1.0)))
-    deltas, epss = sweep.delta_m, sweep.eps_m
-    on_curve = deltas <= 1.0 / 3.0 + 1e-12
-    gaps = epss[on_curve] - rates.g(np.minimum(deltas[on_curve], 1.0 / 3.0))
-    curve_dev = float(np.min(gaps, initial=0.0))
-    covered = np.sort(deltas[on_curve][np.abs(gaps) <= 1e-9])
-    widest = float(np.max(np.diff(covered), initial=0.0))
+    bound, on_curve = attack._curve_bounds(sweep.delta_m, sweep.eps_m)
+    curve_dev = float(np.fmin.reduce(sweep.eps_m - bound, initial=0.0))
+    coverage = attack._coverage(sweep.delta_m, on_curve)
+    widest = coverage["max_gap"] or 0.0
     coverage_ok = (
-        covered.size > 0
-        and covered[0] <= 1e-12
-        and covered[-1] >= 1.0 / 3.0 - 1e-12
+        coverage["boundary_points"] > 0
+        and coverage["delta_min"] <= 1e-12
+        and coverage["delta_max"] >= 1.0 / 3.0 - 1e-12
         and (widest <= 2e-3 or not full)
     )
-    ok = defect <= 1e-10 and acc_dev <= 1e-12 and curve_dev >= -1e-9 and bool(coverage_ok)
+    ok = defect <= 1e-10 and acc_dev <= 1e-12 and curve_dev >= -1e-9 and coverage_ok
     return CheckResult(
         "explicit attack",
         ok,
         f"V defect {defect:.2e}, accuracy dev {acc_dev:.2e}, below-curve {curve_dev:.2e}, "
-        f"{covered.size} on-curve points, max gap {widest:.2e}",
+        f"{coverage['boundary_points']} on-curve points, max gap {widest:.2e}",
     )
 
 

@@ -29,6 +29,9 @@ from .fock import Basis
 from .povm import capped_joint_dim, outcome_projectors
 
 _DRAWS_PER_EVENT = 4
+# Events per pass of `run_protocol`: 2**16 events keep their 2 MB of words in cache
+# across the passes.
+_CHUNK_EVENTS = 1 << 16
 # Born probabilities at or below this are rounding noise on exact zeros: the cells that are
 # zero in exact arithmetic (ideal pair's error and double-click cells, Werner double-click
 # cells for v = 0, 0.01, ..., 1) compute to at most 1.1e-16 in magnitude.
@@ -330,9 +333,7 @@ def _build_kernel(source: SourceModel) -> _Kernel:
     return _Kernel(branch_cum, table, cut, indicators.reshape(6, -1), guide, branch_guide)
 
 
-def run_protocol(
-    source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 16
-) -> SiftedTally:
+def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally:
     """Simulate ``num_events`` rounds and tally the same-basis detected events.
 
     Each event's branch and bases pick its group and its outcome draw picks a
@@ -346,13 +347,10 @@ def run_protocol(
     with the group's cut points c, scaled once per call to the integers
     ceil(c * 2**53); c <= u exactly when that integer is <= w >> 11.  The
     branch is looked up the same way, with a search as its fallback, and only
-    for mixtures.  The default chunk of 2**16 events keeps its 2 MB of words
-    in cache across the passes.
+    for mixtures.  Events run in chunks of _CHUNK_EVENTS = 2**16.
     """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     kernel = source._kernel
     width = len(kernel.cut) + 1
     guide = kernel.guide.ravel()
@@ -361,8 +359,8 @@ def run_protocol(
     cut = np.ceil(kernel.cut * _WORD_SCALE).astype(np.uint64)
     branch_cut = np.ceil(kernel.branch_cum[:-1] * _WORD_SCALE).astype(np.uint64)
     totals = np.zeros(kernel.indicators.shape[1], dtype=np.int64)
-    for start in range(0, num_events, chunk):
-        words = event_uniforms(seed, start, min(chunk, num_events - start))
+    for start in range(0, num_events, _CHUNK_EVENTS):
+        words = event_uniforms(seed, start, min(_CHUNK_EVENTS, num_events - start))
         high = _high_uint16(words)
         group = (high[:, 0] >= 1 << 15).view(np.int8) << 1
         group |= (high[:, 1] >= 1 << 15).view(np.int8)

@@ -26,7 +26,7 @@ from bbm92kit import (
     run_attack,
     tau_low,
 )
-from bbm92kit import attack
+from bbm92kit import attack, selfcheck
 from bbm92kit.attack import _attack_kernel, _boundary_states
 from bbm92kit.errors import NumericalError
 
@@ -247,6 +247,26 @@ class TestRunAttack:
 
 
 class TestBoundarySweep:
+    def test_selfcheck_covers_the_curve_end_one_rounding_away(self, monkeypatch):
+        # The sweep's pi/4 angle rounds to delta_m = 0 exactly.  With that row
+        # replaced by the alpha = beta = 1 point, delta_m = 2**-52, criterion 7
+        # must still count it on the curve, whose slope is infinite there.
+        point = run_attack(boundary_state(1.0, 1.0))
+        assert point.delta_m == 2.0**-52
+        sweep = attack.boundary_sweep
+
+        def nudged(num_points):
+            rows = sweep(num_points)
+            start = rows.delta_m == 0.0
+            assert start.sum() == 1
+            nudge = {k: np.where(start, v, getattr(rows, k)) for k, v in point._asdict().items()}
+            return rows._replace(**nudge)
+
+        monkeypatch.setattr(attack, "boundary_sweep", nudged)
+        result = selfcheck.check_attack()
+        assert result.passed, result.detail
+        assert "178 on-curve points" in result.detail
+
     def test_attack_realizes_tau_low_objective(self):
         # mixing the attack with clean single-photon rounds reproduces the
         # objective value of the tau_low maximization at the same xi

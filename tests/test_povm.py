@@ -8,6 +8,7 @@ from bbm92kit import (
     Basis,
     PhotonPair,
     SourceBranch,
+    SourceModel,
     build_v,
     f_cor,
     f_dbl,
@@ -20,7 +21,7 @@ from bbm92kit import (
     region_membership,
     trace_boundary,
 )
-from bbm92kit import povm
+from bbm92kit import povm, selfcheck
 from bbm92kit.errors import NumericalError
 from bbm92kit.fock import Bit, basis_state
 from bbm92kit.povm import _DEGENERACY_TOL, _MEMBERSHIP_TOL, eigh_checked
@@ -224,6 +225,31 @@ class TestJointOperators:
         w, _ = eigh_checked(f_cor(pair) + f_err(pair))
         assert w[-1] == pytest.approx(0.75, abs=1e-12)
 
+    def test_selfcheck_catches_non_orthogonal_bit_states(self, monkeypatch):
+        # f_dbl is I - f_cor - f_err, so the three sum to I whatever the bit
+        # states are.  Tilting the bit-1 X state towards bit 0 keeps that sum
+        # but breaks orthogonality and pushes f_dbl below 0; the POVM check
+        # reads each fault on its own.
+        def tilted(n, w, b):
+            state = basis_state(n, w, b) + (w is Basis.X and b == 1) * 0.1 * basis_state(n, w, 0)
+            return state / np.linalg.norm(state)
+
+        assert selfcheck.check_povm_completeness().passed
+        monkeypatch.setattr(selfcheck, "basis_state", tilted)
+        result = selfcheck.check_povm_completeness()
+        assert not result.passed and result.detail.endswith("bit overlap 9.95e-02")
+        monkeypatch.setattr(selfcheck, "basis_state", basis_state)
+        monkeypatch.setattr(povm, "basis_state", tilted)
+        povm.outcome_projectors.cache_clear()
+        try:
+            pair = PhotonPair(1, 1)
+            total = f_cor(pair) + f_err(pair) + f_dbl(pair)
+            assert np.max(np.abs(total - np.eye(4))) <= 1e-12
+            result = selfcheck.check_povm_completeness()
+        finally:
+            povm.outcome_projectors.cache_clear()
+        assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
+
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_povm_completeness_and_positivity(self, pair):
         fe, fc, fd = f_err(pair), f_cor(pair), f_dbl(pair)
@@ -234,30 +260,6 @@ class TestJointOperators:
 
 
 class TestMinDoubleClick:
-    @pytest.mark.parametrize(
-        "pair, want",
-        [
-            (PhotonPair(1, 3), 0.25),
-            (PhotonPair(3, 1), 0.25),
-            (PhotonPair(3, 3), 0.375),
-            (PhotonPair(1, 5), 0.375),
-        ],
-        ids=pair_id,
-    )
-    def test_known_values(self, pair, want):
-        assert min_double_click(pair) == pytest.approx(want, abs=1e-9)
-
-    def test_closed_form_all_odd_pairs_up_to_nine(self):
-        for n_a in range(1, 9, 2):
-            for n_b in range(1, 9, 2):
-                if n_a + n_b < 3 or n_a + n_b > 9:
-                    continue
-                l_sum = (n_a - 1) // 2 + (n_b - 1) // 2
-                want = 0.5 * (1.0 - 2.0 ** (-l_sum))
-                got = min_double_click(PhotonPair(n_a, n_b))
-                assert got == pytest.approx(want, abs=1e-9)
-                assert got >= 0.25 - 1e-9
-
     def test_rejects_single_photon_pair(self):
         with pytest.raises(ValueError):
             min_double_click(PhotonPair(1, 1))
@@ -290,13 +292,6 @@ class TestTraceBoundary:
         sel = deltas <= 1.0 / 3.0 + 1e-12
         dev = np.abs(epss[sel] - g(np.clip(deltas[sel], 0.0, 1.0 / 3.0)))
         assert dev.max() <= 1e-6
-
-    def test_interpolated_tightness_one_two(self):
-        points = trace_boundary(PhotonPair(1, 2), num_points=2000)
-        xs, ys = np.array(sorted(map(tuple, points[points[:, 0] <= 1.0 / 3.0 + 1e-9]))).T
-        grid = np.linspace(0.0, 1.0 / 3.0, 50)
-        interp = np.interp(grid, xs, ys)
-        assert np.max(np.abs(interp - g(grid))) <= 1e-5
 
     def test_swap_symmetry_of_support_function(self):
         fe12 = f_err(PhotonPair(1, 2))
@@ -521,14 +516,19 @@ class TestTypes:
             PhotonPair(10, 10)  # joint dim 121 > cap
 
     @pytest.mark.parametrize(
-        "build",
+        "build, message",
         [
-            lambda: PhotonPair(10, 10),
-            lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72),
-            lambda: build_v(7, 8),
+            (lambda: PhotonPair(10, 10), "exceeds cap"),
+            (lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), "exceeds cap"),
+            (lambda: build_v(7, 8), "exceeds cap"),
+            # under the dimension cap, but past the photon numbers basis_state supports
+            (
+                lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
+                "^photon count 33 exceeds supported maximum 32$",
+            ),
         ],
-        ids=["PhotonPair", "SourceBranch", "build_v"],
+        ids=["PhotonPair", "SourceBranch", "build_v", "SourceModel-photon-count"],
     )
-    def test_joint_dimension_cap(self, build):
-        with pytest.raises(ValueError, match="exceeds cap"):
+    def test_joint_dimension_cap(self, build, message):
+        with pytest.raises(ValueError, match=message):
             build()

@@ -41,7 +41,7 @@ def _interior(d: float, e: float) -> bool:
 def test_array_path_equals_scalar_wrappers(points, f):
     d, e = np.array(points).T
     table = rates.rate_table(d, e, f)
-    numeric = rates.tau_numeric_array(d, e, resolution=200)
+    numeric = rates.tau_numeric_array(d, e)
     for i, (di, ei) in enumerate(points):
         stats = ObservedStats(di, ei)
         closed = tau_closed_form(stats)
@@ -49,7 +49,7 @@ def test_array_path_equals_scalar_wrappers(points, f):
         assert table.tau[i] == closed.tau
         assert table.tau_low[i] == tau_low(stats)
         assert table.r_key[i] == key_rate(stats, f).r_key
-        assert numeric[i] == tau_numeric(stats, resolution=200)
+        assert numeric[i] == tau_numeric(stats)
 
 
 @given(feasible_points())
@@ -89,7 +89,7 @@ def test_tau_low_matches_pinned_table():
     """
     rows = np.array(json.loads(TABLE.read_text())["rows"])
     d, e, old = rows.T
-    new = rates.tau_low_array(d, e)
+    new = rates.rate_table(d, e).tau_low
     assert np.all(new >= old - 1e-12)
     assert np.all(new <= old + 1e-10)
     assert [tau_low(ObservedStats(di, ei)) for di, ei in zip(d, e)] == new.tolist()

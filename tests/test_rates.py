@@ -24,22 +24,10 @@ from bbm92kit import (
     tau_closed_form,
     tau_low,
     tau_numeric,
-    tau_numeric_array,
 )
 from bbm92kit import rates, selfcheck
 
 TANGENT = 1.0 / 6.0
-
-
-def feasible_grid(n_delta: int, n_eps: int):
-    for d in np.linspace(0.0, 0.2499, n_delta):
-        limit = multiphoton_envelope(float(d))
-        if limit <= 0.0:
-            continue
-        for frac in np.linspace(0.0, 1.0, n_eps):
-            stats = ObservedStats(float(d), float(frac * limit))
-            if stats.feasible:
-                yield stats
 
 
 ORIGIN = ObservedStats(0.0, 0.0)
@@ -231,15 +219,6 @@ class TestTauNumeric:
             tau_closed_form(stats).tau, abs=1e-6
         )
 
-    def test_grid_agreement(self):
-        deltas = np.linspace(0.0, 0.2499, 40)
-        d = np.repeat(deltas, 40)
-        e = np.outer(multiphoton_envelope(deltas), np.linspace(0.0, 1.0, 40)).ravel()
-        table = rate_table(d, e)
-        feasible = table.feasible
-        numeric = tau_numeric_array(d[feasible], e[feasible], resolution=1000)
-        assert np.max(np.abs(table.tau[feasible] - numeric)) <= 1e-5
-
     @pytest.mark.parametrize("d", [2.06e-61, 1e-20, 1e-16, 1e-12, 2.4e-10])
     def test_tiny_delta_without_errors(self, d):
         # at eps = 0 only xi <= 4 delta is admissible, below the grid start
@@ -264,10 +243,6 @@ class TestTauLow:
             assert tau_closed_form(stats).tau == pytest.approx(
                 tau_low(stats), abs=1e-12
             )
-
-    def test_lower_bound_everywhere(self):
-        for stats in feasible_grid(30, 30):
-            assert tau_closed_form(stats).tau >= tau_low(stats) - 1e-9
 
 
 class TestKeyRate:

