@@ -480,15 +480,6 @@ class TestRegionMembership:
         assert np.all(region_membership(deltas, epss))
         assert np.max(multiphoton_envelope(deltas) - epss) < _MEMBERSHIP_TOL / 1e3
 
-    @pytest.mark.parametrize(
-        "pair",
-        [p for p in ALL_PAIRS if p.is_multiphoton and p.joint_dim <= 36],
-        ids=lambda p: f"{p.n_a}-{p.n_b}",
-    )
-    def test_random_states_stay_inside(self, pair):
-        rng = np.random.default_rng(1000 + 64 * pair.n_a + pair.n_b)
-        assert np.all(region_membership(*random_state_fractions(pair, 2000, rng)))
-
     def test_random_state_count(self):
         rng = np.random.default_rng(0)
         delta, eps = random_state_fractions(PhotonPair(1, 2), 0, rng)
