@@ -250,14 +250,6 @@ class TestJointOperators:
             povm.outcome_projectors.cache_clear()
         assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
 
-    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
-    def test_povm_completeness_and_positivity(self, pair):
-        fe, fc, fd = f_err(pair), f_cor(pair), f_dbl(pair)
-        assert np.allclose(fe + fc + fd, np.eye(pair.joint_dim), atol=1e-12)
-        for op in (fe, fc, fd):
-            w, _ = eigh_checked(op)
-            assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
-
 
 class TestMinDoubleClick:
     def test_rejects_single_photon_pair(self):
