@@ -106,11 +106,6 @@ class TestBasisState:
 
 
 class TestInnerProduct:
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("w", [Basis.Z, Basis.X])
-    def test_same_basis_orthogonality(self, n, w):
-        assert overlap(n, w, Bit.ZERO, w, Bit.ONE) == pytest.approx(0.0, abs=1e-12)
-
     def test_rejects_mismatched_photon_numbers(self):
         with pytest.raises(ValueError):
             inner_product(basis_state(1, Basis.Z, Bit.ZERO), basis_state(2, Basis.Z, Bit.ZERO))
