@@ -207,10 +207,6 @@ class TestRunProtocol:
         c = run_protocol(SourceModel.werner(0.8), 50000, seed=7)
         assert a != c
 
-    def test_chunked_run_equals_single_pass(self):
-        source = SourceModel.werner(0.85)
-        assert _run_chunked(source, 30000, 2, 4096) == run_protocol(source, 30000, seed=2)
-
     def test_werner_error_rate(self):
         tally = run_protocol(SourceModel.werner(0.9), 10**6, seed=8)
         assert tally.n_dbl == 0
