@@ -311,6 +311,11 @@ REJECTION_CASES = {
     "density-nan": (
         lambda: SourceModel.custom([(1.0, 1, 1, _density(0, 1, math.nan))]), ValueError, "got nan"
     ),
+    "density-negative-eigenvalue": (
+        lambda: SourceModel.custom([(1.0, 1, 1, np.diag([1.5, -0.5, 0.0, 0.0]))]),
+        ValueError,
+        "positive semidefinite",
+    ),
     "density-inf-diagonal": (
         lambda: SourceBranch(1.0, 1, 1, _density(2, 2, math.inf)), ValueError, "finite, got inf"
     ),

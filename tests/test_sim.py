@@ -533,15 +533,6 @@ class TestCustomSources:
         assert abs(tally.delta_hat - delta) <= 5.0 * max(tally.delta_se, 1e-6)
         assert abs(tally.eps_hat - eps) <= 5.0 * max(tally.eps_se, 1e-6)
 
-    def test_rejects_bad_densities(self):
-        with pytest.raises(ValueError):
-            SourceModel.custom([(1.0, 1, 1, np.eye(4))])  # trace 4
-        bad = np.diag([1.5, -0.5, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            SourceModel.custom([(1.0, 1, 1, bad)])  # negative eigenvalue
-        with pytest.raises(ValueError):
-            SourceModel.custom([(0.5, 1, 1, np.eye(4) / 4.0)])  # weights short of 1
-
     def test_trace_error_prints_a_plain_float(self):
         with pytest.raises(ValueError, match=r"density trace must be 1, got 1\.2$"):
             SourceModel.custom([(1.0, 1, 1, np.diag([1.2, 0.0, 0.0, 0.0]))])
@@ -574,10 +565,6 @@ class TestCustomSources:
         for v in np.linspace(0.0, 1.0, 101):
             want = v * np.outer(phi, phi) + (1.0 - v) * np.eye(4) / 4.0
             assert np.array_equal(SourceModel.werner(v).branches[0].rho, 0.5 * (want + want.T))
-
-    def test_rejects_bad_visibility(self):
-        with pytest.raises(ValueError):
-            SourceModel.werner(1.2)
 
 
 class TestEndToEnd:
