@@ -7,14 +7,10 @@ from bbm92kit import (
     DIM_CAP,
     Basis,
     PhotonPair,
-    SourceBranch,
-    SourceModel,
-    build_v,
     f_cor,
     f_dbl,
     f_err,
     g,
-    min_double_click,
     multiphoton_envelope,
     outcome_projectors,
     random_state_fractions,
@@ -251,17 +247,6 @@ class TestJointOperators:
         assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
 
 
-class TestMinDoubleClick:
-    def test_rejects_single_photon_pair(self):
-        with pytest.raises(ValueError):
-            min_double_click(PhotonPair(1, 1))
-
-    @pytest.mark.parametrize("pair", [PhotonPair(1, 2), PhotonPair(2, 2)], ids=pair_id)
-    def test_rejects_even_pairs(self, pair):
-        with pytest.raises(ValueError):
-            min_double_click(pair)
-
-
 class TestTraceBoundary:
     def test_one_two_endpoints(self):
         deltas, epss = trace_boundary(PhotonPair(1, 2), num_points=300).T
@@ -294,10 +279,6 @@ class TestTraceBoundary:
             a = np.linalg.eigvalsh(fe12 + lam * fd12)[0]
             b = np.linalg.eigvalsh(fe21 + lam * fd21)[0]
             assert a == pytest.approx(b, abs=1e-9)
-
-    def test_rejects_odd_odd(self):
-        with pytest.raises(ValueError):
-            trace_boundary(PhotonPair(1, 3))
 
     @pytest.mark.parametrize("num_points", [200, 400])
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
@@ -476,8 +457,6 @@ class TestRegionMembership:
         rng = np.random.default_rng(0)
         delta, eps = random_state_fractions(PhotonPair(1, 2), 0, rng)
         assert delta.shape == eps.shape == (0,)
-        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
-            random_state_fractions(PhotonPair(1, 2), -1, rng)
 
 
 class TestTypes:
@@ -491,27 +470,3 @@ class TestTypes:
                 assert stack.shape == (3, n + 1, n + 1) and not stack.flags.writeable
                 assert np.array_equal(stack, stack.mT)
                 assert outcome_projectors(n, w) is stack
-
-    def test_photon_pair_validation(self):
-        with pytest.raises(ValueError):
-            PhotonPair(0, 1)
-        with pytest.raises(ValueError):
-            PhotonPair(10, 10)  # joint dim 121 > cap
-
-    @pytest.mark.parametrize(
-        "build, message",
-        [
-            (lambda: PhotonPair(10, 10), "exceeds cap"),
-            (lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), "exceeds cap"),
-            (lambda: build_v(7, 8), "exceeds cap"),
-            # under the dimension cap, but past the photon numbers basis_state supports
-            (
-                lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
-                "^photon count 33 exceeds supported maximum 32$",
-            ),
-        ],
-        ids=["PhotonPair", "SourceBranch", "build_v", "SourceModel-photon-count"],
-    )
-    def test_joint_dimension_cap(self, build, message):
-        with pytest.raises(ValueError, match=message):
-            build()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -6,26 +7,39 @@ import numpy as np
 import pytest
 
 from bbm92kit import (
+    Basis,
+    Bit,
     InfeasibleError,
+    ModePartition,
     ObservedStats,
+    PhotonPair,
     SourceBranch,
     SourceModel,
+    attack_density,
     attack_state,
+    basis_state,
     binary_entropy,
     boundary_state,
+    build_v,
     conjectured_random_assignment_rate,
+    end_to_end,
     eps1_star,
     g,
+    inner_product,
     key_rate,
+    min_double_click,
     multiphoton_envelope,
+    random_state_fractions,
     rate_table,
     region_of,
     run_attack,
+    run_protocol,
     tau_closed_form,
     tau_low,
     tau_numeric,
+    trace_boundary,
 )
-from bbm92kit import rates, selfcheck
+from bbm92kit import rates, selfcheck, sim
 
 TANGENT = 1.0 / 6.0
 
@@ -304,8 +318,85 @@ def _density(i: int, j: int, value: float) -> np.ndarray:
 
 F64, RHO, NAN_CHI = np.float64, np.eye(4) / 4.0, np.array([math.nan, 0.0, 0.0])
 ABOVE_ONE = "1.0204081632653061"  # the first value of np.linspace(0, 2, 50) above 1
-# call, the exact exception type it raises and a fragment of its message
+Z0, SHAPE_4 = basis_state(3, Basis.Z, Bit.ZERO), "3 amplitudes, got shape (4,)"
+# call, the exact exception type it raises, and a fragment of its message or a
+# pattern the whole message must match
 REJECTION_CASES = {
+    "basis_state-zero-photons": (
+        lambda: basis_state(0, Basis.Z, Bit.ZERO), ValueError, "must be >= 1, got 0"
+    ),
+    "basis_state-above-cap": (
+        lambda: basis_state(33, Basis.X, Bit.ZERO),
+        ValueError,
+        "count 33 exceeds supported maximum 32",
+    ),
+    "inner_product-photon-numbers": (
+        lambda: inner_product(basis_state(1, Basis.Z, Bit.ZERO), basis_state(2, Basis.Z, Bit.ZERO)),
+        ValueError,
+        "photon numbers differ: 1 != 2",
+    ),
+    "ModePartition-empty": (lambda: ModePartition(()), ValueError, "at least one mode"),
+    "ModePartition-nonpositive": (
+        lambda: ModePartition((2, 0, 1)), ValueError, "parts must be >= 1, got (2, 0, 1)"
+    ),
+    "PhotonPair-zero": (lambda: PhotonPair(0, 1), ValueError, "must be >= 1, got (0, 1)"),
+    "PhotonPair-dimension-cap": (
+        lambda: PhotonPair(10, 10), ValueError, "joint dimension 121 exceeds cap 64"
+    ),
+    "SourceBranch-dimension-cap": (
+        lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap"
+    ),
+    "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap"),
+    # under the dimension cap, but past the photon numbers basis_state supports
+    "SourceModel-photon-count": (
+        lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
+        ValueError,
+        re.compile(r"^photon count 33 exceeds supported maximum 32$"),
+    ),
+    "min_double_click-single-photon": (
+        lambda: min_double_click(PhotonPair(1, 1)), ValueError, "(1, 1) events admit no"
+    ),
+    **{
+        f"min_double_click-even-{n_a}-{n_b}": (
+            lambda pair=PhotonPair(n_a, n_b): min_double_click(pair),
+            ValueError,
+            f"({n_a}, {n_b}) is not an odd-odd pair",
+        )
+        for n_a, n_b in [(1, 2), (2, 2)]
+    },
+    "trace_boundary-odd-odd": (
+        lambda: trace_boundary(PhotonPair(1, 3)), ValueError, "(1, 3) is odd-odd"
+    ),
+    "random_state_fractions-count": (
+        lambda: random_state_fractions(PhotonPair(1, 2), -1, np.random.default_rng(0)),
+        ValueError,
+        "count must be >= 0, got -1",
+    ),
+    "build_v-even-control": (lambda: build_v(2, 2), ValueError, "must be odd, got 2"),
+    "build_v-odd-target": (lambda: build_v(1, 3), ValueError, "even and >= 2, got 3"),
+    "boundary_state-zero": (
+        lambda: boundary_state(0.0, 0.0), ValueError, "vanishes for alpha=0.0, beta=0.0"
+    ),
+    "run_attack-photon-number": (lambda: run_attack(Z0), ValueError, SHAPE_4),
+    "attack_state-photon-number": (lambda: attack_state(Z0), ValueError, SHAPE_4),
+    "attack_density-photon-number": (
+        lambda: attack_density(np.ones(4) / 2.0), ValueError, SHAPE_4
+    ),
+    "run_protocol-num-events": (
+        lambda: run_protocol(SourceModel.ideal_pair(), 0, seed=1),
+        ValueError,
+        "num_events must be >= 1, got 0",
+    ),
+    "density-trace": (
+        lambda: SourceModel.custom([(1.0, 1, 1, np.diag([1.2, 0.0, 0.0, 0.0]))]),
+        ValueError,
+        re.compile(r"density trace must be 1, got 1\.2$"),
+    ),
+    "outcome-probability-sum": (
+        lambda: sim._branch_tables(np.diag([1.2, 0.0, 0.0, 0.0]), 1, 1),
+        ValueError,
+        re.compile(r"outcome probabilities sum to 1\.2$"),
+    ),
     "branch-weight": (lambda: SourceBranch(F64(1.5), 1, 1, RHO), ValueError, "got 1.5"),
     "weight-sum": (lambda: SourceModel.custom([(F64(0.5), 1, 1, RHO)]), ValueError, "got 0.5"),
     "density-nan": (
@@ -365,11 +456,28 @@ REJECTION_CASES = {
     "key_rate-f": (lambda: key_rate(ORIGIN, F64(0.5)), ValueError, "got 0.5"),
     **{
         f"{name}-f={f}": (lambda call=call, f=f: call(f), ValueError, "finite and >= 1")
-        for name, call in [
-            ("key_rate", lambda f: key_rate(ORIGIN, f=f)),
-            ("rate_table", lambda f: rate_table([0.0], [0.0], f=f)),
+        for name, call, values in [
+            ("key_rate", lambda f: key_rate(ORIGIN, f=f), (0.9, math.nan, math.inf, -math.inf)),
+            (
+                "rate_table",
+                lambda f: rate_table([0.0], [0.0], f=f),
+                (0.9, math.nan, math.inf, -math.inf),
+            ),
+            # end_to_end checks f before the run, so a source with no certified rate rejects it too
+            (
+                "end_to_end-werner",
+                lambda f: end_to_end(SourceModel.werner(0.9), 1000, f=f, seed=1),
+                (0.5, math.nan, math.inf),
+            ),
+            (
+                "end_to_end-no-rate",
+                lambda f: end_to_end(
+                    SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0), 1000, f=f, seed=1
+                ),
+                (0.5, math.nan, math.inf),
+            ),
         ]
-        for f in (0.9, math.nan, math.inf, -math.inf)
+        for f in values
     },
     "conjectured-domain": (
         lambda: conjectured_random_assignment_rate(ObservedStats(0.4, 0.35)),
@@ -381,9 +489,11 @@ REJECTION_CASES = {
 
 @pytest.mark.parametrize("call, error, shown", REJECTION_CASES.values(), ids=REJECTION_CASES)
 def test_errors_print_plain_floats(call, error, shown):
-    # A numpy scalar or array argument shows in the message as its offending float alone.
+    # Each rejection raises exactly its type and names what it rejects; a numpy
+    # scalar or array argument shows in the message as its offending float alone.
     with pytest.raises(error) as raised:
         call()
+    message = str(raised.value)
     assert type(raised.value) is error
-    assert shown in str(raised.value)
-    assert "np.float64(" not in str(raised.value) and "array(" not in str(raised.value)
+    assert shown.search(message) if isinstance(shown, re.Pattern) else shown in message
+    assert "np.float64(" not in message and "array(" not in message
