@@ -164,21 +164,46 @@ def singlet() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
+P11, P31 = PhotonPair(1, 1), PhotonPair(3, 1)
+# call, expected value or array, absolute tolerance
+KNOWN_VALUES = {
+    **{
+        f"single-photon-{w.value}-no-double-click": (
+            lambda w=w: outcome_projectors(1, w)[2], 0.0, 1e-15
+        )
+        for w in Basis
+    },
+    # one H and one V photon is the only double-click direction
+    "two-photon-Z-double-click-projector": (
+        lambda: outcome_projectors(2, Basis.Z)[2], np.diag([0.0, 1.0, 0.0]), 1e-14
+    ),
+    "three-photon-X-double-click-rank": (
+        lambda: np.trace(outcome_projectors(3, Basis.X)[2]), 2.0, 1e-12
+    ),
+    # eigen-decomposition oracle: spectrum {0, 1/2, 1/2, 1}, largest at the
+    # singlet, which anticorrelates in both bases
+    "one-one-error-spectrum": (
+        lambda: sorted(eigh_checked(f_err(P11))[0]), [0.0, 0.5, 0.5, 1.0], 1e-12
+    ),
+    "one-one-error-top-is-singlet": (
+        lambda: abs(float(eigh_checked(f_err(P11))[1][:, -1] @ singlet())), 1.0, 1e-12
+    ),
+    "phi-plus-error": (lambda: phi_plus() @ f_err(P11) @ phi_plus(), 0.0, 1e-12),
+    "phi-plus-correct": (lambda: phi_plus() @ f_cor(P11) @ phi_plus(), 1.0, 1e-12),
+    "one-one-correct-plus-error": (lambda: f_cor(P11) + f_err(P11), np.eye(4), 1e-13),
+    "one-one-no-double-clicks": (lambda: f_dbl(P11), 0.0, 1e-13),
+    "three-one-top-eigenvalue": (
+        lambda: eigh_checked(f_cor(P31) + f_err(P31))[0][-1], 0.75, 1e-12
+    ),
+}
+
+
+@pytest.mark.parametrize("call, want, tol", KNOWN_VALUES.values(), ids=KNOWN_VALUES)
+def test_known_value(call, want, tol):
+    assert np.allclose(call(), want, rtol=0.0, atol=tol)
+
+
 class TestOutcomeProjectors:
-    def test_single_photon_has_no_double_clicks(self):
-        for w in Basis:
-            _, _, pdbl = outcome_projectors(1, w)
-            assert np.allclose(pdbl, 0.0, atol=1e-15)
-
-    def test_two_photon_z_double_click_projector(self):
-        _, _, pdbl = outcome_projectors(2, Basis.Z)
-        # one H and one V photon is the only double-click direction
-        assert np.allclose(pdbl, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
-
-    def test_three_photon_x_double_click_rank(self):
-        _, _, pdbl = outcome_projectors(3, Basis.X)
-        assert np.trace(pdbl) == pytest.approx(2.0, abs=1e-12)
-
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("w", [Basis.Z, Basis.X])
     def test_completeness_and_idempotence(self, n, w):
@@ -189,37 +214,9 @@ class TestOutcomeProjectors:
 
 
 class TestJointOperators:
-    def test_error_operator_spectrum_one_one(self):
-        # eigen-decomposition oracle: spectrum {0, 1/2, 1/2, 1}, largest at the
-        # singlet which anticorrelates in both bases
-        w, v = eigh_checked(f_err(PhotonPair(1, 1)))
-        assert np.allclose(sorted(w), [0.0, 0.5, 0.5, 1.0], atol=1e-12)
-        top = v[:, -1]
-        overlap = abs(float(top @ singlet()))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_error_operator_zero_on_correlated_pair(self):
-        op = f_err(PhotonPair(1, 1))
-        assert phi_plus() @ op @ phi_plus() == pytest.approx(0.0, abs=1e-12)
-
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
         assert np.trace(f_err(pair)) == pytest.approx(2.0, abs=1e-10)
-
-    def test_correct_operator_on_correlated_pair(self):
-        op = f_cor(PhotonPair(1, 1))
-        assert phi_plus() @ op @ phi_plus() == pytest.approx(1.0, abs=1e-12)
-
-    def test_one_one_has_no_double_clicks(self):
-        pair = PhotonPair(1, 1)
-        combined = f_cor(pair) + f_err(pair)
-        assert np.allclose(combined, np.eye(4), atol=1e-13)
-        assert np.allclose(f_dbl(pair), 0.0, atol=1e-13)
-
-    def test_three_one_top_eigenvalue(self):
-        pair = PhotonPair(3, 1)
-        w, _ = eigh_checked(f_cor(pair) + f_err(pair))
-        assert w[-1] == pytest.approx(0.75, abs=1e-12)
 
     def test_selfcheck_catches_non_orthogonal_bit_states(self, monkeypatch):
         # f_dbl is I - f_cor - f_err, so the three sum to I whatever the bit
