@@ -87,7 +87,9 @@ def g(delta):
     even photon number; decreases from 1/2 at delta=0 to 0 at delta=1/3.
     """
     arr, scalar = _as_array(delta)
-    _check_within(arr, -_DOMAIN_TOL, 1.0 / 3.0 + 1e-9, "trade-off curve argument outside [0, 1/3]")
+    _check_within(
+        arr, -_DOMAIN_TOL, 1.0 / 3.0 + _DOMAIN_TOL, "trade-off curve argument outside [0, 1/3]"
+    )
     arr = np.clip(arr, 0.0, 1.0 / 3.0)
     out = 0.5 * (1.0 - arr) - np.sqrt(arr * (1.0 - 2.0 * arr))
     return float(out) if scalar else out

@@ -95,6 +95,22 @@ class TestTradeoffCurve:
         xs = np.linspace(0.0, 1.0 / 3.0, 200)
         assert np.all(np.diff(g(xs)) < 0.0)
 
+    def test_raises_exactly_off_the_curve_domain(self):
+        # g and the curve-domain rule end the curve at one point: across a band
+        # around 1/3, g raises exactly where _g_on_domain reads NaN
+        third, cut = 1.0 / 3.0, 1.0 / 3.0 + rates._DOMAIN_TOL
+        offsets = np.logspace(-17, -8, 37)
+        edge = [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
+        band = np.concatenate([third - offsets, third + offsets, edge])
+        on_domain = rates._g_on_domain(band)
+        assert np.isnan(on_domain).any() and not np.isnan(on_domain).all()
+        for delta, want in zip(band, on_domain):
+            if np.isnan(want):
+                with pytest.raises(ValueError, match=r"outside \[0, 1/3\]"):
+                    g(delta)
+            else:
+                assert g(delta) == want
+
 
 class TestEps1Star:
     def test_defining_equation(self):
@@ -423,6 +439,8 @@ REJECTION_CASES = {
     "g": (lambda: g(F64(0.5)), ValueError, "]: 0.5"),
     "g-above": (lambda: g(0.34), ValueError, "]: 0.34"),
     "g-below": (lambda: g(-0.01), ValueError, "]: -0.01"),
+    # past the curve's end by more than rounding, where _g_on_domain reads NaN
+    "g-past-domain-tolerance": (lambda: g(1.0 / 3.0 + 5e-10), ValueError, "]: 0.33333333383"),
     "envelope-array": (lambda: multiphoton_envelope(np.linspace(0, 2, 50)), ValueError, ABOVE_ONE),
     "ObservedStats": (
         lambda: ObservedStats(F64(1.5), F64(0.0)), ValueError, "(delta=1.5, eps=0.0)"
