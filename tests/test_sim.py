@@ -106,6 +106,26 @@ def _reference_tables(source: SourceModel) -> tuple[np.ndarray, list[_RefGroup]]
     return np.cumsum([b.weight for b in source.branches]), groups
 
 
+def _reference_cells(
+    u: np.ndarray, branch_cum: np.ndarray, groups: list[_RefGroup]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's group and outcome cell, by the per-group mask loop run_protocol replaced.
+
+    Alice and Bob measure X when u_0, u_1 >= 1/2; the branch is the first entry
+    of ``branch_cum`` above u_2 and the cell the first of its group's ``cum``
+    above u_3, each capped at the last.
+    """
+    branch = np.minimum(np.searchsorted(branch_cum, u[:, 2], side="right"), len(branch_cum) - 1)
+    group = 4 * branch + 2 * (u[:, 0] >= 0.5) + (u[:, 1] >= 0.5)
+    cell = np.zeros(len(u), dtype=np.intp)
+    for g, table in enumerate(groups):
+        mask = group == g
+        cell[mask] = np.minimum(
+            np.searchsorted(table.cum, u[mask, 3], side="right"), len(table.cum) - 1
+        )
+    return group, cell
+
+
 def _reference_run_protocol(
     source: SourceModel, num_events: int, seed: int, chunk: int = 1 << 20
 ) -> SiftedTally:
@@ -116,28 +136,16 @@ def _reference_run_protocol(
     counts = {"n": 0, "dbl": 0, "err": 0, "cor": 0, "mismatch": 0, "undetected": 0}
     for start in range(0, num_events, chunk):
         count = min(chunk, num_events - start)
-        u = _uniforms(event_uniforms(seed, start, count))
-        wa = (u[:, 0] >= 0.5).astype(np.int8)
-        wb = (u[:, 1] >= 0.5).astype(np.int8)
-        branch = np.minimum(
-            np.searchsorted(branch_cum, u[:, 2], side="right"), len(branch_cum) - 1
+        group, cell = _reference_cells(
+            _uniforms(event_uniforms(seed, start, count)), branch_cum, groups
         )
         out_a = np.empty(count, dtype=np.int8)
         out_b = np.empty(count, dtype=np.int8)
-        for bi in range(len(source.branches)):
-            for ia in range(2):
-                for ib in range(2):
-                    mask = (branch == bi) & (wa == ia) & (wb == ib)
-                    if not mask.any():
-                        continue
-                    table = groups[4 * bi + 2 * ia + ib]
-                    k = np.minimum(
-                        np.searchsorted(table.cum, u[mask, 3], side="right"),
-                        len(table.cum) - 1,
-                    )
-                    out_a[mask] = table.codes_a[k]
-                    out_b[mask] = table.codes_b[k]
-        same = wa == wb
+        for g, table in enumerate(groups):
+            mask = group == g
+            out_a[mask] = table.codes_a[cell[mask]]
+            out_b[mask] = table.codes_b[cell[mask]]
+        same = (group >> 1) % 2 == group % 2
         detected = (out_a != Outcome.NO_DETECTION.value) & (
             out_b != Outcome.NO_DETECTION.value
         )
@@ -469,31 +477,18 @@ class TestBornRuleFidelity:
         ids=["ideal", "werner", "attack", "custom22"],
     )
     def test_empirical_frequencies_match_probabilities(self, source):
-        num = 10**6
-        tally_u = _uniforms(event_uniforms(21, 0, num))
         branch_cum, groups = _reference_tables(source)
-        wa = (tally_u[:, 0] >= 0.5).astype(int)
-        wb = (tally_u[:, 1] >= 0.5).astype(int)
-        branch = np.minimum(
-            np.searchsorted(branch_cum, tally_u[:, 2], side="right"),
-            len(source.branches) - 1,
-        )
-        for bi in range(len(source.branches)):
-            for ia in range(2):
-                for ib in range(2):
-                    mask = (branch == bi) & (wa == ia) & (wb == ib)
-                    m = int(mask.sum())
-                    if m < 1000:
-                        continue
-                    table = groups[4 * bi + 2 * ia + ib]
-                    k = np.minimum(
-                        np.searchsorted(table.cum, tally_u[mask, 3], side="right"),
-                        len(table.cum) - 1,
-                    )
-                    counts = np.bincount(k, minlength=len(table.probs))
-                    for cell, p in enumerate(table.probs):
-                        se = np.sqrt(max(p * (1.0 - p), 1e-12) / m)
-                        assert abs(counts[cell] / m - p) <= 5.0 * se + 1e-9
+        u = _uniforms(event_uniforms(21, 0, 10**6))
+        group, cells = _reference_cells(u, branch_cum, groups)
+        for g, table in enumerate(groups):
+            mask = group == g
+            m = int(mask.sum())
+            if m < 1000:
+                continue
+            counts = np.bincount(cells[mask], minlength=len(table.probs))
+            for cell, p in enumerate(table.probs):
+                se = np.sqrt(max(p * (1.0 - p), 1e-12) / m)
+                assert abs(counts[cell] / m - p) <= 5.0 * se + 1e-9
 
 
 class TestCustomSources:
