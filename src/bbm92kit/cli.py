@@ -397,11 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         p.add_argument("--config", help="key=value file supplying flag defaults")
 
+    def grid(p):
+        p.add_argument("--delta", type=float)
+        p.add_argument("--delta-grid", dest="delta_grid")
+        p.add_argument("--eps", type=float)
+        p.add_argument("--eps-grid", dest="eps_grid")
+
     p_tau = sub.add_parser("tau", help="privacy-amplification fraction table")
-    p_tau.add_argument("--delta", type=float)
-    p_tau.add_argument("--delta-grid", dest="delta_grid")
-    p_tau.add_argument("--eps", type=float)
-    p_tau.add_argument("--eps-grid", dest="eps_grid")
+    grid(p_tau)
     p_tau.add_argument(
         "--resolution", type=int, default=2000, help="search resolution for tau_numeric"
     )
@@ -409,10 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.set_defaults(func=_cmd_tau)
 
     p_key = sub.add_parser("keyrate", help="final key fraction table")
-    p_key.add_argument("--delta", type=float)
-    p_key.add_argument("--delta-grid", dest="delta_grid")
-    p_key.add_argument("--eps", type=float)
-    p_key.add_argument("--eps-grid", dest="eps_grid")
+    grid(p_key)
     p_key.add_argument("--f", type=float, default=1.0, help="error-correction inefficiency >= 1")
     common(p_key)
     p_key.set_defaults(func=_cmd_keyrate)
@@ -420,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trade = sub.add_parser("tradeoff", help="double-click/error trade-off boundary")
     p_trade.add_argument("--na", type=int, required=True)
     p_trade.add_argument("--nb", type=int, required=True)
-    p_trade.add_argument(
-        "--points", type=int, default=200, help="supporting-hyperplane sweep size"
-    )
+    p_trade.add_argument("--points", type=int, default=200, help="supporting-hyperplane sweep size")
     p_trade.add_argument(
         "--samples", type=int, default=1000, help="random states for membership check"
     )
@@ -438,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.set_defaults(func=_cmd_attack)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol run")
-    p_sim.add_argument(
-        "--source", required=True, help="ideal | werner:V | attack:ALPHA,BETA,XI"
-    )
+    p_sim.add_argument("--source", required=True, help="ideal | werner:V | attack:ALPHA,BETA,XI")
     p_sim.add_argument("--events", type=int, default=100000)
     p_sim.add_argument("--f", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=12345)
