@@ -164,27 +164,19 @@ def singlet() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
-P11, P31 = PhotonPair(1, 1), PhotonPair(3, 1)
+Z, X, P11, P31 = Basis.Z, Basis.X, PhotonPair(1, 1), PhotonPair(3, 1)
 # call, expected value or array, absolute tolerance
 KNOWN_VALUES = {
-    **{
-        f"single-photon-{w.value}-no-double-click": (
-            lambda w=w: outcome_projectors(1, w)[2], 0.0, 1e-15
-        )
-        for w in Basis
-    },
+    "single-photon-Z-no-double-click": (lambda: outcome_projectors(1, Z)[2], 0.0, 1e-15),
+    "single-photon-X-no-double-click": (lambda: outcome_projectors(1, X)[2], 0.0, 1e-15),
     # one H and one V photon is the only double-click direction
     "two-photon-Z-double-click-projector": (
-        lambda: outcome_projectors(2, Basis.Z)[2], np.diag([0.0, 1.0, 0.0]), 1e-14
+        lambda: outcome_projectors(2, Z)[2], np.diag([0.0, 1.0, 0.0]), 1e-14
     ),
-    "three-photon-X-double-click-rank": (
-        lambda: np.trace(outcome_projectors(3, Basis.X)[2]), 2.0, 1e-12
-    ),
+    "three-photon-X-double-click-rank": (lambda: np.trace(outcome_projectors(3, X)[2]), 2.0, 1e-12),
     # eigen-decomposition oracle: spectrum {0, 1/2, 1/2, 1}, largest at the
     # singlet, which anticorrelates in both bases
-    "one-one-error-spectrum": (
-        lambda: sorted(eigh_checked(f_err(P11))[0]), [0.0, 0.5, 0.5, 1.0], 1e-12
-    ),
+    "one-one-error-spectrum": (lambda: eigh_checked(f_err(P11))[0], [0, 0.5, 0.5, 1], 1e-12),
     "one-one-error-top-is-singlet": (
         lambda: abs(float(eigh_checked(f_err(P11))[1][:, -1] @ singlet())), 1.0, 1e-12
     ),
@@ -192,9 +184,7 @@ KNOWN_VALUES = {
     "phi-plus-correct": (lambda: phi_plus() @ f_cor(P11) @ phi_plus(), 1.0, 1e-12),
     "one-one-correct-plus-error": (lambda: f_cor(P11) + f_err(P11), np.eye(4), 1e-13),
     "one-one-no-double-clicks": (lambda: f_dbl(P11), 0.0, 1e-13),
-    "three-one-top-eigenvalue": (
-        lambda: eigh_checked(f_cor(P31) + f_err(P31))[0][-1], 0.75, 1e-12
-    ),
+    "three-one-top-eigenvalue": (lambda: eigh_checked(f_cor(P31) + f_err(P31))[0][-1], 0.75, 1e-12),
 }
 
 

@@ -334,51 +334,43 @@ def _density(i: int, j: int, value: float) -> np.ndarray:
 
 F64, RHO, NAN_CHI = np.float64, np.eye(4) / 4.0, np.array([math.nan, 0.0, 0.0])
 ABOVE_ONE = "1.0204081632653061"  # the first value of np.linspace(0, 2, 50) above 1
-Z0, SHAPE_4 = basis_state(3, Basis.Z, Bit.ZERO), "3 amplitudes, got shape (4,)"
+Z1, Z2, Z3 = (basis_state(n, Basis.Z, Bit.ZERO) for n in (1, 2, 3))
+SHAPE_4, TRACE_1_2 = "3 amplitudes, got shape (4,)", np.diag([1.2, 0.0, 0.0, 0.0])
 # call, the exact exception type it raises, and a fragment of its message or a
 # pattern the whole message must match
 REJECTION_CASES = {
     "basis_state-zero-photons": (
-        lambda: basis_state(0, Basis.Z, Bit.ZERO), ValueError, "must be >= 1, got 0"
+        lambda: basis_state(0, Basis.Z, Bit.ZERO), ValueError, "count must be >= 1, got 0"
     ),
     "basis_state-above-cap": (
-        lambda: basis_state(33, Basis.X, Bit.ZERO),
-        ValueError,
-        "count 33 exceeds supported maximum 32",
+        lambda: basis_state(33, Basis.X, Bit.ZERO), ValueError, "33 exceeds supported maximum 32"
     ),
-    "inner_product-photon-numbers": (
-        lambda: inner_product(basis_state(1, Basis.Z, Bit.ZERO), basis_state(2, Basis.Z, Bit.ZERO)),
-        ValueError,
-        "photon numbers differ: 1 != 2",
-    ),
+    "inner_product-photon-numbers": (lambda: inner_product(Z1, Z2), ValueError, "differ: 1 != 2"),
     "ModePartition-empty": (lambda: ModePartition(()), ValueError, "at least one mode"),
     "ModePartition-nonpositive": (
         lambda: ModePartition((2, 0, 1)), ValueError, "parts must be >= 1, got (2, 0, 1)"
     ),
     "PhotonPair-zero": (lambda: PhotonPair(0, 1), ValueError, "must be >= 1, got (0, 1)"),
-    "PhotonPair-dimension-cap": (
-        lambda: PhotonPair(10, 10), ValueError, "joint dimension 121 exceeds cap 64"
-    ),
+    "PhotonPair-dimension-cap": (lambda: PhotonPair(10, 10), ValueError, "121 exceeds cap 64"),
     "SourceBranch-dimension-cap": (
-        lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap"
+        lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap 64"
     ),
-    "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap"),
+    "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap 64"),
     # under the dimension cap, but past the photon numbers basis_state supports
     "SourceModel-photon-count": (
         lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
         ValueError,
         re.compile(r"^photon count 33 exceeds supported maximum 32$"),
     ),
-    "min_double_click-single-photon": (
-        lambda: min_double_click(PhotonPair(1, 1)), ValueError, "(1, 1) events admit no"
-    ),
     **{
-        f"min_double_click-even-{n_a}-{n_b}": (
-            lambda pair=PhotonPair(n_a, n_b): min_double_click(pair),
-            ValueError,
-            f"({n_a}, {n_b}) is not an odd-odd pair",
+        f"min_double_click-{n_a}-{n_b}": (
+            lambda pair=PhotonPair(n_a, n_b): min_double_click(pair), ValueError, shown
         )
-        for n_a, n_b in [(1, 2), (2, 2)]
+        for n_a, n_b, shown in [
+            (1, 1, "(1, 1) events admit no double clicks"),
+            (1, 2, "(1, 2) is not an odd-odd pair"),
+            (2, 2, "(2, 2) is not an odd-odd pair"),
+        ]
     },
     "trace_boundary-odd-odd": (
         lambda: trace_boundary(PhotonPair(1, 3)), ValueError, "(1, 3) is odd-odd"
@@ -393,26 +385,9 @@ REJECTION_CASES = {
     "boundary_state-zero": (
         lambda: boundary_state(0.0, 0.0), ValueError, "vanishes for alpha=0.0, beta=0.0"
     ),
-    "run_attack-photon-number": (lambda: run_attack(Z0), ValueError, SHAPE_4),
-    "attack_state-photon-number": (lambda: attack_state(Z0), ValueError, SHAPE_4),
-    "attack_density-photon-number": (
-        lambda: attack_density(np.ones(4) / 2.0), ValueError, SHAPE_4
-    ),
-    "run_protocol-num-events": (
-        lambda: run_protocol(SourceModel.ideal_pair(), 0, seed=1),
-        ValueError,
-        "num_events must be >= 1, got 0",
-    ),
-    "density-trace": (
-        lambda: SourceModel.custom([(1.0, 1, 1, np.diag([1.2, 0.0, 0.0, 0.0]))]),
-        ValueError,
-        re.compile(r"density trace must be 1, got 1\.2$"),
-    ),
-    "outcome-probability-sum": (
-        lambda: sim._branch_tables(np.diag([1.2, 0.0, 0.0, 0.0]), 1, 1),
-        ValueError,
-        re.compile(r"outcome probabilities sum to 1\.2$"),
-    ),
+    "run_attack-photon-number": (lambda: run_attack(Z3), ValueError, SHAPE_4),
+    "attack_state-photon-number": (lambda: attack_state(Z3), ValueError, SHAPE_4),
+    "attack_density-photon-number": (lambda: attack_density(np.ones(4) / 2), ValueError, SHAPE_4),
     "branch-weight": (lambda: SourceBranch(F64(1.5), 1, 1, RHO), ValueError, "got 1.5"),
     "weight-sum": (lambda: SourceModel.custom([(F64(0.5), 1, 1, RHO)]), ValueError, "got 0.5"),
     "density-nan": (
@@ -426,9 +401,24 @@ REJECTION_CASES = {
     "density-inf-diagonal": (
         lambda: SourceBranch(1.0, 1, 1, _density(2, 2, math.inf)), ValueError, "finite, got inf"
     ),
+    "density-trace": (
+        lambda: SourceModel.custom([(1.0, 1, 1, TRACE_1_2)]),
+        ValueError,
+        re.compile(r"density trace must be 1, got 1\.2$"),
+    ),
+    "outcome-probability-sum": (
+        lambda: sim._branch_tables(TRACE_1_2, 1, 1),
+        ValueError,
+        re.compile(r"outcome probabilities sum to 1\.2$"),
+    ),
     "werner": (lambda: SourceModel.werner(F64(1.5)), ValueError, "got 1.5"),
     "eve_attack": (
         lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
+    ),
+    "run_protocol-num-events": (
+        lambda: run_protocol(SourceModel.ideal_pair(), 0, seed=1),
+        ValueError,
+        "num_events must be >= 1, got 0",
     ),
     "run_attack-nan": (lambda: run_attack(NAN_CHI), ValueError, "unit norm, got nan"),
     "attack_state-nan": (lambda: attack_state(NAN_CHI), ValueError, "unit norm, got nan"),
