@@ -113,17 +113,6 @@ class TestTradeoffCurve:
 
 
 class TestEps1Star:
-    def test_defining_equation(self):
-        x = eps1_star()
-        assert abs(16.0 * x * (1.0 - x) ** 3 - 1.0) <= 1e-10
-
-    def test_approximate_value(self):
-        assert eps1_star() == pytest.approx(0.080, abs=5e-4)
-
-    def test_selects_root_below_half(self):
-        # x = 1/2 also satisfies the defining equation; the iteration avoids it
-        assert eps1_star() < 0.1
-
     def test_correctly_rounded_root(self):
         # 16 x (1-x)^3 - 1 = (2x - 1) p(x); eps1_star is the root of the cubic p in (0, 1/2)
         def p(x):
