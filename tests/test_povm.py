@@ -155,16 +155,9 @@ def _lowest_clusters(fe: np.ndarray, fd: np.ndarray, num_points: int = 400):
     return lams, w, np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
 
 
-def phi_plus() -> np.ndarray:
-    # maximally correlated single-photon pair, amplitudes over (k_A, k_B)
-    return np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-
-
-def singlet() -> np.ndarray:
-    return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-
-
 Z, X, P11, P31 = Basis.Z, Basis.X, PhotonPair(1, 1), PhotonPair(3, 1)
+# the maximally correlated and the singlet single-photon pair, amplitudes over (k_A, k_B)
+PHI_PLUS, SINGLET = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
 # call, expected value or array, absolute tolerance
 KNOWN_VALUES = {
     "single-photon-Z-no-double-click": (lambda: outcome_projectors(1, Z)[2], 0.0, 1e-15),
@@ -178,10 +171,10 @@ KNOWN_VALUES = {
     # singlet, which anticorrelates in both bases
     "one-one-error-spectrum": (lambda: eigh_checked(f_err(P11))[0], [0, 0.5, 0.5, 1], 1e-12),
     "one-one-error-top-is-singlet": (
-        lambda: abs(float(eigh_checked(f_err(P11))[1][:, -1] @ singlet())), 1.0, 1e-12
+        lambda: abs(float(eigh_checked(f_err(P11))[1][:, -1] @ SINGLET)), 1.0, 1e-12
     ),
-    "phi-plus-error": (lambda: phi_plus() @ f_err(P11) @ phi_plus(), 0.0, 1e-12),
-    "phi-plus-correct": (lambda: phi_plus() @ f_cor(P11) @ phi_plus(), 1.0, 1e-12),
+    "phi-plus-error": (lambda: PHI_PLUS @ f_err(P11) @ PHI_PLUS, 0.0, 1e-12),
+    "phi-plus-correct": (lambda: PHI_PLUS @ f_cor(P11) @ PHI_PLUS, 1.0, 1e-12),
     "one-one-correct-plus-error": (lambda: f_cor(P11) + f_err(P11), np.eye(4), 1e-13),
     "one-one-no-double-clicks": (lambda: f_dbl(P11), 0.0, 1e-13),
     "three-one-top-eigenvalue": (lambda: eigh_checked(f_cor(P31) + f_err(P31))[0][-1], 0.75, 1e-12),

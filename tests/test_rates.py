@@ -98,10 +98,9 @@ class TestTradeoffCurve:
     def test_raises_exactly_off_the_curve_domain(self):
         # g and the curve-domain rule end the curve at one point: across a band
         # around 1/3, g raises exactly where _g_on_domain reads NaN
-        third, cut = 1.0 / 3.0, 1.0 / 3.0 + rates._DOMAIN_TOL
-        offsets = np.logspace(-17, -8, 37)
+        cut, offsets = 1.0 / 3.0 + rates._DOMAIN_TOL, np.logspace(-17, -8, 37)
         edge = [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
-        band = np.concatenate([third - offsets, third + offsets, edge])
+        band = np.concatenate([1.0 / 3.0 - offsets, 1.0 / 3.0 + offsets, edge])
         on_domain = rates._g_on_domain(band)
         assert np.isnan(on_domain).any() and not np.isnan(on_domain).all()
         for delta, want in zip(band, on_domain):
@@ -453,28 +452,24 @@ REJECTION_CASES = {
     "key_rate-f": (lambda: key_rate(ORIGIN, F64(0.5)), ValueError, "got 0.5"),
     **{
         f"{name}-f={f}": (lambda call=call, f=f: call(f), ValueError, "finite and >= 1")
-        for name, call, values in [
-            ("key_rate", lambda f: key_rate(ORIGIN, f=f), (0.9, math.nan, math.inf, -math.inf)),
-            (
-                "rate_table",
-                lambda f: rate_table([0.0], [0.0], f=f),
-                (0.9, math.nan, math.inf, -math.inf),
-            ),
-            # end_to_end checks f before the run, so a source with no certified rate rejects it too
-            (
-                "end_to_end-werner",
-                lambda f: end_to_end(SourceModel.werner(0.9), 1000, f=f, seed=1),
-                (0.5, math.nan, math.inf),
-            ),
-            (
-                "end_to_end-no-rate",
-                lambda f: end_to_end(
-                    SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0), 1000, f=f, seed=1
-                ),
-                (0.5, math.nan, math.inf),
-            ),
+        for name, call in [
+            ("key_rate", lambda f: key_rate(ORIGIN, f=f)),
+            ("rate_table", lambda f: rate_table([0.0], [0.0], f=f)),
         ]
-        for f in values
+        for f in (0.9, math.nan, math.inf, -math.inf)
+    },
+    # end_to_end checks f before the run, so a source with no certified rate rejects it too
+    **{
+        f"end_to_end-{name}-f={f}": (
+            lambda source=source, f=f: end_to_end(source(), 1000, f=f, seed=1),
+            ValueError,
+            "finite and >= 1",
+        )
+        for name, source in [
+            ("werner", lambda: SourceModel.werner(0.9)),
+            ("no-rate", lambda: SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0)),
+        ]
+        for f in (0.5, math.nan, math.inf)
     },
     "conjectured-domain": (
         lambda: conjectured_random_assignment_rate(ObservedStats(0.4, 0.35)),
