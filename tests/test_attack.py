@@ -147,6 +147,19 @@ class TestBuildV:
                     tgt = joint(n_a, w, a, n_b, Bit(b ^ a))
                     assert np.max(np.abs(v @ src - tgt)) <= 1e-10
 
+    def test_specific_one_two_mappings(self):
+        v = build_v(1, 2)
+        # control bit 0 acts trivially
+        s = joint(1, Basis.Z, Bit.ZERO, 2, Bit.ZERO)
+        assert np.max(np.abs(v @ s - s)) <= 1e-10
+        # control bit 1 flips Bob's bit, in either basis
+        assert np.max(
+            np.abs(v @ joint(1, Basis.Z, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.Z, Bit.ONE, 2, Bit.ONE))
+        ) <= 1e-10
+        assert np.max(
+            np.abs(v @ joint(1, Basis.X, Bit.ONE, 2, Bit.ZERO) - joint(1, Basis.X, Bit.ONE, 2, Bit.ONE))
+        ) <= 1e-10
+
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (1, 4), (3, 2)])
     def test_orthogonality(self, n_a, n_b):
         v = build_v(n_a, n_b)

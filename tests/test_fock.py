@@ -45,7 +45,7 @@ def overlap(n, w1, b1, w2, b2) -> float:
 
 
 Z, X, B0, B1 = Basis.Z, Basis.X, Bit.ZERO, Bit.ONE
-# call, expected amplitudes, absolute tolerance
+# call, expected amplitudes or overlap, absolute tolerance
 KNOWN_VALUES = {
     "single-photon-z0": (lambda: basis_state(1, Z, B0), [0, 1], 1e-15),
     "single-photon-z1": (lambda: basis_state(1, Z, B1), [1, 0], 1e-15),
@@ -53,6 +53,15 @@ KNOWN_VALUES = {
     "single-photon-x1": (lambda: basis_state(1, X, B1), [-1 / SQ2, 1 / SQ2], 1e-15),
     # expansion of the two-photon diagonal state
     "two-photon-x0": (lambda: basis_state(2, X, B0), [0.5, 1 / SQ2, 0.5], 1e-15),
+    "overlap-1-x0-z0": (lambda: overlap(1, X, B0, Z, B0), 2**-0.5, 1e-12),
+    "overlap-2-x1-z1": (lambda: overlap(2, X, B1, Z, B1), 0.5, 1e-12),
+    "overlap-3-x1-z1": (lambda: overlap(3, X, B1, Z, B1), -(2**-1.5), 1e-12),
+    "multimode-1+1-x0-z0": (
+        lambda: multimode_inner_product(ModePartition((1, 1)), X, B0, Z, B0), 0.5, 1e-12
+    ),
+    "multimode-2+1-x1-z1": (
+        lambda: multimode_inner_product(ModePartition((2, 1)), X, B1, Z, B1), -(2**-1.5), 1e-12
+    ),
 }
 
 
@@ -86,6 +95,13 @@ class TestBasisState:
         monkeypatch.setattr(fock.math, "comb", lambda n, k: 2 * comb(n, k))
         with pytest.raises(NumericalError, match="unit norm, got 1.41421356"):
             basis_state(2, Basis.X, Bit.ZERO)
+
+
+class TestInnerProduct:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("w", [Basis.Z, Basis.X])
+    def test_same_basis_orthogonality(self, n, w):
+        assert overlap(n, w, Bit.ZERO, w, Bit.ONE) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMultimode:

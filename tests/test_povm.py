@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bbm92kit import (
     f_dbl,
     f_err,
     g,
+    min_double_click,
     multiphoton_envelope,
     outcome_projectors,
     random_state_fractions,
@@ -227,6 +229,21 @@ class TestJointOperators:
         assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
 
 
+class TestMinDoubleClick:
+    def test_rejects_single_photon_pair(self):
+        shown = "(1, 1) events admit no double clicks"
+        with pytest.raises(ValueError, match=re.escape(shown)) as raised:
+            min_double_click(PhotonPair(1, 1))
+        assert type(raised.value) is ValueError
+
+    @pytest.mark.parametrize("pair", [PhotonPair(1, 2), PhotonPair(2, 2)], ids=pair_id)
+    def test_rejects_even_pairs(self, pair):
+        shown = f"({pair.n_a}, {pair.n_b}) is not an odd-odd pair"
+        with pytest.raises(ValueError, match=re.escape(shown)) as raised:
+            min_double_click(pair)
+        assert type(raised.value) is ValueError
+
+
 class TestTraceBoundary:
     def test_one_two_endpoints(self):
         deltas, epss = trace_boundary(PhotonPair(1, 2), num_points=300).T
@@ -259,6 +276,11 @@ class TestTraceBoundary:
             a = np.linalg.eigvalsh(fe12 + lam * fd12)[0]
             b = np.linalg.eigvalsh(fe21 + lam * fd21)[0]
             assert a == pytest.approx(b, abs=1e-9)
+
+    def test_rejects_odd_odd(self):
+        with pytest.raises(ValueError, match=re.escape("(1, 3) is odd-odd")) as raised:
+            trace_boundary(PhotonPair(1, 3))
+        assert type(raised.value) is ValueError
 
     @pytest.mark.parametrize("num_points", [200, 400])
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)

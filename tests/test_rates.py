@@ -27,7 +27,6 @@ from bbm92kit import (
     g,
     inner_product,
     key_rate,
-    min_double_click,
     multiphoton_envelope,
     random_state_fractions,
     rate_table,
@@ -37,7 +36,6 @@ from bbm92kit import (
     tau_closed_form,
     tau_low,
     tau_numeric,
-    trace_boundary,
 )
 from bbm92kit import rates, selfcheck, sim
 
@@ -112,6 +110,17 @@ class TestTradeoffCurve:
 
 
 class TestEps1Star:
+    def test_defining_equation(self):
+        x = eps1_star()
+        assert abs(16.0 * x * (1.0 - x) ** 3 - 1.0) <= 1e-10
+
+    def test_approximate_value(self):
+        assert eps1_star() == pytest.approx(0.080, abs=5e-4)
+
+    def test_selects_root_below_half(self):
+        # x = 1/2 also satisfies the defining equation; the iteration avoids it
+        assert eps1_star() < 0.1
+
     def test_correctly_rounded_root(self):
         # 16 x (1-x)^3 - 1 = (2x - 1) p(x); eps1_star is the root of the cubic p in (0, 1/2)
         def p(x):
@@ -349,19 +358,6 @@ REJECTION_CASES = {
         lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
         ValueError,
         re.compile(r"^photon count 33 exceeds supported maximum 32$"),
-    ),
-    **{
-        f"min_double_click-{n_a}-{n_b}": (
-            lambda pair=PhotonPair(n_a, n_b): min_double_click(pair), ValueError, shown
-        )
-        for n_a, n_b, shown in [
-            (1, 1, "(1, 1) events admit no double clicks"),
-            (1, 2, "(1, 2) is not an odd-odd pair"),
-            (2, 2, "(2, 2) is not an odd-odd pair"),
-        ]
-    },
-    "trace_boundary-odd-odd": (
-        lambda: trace_boundary(PhotonPair(1, 3)), ValueError, "(1, 3) is odd-odd"
     ),
     "random_state_fractions-count": (
         lambda: random_state_fractions(PhotonPair(1, 2), -1, np.random.default_rng(0)),
