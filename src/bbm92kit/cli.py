@@ -295,6 +295,8 @@ def _attack_columns(alpha, beta, delta_m, eps_m, accuracy) -> tuple[dict[str, li
 
 
 def _cmd_attack(args) -> int:
+    if args.sweep is not None and (args.alpha is not None or args.beta is not None):
+        raise ValueError("give either --alpha and --beta or --sweep, not both")
     if args.sweep is None:
         if args.alpha is None or args.beta is None:
             raise ValueError("need --alpha and --beta, or --sweep N")

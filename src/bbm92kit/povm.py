@@ -195,12 +195,7 @@ def _quadratic_forms(vecs: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def _support_points(
-    minimized: np.ndarray,
-    tie_break: np.ndarray,
-    fd: np.ndarray,
-    fe: np.ndarray,
-    outside: np.ndarray,
-    outside_dim: int,
+    minimized: np.ndarray, tie_break: np.ndarray, fd: np.ndarray, fe: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points from minimizing a stack of operators, degeneracy resolved by another.
 
@@ -209,15 +204,6 @@ def _support_points(
     eigenspace yields the facet's extreme points (and some interior ones, all
     on the same supporting line).  Returns the (delta_m, eps_m) arrays of the
     points in stack order, each matrix's points in eigenvector order.
-
-    The operators act on `outside_dim` more dimensions that the stack leaves
-    out, where f_dbl is the identity, f_err is zero and matrix i of the stack
-    is `outside[i]` times the identity.  Where that value ties with the
-    matrix's lowest eigenvalue, each of those dimensions adds the point (1, 0)
-    after the matrix's own points.  That is where a dense solve puts them when
-    the tie-break is f_dbl, which is 1 there, its largest value.  (With f_err
-    as the tie-break they would come first, but the pure double-click
-    minimization, the one that uses it, never ties: see `trace_boundary`.)
 
     The matrices are grouped by the dimension k of their minimal eigenspace,
     and each group's compression and quadratic forms are stacked calls whose
@@ -240,9 +226,6 @@ def _support_points(
         group_eps = _quadratic_forms(vecs.mT, fe)
         for j, row in enumerate(rows):
             delta[row], eps[row] = group_delta[j], group_eps[j]
-    for row in np.flatnonzero(outside <= w[:, 0] + _DEGENERACY_TOL):
-        delta[row] = np.concatenate([delta[row], np.ones(outside_dim)])
-        eps[row] = np.concatenate([eps[row], np.zeros(outside_dim)])
     return np.concatenate(delta), np.concatenate(eps)
 
 
@@ -263,13 +246,15 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     is exactly 0 and double_click exactly the identity.  Both operators are
     therefore built on Q alone, from the per-side stacks of
     `_span_projectors` (the click states' Cholesky coordinates for n >= 4,
-    the Fock basis for n <= 3), and the slopes are diagonalized there in
-    stacked blocks of `_LAMBDA_BLOCK`: 16 dimensions instead of 42 for
-    (5, 6).  The complement of Q has eigenvalue lambda on slope lambda and 1
-    under the pure double-click minimization.  Q holds states that error
-    annihilates (four linear conditions on at least 8 dimensions), so its
-    minimum is at most lambda: the complement ties with it at lambda = 0,
-    adding one point (1, 0) per dimension, and lies above it elsewhere.
+    the Fock basis for n <= 3), and diagonalized there: 16 dimensions instead
+    of 42 for (5, 6).  Slope 0 is one call, the positive slopes follow in
+    stacked blocks of `_LAMBDA_BLOCK`.  The complement of Q has eigenvalue
+    lambda on slope lambda and 1 under the pure double-click minimization.
+    Q holds states that error annihilates (four linear conditions on at least
+    8 dimensions), so its minimum is at most lambda: the complement ties with
+    it at lambda = 0 only.  Its points, one (1, 0) per dimension, therefore
+    follow the slope-0 points, where a dense solve puts them: f_dbl, the
+    tie-break, is 1 there, its largest value.
 
     Every coordinate must lie in [0, 1] and every row sum at most 1, each
     within 1e-10 (else NumericalError); the coordinates are then clamped to
@@ -287,13 +272,14 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     fe = _joint_sum(pair, False, _span_projectors)
     fd = np.eye(len(fe)) - _joint_sum(pair, True, _span_projectors) - fe
     outside_dim = pair.joint_dim - len(fe)
-    lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
-    blocks = [
-        _support_points(fe + block[:, None, None] * fd, fd, fd, fe, block, outside_dim)
+    lams = np.logspace(-3.0, 3.0, num_points)
+    blocks = [_support_points(fe[None], fd, fd, fe), (np.ones(outside_dim), np.zeros(outside_dim))]
+    blocks += [
+        _support_points(fe + block[:, None, None] * fd, fd, fd, fe)
         for block in np.split(lams, range(_LAMBDA_BLOCK, lams.size, _LAMBDA_BLOCK))
     ]
     # lambda -> infinity limit: minimize double clicks outright, then errors.
-    blocks.append(_support_points(fd[None], fe, fd, fe, np.ones(1), outside_dim))
+    blocks.append(_support_points(fd[None], fe, fd, fe))
     points = np.column_stack([np.concatenate(coords) for coords in zip(*blocks)])
     bad = ~((points >= -1e-10) & (points <= 1.0 + 1e-10)).all(axis=1)
     bad |= points.sum(axis=1) > 1.0 + 1e-10

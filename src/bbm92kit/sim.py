@@ -409,13 +409,11 @@ def analytic_fractions(source: SourceModel) -> tuple[float, float]:
     detect_mass = 0.0
     dbl_mass = 0.0
     err_mass = 0.0
-    for bi, branch in enumerate(source.branches):
-        for g in (4 * bi, 4 * bi + 3):  # Z/Z, then X/X
-            probs = kernel.probs[g]
-            scale = 0.5 * branch.weight
-            detect_mass += scale * float(probs[n_row[g]].sum())
-            dbl_mass += scale * float(probs[dbl_row[g]].sum())
-            err_mass += scale * float(probs[err_row[g]].sum())
+    for g, probs in enumerate(kernel.probs):
+        scale = 0.5 * source.branches[g // 4].weight
+        detect_mass += scale * float(probs[n_row[g]].sum())
+        dbl_mass += scale * float(probs[dbl_row[g]].sum())
+        err_mass += scale * float(probs[err_row[g]].sum())
     if detect_mass <= 0.0:
         raise ValueError("source never produces a same-basis detected event")
     return dbl_mass / detect_mass, err_mass / detect_mass

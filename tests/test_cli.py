@@ -323,6 +323,14 @@ class TestOutputPlumbing:
             (("attack", "--alpha", "0", "--beta", "0"), None, 2, "error: state vanishes"),
             (("attack",), None, 2, "error: need --alpha and --beta"),
             (
+                ("attack", "--sweep", "2", "--alpha", "1", "--beta", "0"),
+                None, 2, "error: give either --alpha and --beta or --sweep, not both\n",
+            ),
+            (
+                ("attack", "--sweep", "2"),
+                "alpha = 1", 2, "error: give either --alpha and --beta or --sweep, not both\n",
+            ),
+            (
                 ("simulate", "--source", "nope:1", "--events", "10"),
                 None, 2, "error: unknown source kind",
             ),
@@ -365,7 +373,8 @@ class TestOutputPlumbing:
             ),
         ],
         ids=[
-            "infeasible-point", "zero-state", "attack-no-args", "bad-source", "bad-config-key",
+            "infeasible-point", "zero-state", "attack-no-args", "sweep-with-angles",
+            "sweep-with-angles-config", "bad-source", "bad-config-key",
             "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
             "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
             "negative-tradeoff-seed", "negative-tradeoff-seed-config",

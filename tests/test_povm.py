@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from bbm92kit import (
     f_dbl,
     f_err,
     g,
-    min_double_click,
     multiphoton_envelope,
     outcome_projectors,
     random_state_fractions,
@@ -229,21 +227,6 @@ class TestJointOperators:
         assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
 
 
-class TestMinDoubleClick:
-    def test_rejects_single_photon_pair(self):
-        shown = "(1, 1) events admit no double clicks"
-        with pytest.raises(ValueError, match=re.escape(shown)) as raised:
-            min_double_click(PhotonPair(1, 1))
-        assert type(raised.value) is ValueError
-
-    @pytest.mark.parametrize("pair", [PhotonPair(1, 2), PhotonPair(2, 2)], ids=pair_id)
-    def test_rejects_even_pairs(self, pair):
-        shown = f"({pair.n_a}, {pair.n_b}) is not an odd-odd pair"
-        with pytest.raises(ValueError, match=re.escape(shown)) as raised:
-            min_double_click(pair)
-        assert type(raised.value) is ValueError
-
-
 class TestTraceBoundary:
     def test_one_two_endpoints(self):
         deltas, epss = trace_boundary(PhotonPair(1, 2), num_points=300).T
@@ -277,15 +260,12 @@ class TestTraceBoundary:
             b = np.linalg.eigvalsh(fe21 + lam * fd21)[0]
             assert a == pytest.approx(b, abs=1e-9)
 
-    def test_rejects_odd_odd(self):
-        with pytest.raises(ValueError, match=re.escape("(1, 3) is odd-odd")) as raised:
-            trace_boundary(PhotonPair(1, 3))
-        assert type(raised.value) is ValueError
-
-    @pytest.mark.parametrize("num_points", [200, 400])
+    @pytest.mark.parametrize("num_points", [2, 10, 200, 400])
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_equals_reference(self, pair, num_points):
         """The stacked trace gives the per-slope dense trace's points, in its order.
+
+        Traces of 2 and 10 points are shorter than one block of slopes.
 
         Where both photon numbers are <= 3 the trace solves the full operators,
         and the points are equal bit for bit.  Otherwise it solves them
@@ -372,8 +352,9 @@ class TestTraceBoundary:
     def test_complement_ties_only_at_zero_slope(self, pair):
         # The complement of the click states has eigenvalue lambda on slope
         # lambda and 1 under the pure double-click minimization.  It ties with
-        # the compressed minimum at lambda = 0 and sits far above it elsewhere,
-        # so which slopes gain its points does not hinge on the cut's value.
+        # the compressed minimum at lambda = 0 and sits far above it elsewhere.
+        # `trace_boundary` places the complement's points once, after the
+        # slope-0 points, without a test per slope; that rests on this test.
         lams, w, _ = _lowest_clusters(*_span_operators(pair))
         margins = np.append(lams, 1.0) - w[:, 0]
         assert abs(margins[0]) < _DEGENERACY_TOL / 10

@@ -27,6 +27,7 @@ from bbm92kit import (
     g,
     inner_product,
     key_rate,
+    min_double_click,
     multiphoton_envelope,
     random_state_fractions,
     rate_table,
@@ -36,6 +37,7 @@ from bbm92kit import (
     tau_closed_form,
     tau_low,
     tau_numeric,
+    trace_boundary,
 )
 from bbm92kit import rates, selfcheck, sim
 
@@ -110,17 +112,6 @@ class TestTradeoffCurve:
 
 
 class TestEps1Star:
-    def test_defining_equation(self):
-        x = eps1_star()
-        assert abs(16.0 * x * (1.0 - x) ** 3 - 1.0) <= 1e-10
-
-    def test_approximate_value(self):
-        assert eps1_star() == pytest.approx(0.080, abs=5e-4)
-
-    def test_selects_root_below_half(self):
-        # x = 1/2 also satisfies the defining equation; the iteration avoids it
-        assert eps1_star() < 0.1
-
     def test_correctly_rounded_root(self):
         # 16 x (1-x)^3 - 1 = (2x - 1) p(x); eps1_star is the root of the cubic p in (0, 1/2)
         def p(x):
@@ -151,17 +142,20 @@ def test_domain_check_rejects_nan(func, outside, array):
 
 
 class TestEnvelope:
-    def test_matches_curve_below_tangent(self):
-        xs = np.linspace(0.0, TANGENT, 50)
-        assert np.allclose(multiphoton_envelope(xs), g(xs), atol=1e-15)
-
-    def test_line_between_tangent_and_corner(self):
-        xs = np.linspace(TANGENT, 0.25, 50)
-        assert np.allclose(multiphoton_envelope(xs), 0.25 - xs, atol=1e-15)
-
-    def test_zero_beyond_corner(self):
-        assert multiphoton_envelope(0.3) == 0.0
-        assert multiphoton_envelope(1.0) == 0.0
+    # each piece: its arguments, the values the envelope takes there, absolute tolerance
+    @pytest.mark.parametrize(
+        "xs, want, tol",
+        [
+            (np.linspace(0.0, TANGENT, 50), g, 1e-15),
+            (np.linspace(TANGENT, 0.25, 50), lambda xs: 0.25 - xs, 1e-15),
+            (np.array([0.3, 1.0]), np.zeros_like, 0.0),
+        ],
+        ids=["curve-below-tangent", "line-tangent-to-corner", "zero-beyond-corner"],
+    )
+    def test_piece(self, xs, want, tol):
+        got = multiphoton_envelope(xs)
+        assert np.allclose(got, want(xs), atol=tol)
+        assert [multiphoton_envelope(float(x)) for x in xs] == got.tolist()
 
     def test_tangency_is_smooth(self):
         # the envelope's own tangent point T is where the line 1/4 - delta touches
@@ -358,6 +352,19 @@ REJECTION_CASES = {
         lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
         ValueError,
         re.compile(r"^photon count 33 exceeds supported maximum 32$"),
+    ),
+    **{
+        f"min_double_click-{n_a}-{n_b}": (
+            lambda pair=PhotonPair(n_a, n_b): min_double_click(pair), ValueError, shown
+        )
+        for n_a, n_b, shown in [
+            (1, 1, "(1, 1) events admit no double clicks"),
+            (1, 2, "(1, 2) is not an odd-odd pair"),
+            (2, 2, "(2, 2) is not an odd-odd pair"),
+        ]
+    },
+    "trace_boundary-odd-odd": (
+        lambda: trace_boundary(PhotonPair(1, 3)), ValueError, "(1, 3) is odd-odd"
     ),
     "random_state_fractions-count": (
         lambda: random_state_fractions(PhotonPair(1, 2), -1, np.random.default_rng(0)),

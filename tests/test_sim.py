@@ -634,26 +634,26 @@ class TestEndToEnd:
         assert a.sampled == b.sampled
 
 
-class TestAnalyticFractions:
-    def test_attack_source_matches_run_attack(self):
-        source, point = make_attack_source(1.0)
-        delta, eps = analytic_fractions(source)
-        assert delta == pytest.approx(point.delta_m, abs=1e-12)
-        assert eps == pytest.approx(point.eps_m, abs=1e-12)
+# source and its expected (delta_m, eps_m, ...), delta_m's absolute tolerance; eps_m's
+# is 1e-12, and a Werner pair never double-clicks, so its delta_m is exactly 0
+ANALYTIC_POINTS = {
+    "attack-source-matches-run_attack": (lambda: make_attack_source(1.0), 1e-12),
+    "werner-value": (lambda: (SourceModel.werner(0.8), (0.0, 0.1)), 0.0),
+    "attack-density-feeds-simulation": (
+        lambda chi=boundary_state(0.6, 0.8): (
+            SourceModel.custom([(1.0, 1, 2, attack_density(chi))]), run_attack(chi)
+        ),
+        1e-12,
+    ),
+}
 
-    def test_werner_value(self):
-        delta, eps = analytic_fractions(SourceModel.werner(0.8))
-        assert delta == 0.0
-        assert eps == pytest.approx(0.1, abs=1e-12)
 
-    def test_attack_density_feeds_simulation(self):
-        chi = boundary_state(0.6, 0.8)
-        rho = attack_density(chi)
-        source = SourceModel.custom([(1.0, 1, 2, rho)])
-        delta, eps = analytic_fractions(source)
-        point = run_attack(chi)
-        assert delta == pytest.approx(point.delta_m, abs=1e-12)
-        assert eps == pytest.approx(point.eps_m, abs=1e-12)
+@pytest.mark.parametrize("case, delta_tol", ANALYTIC_POINTS.values(), ids=ANALYTIC_POINTS)
+def test_analytic_fractions_known_point(case, delta_tol):
+    source, (want_delta, want_eps, *_) = case()
+    delta, eps = analytic_fractions(source)
+    assert abs(delta - want_delta) <= delta_tol
+    assert abs(eps - want_eps) <= 1e-12
 
 
 class TestSourceLifetime:
