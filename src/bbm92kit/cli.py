@@ -233,6 +233,11 @@ def _cmd_tradeoff(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     pair = povm.PhotonPair(args.na, args.nb)
+    # the messages trace_boundary and random_state_fractions give on the even path
+    if args.points < 2:
+        raise ValueError("num_points must be >= 2")
+    if args.samples < 0:
+        raise ValueError(f"count must be >= 0, got {args.samples}")
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         value = povm.min_double_click(pair)
         columns = {

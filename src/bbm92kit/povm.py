@@ -4,8 +4,9 @@ For a fixed photon-number pair (n_A, n_B) the sifted outcome of one protocol
 round is described by three positive operators on the joint space: "correct"
 (same bit on both sides), "error" (opposite bits) and "double click"
 (everything else).  The achievable pairs of expectation values
-(<double click>, <error>) form a convex region whose lower boundary this
-module traces numerically by supporting hyperplanes.
+(<double click>, <error>) form a convex region.  Its lower boundary is the
+lower edge of one 2x2 block of the error and double-click operators, which
+`trace_boundary` evaluates in closed form; no eigensolver runs there.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def capped_joint_dim(n_a: int, n_b: int) -> int:
 
 # A point counts as inside the multiphoton region up to this distance below
 # its lower envelope, which absorbs rounding in traced and sampled points.
-# Measured: traced points sit at most 6.7e-14 below the envelope (every pair
+# Measured: traced points sit at most 2.0e-14 below the envelope (every pair
 # with an even photon number under DIM_CAP, 400 points; the worst is (1, 2)),
 # and random states sit at least 5.4e-5 above it (`selfcheck` criterion 9 at
 # full size), so the cut falls far from both.
@@ -98,42 +99,16 @@ def outcome_projectors(n: int, w: Basis) -> np.ndarray:
     Each projector is exactly symmetric: an outer product of one state with
     itself, or the identity minus two such.
     """
-    return _projector_stack(*(basis_state(n, w, b) for b in (Bit.ZERO, Bit.ONE)))
-
-
-def _projector_stack(state0: np.ndarray, state1: np.ndarray) -> np.ndarray:
-    p0, p1 = np.outer(state0, state0), np.outer(state1, state1)
-    stack = np.array([p0, p1, np.eye(len(state0)) - p0 - p1])
+    p0, p1 = (np.outer(state, state) for state in (basis_state(n, w, b) for b in Bit))
+    stack = np.array([p0, p1, np.eye(n + 1) - p0 - p1])
     stack.setflags(write=False)
     return stack
 
 
-@cache
-def _span_projectors(n: int, w: Basis) -> np.ndarray:
-    """Read-only stack of one side's `outcome_projectors` on the span of its click states.
-
-    The bit outcomes project onto the click states |H^n>, |V^n>, |D^n> and
-    |A^n>.  For n <= 3 the (n+1)-dimensional Fock space is no larger than
-    their span, and the stack is `outcome_projectors` itself.  For n >= 4 it
-    is 4x4: the states' Gram matrix G follows from the overlap law alone
-    (<H|V> = <D|A> = 0, <H|D> = <H|A> = <V|D> = 2^(-n/2) and
-    <V|A> = (-1)^n 2^(-n/2)), and the columns of its Cholesky factor R,
-    R^T R = G, are the states' coordinates in an orthonormal basis of the
-    span (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
-    """
-    if n <= 3:
-        return outcome_projectors(n, w)
-    s = 2.0 ** (-n / 2.0)
-    t = (-1) ** n * s
-    gram = np.array([[1.0, 0.0, s, s], [0.0, 1.0, s, t], [s, s, 1.0, 0.0], [s, t, 0.0, 1.0]])
-    r = np.linalg.cholesky(gram).T
-    return _projector_stack(*(r[:, :2] if w is Basis.Z else r[:, 2:]).T)
-
-
-def _joint_sum(pair: PhotonPair, same_bit: bool, projectors=outcome_projectors) -> np.ndarray:
+def _joint_sum(pair: PhotonPair, same_bit: bool) -> np.ndarray:
     total = 0.0
     for w in (Basis.Z, Basis.X):
-        proj_a, proj_b = projectors(pair.n_a, w), projectors(pair.n_b, w)
+        proj_a, proj_b = outcome_projectors(pair.n_a, w), outcome_projectors(pair.n_b, w)
         for b in (Bit.ZERO, Bit.ONE):
             total += np.kron(proj_a[b], proj_b[b if same_bit else 1 - b])
     return 0.5 * total
@@ -178,90 +153,81 @@ def min_double_click(pair: PhotonPair) -> float:
     return 1.0 - float(w[-1])
 
 
-# Eigenvalues within this distance of the lowest one span the degenerate
-# eigenspace.  Over every pair with an even photon number up to n = 7 and
-# every slope of a 400-point trace, on the click states `trace_boundary`
-# solves, that cluster spreads at most 6.8e-13 and the next eigenvalue sits at
-# least 1.5e-5 above it, so the cut falls well inside the gap.
-_DEGENERACY_TOL = 1e-10
+def _block_points(t: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, eps) of the lowest eigenvector of the trade-off block at each slope in `lams`.
 
-# Slopes per stacked eigendecomposition, which bounds a trace's working memory.
-_LAMBDA_BLOCK = 32
-
-
-def _quadratic_forms(vecs: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """vec @ op @ vec for each row vec of a (..., k, d) stack, as the same gemv then ddot."""
-    return np.vecdot((vecs[..., None, :] @ op)[..., 0, :], vecs)
-
-
-def _support_points(
-    minimized: np.ndarray, tie_break: np.ndarray, fd: np.ndarray, fe: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary points from minimizing a stack of operators, degeneracy resolved by another.
-
-    When the minimal eigenspace has dimension > 1 the supporting line touches a
-    whole facet; diagonalizing the tie-break operator compressed onto that
-    eigenspace yields the facet's extreme points (and some interior ones, all
-    on the same supporting line).  Returns the (delta_m, eps_m) arrays of the
-    points in stack order, each matrix's points in eigenvector order.
-
-    The matrices are grouped by the dimension k of their minimal eigenspace,
-    and each group's compression and quadratic forms are stacked calls whose
-    per-matrix BLAS calls and operand strides are those of the one-matrix
-    path: gemm for the compression, gemv and ddot on the eigenvector columns.
+    The block is f_dbl = diag(1/2 - 2t, 1/2), f_err = [[1/4 + t, -c], [-c, 1/4]]
+    with c^2 = (1/4 + t)/4 (see `trace_boundary`).  With h = t (1 - 2 lam)/2,
+    half the difference of the diagonal of f_err + lam f_dbl, and
+    r = sqrt(h^2 + c^2), its lowest eigenvector x has x_1^2 = (1 - h/r)/2,
+    x_2^2 = (1 + h/r)/2 and x_1 x_2 = c/(2r), so x^T f_dbl x and x^T f_err x
+    are the two returned arrays.
     """
-    w, v = eigh_checked(minimized)
-    dims = np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
-    delta: list = [None] * len(w)
-    eps: list = [None] * len(w)
-    for k in np.unique(dims):
-        rows = np.flatnonzero(dims == k)
-        # The eigenspace is the first k columns, stored column by column as the
-        # boolean column mask v[:, w <= ...] stores it.
-        vecs = np.ascontiguousarray(v[rows, :, :k].mT).mT
-        if k > 1:
-            _, directions = eigh_checked(vecs.mT @ tie_break @ vecs)
-            vecs = vecs @ directions
-        group_delta = _quadratic_forms(vecs.mT, fd)
-        group_eps = _quadratic_forms(vecs.mT, fe)
-        for j, row in enumerate(rows):
-            delta[row], eps[row] = group_delta[j], group_eps[j]
-    return np.concatenate(delta), np.concatenate(eps)
+    c2 = (0.25 + t) / 4.0
+    h = t * (1.0 - 2.0 * lams) / 2.0
+    r = np.sqrt(h * h + c2)
+    return (1.0 - 2.0 * t) / 2.0 + t * h / r, 0.25 + t / 2.0 - t * h / (2.0 * r) - c2 / r
 
 
 def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
     """Trace the lower boundary of the achievable (delta_m, eps_m) region.
 
-    Returns a read-only (points, 2) array of (delta_m, eps_m) rows.
+    Returns a read-only (points, 2) array of (delta_m, eps_m) rows.  The
+    region is the joint numerical range of f_dbl and f_err, so it is convex,
+    and for each slope lambda >= 0 the lowest eigenvectors of
+    f_err + lambda f_dbl give boundary points.  The slopes are 0, `num_points`
+    logarithmic ones in [1e-3, 1e3] and lambda -> infinity, in that order,
+    each slope's points in increasing delta.  All come in closed form:
 
-    The region is convex (it is the joint numerical range of two symmetric
-    operators), so its boundary is swept exactly by supporting hyperplanes:
-    for each slope lambda >= 0 the minimum-eigenvalue state of
-    error + lambda * double_click supplies one boundary point.  The sweep uses
-    lambda = 0, a logarithmic ladder, and a final pure double-click
-    minimization; results are ordered by lambda.
+    1. One side.  The overlap law <x_b|z_c> = (-1)^(b c n) 2^(-n/2) makes the
+       X-Z overlap matrix 2^(-n/2) [[1, 1], [1, (-1)^n]].  For even n it has
+       rank 1: the bit-flip-even states (z_0 + z_1)/sqrt(2) and
+       (x_0 + x_1)/sqrt(2) overlap by 2^(1 - n/2), the odd ones are
+       orthogonal to the other basis.  For odd n the parity sign makes it
+       2^((1 - n)/2) times a Hadamard matrix: z_c meets only
+       (x_0 + (-1)^c x_1)/sqrt(2), by 2^((1 - n)/2).
+    2. Both sides.  The joint overlap matrix is the Kronecker product, so the
+       joint Z and X click spans meet at one angle, of cosine 4t with
+       t = 2^(-ceil((n_A + n_B)/2)), m times (m = 1 for two even photon
+       numbers, else 2), and are orthogonal otherwise.  Each meeting Z state
+       is u = (a + b)/sqrt(2), a a unit state of correct clicks and b one of
+       error clicks, its X partner u' alike; v = (a - b)/sqrt(2) and v' are
+       orthogonal to the other basis.
+    3. The block.  f_dbl = I - (Pi_Z + Pi_X)/2 and f_err = (E_Z + E_X)/2,
+       Pi_w and E_w projecting onto basis w's click and error click states,
+       leave W = span(u, v, u', v') invariant.  The Z<->X exchange
+       u <-> u', v <-> v' keeps the Gram matrix and swaps Pi_Z with Pi_X and
+       E_Z with E_X, so W splits into its symmetric and antisymmetric planes.
+       On p = (u + u')/|u + u'|, q = (v + v')/sqrt(2) the symmetric one is
+       the block of `_block_points`; the antisymmetric one is it with t -> -t.
+    4. The rest.  For lambda > 0 the antisymmetric block's lowest eigenvalue
+       is above the symmetric one's by 2 lambda t - t + sqrt(R) - sqrt(R - t/2),
+       R = h^2 + c^2, positive by squaring twice, as h < t/2 and 3h^2 <= c^2.
+       The other click states (two even photon numbers only: the
+       bit-flip-odd ones, at (1/2, 0) and (1/2, 1/2)) and the states off the
+       click spans, at (1, 0), have eigenvalues >= lambda/2, above
+       lambda/(2 + 4t), the block's value at its eps = 0 state.  So each
+       positive slope gives the block's point m times, and lambda -> infinity
+       its limit (1/2 - 2t, 1/4 + t) m times, the lowest f_dbl.  At lambda = 0
+       every eps = 0 state ties: f_err has rank 4, and f_dbl on its kernel
+       has eigenvalues 1/(2 + 4t) (m times), 1/2 (twice, two even photon
+       numbers only), 1/(2 - 4t) (m times), then 1; the joint_dim - 4 lowest
+       are the slope-0 points.  Where 4t = 1 (n_A + n_B <= 4), u = u', the
+       antisymmetric plane is a line at eps = 1/4, and 1/(2 - 4t) = 1 stands
+       for a state off the click spans.
 
-    Every bit outcome is a projector onto a click state |H^n>, |V^n>, |D^n>
-    or |A^n> of one side, so off the span Q of the joint click states error
-    is exactly 0 and double_click exactly the identity.  Both operators are
-    therefore built on Q alone, from the per-side stacks of
-    `_span_projectors` (the click states' Cholesky coordinates for n >= 4,
-    the Fock basis for n <= 3), and diagonalized there: 16 dimensions instead
-    of 42 for (5, 6).  Slope 0 is one call, the positive slopes follow in
-    stacked blocks of `_LAMBDA_BLOCK`.  The complement of Q has eigenvalue
-    lambda on slope lambda and 1 under the pure double-click minimization.
-    Q holds states that error annihilates (four linear conditions on at least
-    8 dimensions), so its minimum is at most lambda: the complement ties with
-    it at lambda = 0 only.  Its points, one (1, 0) per dimension, therefore
-    follow the slope-0 points, where a dense solve puts them: f_dbl, the
-    tie-break, is 1 there, its largest value.
+    At t = 1/4, the pairs (1, 2), (2, 1) and (2, 2), the block's lower edge
+    is the curve g.  Rounding: t, c^2, 1/2 - 2t, 1/4 + t and (1 - 2t)/2 are
+    exact, 1/(2 +- 4t) rounds once.  On the curve h carries one rounding, r
+    three and h/r five (gamma_5, Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3); with t <= 1/4, |h/r| <= 1, c^2/r <= c < 0.36 and all
+    partial sums below 1/2, delta is within 2u and eps within 4u of the
+    block's exact point at the same float slope (u = 2^-53).
 
     Every coordinate must lie in [0, 1] and every row sum at most 1, each
     within 1e-10 (else NumericalError); the coordinates are then clamped to
-    [0, 1].
-
-    Only pairs with at least one even photon number trace a curve; odd-odd
-    pairs are rejected (their constraint is the scalar `min_double_click`).
+    [0, 1], which only moves them towards their exact values.  Odd-odd pairs
+    trace no curve and are rejected (their constraint is `min_double_click`).
     """
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         raise ValueError(
@@ -269,18 +235,16 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
         )
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    fe = _joint_sum(pair, False, _span_projectors)
-    fd = np.eye(len(fe)) - _joint_sum(pair, True, _span_projectors) - fe
-    outside_dim = pair.joint_dim - len(fe)
-    lams = np.logspace(-3.0, 3.0, num_points)
-    blocks = [_support_points(fe[None], fd, fd, fe), (np.ones(outside_dim), np.zeros(outside_dim))]
-    blocks += [
-        _support_points(fe + block[:, None, None] * fd, fd, fd, fe)
-        for block in np.split(lams, range(_LAMBDA_BLOCK, lams.size, _LAMBDA_BLOCK))
-    ]
-    # lambda -> infinity limit: minimize double clicks outright, then errors.
-    blocks.append(_support_points(fd[None], fe, fd, fe))
-    points = np.column_stack([np.concatenate(coords) for coords in zip(*blocks)])
+    m = 1 if pair.n_a % 2 == 0 and pair.n_b % 2 == 0 else 2
+    t = 2.0 ** -((pair.n_a + pair.n_b + 1) // 2)
+    kernel = [1.0 / (2.0 + 4.0 * t)] * m + [0.5] * (4 - 2 * m) + [1.0 / (2.0 - 4.0 * t)] * m
+    zero_slope = (kernel + [1.0] * pair.joint_dim)[: pair.joint_dim - 4]
+    curve = np.column_stack(_block_points(t, np.logspace(-3.0, 3.0, num_points)))
+    points = np.concatenate([
+        np.column_stack([zero_slope, np.zeros(len(zero_slope))]),
+        np.repeat(curve, m, axis=0),
+        np.tile([0.5 - 2.0 * t, 0.25 + t], (m, 1)),
+    ])
     bad = ~((points >= -1e-10) & (points <= 1.0 + 1e-10)).all(axis=1)
     bad |= points.sum(axis=1) > 1.0 + 1e-10
     if bad.any():

@@ -371,6 +371,22 @@ class TestOutputPlumbing:
                 ("tradeoff", "--na", "1", "--nb", "2"),
                 "seed = -1", 2, "error: --seed must be >= 0, got -1\n",
             ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "3", "--points", "0"),
+                None, 2, "error: num_points must be >= 2\n",
+            ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "3"),
+                "points = 0", 2, "error: num_points must be >= 2\n",
+            ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "3", "--samples", "-5"),
+                None, 2, "error: count must be >= 0, got -5\n",
+            ),
+            (
+                ("tradeoff", "--na", "1", "--nb", "3"),
+                "samples = -5", 2, "error: count must be >= 0, got -5\n",
+            ),
         ],
         ids=[
             "infeasible-point", "zero-state", "attack-no-args", "sweep-with-angles",
@@ -378,6 +394,8 @@ class TestOutputPlumbing:
             "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
             "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
             "negative-tradeoff-seed", "negative-tradeoff-seed-config",
+            "odd-odd-zero-points", "odd-odd-zero-points-config",
+            "odd-odd-negative-samples", "odd-odd-negative-samples-config",
         ],
     )
     def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
@@ -532,7 +550,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "759973d17be061a9891f1b2eea7680a72e9d870e5f6843a24a596cff6eecc988"
+            "23b232dfc34a8499eee87e22e6e3340d5dec1e2ca7549676d0b561ece121fc7e"
         )
 
     @pytest.mark.parametrize(

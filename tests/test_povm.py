@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from bbm92kit import (
 from bbm92kit import povm, selfcheck
 from bbm92kit.errors import NumericalError
 from bbm92kit.fock import Bit, basis_state
-from bbm92kit.povm import _DEGENERACY_TOL, _MEMBERSHIP_TOL, eigh_checked
+from bbm92kit.povm import _MEMBERSHIP_TOL, eigh_checked
 
 
 def pair_id(value) -> str:
@@ -105,8 +106,7 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.nda
 def _click_coordinates(n: int) -> np.ndarray:
     """Orthonormal basis S R^-1 of one side's click states S, or the Fock basis for n <= 3.
 
-    R is the Cholesky factor of the states' Gram matrix S^T S, so the click
-    states have coordinates R in it, as `povm._span_projectors` places them.
+    R is the Cholesky factor of the states' Gram matrix S^T S.
     """
     if n <= 3:
         return np.eye(n + 1)
@@ -115,44 +115,31 @@ def _click_coordinates(n: int) -> np.ndarray:
     return np.linalg.solve(r.T, states.T).T
 
 
-def _span_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray]:
-    """f_err and f_dbl on the click states, as `trace_boundary` builds them."""
-    fe = povm._joint_sum(pair, False, povm._span_projectors)
-    return fe, np.eye(len(fe)) - povm._joint_sum(pair, True, povm._span_projectors) - fe
-
-
-# Bound on each entry of Q^T f Q - f_span, f P and P f_dbl P - P, Q the joint
-# click-state basis and P = I - Q Q^T the projector off it, for f = f_err and
-# f_dbl, where all vanish exactly.  Each entry is a dot product of length
-# joint_dim <= 64 between rows of norm <= 1, so one product rounds by at most
-# gamma_64 = 64 u / (1 - 64 u) < 7.2e-15 (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., eq. 3.5), and the operators, the Cholesky
-# factors, Q and P carry a few ulps more.  Measured: at most 6.7e-16 over every
-# pair in CAPPED_EVEN_PAIRS.  A real leak or a wrong coordinate is O(1).
-_SPAN_TOL = 1e-12
-
-
-def _check_click_span(pair: PhotonPair, side_basis=_click_coordinates) -> None:
-    """Assert that the dense operators live on the click states and equal the span ones there.
-
-    Since 0 <= f_dbl <= I, P f_dbl P = P also gives f_dbl P = P, so both
-    operators are block diagonal across Q and its complement.
-    """
-    q = np.kron(side_basis(pair.n_a), side_basis(pair.n_b))
-    fe, fd = f_err(pair), f_dbl(pair)
-    off = np.eye(pair.joint_dim) - q @ q.T
-    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
-    leak = max(np.max(np.abs(fe @ off)), np.max(np.abs(off @ fd @ off - off)))
-    assert leak <= _SPAN_TOL, f"operators leak {leak:.3e} off the click states"
-    for dense, span in zip((fe, fd), _span_operators(pair)):
-        assert np.max(np.abs(q.T @ dense @ q - span)) <= _SPAN_TOL
+# Eigenvalues within this distance of the lowest one are one cluster, as in
+# the reference trace's tie cut.
+_CLUSTER_CUT = 1e-10
 
 
 def _lowest_clusters(fe: np.ndarray, fd: np.ndarray, num_points: int = 400):
     """Spectra of the operators a trace minimizes, and each lowest cluster's dimension."""
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, num_points)])
     w = np.linalg.eigvalsh(np.concatenate([fe + lams[:, None, None] * fd, fd[None]]))
-    return lams, w, np.sum(w <= w[:, :1] + _DEGENERACY_TOL, axis=1)
+    return lams, w, np.sum(w <= w[:, :1] + _CLUSTER_CUT, axis=1)
+
+
+def _mp_trace(pair: PhotonPair, num_points: int) -> list:
+    """`trace_boundary`'s rows from its closed form, evaluated at 50 digits."""
+    m = 1 if pair.n_a % 2 == 0 and pair.n_b % 2 == 0 else 2
+    with mpmath.workdps(50):
+        t = mpmath.mpf(2) ** -math.ceil((pair.n_a + pair.n_b) / 2)
+        kernel = [1 / (2 + 4 * t)] * m + [mpmath.mpf(0.5)] * (4 - 2 * m) + [1 / (2 - 4 * t)] * m
+        rows = [(d, 0) for d in (kernel + [1] * pair.joint_dim)[: pair.joint_dim - 4]]
+        c2 = (t + 0.25) / 4
+        for lam in np.logspace(-3.0, 3.0, num_points):
+            h = t * (1 - 2 * mpmath.mpf(lam)) / 2
+            r = mpmath.sqrt(h * h + c2)
+            rows += [((1 - 2 * t) / 2 + t * h / r, 0.25 + t / 2 - t * h / (2 * r) - c2 / r)] * m
+        return rows + [(0.5 - 2 * t, 0.25 + t)] * m
 
 
 Z, X, P11, P31 = Basis.Z, Basis.X, PhotonPair(1, 1), PhotonPair(3, 1)
@@ -263,40 +250,71 @@ class TestTraceBoundary:
     @pytest.mark.parametrize("num_points", [2, 10, 200, 400])
     @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
     def test_equals_reference(self, pair, num_points):
-        """The stacked trace gives the per-slope dense trace's points, in its order.
+        """The closed-form trace gives the per-slope dense trace's points, in its order.
 
-        Traces of 2 and 10 points are shorter than one block of slopes.
-
-        Where both photon numbers are <= 3 the trace solves the full operators,
-        and the points are equal bit for bit.  Otherwise it solves them
-        compressed onto the click states, so the bits differ by construction,
-        and the bound is derived.  Each point is a pair of quadratic forms, of
-        operators with norm <= 1, at a unit vector from a backward-stable
-        eigensolve: its cluster spans the exact lowest eigenspace of a matrix
-        within |E| <= d u |A| of A (d <= joint_dim the dimension solved, u the
-        unit roundoff).  By Davis-Kahan that space turns by at most |E| / gap
-        from the exact one, gap the distance from the lowest cluster to the
-        next eigenvalue, and each quadratic form moves by at most twice the
-        angle.  Inside a cluster the points are the tie-break's eigenpairs;
-        where its eigenvalues tie, as on the mirror-image states of a facet,
-        the points coincide, so no smaller gap enters.  Both traces err so:
-        |delta| <= 4 d u max |A| / gap over the trace's matrices.  The gap is
-        the one `test_degeneracy_cut_sits_in_the_spectral_gap` pins; for
-        (5, 6) the bound is 3.1e-10, inside the benchmark's 1e-9 point check.
+        The bits differ by construction, so the bound is derived.  Each
+        reference point is a pair of quadratic forms, of operators with norm
+        <= 1, at a unit vector from a backward-stable eigensolve: its cluster
+        spans the exact lowest eigenspace of a matrix within |E| <= d u |A| of
+        A (d = joint_dim, u the unit roundoff).  By Davis-Kahan that space
+        turns by at most |E| / gap from the exact one, gap the distance from
+        the lowest cluster to the next eigenvalue, and each quadratic form
+        moves by at most twice the angle.  Inside a cluster the points are the
+        tie-break's eigenpairs; where its eigenvalues tie, as on the
+        mirror-image states of a facet, the points coincide, so no smaller gap
+        enters.  So the reference errs by at most 2 d u max |A| / gap, and the
+        closed form by 4u (`trace_boundary`), which is below that again since
+        d >= 4 and max |A| >= gap / 2: |delta| <= 4 d u max |A| / gap.  The
+        clusters are far narrower than the reference's cut, so their
+        dimensions do not hinge on it; for (5, 6) the bound is 3.1e-10,
+        inside the benchmark's 1e-9 point check.
         """
         pair = PhotonPair(*pair)
         got = trace_boundary(pair, num_points)
         want = _reference_trace_boundary(pair, num_points)
-        if max(pair.n_a, pair.n_b) <= 3:
-            assert np.array_equal(got, want)
-            return
         _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair), num_points)
         rows = np.arange(len(w))
+        assert np.max(w[rows, dims - 1] - w[:, 0]) < _CLUSTER_CUT / 10
         gap = w[rows, dims] - w[rows, dims - 1]
         bound = 4 * pair.joint_dim * np.finfo(float).eps / 2 * np.max(np.abs(w).max(axis=1) / gap)
         assert bound <= 1e-9
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("pair", [*BOUNDARY_PAIRS, (2, 20), (1, 30)], ids=str)
+    def test_matches_50_digit_closed_form(self, pair):
+        # the float rows against the same closed form at 50 digits, within the
+        # 2u (delta) and 4u (eps) that the `trace_boundary` docstring derives
+        got = trace_boundary(PhotonPair(*pair), 400)
+        want = _mp_trace(PhotonPair(*pair), 400)
+        assert got.shape == (len(want), 2)
+        with mpmath.workdps(50):
+            err = [[abs(x - mpmath.mpf(y)) for x, y in zip(a, b)] for a, b in zip(want, got.tolist())]
+        assert np.all(np.array(err, dtype=float).max(axis=0) <= np.array([2.0, 4.0]) * 2.0**-53)
+
+    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_zero_slope_rows_are_the_kernel_spectrum(self, pair):
+        # f_err has rank 4, its other eigenvalues are at least 1/4, and the
+        # slope-0 rows are (mu, 0) for the eigenvalues mu of f_dbl compressed
+        # onto its kernel, in increasing order.  1e-12 is far above the
+        # eigensolver's d u = 7.1e-15 and the kernel's turn d u / (1/4).
+        k = pair.joint_dim - 4
+        w, v = np.linalg.eigh(f_err(pair))
+        assert np.max(np.abs(w[:k])) <= 1e-12 and w[k] >= 0.25 - 1e-12
+        want = np.linalg.eigvalsh(v[:, :k].T @ f_dbl(pair) @ v[:, :k])
+        rows = trace_boundary(pair, 2)[:k]
+        assert np.max(np.abs(rows[:, 0] - want)) <= 1e-12 and not rows[:, 1].any()
+
+    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_lowest_double_click_is_half_minus_2t(self, pair):
+        # lambda_min(f_dbl) = 1/2 - 2t, the block's double-click end; from
+        # n_A + n_B >= 5 on, t <= 1/8, so every state has delta >= 1/4, where
+        # the envelope is 0 and the region claim holds outright.
+        t = 2.0 ** -math.ceil((pair.n_a + pair.n_b) / 2)
+        lowest = float(np.linalg.eigvalsh(f_dbl(pair))[0])
+        assert abs(lowest - (0.5 - 2.0 * t)) <= 1e-12
+        assert trace_boundary(pair, 2)[-1].tolist() == [0.5 - 2.0 * t, 0.25 + t]
+        assert pair.n_a + pair.n_b < 5 or lowest >= 0.25 - 1e-12
 
     def test_returns_read_only_rows(self):
         points = trace_boundary(PhotonPair(1, 2), num_points=50)
@@ -310,74 +328,39 @@ class TestTraceBoundary:
     )
     def test_rejects_out_of_range_point(self, monkeypatch, point):
         # A traced point outside the fractions' range is an internal failure.
-        def one_bad_point(minimized, *operators):
-            return np.full(len(minimized), point[0]), np.full(len(minimized), point[1])
+        def one_bad_point(t, lams):
+            return np.full(len(lams), point[0]), np.full(len(lams), point[1])
 
-        monkeypatch.setattr(povm, "_support_points", one_bad_point)
+        monkeypatch.setattr(povm, "_block_points", one_bad_point)
         with pytest.raises(NumericalError, match="is not a pair of fractions"):
             trace_boundary(PhotonPair(1, 2), num_points=10)
 
     def test_clamps_rounding_noise(self, monkeypatch):
         noise = (np.array([1e-14, -1e-14, -0.0]), np.array([-1e-14, 1.0 + 1e-14, 0.5]))
-        monkeypatch.setattr(povm, "_support_points", lambda *operators: noise)
-        points = trace_boundary(PhotonPair(1, 2), num_points=2)
-        assert points[:3].tolist() == [[1e-14, 0.0], [0.0, 1.0], [-0.0, 0.5]]
-        assert math.copysign(1.0, points[2, 0]) == -1.0  # as min(max(-0.0, 0.0), 1.0)
+        monkeypatch.setattr(povm, "_block_points", lambda t, lams: noise)
+        points = trace_boundary(PhotonPair(2, 2), num_points=3)
+        assert points[5:8].tolist() == [[1e-14, 0.0], [0.0, 1.0], [-0.0, 0.5]]
+        assert math.copysign(1.0, points[7, 0]) == -1.0  # as min(max(-0.0, 0.0), 1.0)
 
-    @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
-    def test_degeneracy_cut_sits_in_the_spectral_gap(self, pair):
-        # The lowest eigenvalue cluster of every operator a 400-point trace
-        # minimizes, on the full space as the reference solves it and on the
-        # click states as the trace does, is far narrower than the cut, and the
-        # next eigenvalue is far above it, so the eigenspace dimension does not
-        # hinge on the cut's value.
-        pair = PhotonPair(*pair)
-        for operators in ((f_err(pair), f_dbl(pair)), _span_operators(pair)):
-            _, w, dims = _lowest_clusters(*operators)
-            rows = np.arange(len(w))
-            assert np.all(dims < w.shape[1])
-            assert np.max(w[rows, dims - 1] - w[:, 0]) < _DEGENERACY_TOL / 10
-            assert np.min(w[rows, dims] - w[rows, dims - 1]) > 1e3 * _DEGENERACY_TOL
-
-    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
-    def test_click_state_compression_is_exact(self, pair):
-        # In the click states' basis Q = S R^-1 the dense f_err and f_dbl are
-        # the operators `trace_boundary` builds from the overlap law; off Q
-        # f_err vanishes and f_dbl is the identity.  The span has dimension
-        # min(n+1, 4) on each side.
-        assert len(_span_operators(pair)[0]) == min(pair.n_a + 1, 4) * min(pair.n_b + 1, 4)
-        _check_click_span(pair)
+    def test_selfcheck_catches_a_moved_block_point(self, monkeypatch):
+        # Moving the curve points by 1e-9 in delta keeps them on a curve near
+        # g, but off the dense operators' supporting lines.
+        block = povm._block_points
+        moved = lambda t, lams: (block(t, lams)[0] + 1e-9, block(t, lams)[1])  # noqa: E731
+        monkeypatch.setattr(povm, "_block_points", moved)
+        assert not selfcheck.check_tradeoff_boundary().passed
 
     @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_complement_ties_only_at_zero_slope(self, pair):
         # The complement of the click states has eigenvalue lambda on slope
         # lambda and 1 under the pure double-click minimization.  It ties with
-        # the compressed minimum at lambda = 0 and sits far above it elsewhere.
-        # `trace_boundary` places the complement's points once, after the
-        # slope-0 points, without a test per slope; that rests on this test.
-        lams, w, _ = _lowest_clusters(*_span_operators(pair))
+        # the click states' minimum at lambda = 0 and sits far above it
+        # elsewhere, so its points, (1, 0) each, are slope-0 points only.
+        q = np.kron(_click_coordinates(pair.n_a), _click_coordinates(pair.n_b))
+        lams, w, _ = _lowest_clusters(q.T @ f_err(pair) @ q, q.T @ f_dbl(pair) @ q)
         margins = np.append(lams, 1.0) - w[:, 0]
-        assert abs(margins[0]) < _DEGENERACY_TOL / 10
-        assert np.min(margins[1:]) >= 1e3 * _DEGENERACY_TOL
-
-    @pytest.mark.parametrize(
-        "wrong",
-        [
-            lambda states: np.linalg.qr(states[:, :3])[0],
-            lambda states: np.eye(len(states))[:, 1:5],
-        ],
-        ids=["one-state-dropped", "occupation-states"],
-    )
-    def test_wrong_click_basis_raises(self, wrong):
-        # A basis that misses the click states leaves part of f_err outside it,
-        # so the check above is not vacuous.
-        def side_basis(n):
-            if n <= 3:
-                return np.eye(n + 1)
-            return wrong(np.column_stack([basis_state(n, w, b) for w in Basis for b in Bit]))
-
-        with pytest.raises(AssertionError, match="off the click states"):
-            _check_click_span(PhotonPair(5, 6), side_basis)
+        assert abs(margins[0]) < _CLUSTER_CUT / 10
+        assert np.min(margins[1:]) >= 1e3 * _CLUSTER_CUT
 
 
 class TestEighChecked:
