@@ -144,9 +144,8 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     margin = float(np.fmin.reduce(even[:, 1] - rates._g_on_domain(even[:, 0]), initial=0.0))
     ok &= margin >= -1e-8
     sizes = product(range(1, povm.DIM_CAP), repeat=2) if full else [(1, 2), (2, 2), (1, 4)]
-    pairs = [
-        povm.PhotonPair(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP and a * b % 2 == 0
-    ]
+    capped = [(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP]
+    pairs = [povm.PhotonPair(a, b) for a, b in capped if a * b % 2 == 0]
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 400)])
     support = 0.0
     for pair in pairs:

@@ -289,7 +289,7 @@ class TestTraceBoundary:
         want = _mp_trace(PhotonPair(*pair), 400)
         assert got.shape == (len(want), 2)
         with mpmath.workdps(50):
-            err = [[abs(x - mpmath.mpf(y)) for x, y in zip(a, b)] for a, b in zip(want, got.tolist())]
+            err = [[abs(x - mpmath.mpf(y)) for x, y in zip(*rows)] for rows in zip(want, got)]
         assert np.all(np.array(err, dtype=float).max(axis=0) <= np.array([2.0, 4.0]) * 2.0**-53)
 
     @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
