@@ -265,9 +265,9 @@ class TestTraceBoundary:
         enters.  So the reference errs by at most 2 d u max |A| / gap, and the
         closed form by 4u (`trace_boundary`), which is below that again since
         d >= 4 and max |A| >= gap / 2: |delta| <= 4 d u max |A| / gap.  The
-        clusters are far narrower than the reference's cut, so their
-        dimensions do not hinge on it; for (5, 6) the bound is 3.1e-10,
-        inside the benchmark's 1e-9 point check.
+        gap is the one `test_degeneracy_cut_sits_in_the_spectral_gap` pins;
+        for (5, 6) the bound is 3.1e-10, inside the benchmark's 1e-9 point
+        check.
         """
         pair = PhotonPair(*pair)
         got = trace_boundary(pair, num_points)
@@ -280,6 +280,19 @@ class TestTraceBoundary:
         assert bound <= 1e-9
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("pair", BOUNDARY_PAIRS, ids=str)
+    def test_degeneracy_cut_sits_in_the_spectral_gap(self, pair):
+        # The lowest eigenvalue cluster of every operator the dense reference
+        # minimizes in a 400-point trace is far narrower than its tie cut, and
+        # the next eigenvalue is far above it, so the eigenspace dimension does
+        # not hinge on the cut's value.
+        pair = PhotonPair(*pair)
+        _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair))
+        rows = np.arange(len(w))
+        assert np.all(dims < w.shape[1])
+        assert np.max(w[rows, dims - 1] - w[:, 0]) < _CLUSTER_CUT / 10
+        assert np.min(w[rows, dims] - w[rows, dims - 1]) > 1e3 * _CLUSTER_CUT
 
     @pytest.mark.parametrize("pair", [*BOUNDARY_PAIRS, (2, 20), (1, 30)], ids=str)
     def test_matches_50_digit_closed_form(self, pair):
