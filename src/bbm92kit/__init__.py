@@ -43,7 +43,6 @@ from .povm import (
     trace_boundary,
 )
 from .rates import (
-    KeyRateResult,
     ObservedStats,
     RateTable,
     binary_entropy,

@@ -362,11 +362,11 @@ def _cmd_simulate(args) -> int:
         "eps_hat": report.eps_hat,
         "delta_se": report.delta_se,
         "eps_se": report.eps_se,
-        "region": report.sampled.region if report.sampled else "infeasible",
-        "r_key": report.sampled.r_key if report.sampled else None,
+        "region": report.region,
+        "r_key": report.r_key,
         "delta_analytic": report.analytic_delta,
         "eps_analytic": report.analytic_eps,
-        "r_key_analytic": report.analytic.r_key if report.analytic else None,
+        "r_key_analytic": report.r_key_analytic,
         "r_key_gap": report.r_key_gap,
         "r_conjectured_random_assignment": report.conjectured_rate_sampled,
         "f_ec": report.f_ec,

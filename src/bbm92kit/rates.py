@@ -9,9 +9,9 @@ cover the whole domain where a key can survive; `tau_numeric` recomputes the
 same maximum by direct search as an independent cross-check.
 
 The tau layer works on arrays of observed (delta, eps): `rate_table` and
-`tau_numeric_array` evaluate every row in one call, and the scalar functions
-taking an `ObservedStats` are one-row wrappers around them, so both give
-bit-identical values.
+`tau_numeric_array` evaluate every row in one call.  The scalar functions
+taking an `ObservedStats` run one row of the same code, without checking the
+domain that type enforces, and return the same bits as floats.
 """
 
 from __future__ import annotations
@@ -170,24 +170,6 @@ class ObservedStats:
         return region_of(self) != "infeasible"
 
 
-@dataclass(frozen=True)
-class KeyRateResult:
-    """Privacy-amplification fraction plus, when computed, the final key fraction."""
-
-    tau: float
-    region: str
-    r_key: float | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.region != "infeasible"
-
-    @property
-    def has_key(self) -> bool | None:
-        """Whether the key fraction is positive; None where no key fraction was computed."""
-        return None if self.r_key is None else self.r_key > 0.0
-
-
 def _stats_arrays(delta, eps) -> tuple[np.ndarray, np.ndarray]:
     """1-D float copies of broadcast (delta, eps); raises on rows outside the domain."""
     d, e = np.broadcast_arrays(np.asarray(delta, float), np.asarray(eps, float))
@@ -288,18 +270,18 @@ def _check_region_continuity(d, e, region, tau, low, on_ab, on_bc) -> None:
         )
 
 
-def tau_closed_form(stats: ObservedStats) -> KeyRateResult:
+def tau_closed_form(stats: ObservedStats) -> float:
     """Piecewise closed-form privacy-amplification fraction.
 
     Region (a): mixtures of single-photon events with the odd-odd corner.
     Region (b): the planar facet through the corner, the tangent point of the
     trade-off curve, and the single-photon cost curve at eps1_star.
     Region (c): the single-photon/trade-off-curve mixture, i.e. tau_low.
-    Outside these regions the result is flagged infeasible, never extrapolated.
-    One-row wrapper around the array path of `rate_table`.
+    Outside these regions the value is NaN, flagged and never extrapolated;
+    `region_of` names the region.  The tau cell of `rate_table`'s row.
     """
-    region, tau, _ = _tau_arrays(np.array([stats.delta]), np.array([stats.eps]))
-    return KeyRateResult(tau=float(tau[0]), region=str(region[0]))
+    _, tau, _ = _tau_arrays(np.array([stats.delta]), np.array([stats.eps]))
+    return float(tau[0])
 
 
 def _tau_low_slope(x, d, sqrt_d, e) -> tuple[np.ndarray, np.ndarray]:
@@ -538,26 +520,23 @@ def tau_numeric(stats: ObservedStats) -> float:
     envelope.  Three passes of 65 points around the best grid cell sharpen
     the maximum well below the 1e-6 agreement target with the closed forms.
     This search shares nothing with the tau_low maximiser, so it
-    cross-checks it.  One-row wrapper around `tau_numeric_array`.
+    cross-checks it.  One row of `tau_numeric_array`.
     """
     d, e = float(stats.delta), float(stats.eps)
-    value = tau_numeric_array(d, e)[0]
-    if np.isnan(value):
-        if not stats.feasible:
-            # the mixture program itself extends further, but values out there are
-            # not certified; refuse rather than extrapolate
-            raise InfeasibleError(
-                f"(delta={d!r}, eps={e!r}) lies outside the certified domain"
-            )
+    if not stats.feasible:
+        # the mixture program itself extends further, but values out there are
+        # not certified; refuse rather than extrapolate
+        raise InfeasibleError(f"(delta={d!r}, eps={e!r}) lies outside the certified domain")
+    value = _tau_numeric_block(np.array([d]), np.array([e]), 2000)[0]
+    if np.isneginf(value):
         raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
     return float(value)
 
 
 def _conjectured_rate(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 - 2 H(eps + delta/2) per row; NaN where eps + delta/2 > 1/2 beyond _DOMAIN_TOL."""
     q = e + 0.5 * d
-    if np.any(q > 0.5 + _DOMAIN_TOL):
-        raise ValueError(f"entropy argument eps + delta/2 = {float(q.max())!r} exceeds 1/2")
-    return 1.0 - 2.0 * binary_entropy(np.minimum(q, 0.5))
+    return np.where(q <= 0.5 + _DOMAIN_TOL, 1.0 - 2.0 * binary_entropy(np.minimum(q, 0.5)), np.nan)
 
 
 def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
@@ -604,8 +583,9 @@ def rate_table(delta, eps, f: float = 1.0) -> RateTable:
     fraction the explicit attack still allows, so r_key <= r_upper.  The
     CONJECTURED random-assignment rate 1 - 2 H(eps + delta/2) rides along
     under its own name.  Rows outside regions (a)-(c) are labeled
-    'infeasible' and carry NaN; rows outside the observed-fraction domain
-    raise ValueError.
+    'infeasible' and carry NaN in every rate, the conjectured one too, though
+    its formula holds up to eps + delta/2 = 1/2 (`end_to_end` gives it there);
+    rows outside the observed-fraction domain raise ValueError.
     """
     _check_f(f)
     d, e = _stats_arrays(delta, eps)
@@ -630,22 +610,33 @@ def rate_table(delta, eps, f: float = 1.0) -> RateTable:
     )
 
 
-def key_rate(stats: ObservedStats, f: float = 1.0) -> KeyRateResult:
-    """Final key fraction (1-delta)(1 - f H(QBER)) - tau(delta, eps).
+def _key_rate_row(delta: float, eps: float, f: float) -> tuple[str, float | None]:
+    """(region, R) of one row already inside the observed-fraction domain, for a checked f.
 
-    ``f >= 1`` is the error-correction inefficiency; QBER = eps/(1-delta).
-    A negative key fraction is reported as-is, and ``has_key`` is then False.
-    One-row form of `rate_table`'s r_key, computed without its r_upper.
+    R is None outside regions (a)-(c), and elsewhere the row's `rate_table`
+    r_key cell, computed without the tau_low maximiser that r_upper needs.
     """
-    _check_f(f)
-    d, e = np.array([stats.delta]), np.array([stats.eps])
+    d, e = np.array([delta], float), np.array([eps], float)
     region, tau, _ = _tau_arrays(d, e)
     if region[0] == "infeasible":
+        return "infeasible", None
+    return str(region[0]), float((_shrink(d, e, f) - tau)[0])
+
+
+def key_rate(stats: ObservedStats, f: float = 1.0) -> float:
+    """Final key fraction R = (1-delta)(1 - f H(QBER)) - tau(delta, eps).
+
+    ``f >= 1`` is the error-correction inefficiency; QBER = eps/(1-delta).
+    The r_key cell of `rate_table`'s row, a negative one as it is; raises
+    InfeasibleError outside regions (a)-(c), where none is certified.
+    """
+    _check_f(f)
+    _, r_key = _key_rate_row(stats.delta, stats.eps, f)
+    if r_key is None:
         raise InfeasibleError(
             f"no certified key rate at (delta={float(stats.delta)!r}, eps={float(stats.eps)!r})"
         )
-    r = float((_shrink(d, e, f) - tau)[0])
-    return KeyRateResult(tau=float(tau[0]), region=str(region[0]), r_key=r)
+    return r_key
 
 
 def conjectured_random_assignment_rate(stats: ObservedStats) -> float:
@@ -654,4 +645,8 @@ def conjectured_random_assignment_rate(stats: ObservedStats) -> float:
     Comparison value only: it treats double clicks as random bits instead of
     discarding them and carries no security proof here.
     """
-    return float(_conjectured_rate(np.array([stats.delta]), np.array([stats.eps]))[0])
+    value = float(_conjectured_rate(np.array([stats.delta]), np.array([stats.eps]))[0])
+    if math.isnan(value):
+        q = float(stats.eps) + 0.5 * float(stats.delta)
+        raise ValueError(f"entropy argument eps + delta/2 = {q!r} exceeds 1/2")
+    return value

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import rates
 from .attack import _phi_plus, attack_density
-from .errors import InfeasibleError
 from .fock import Basis
 from .povm import capped_joint_dim, outcome_projectors
 
@@ -423,17 +422,20 @@ def analytic_fractions(source: SourceModel) -> tuple[float, float]:
 class SimulationReport:
     """Sampled and analytic key-rate figures for one simulated run.
 
-    The event count, sampled fractions and their standard errors are read from
-    the tally, and the key-rate gap from the two rates; none is stored twice.
+    ``region``, ``r_key`` and ``r_key_analytic`` are the `simulate` columns
+    of those names; a key fraction is None where none is certified.  The
+    event count, sampled fractions, their standard errors and the key-rate
+    gap are read from the tally and the two rates; none is stored twice.
     """
 
     seed: int
     f_ec: float
     tally: SiftedTally
-    sampled: rates.KeyRateResult | None
+    region: str
+    r_key: float | None
     analytic_delta: float
     analytic_eps: float
-    analytic: rates.KeyRateResult | None
+    r_key_analytic: float | None
     conjectured_rate_sampled: float | None
 
     num_events = property(attrgetter("tally.n_events"))
@@ -445,23 +447,21 @@ class SimulationReport:
     @property
     def r_key_gap(self) -> float | None:
         """Sampled minus analytic key fraction, or None unless both are certified."""
-        if self.sampled is None or self.analytic is None:
+        if self.r_key is None or self.r_key_analytic is None:
             return None
-        return self.sampled.r_key - self.analytic.r_key
+        return self.r_key - self.r_key_analytic
 
 
-def _try_key_rate(delta: float, eps: float, f: float):
-    """Key rate at the fractions, or None where no key rate is certified.
+def _try_key_rate(delta: float, eps: float, f: float) -> tuple[str, float | None]:
+    """Region and key fraction at the fractions; ('infeasible', None) where none is certified.
 
     Fractions outside the observed-fraction domain, such as delta = 1 when
-    every sifted event is a double click, certify no key either.
+    every sifted event is a double click, certify no key either.  The caller
+    checks ``f``.
     """
     if not rates.in_stats_domain(delta, eps):
-        return None
-    try:
-        return rates.key_rate(rates.ObservedStats(delta, eps), f)
-    except InfeasibleError:
-        return None
+        return "infeasible", None
+    return rates._key_rate_row(delta, eps, f)
 
 
 def _try_conjectured(delta: float, eps: float) -> float | None:
@@ -470,9 +470,10 @@ def _try_conjectured(delta: float, eps: float) -> float | None:
     Its domain is the observed-fraction domain with eps + delta/2 <= 1/2,
     within the rates layer's tolerance.
     """
-    if not rates.in_stats_domain(delta, eps) or eps + 0.5 * delta > 0.5 + rates._DOMAIN_TOL:
+    if not rates.in_stats_domain(delta, eps):
         return None
-    return rates.conjectured_random_assignment_rate(rates.ObservedStats(delta, eps))
+    value = float(rates._conjectured_rate(np.array([delta]), np.array([eps]))[0])
+    return None if math.isnan(value) else value
 
 
 def end_to_end(
@@ -484,18 +485,21 @@ def end_to_end(
     source's exact fractions; infeasible sampled statistics are reported as
     such rather than raising.  The conjectured random-assignment rate of the
     sampled fractions is carried in its own labeled field, never merged with
-    proved rates.
+    proved rates; unlike in `rates.rate_table`, it is given outside regions
+    (a)-(c) too, wherever eps + delta/2 <= 1/2.
     """
     rates._check_f(f)
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
+    region, r_key = _try_key_rate(tally.delta_hat, tally.eps_hat, f)
     return SimulationReport(
         seed=seed,
         f_ec=f,
         tally=tally,
-        sampled=_try_key_rate(tally.delta_hat, tally.eps_hat, f),
+        region=region,
+        r_key=r_key,
         analytic_delta=a_delta,
         analytic_eps=a_eps,
-        analytic=_try_key_rate(a_delta, a_eps, f),
+        r_key_analytic=_try_key_rate(a_delta, a_eps, f)[1],
         conjectured_rate_sampled=_try_conjectured(tally.delta_hat, tally.eps_hat),
     )

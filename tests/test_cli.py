@@ -136,6 +136,16 @@ COMMAND_CASES = {
         ("keyrate", "--delta", "0", "--eps", "0"),
         lambda h, rows, m, err: [any("conjectured" in name for name in h)],
     ),
+    # keyrate blanks every rate outside regions (a)-(c), the conjectured one
+    # too, although eps + delta/2 = 0.455 is inside its own formula's domain
+    "keyrate-conjectured-blank-outside-regions": (
+        ("keyrate", "--delta-grid", "0.45:0.45:1", "--eps-grid", "0.23:0.23:1"),
+        lambda h, rows, m, err: [
+            rows[0]["region"] == "infeasible",
+            math.isnan(rows[0]["r_key"]),
+            math.isnan(rows[0]["r_conjectured_random_assignment"]),
+        ],
+    ),
     "tradeoff-odd-odd-routes-to-scalar": (
         ("tradeoff", "--na", "1", "--nb", "3"),
         lambda h, rows, m, err: [
@@ -186,6 +196,16 @@ COMMAND_CASES = {
             rows[0]["delta_hat"] == 0 and rows[0]["eps_hat"] == 0,
             rows[0]["r_key"] == 1.0,
             rows[0]["seed"] == 3,
+        ],
+    ),
+    # simulate gives the conjectured rate wherever eps + delta/2 <= 1/2, also
+    # at sampled fractions outside regions (a)-(c) that certify no key
+    "simulate-conjectured-outside-regions": (
+        ("simulate", "--source", "attack:1,-1,0.9", "--events", "20000", "--seed", "3"),
+        lambda h, rows, m, err: [
+            rows[0]["region"] == "infeasible",
+            rows[0]["r_key"] is None,
+            rows[0]["r_conjectured_random_assignment"] == -0.988889085945,
         ],
     ),
     "simulate-werner-source": (

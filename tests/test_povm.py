@@ -46,6 +46,14 @@ CAPPED_EVEN_PAIRS = [
     if (a + 1) * (b + 1) <= DIM_CAP and (a % 2 == 0 or b % 2 == 0)
 ]
 
+# Every odd-odd multiphoton pair under DIM_CAP: min_double_click's domain.
+CAPPED_ODD_PAIRS = [
+    PhotonPair(a, b)
+    for a in range(1, DIM_CAP, 2)
+    for b in range(1, DIM_CAP, 2)
+    if (a + 1) * (b + 1) <= DIM_CAP and a + b >= 3
+]
+
 
 # Photon-number pairs whose 400-point boundaries the benchmark's operators
 # workload traces; (1, 2) and (2, 2) are also the golden CLI pairs.
@@ -187,6 +195,32 @@ class TestJointOperators:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
         assert np.trace(f_err(pair)) == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("pair", CAPPED_ODD_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    def test_min_double_click_is_its_closed_form_within_backward_error(self, pair):
+        """The dense value is (1 - 2^-(l_A+l_B))/2 within (d + 49) u, d = joint_dim.
+
+        min_double_click is 1 - w, w the largest eigenvalue `eigh` finds for
+        the computed A^ = f_cor + f_err; w lies in [1/2, 1], so the
+        subtraction is exact (Sterbenz).  The exact A has its spectrum in
+        [0, 1] and top eigenvalue 1 minus the closed form.
+        - Eigensolver: w is an exact eigenvalue of A^ + E with
+          |E| <= d u |A^|, the backward error `test_equals_reference` takes
+          for `eigh`, so by Weyl it is within d u |A^| of A^'s own.
+        - Forming A^: an X amplitude rounds three times (2^(-n/2), the square
+          root of the binomial, their product; Z amplitudes are exact), a
+          projector entry 7 times, a kron entry 15; `_joint_sum` adds 3
+          roundings and f_cor + f_err one more, so |A^ - A| <= gamma_19 |A|+
+          entrywise, where |A|+ = (1/2) sum over the 8 terms of |kron(P, Q)|.
+          Z projectors are nonnegative and |P_X0| = |P_X1| has norm 1, so
+          |A|+ has norm at most (1 + 2 * 2) / 2 = 2.5, and |A^ - A| < 48u.
+        Together, with |A^| <= 1 + 48u: d u (1 + 48u) + 48u < (d + 49) u.
+        A^ is exactly symmetric, so `eigh_checked` leaves it unchanged.
+        """
+        u = np.finfo(float).eps / 2
+        got = povm.min_double_click(pair)
+        want = povm._min_double_click_closed_form(pair)
+        assert abs(got - want) <= (pair.joint_dim + 49) * u
 
     def test_selfcheck_catches_non_orthogonal_bit_states(self, monkeypatch):
         # f_dbl is I - f_cor - f_err, so the three sum to I whatever the bit

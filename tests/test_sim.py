@@ -555,19 +555,20 @@ class TestEndToEnd:
     def test_ideal_pair_full_rate(self):
         report = end_to_end(SourceModel.ideal_pair(), 20000, f=1.0, seed=17)
         assert report.delta_hat == 0.0 and report.eps_hat == 0.0
-        assert report.sampled.r_key == 1.0
-        assert report.analytic.r_key == 1.0
+        assert report.region == "a"
+        assert report.r_key == 1.0
+        assert report.r_key_analytic == 1.0
         assert report.conjectured_rate_sampled == 1.0
 
     def test_werner_matches_analytic_rate(self):
         report = end_to_end(SourceModel.werner(0.9), 10**6, f=1.0, seed=18)
         assert report.analytic_delta == pytest.approx(0.0, abs=1e-12)
         assert report.analytic_eps == pytest.approx(0.05, abs=1e-12)
-        want = key_rate(ObservedStats(0.0, 0.05), f=1.0).r_key
-        assert report.analytic.r_key == pytest.approx(want, abs=1e-12)
-        assert abs(report.sampled.r_key - want) <= 0.02
+        want = key_rate(ObservedStats(0.0, 0.05), f=1.0)
+        assert report.r_key_analytic == pytest.approx(want, abs=1e-12)
+        assert abs(report.r_key - want) <= 0.02
         assert report.r_key_gap == pytest.approx(
-            report.sampled.r_key - report.analytic.r_key, abs=1e-15
+            report.r_key - report.r_key_analytic, abs=1e-15
         )
 
     def test_attack_mixture_against_analytic(self):
@@ -583,8 +584,9 @@ class TestEndToEnd:
         chi = boundary_state(1.0, -1.0)  # delta_m = 1/2
         source = SourceModel.eve_attack(chi, 1.0)
         report = end_to_end(source, 20000, f=1.0, seed=20)
-        assert report.sampled is None
-        assert report.analytic is None
+        assert report.region == "infeasible"
+        assert report.r_key is None
+        assert report.r_key_analytic is None
         assert report.r_key_gap is None
 
     def test_all_double_click_source_is_infeasible(self):
@@ -599,13 +601,14 @@ class TestEndToEnd:
         report = end_to_end(source, 5000, f=1.0, seed=3)
         assert report.tally.n > 0 and report.tally.n_dbl == report.tally.n
         assert report.delta_hat == 1.0
-        assert report.sampled is None and report.analytic is None
+        assert report.region == "infeasible"
+        assert report.r_key is None and report.r_key_analytic is None
 
     def test_key_rate_errors_propagate(self, monkeypatch):
-        def broken(stats, f=1.0):
+        def broken(delta, eps, f):
             raise ValueError("programming error")
 
-        monkeypatch.setattr(rates, "key_rate", broken)
+        monkeypatch.setattr(rates, "_key_rate_row", broken)
         with pytest.raises(ValueError, match="programming error"):
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
@@ -619,10 +622,10 @@ class TestEndToEnd:
         assert sim._try_conjectured(0.2, 0.4 + 1e-9) is None
 
     def test_conjectured_rate_errors_propagate(self, monkeypatch):
-        def broken(stats):
+        def broken(d, e):
             raise ValueError("programming error")
 
-        monkeypatch.setattr(rates, "conjectured_random_assignment_rate", broken)
+        monkeypatch.setattr(rates, "_conjectured_rate", broken)
         with pytest.raises(ValueError, match="programming error"):
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
@@ -631,7 +634,45 @@ class TestEndToEnd:
         b = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
         assert a.seed == 21 and a.num_events == 30000
         assert a.tally == b.tally
-        assert a.sampled == b.sampled
+        assert a == b
+
+
+def _vacuum_mixture() -> SourceModel:
+    """Noisy pairs, attack blocks and vacuum: fractions in region (c)."""
+    return SourceModel.custom(
+        [
+            (0.6, 1, 1, SourceModel.werner(0.85).branches[0].rho),
+            (0.3, 1, 2, attack_density(boundary_state(0.6, 0.8))),
+            (0.1, 0, 1, np.eye(2) / 2.0),
+        ]
+    )
+
+
+# Each source and the region of its sampled and analytic fractions at 20000 events, seed 7.
+CROSS_ROUTE_SOURCES = {
+    "ideal": (SourceModel.ideal_pair, "a"),
+    "werner": (lambda: SourceModel.werner(0.8), "c"),
+    "attack-region-a": (lambda: make_attack_source(0.4)[0], "a"),
+    "attack-region-b": (lambda: make_attack_source(0.9)[0], "b"),
+    "mixed-region-c": (_vacuum_mixture, "c"),
+    "mixed-infeasible": (lambda: _random_mixture(0), "infeasible"),
+}
+
+
+@pytest.mark.parametrize("f", [1.0, 1.1])
+@pytest.mark.parametrize("source, region", CROSS_ROUTE_SOURCES.values(), ids=CROSS_ROUTE_SOURCES)
+def test_report_rates_equal_rate_table_cells(source, region, f):
+    # The report reads its rates one row at a time, the keyrate command from
+    # rate_table; for in-domain fractions the cells agree bit for bit, with
+    # None in the report where the table holds NaN.
+    report = end_to_end(source(), 20000, f=f, seed=7)
+    delta = [report.delta_hat, report.analytic_delta]
+    eps = [report.eps_hat, report.analytic_eps]
+    assert rates.in_stats_domain(np.array(delta), np.array(eps)).all()
+    table = rates.rate_table(delta, eps, f)
+    assert table.region.tolist() == [region, region]
+    cells = [None if np.isnan(x) else x for x in table.r_key.tolist()]
+    assert [report.region, report.r_key, report.r_key_analytic] == [region, *cells]
 
 
 # source and its expected (delta_m, eps_m, ...), delta_m's absolute tolerance; eps_m's

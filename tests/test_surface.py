@@ -1,4 +1,4 @@
-"""The library's public surface: the functions the benchmark traces, and its size.
+"""The library's public surface: the functions the benchmark traces, its size, its examples.
 
 The traced run of `benchmarks/run.py` reads every per-layer metric named
 ``module.function.measure`` in BENCHMARK.json from the wrapper of
@@ -9,11 +9,13 @@ import dataclasses
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _traced_functions() -> list[str]:
@@ -34,7 +36,7 @@ def test_traced_function_is_public(qualified):
 
 # Public settable values of fock, povm, rates, attack and sim; a change that
 # adds a knob has to raise this bound on purpose.
-SETTABLE_VALUES_MAX = 111
+SETTABLE_VALUES_MAX = 109
 
 
 def count_settable_values() -> int:
@@ -60,3 +62,11 @@ def count_settable_values() -> int:
 
 def test_settable_values_do_not_grow():
     assert count_settable_values() <= SETTABLE_VALUES_MAX
+
+
+def test_readme_python_blocks_run():
+    # every library example in the README runs against the current API
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
