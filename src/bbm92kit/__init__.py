@@ -46,7 +46,6 @@ from .rates import (
     ObservedStats,
     RateTable,
     binary_entropy,
-    conjectured_random_assignment_rate,
     eps1_star,
     g,
     in_stats_domain,

@@ -79,7 +79,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     if getattr(args, "config", None):
         config = _read_config(args.config)
         for key in config:
-            if not hasattr(args, key):
+            # command, func and config itself are set by the parser, not by flags
+            if key in ("command", "config", "func") or not hasattr(args, key):
                 raise ValueError(f"unknown config key {key!r}")
         # argv[0] is the command: the top-level parser's only options exit
         flags = [f"--{key.replace('_', '-')}={raw}" for key, raw in config.items()]
@@ -244,7 +245,6 @@ def _cmd_tradeoff(args) -> int:
             "n_a": [pair.n_a],
             "n_b": [pair.n_b],
             "min_double_click": [value],
-            "closed_form": [povm._min_double_click_closed_form(pair)],
         }
         _emit(
             args,

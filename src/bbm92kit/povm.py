@@ -83,7 +83,7 @@ class PhotonPair:
 
     @property
     def joint_dim(self) -> int:
-        return capped_joint_dim(self.n_a, self.n_b)
+        return (self.n_a + 1) * (self.n_b + 1)
 
     @property
     def is_multiphoton(self) -> bool:
@@ -133,24 +133,19 @@ def f_dbl(pair: PhotonPair) -> np.ndarray:
     return np.eye(pair.joint_dim) - f_cor(pair) - f_err(pair)
 
 
-def _min_double_click_closed_form(pair: PhotonPair) -> float:
-    """`min_double_click` in closed form: (1 - 2^-(l_A+l_B))/2 for n = 2 l + 1 on each side."""
-    return 0.5 * (1.0 - 2.0 ** (-((pair.n_a - 1) // 2 + (pair.n_b - 1) // 2)))
-
-
 def min_double_click(pair: PhotonPair) -> float:
-    """Smallest achievable double-click fraction for an odd-odd multiphoton pair.
+    """Smallest achievable double-click fraction of an odd-odd multiphoton pair.
 
-    Computed as 1 minus the largest eigenvalue of correct+error; equals
-    `_min_double_click_closed_form`, hence >= 1/4.
+    It is 1 minus the largest eigenvalue of f_cor + f_err, returned in
+    closed form: (1 - 2^-(l_A+l_B))/2 with n = 2 l + 1 photons on each side,
+    hence >= 1/4.  No operator is built; `selfcheck` criterion 2 checks the
+    value against the dense eigenvalue.
     """
     if pair.n_a % 2 == 0 or pair.n_b % 2 == 0:
         raise ValueError(f"({pair.n_a}, {pair.n_b}) is not an odd-odd pair")
     if not pair.is_multiphoton:
         raise ValueError("(1, 1) events admit no double clicks; need n_a + n_b >= 3")
-    combined = f_cor(pair) + f_err(pair)
-    w, _ = eigh_checked(combined)
-    return 1.0 - float(w[-1])
+    return 0.5 * (1.0 - 2.0 ** (-((pair.n_a - 1) // 2 + (pair.n_b - 1) // 2)))
 
 
 def _block_points(t: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

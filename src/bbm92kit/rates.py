@@ -534,9 +534,14 @@ def tau_numeric(stats: ObservedStats) -> float:
 
 
 def _conjectured_rate(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """1 - 2 H(eps + delta/2) per row; NaN where eps + delta/2 > 1/2 beyond _DOMAIN_TOL."""
-    q = e + 0.5 * d
-    return np.where(q <= 0.5 + _DOMAIN_TOL, 1.0 - 2.0 * binary_entropy(np.minimum(q, 0.5)), np.nan)
+    """CONJECTURED random-assignment rate 1 - 2 H(eps + delta/2) per row of regions (a)-(c).
+
+    A comparison value only: it treats double clicks as random bits instead
+    of discarding them and carries no security proof here.  Every row of
+    (a)-(c) has eps + delta/2 <= 1/2 + _DOMAIN_TOL, so the clip at 1/2 only
+    removes rounding.
+    """
+    return 1.0 - 2.0 * binary_entropy(np.minimum(e + 0.5 * d, 0.5))
 
 
 def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
@@ -583,9 +588,9 @@ def rate_table(delta, eps, f: float = 1.0) -> RateTable:
     fraction the explicit attack still allows, so r_key <= r_upper.  The
     CONJECTURED random-assignment rate 1 - 2 H(eps + delta/2) rides along
     under its own name.  Rows outside regions (a)-(c) are labeled
-    'infeasible' and carry NaN in every rate, the conjectured one too, though
-    its formula holds up to eps + delta/2 = 1/2 (`end_to_end` gives it there);
-    rows outside the observed-fraction domain raise ValueError.
+    'infeasible' and carry NaN in every rate, the conjectured one too: no
+    rate is given where none is certified.  Rows outside the
+    observed-fraction domain raise ValueError.
     """
     _check_f(f)
     d, e = _stats_arrays(delta, eps)
@@ -610,17 +615,23 @@ def rate_table(delta, eps, f: float = 1.0) -> RateTable:
     )
 
 
-def _key_rate_row(delta: float, eps: float, f: float) -> tuple[str, float | None]:
-    """(region, R) of one row already inside the observed-fraction domain, for a checked f.
+def _key_rate_row(delta: float, eps: float, f: float) -> tuple[str, float | None, float | None]:
+    """(region, R, conjectured rate) of one row, for a checked f; None where none is given.
 
-    R is None outside regions (a)-(c), and elsewhere the row's `rate_table`
-    r_key cell, computed without the tau_low maximiser that r_upper needs.
+    Fractions outside the observed-fraction domain, such as delta = 1 when
+    every sifted event is a double click, and rows outside regions (a)-(c)
+    are 'infeasible' with no rates.  Elsewhere R and the conjectured rate are
+    the row's `rate_table` r_key and r_conjectured_random_assignment cells,
+    computed without the tau_low maximiser that r_upper needs.
     """
+    if not in_stats_domain(delta, eps):
+        return "infeasible", None, None
     d, e = np.array([delta], float), np.array([eps], float)
     region, tau, _ = _tau_arrays(d, e)
     if region[0] == "infeasible":
-        return "infeasible", None
-    return str(region[0]), float((_shrink(d, e, f) - tau)[0])
+        return "infeasible", None, None
+    r_key = float((_shrink(d, e, f) - tau)[0])
+    return str(region[0]), r_key, float(_conjectured_rate(d, e)[0])
 
 
 def key_rate(stats: ObservedStats, f: float = 1.0) -> float:
@@ -631,22 +642,9 @@ def key_rate(stats: ObservedStats, f: float = 1.0) -> float:
     InfeasibleError outside regions (a)-(c), where none is certified.
     """
     _check_f(f)
-    _, r_key = _key_rate_row(stats.delta, stats.eps, f)
+    _, r_key, _ = _key_rate_row(stats.delta, stats.eps, f)
     if r_key is None:
         raise InfeasibleError(
             f"no certified key rate at (delta={float(stats.delta)!r}, eps={float(stats.eps)!r})"
         )
     return r_key
-
-
-def conjectured_random_assignment_rate(stats: ObservedStats) -> float:
-    """CONJECTURED key fraction 1 - 2 H(eps + delta/2) for random-bit assignment.
-
-    Comparison value only: it treats double clicks as random bits instead of
-    discarding them and carries no security proof here.
-    """
-    value = float(_conjectured_rate(np.array([stats.delta]), np.array([stats.eps]))[0])
-    if math.isnan(value):
-        q = float(stats.eps) + 0.5 * float(stats.delta)
-        raise ValueError(f"entropy argument eps + delta/2 = {q!r} exceeds 1/2")
-    return value

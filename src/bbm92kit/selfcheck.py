@@ -88,19 +88,46 @@ def check_povm_completeness(full: bool = False) -> CheckResult:
 
 
 def check_odd_odd_bound(full: bool = False) -> CheckResult:
-    """Criterion 2: min double clicks (1 - 2^-(l_A+l_B))/2 >= 1/4; both sizes are the same."""
+    """Criterion 2: min double clicks (1 - 2^-(l_A+l_B))/2 >= 1/4, against the dense eigenvalue.
+
+    `povm.min_double_click` returns the closed form.  Its oracle is 1 - w,
+    w the largest eigenvalue `povm.eigh_checked` finds for the computed
+    A^ = f_cor + f_err; the two must agree within (d + 49) u (d the joint
+    dimension, u = 2^-53), and the lowest value must be at least 1/4.  The
+    exact A has its spectrum in [0, 1] and top eigenvalue 1 minus the closed
+    form, and w lies in [1/2, 1], so the subtraction is exact (Sterbenz).
+    - Eigensolver: w is an exact eigenvalue of A^ + E with |E| <= d u |A^|,
+      the backward error the tests take for `eigh`, so by Weyl it is within
+      d u |A^| of A^'s own.
+    - Forming A^: an X amplitude rounds three times (2^(-n/2), the square
+      root of the binomial, their product; Z amplitudes are exact), a
+      projector entry 7 times, a kron entry 15; `_joint_sum` adds 3
+      roundings and f_cor + f_err one more, so |A^ - A| <= gamma_19 |A|+
+      entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 3), where |A|+ = (1/2) sum over the 8 terms of |kron(P, Q)|.  Z
+      projectors are nonnegative and |P_X0| = |P_X1| has norm 1, so |A|+
+      has norm at most (1 + 2 * 2) / 2 = 2.5, and |A^ - A| < 48u.
+    Together, with |A^| <= 1 + 48u: d u (1 + 48u) + 48u < (d + 49) u.  A^ is
+    exactly symmetric, so `eigh_checked` leaves it unchanged.  Measured: at
+    most 0.5 d u.  The quick size takes the pairs with photon numbers up to 7
+    and n_A + n_B <= 9, the full size every odd-odd multiphoton pair under
+    the dimension cap.
+    """
+    sizes = product(range(1, povm.DIM_CAP, 2) if full else range(1, 9, 2), repeat=2)
+    odd = [(a, b) for a, b in sizes if a + b >= 3 and (a + 1) * (b + 1) <= povm.DIM_CAP]
+    pairs = [povm.PhotonPair(a, b) for a, b in odd if full or a + b <= 9]
+    u = 2.0**-53
+    ok = True
     worst = 0.0
     lowest = 1.0
-    for n_a in range(1, 9, 2):
-        for n_b in range(1, 9, 2):
-            if n_a + n_b < 3 or n_a + n_b > 9:
-                continue
-            pair = povm.PhotonPair(n_a, n_b)
-            want = povm._min_double_click_closed_form(pair)
-            got = povm.min_double_click(pair)
-            worst = max(worst, abs(got - want))
-            lowest = min(lowest, got)
-    ok = worst <= 1e-9 and lowest >= 0.25 - 1e-9
+    for pair in pairs:
+        w, _ = povm.eigh_checked(povm.f_cor(pair) + povm.f_err(pair))
+        got = povm.min_double_click(pair)
+        dev = abs(got - (1.0 - float(w[-1])))
+        ok &= dev <= (pair.joint_dim + 49) * u
+        worst = max(worst, dev)
+        lowest = min(lowest, got)
+    ok &= lowest >= 0.25
     return CheckResult(
         "odd-odd double-click bound", ok, f"max deviation {worst:.2e}, min {lowest:.6f}"
     )

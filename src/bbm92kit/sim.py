@@ -452,30 +452,6 @@ class SimulationReport:
         return self.r_key - self.r_key_analytic
 
 
-def _try_key_rate(delta: float, eps: float, f: float) -> tuple[str, float | None]:
-    """Region and key fraction at the fractions; ('infeasible', None) where none is certified.
-
-    Fractions outside the observed-fraction domain, such as delta = 1 when
-    every sifted event is a double click, certify no key either.  The caller
-    checks ``f``.
-    """
-    if not rates.in_stats_domain(delta, eps):
-        return "infeasible", None
-    return rates._key_rate_row(delta, eps, f)
-
-
-def _try_conjectured(delta: float, eps: float) -> float | None:
-    """Conjectured random-assignment rate, or None outside its domain.
-
-    Its domain is the observed-fraction domain with eps + delta/2 <= 1/2,
-    within the rates layer's tolerance.
-    """
-    if not rates.in_stats_domain(delta, eps):
-        return None
-    value = float(rates._conjectured_rate(np.array([delta]), np.array([eps]))[0])
-    return None if math.isnan(value) else value
-
-
 def end_to_end(
     source: SourceModel, num_events: int, f: float = 1.0, seed: int = 0
 ) -> SimulationReport:
@@ -485,13 +461,13 @@ def end_to_end(
     source's exact fractions; infeasible sampled statistics are reported as
     such rather than raising.  The conjectured random-assignment rate of the
     sampled fractions is carried in its own labeled field, never merged with
-    proved rates; unlike in `rates.rate_table`, it is given outside regions
-    (a)-(c) too, wherever eps + delta/2 <= 1/2.
+    proved rates; like every rate of the report it is the `rates.rate_table`
+    cell of its row, None where that row certifies no key fraction.
     """
     rates._check_f(f)
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
-    region, r_key = _try_key_rate(tally.delta_hat, tally.eps_hat, f)
+    region, r_key, conjectured = rates._key_rate_row(tally.delta_hat, tally.eps_hat, f)
     return SimulationReport(
         seed=seed,
         f_ec=f,
@@ -500,6 +476,6 @@ def end_to_end(
         r_key=r_key,
         analytic_delta=a_delta,
         analytic_eps=a_eps,
-        r_key_analytic=_try_key_rate(a_delta, a_eps, f)[1],
-        conjectured_rate_sampled=_try_conjectured(tally.delta_hat, tally.eps_hat),
+        r_key_analytic=rates._key_rate_row(a_delta, a_eps, f)[1],
+        conjectured_rate_sampled=conjectured,
     )

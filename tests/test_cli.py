@@ -149,7 +149,7 @@ COMMAND_CASES = {
     "tradeoff-odd-odd-routes-to-scalar": (
         ("tradeoff", "--na", "1", "--nb", "3"),
         lambda h, rows, m, err: [
-            rows[0]["min_double_click"] == pytest.approx(0.25, abs=1e-9), "0.25" in err
+            rows[0]["min_double_click"] == 0.25, "0.25" in err
         ],
     ),
     "tradeoff-one-two-boundary-summary": (
@@ -198,14 +198,14 @@ COMMAND_CASES = {
             rows[0]["seed"] == 3,
         ],
     ),
-    # simulate gives the conjectured rate wherever eps + delta/2 <= 1/2, also
-    # at sampled fractions outside regions (a)-(c) that certify no key
+    # simulate blanks the conjectured rate with every rate outside regions
+    # (a)-(c), as keyrate does, although eps + delta/2 <= 1/2 there
     "simulate-conjectured-outside-regions": (
         ("simulate", "--source", "attack:1,-1,0.9", "--events", "20000", "--seed", "3"),
         lambda h, rows, m, err: [
             rows[0]["region"] == "infeasible",
             rows[0]["r_key"] is None,
-            rows[0]["r_conjectured_random_assignment"] == -0.988889085945,
+            rows[0]["r_conjectured_random_assignment"] is None,
         ],
     ),
     "simulate-werner-source": (
@@ -355,6 +355,14 @@ class TestOutputPlumbing:
                 None, 2, "error: unknown source kind",
             ),
             (("tau", "--delta", "0", "--eps", "0"), "bogus = 1", 2, "error: unknown config key"),
+            # keys the parser sets itself: a config line naming one is refused, not ignored
+            *(
+                (
+                    ("tau", "--delta", "0", "--eps", "0"),
+                    f"{key} = {value}", 2, f"error: unknown config key {key!r}\n",
+                )
+                for key, value in [("config", "other.cfg"), ("command", "keyrate"), ("func", "x")]
+            ),
             (
                 ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
                 None, 2, "error: count must be >= 0, got -1",
@@ -411,6 +419,7 @@ class TestOutputPlumbing:
         ids=[
             "infeasible-point", "zero-state", "attack-no-args", "sweep-with-angles",
             "sweep-with-angles-config", "bad-source", "bad-config-key",
+            "reserved-config-key-config", "reserved-config-key-command", "reserved-config-key-func",
             "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
             "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
             "negative-tradeoff-seed", "negative-tradeoff-seed-config",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -197,30 +198,22 @@ class TestJointOperators:
         assert np.trace(f_err(pair)) == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("pair", CAPPED_ODD_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
-    def test_min_double_click_is_its_closed_form_within_backward_error(self, pair):
-        """The dense value is (1 - 2^-(l_A+l_B))/2 within (d + 49) u, d = joint_dim.
+    def test_min_double_click_is_its_closed_form_without_an_eigensolver(self, monkeypatch, pair):
+        # (1 - 2^-(l_A+l_B))/2 with n = 2 l + 1 is a float, so the value is exact;
+        # the dense eigenvalue is selfcheck criterion 2's oracle, not the program's
+        def no_eigensolver(a):
+            raise AssertionError("min_double_click ran an eigensolver")
 
-        min_double_click is 1 - w, w the largest eigenvalue `eigh` finds for
-        the computed A^ = f_cor + f_err; w lies in [1/2, 1], so the
-        subtraction is exact (Sterbenz).  The exact A has its spectrum in
-        [0, 1] and top eigenvalue 1 minus the closed form.
-        - Eigensolver: w is an exact eigenvalue of A^ + E with
-          |E| <= d u |A^|, the backward error `test_equals_reference` takes
-          for `eigh`, so by Weyl it is within d u |A^| of A^'s own.
-        - Forming A^: an X amplitude rounds three times (2^(-n/2), the square
-          root of the binomial, their product; Z amplitudes are exact), a
-          projector entry 7 times, a kron entry 15; `_joint_sum` adds 3
-          roundings and f_cor + f_err one more, so |A^ - A| <= gamma_19 |A|+
-          entrywise, where |A|+ = (1/2) sum over the 8 terms of |kron(P, Q)|.
-          Z projectors are nonnegative and |P_X0| = |P_X1| has norm 1, so
-          |A|+ has norm at most (1 + 2 * 2) / 2 = 2.5, and |A^ - A| < 48u.
-        Together, with |A^| <= 1 + 48u: d u (1 + 48u) + 48u < (d + 49) u.
-        A^ is exactly symmetric, so `eigh_checked` leaves it unchanged.
-        """
-        u = np.finfo(float).eps / 2
-        got = povm.min_double_click(pair)
-        want = povm._min_double_click_closed_form(pair)
-        assert abs(got - want) <= (pair.joint_dim + 49) * u
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+        want = Fraction(1, 2) * (1 - Fraction(1, 2 ** ((pair.n_a - 1) // 2 + (pair.n_b - 1) // 2)))
+        assert povm.min_double_click(pair) == want
+
+    def test_selfcheck_catches_a_raised_odd_odd_bound(self, monkeypatch):
+        # 1e-14 above the closed form is past (d + 49) u for every quick-size pair (d <= 24)
+        closed_form = povm.min_double_click
+        assert selfcheck.check_odd_odd_bound().passed
+        monkeypatch.setattr(povm, "min_double_click", lambda pair: closed_form(pair) + 1e-14)
+        assert not selfcheck.check_odd_odd_bound().passed
 
     def test_selfcheck_catches_non_orthogonal_bit_states(self, monkeypatch):
         # f_dbl is I - f_cor - f_err, so the three sum to I whatever the bit

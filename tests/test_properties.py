@@ -121,3 +121,20 @@ def test_tau_continuous_across_region_borders(d_ab, d_bc):
     above = np.clip(edge + 1e-12, 0.0, limit)
     tau = rates.rate_table(np.tile(d, 2), np.concatenate([below, above])).tau
     assert np.all(np.abs(tau[2:] - tau[:2]) <= 1e-9)
+
+
+# Rows within a few _DOMAIN_TOL of the region (c) edge eps = g(delta), where
+# eps + delta/2 = 1/2 - sqrt(delta (1 - 2 delta)) comes closest to 1/2.
+near_c_edge = st.tuples(st.floats(0.0, 1.0 / 6.0 + 1e-12), st.floats(-3e-12, 3e-12)).map(
+    lambda p: (p[0], g(min(p[0], 1.0 / 3.0)) + p[1])
+)
+
+
+@given(st.one_of(st.tuples(fractions, fractions), near_c_edge))
+def test_certified_rows_keep_the_conjectured_argument_within_half(point):
+    # backs the clip in rates._conjectured_rate: every row of regions (a)-(c)
+    # has eps + delta/2 <= 1/2 + _DOMAIN_TOL
+    d, e = point
+    assume(rates.in_stats_domain(d, e))
+    if rates._regions(np.array([d]), np.array([e]))[0] != "infeasible":
+        assert e + 0.5 * d <= 0.5 + rates._DOMAIN_TOL

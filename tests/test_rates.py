@@ -21,7 +21,6 @@ from bbm92kit import (
     binary_entropy,
     boundary_state,
     build_v,
-    conjectured_random_assignment_rate,
     end_to_end,
     eps1_star,
     g,
@@ -45,6 +44,12 @@ TANGENT = 1.0 / 6.0
 
 
 ORIGIN = ObservedStats(0.0, 0.0)
+
+
+def _conjectured_cell(delta: float, eps: float) -> float:
+    return float(rate_table(delta, eps).r_conjectured_random_assignment[0])
+
+
 # call, expected value, and the absolute tolerance or None for exact equality
 KNOWN_VALUES = {
     "binary_entropy-0": (lambda: binary_entropy(0.0), 0.0, None),
@@ -67,14 +72,11 @@ KNOWN_VALUES = {
     "key_rate-perfect": (lambda: key_rate(ORIGIN, f=1.0), 1.0, None),
     "key_rate-perfect-has-key": (lambda: key_rate(ORIGIN, f=1.0) > 0.0, True, None),
     "key_rate-is-a-float": (lambda: type(key_rate(ObservedStats(0.1, 0.05))), float, None),
-    "conjectured-perfect": (lambda: conjectured_random_assignment_rate(ORIGIN), 1.0, None),
-    "conjectured-saturated": (
-        lambda: conjectured_random_assignment_rate(ObservedStats(0.2, 0.4)), -1.0, 1e-12
-    ),
+    # the conjectured rate is a rate_table cell; (0, 1/2) saturates it inside region (c)
+    "conjectured-perfect": (lambda: _conjectured_cell(0.0, 0.0), 1.0, None),
+    "conjectured-saturated": (lambda: _conjectured_cell(0.0, 0.5), -1.0, 1e-12),
     "conjectured-direct": (
-        lambda: conjectured_random_assignment_rate(ObservedStats(0.1, 0.05)),
-        1.0 - 2.0 * binary_entropy(0.1),
-        1e-12,
+        lambda: _conjectured_cell(0.1, 0.05), 1.0 - 2.0 * binary_entropy(0.1), 1e-12
     ),
 }
 
@@ -473,11 +475,6 @@ REJECTION_CASES = {
         ]
         for f in (0.5, math.nan, math.inf)
     },
-    "conjectured-domain": (
-        lambda: conjectured_random_assignment_rate(ObservedStats(0.4, 0.35)),
-        ValueError,
-        "exceeds 1/2",
-    ),
 }
 
 

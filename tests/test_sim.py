@@ -613,13 +613,12 @@ class TestEndToEnd:
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
     def test_conjectured_rate_is_none_outside_its_domain(self):
-        # the observed-fraction border: delta = 1 when every sifted event double-clicks
-        assert sim._try_conjectured(1.0, 0.0) is None
-        # the entropy border eps + delta/2 = 1/2, inside up to the rates tolerance
-        assert sim._try_conjectured(0.2, 0.4) == -1.0
-        assert sim._try_conjectured(0.0, 0.5 + 0.5 * rates._DOMAIN_TOL) == -1.0
-        assert sim._try_conjectured(0.0, 0.5 + 2.0 * rates._DOMAIN_TOL) is None
-        assert sim._try_conjectured(0.2, 0.4 + 1e-9) is None
+        # no rate of a row is given where none is certified: past the
+        # observed-fraction domain (delta = 1 when every sifted event
+        # double-clicks) and outside regions (a)-(c), where
+        # eps + delta/2 = 0.455 is still inside the formula's own domain
+        for delta, eps in [(1.0, 0.0), (0.45, 0.23)]:
+            assert rates._key_rate_row(delta, eps, 1.0) == ("infeasible", None, None)
 
     def test_conjectured_rate_errors_propagate(self, monkeypatch):
         def broken(d, e):
@@ -663,8 +662,9 @@ CROSS_ROUTE_SOURCES = {
 @pytest.mark.parametrize("source, region", CROSS_ROUTE_SOURCES.values(), ids=CROSS_ROUTE_SOURCES)
 def test_report_rates_equal_rate_table_cells(source, region, f):
     # The report reads its rates one row at a time, the keyrate command from
-    # rate_table; for in-domain fractions the cells agree bit for bit, with
-    # None in the report where the table holds NaN.
+    # rate_table; for in-domain fractions the cells agree bit for bit, the
+    # conjectured rate of the sampled row too, with None in the report where
+    # the table holds NaN.
     report = end_to_end(source(), 20000, f=f, seed=7)
     delta = [report.delta_hat, report.analytic_delta]
     eps = [report.eps_hat, report.analytic_eps]
@@ -673,6 +673,8 @@ def test_report_rates_equal_rate_table_cells(source, region, f):
     assert table.region.tolist() == [region, region]
     cells = [None if np.isnan(x) else x for x in table.r_key.tolist()]
     assert [report.region, report.r_key, report.r_key_analytic] == [region, *cells]
+    conjectured = table.r_conjectured_random_assignment[0]
+    assert report.conjectured_rate_sampled == (None if np.isnan(conjectured) else conjectured)
 
 
 # source and its expected (delta_m, eps_m, ...), delta_m's absolute tolerance; eps_m's
