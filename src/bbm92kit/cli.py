@@ -79,7 +79,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     if getattr(args, "config", None):
         config = _read_config(args.config)
         for key in config:
-            # command, func and config itself are set by the parser, not by flags
+            # the parser sets command and func itself, and a config file names no other
             if key in ("command", "config", "func") or not hasattr(args, key):
                 raise ValueError(f"unknown config key {key!r}")
         # argv[0] is the command: the top-level parser's only options exit
