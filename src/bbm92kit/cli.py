@@ -194,7 +194,7 @@ def _rate_table(args, f: float = 1.0) -> rates.RateTable:
 
 def _cmd_tau(args) -> int:
     table = _rate_table(args)
-    numeric = rates.tau_numeric_array(table.delta, table.eps, args.resolution)
+    numeric = rates.tau_numeric_array(table.delta, table.eps)
     columns = {
         "delta": table.delta.tolist(),
         "eps": table.eps.tolist(),
@@ -412,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tau = sub.add_parser("tau", help="privacy-amplification fraction table")
     grid(p_tau)
-    p_tau.add_argument(
-        "--resolution", type=int, default=2000, help="search resolution for tau_numeric"
-    )
     common(p_tau)
     p_tau.set_defaults(func=_cmd_tau)
 

@@ -44,9 +44,13 @@ _XI_TOL = 1e-14
 _NEWTON_MAX_STEPS = 100
 _GAP_FLOOR = 1e-18
 
-# tau_numeric_array evaluates blocks of rows of at most this many grid points,
-# bounding its working memory to a few MB whatever the number of rows.
+# tau_numeric searches each row on this many evenly spaced multiphoton
+# fractions, and tau_numeric_array takes rows in blocks of at most
+# _NUMERIC_BLOCK_POINTS grid points (8 rows), bounding its working memory to a
+# few MB whatever the number of rows.
+_NUMERIC_GRID_POINTS = 2000
 _NUMERIC_BLOCK_POINTS = 1 << 14
+_NUMERIC_BLOCK_ROWS = _NUMERIC_BLOCK_POINTS // (_NUMERIC_GRID_POINTS + 3)
 
 _LN2 = math.log(2.0)
 
@@ -191,15 +195,24 @@ def _plane_constants() -> tuple[float, float, float, float]:
     return 3.0 - 4.0 * h1 + 4.0 * e1, 4.0 * (1.0 - h1), h1 - 4.0 * e1, 1.0 - 4.0 * e1
 
 
+def _border_ab(d: np.ndarray) -> np.ndarray:
+    """eps on the (a)/(b) border line eps1_star (1 - 4 delta)."""
+    return eps1_star() * (1.0 - 4.0 * d)
+
+
+def _border_bc(d: np.ndarray) -> np.ndarray:
+    """eps on the (b)/(c) border line (1 - 6 delta) eps1_star + delta/2, for delta <= 1/6."""
+    return (1.0 - 6.0 * d) * eps1_star() + 0.5 * d
+
+
 def _regions(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Region label per row; borders are checked in order a, b, c, so a wins ties."""
-    e1 = eps1_star()
     region = np.full(d.shape, "infeasible", dtype="<U10")
     c_edge = g(np.minimum(d, 1.0 / 3.0))
     region[(d <= TANGENT_DELTA + _DOMAIN_TOL) & (e <= c_edge + _DOMAIN_TOL)] = "c"
-    b_edge = np.minimum((1.0 - 6.0 * d) * e1 + 0.5 * d, ODD_ODD_CORNER_DELTA - d)
+    b_edge = np.minimum(_border_bc(d), ODD_ODD_CORNER_DELTA - d)
     region[e <= b_edge + _DOMAIN_TOL] = "b"
-    region[e <= e1 * (1.0 - 4.0 * d) + _DOMAIN_TOL] = "a"
+    region[e <= _border_ab(d) + _DOMAIN_TOL] = "a"
     return region
 
 
@@ -231,13 +244,10 @@ def _tau_arrays(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     on the (b)/(c) boundary.  It is NaN in the other rows.
     """
     region = _regions(d, e)
-    e1 = eps1_star()
     in_b = region == "b"
-    on_ab = ((region == "a") | in_b) & (np.abs(e - e1 * (1.0 - 4.0 * d)) < 1e-12)
+    on_ab = ((region == "a") | in_b) & (np.abs(e - _border_ab(d)) < _DOMAIN_TOL)
     on_bc = (
-        (in_b | (region == "c"))
-        & (d <= TANGENT_DELTA)
-        & (np.abs(e - ((1.0 - 6.0 * d) * e1 + 0.5 * d)) < 1e-12)
+        (in_b | (region == "c")) & (d <= TANGENT_DELTA) & (np.abs(e - _border_bc(d)) < _DOMAIN_TOL)
     )
     low = np.full(d.shape, np.nan)
     rows = (region == "c") | on_bc
@@ -256,7 +266,7 @@ def _tau_arrays(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 def _check_region_continuity(d, e, region, tau, low, on_ab, on_bc) -> None:
     """Raise if the neighboring closed form disagrees with a row on a region boundary."""
-    # Both forms are equal on the border and tangent across it, so rows within 1e-12 of it
+    # Both forms are equal on the border and tangent across it, so rows within _DOMAIN_TOL of it
     # differ by rounding only: at most 3.2e-12 over 2e5 rows per border, 300 times below 1e-9.
     other_ab = np.where(region == "a", _tau_b(d, e), _tau_a(d, e))
     other_bc = np.where(region == "b", low, _tau_b(d, e))
@@ -448,7 +458,7 @@ def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tau_numeric_block(d: np.ndarray, e: np.ndarray, resolution: int) -> np.ndarray:
+def _tau_numeric_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """tau_numeric for a block of feasible rows; -inf where no split is admissible."""
     best = np.full(d.shape, -np.inf)
     zero = (d == 0.0) & (e <= 0.5 + 1e-15)
@@ -467,7 +477,7 @@ def _tau_numeric_block(d: np.ndarray, e: np.ndarray, resolution: int) -> np.ndar
     # xi <= 4 delta is admissible.
     specials[~((specials > d[rows, None]) & (specials < xi_top))] = xi_top
     xis = _sorted_unique_rows(
-        np.concatenate([np.linspace(lo, xi_top, resolution, axis=1), specials], axis=1)
+        np.concatenate([np.linspace(lo, xi_top, _NUMERIC_GRID_POINTS, axis=1), specials], axis=1)
     )
     for _ in range(4):
         dr, er = d[rows, None], e[rows, None]
@@ -489,22 +499,20 @@ def _tau_numeric_block(d: np.ndarray, e: np.ndarray, resolution: int) -> np.ndar
     return best
 
 
-def tau_numeric_array(delta, eps, resolution: int = 2000) -> np.ndarray:
+def tau_numeric_array(delta, eps) -> np.ndarray:
     """tau_numeric for every row of broadcast (delta, eps); NaN where not certified.
 
-    Rows are searched in blocks of at most _NUMERIC_BLOCK_POINTS grid points;
-    each row's search is the one `tau_numeric` describes, independent of the
-    other rows.
+    Each row's search is the one `tau_numeric` describes, on the same
+    _NUMERIC_GRID_POINTS grid and independent of the other rows.  Rows are
+    searched in blocks of _NUMERIC_BLOCK_ROWS, at most _NUMERIC_BLOCK_POINTS
+    grid points.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
     d, e = _stats_arrays(delta, eps)
     out = np.full(d.shape, np.nan)
     rows = np.flatnonzero(_regions(d, e) != "infeasible")
-    block = max(1, _NUMERIC_BLOCK_POINTS // (resolution + 3))
-    for start in range(0, rows.size, block):
-        part = rows[start : start + block]
-        out[part] = _tau_numeric_block(d[part], e[part], resolution)
+    for start in range(0, rows.size, _NUMERIC_BLOCK_ROWS):
+        part = rows[start : start + _NUMERIC_BLOCK_ROWS]
+        out[part] = _tau_numeric_block(d[part], e[part])
     out[np.isneginf(out)] = np.nan
     return out
 
@@ -512,14 +520,14 @@ def tau_numeric_array(delta, eps, resolution: int = 2000) -> np.ndarray:
 def tau_numeric(stats: ObservedStats) -> float:
     """Privacy-amplification fraction by direct search over admissible splits.
 
-    Discretizes the multiphoton fraction xi on 2000 points of
-    [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each grid value the
-    single-photon error rate is pushed to the largest admissible value not
-    exceeding 1/2 (the entropy term is monotone below 1/2), with the
-    multiphoton point constrained to the admissible region via its lower
-    envelope.  Three passes of 65 points around the best grid cell sharpen
-    the maximum well below the 1e-6 agreement target with the closed forms.
-    This search shares nothing with the tau_low maximiser, so it
+    Discretizes the multiphoton fraction xi on the _NUMERIC_GRID_POINTS = 2000
+    points of [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each
+    grid value the single-photon error rate is pushed to the largest
+    admissible value not exceeding 1/2 (the entropy term is monotone below
+    1/2), with the multiphoton point constrained to the admissible region via
+    its lower envelope.  Three passes of 65 points around the best grid cell
+    sharpen the maximum well below the 1e-6 agreement target with the closed
+    forms.  This search shares nothing with the tau_low maximiser, so it
     cross-checks it.  One row of `tau_numeric_array`.
     """
     d, e = float(stats.delta), float(stats.eps)
@@ -527,7 +535,7 @@ def tau_numeric(stats: ObservedStats) -> float:
         # the mixture program itself extends further, but values out there are
         # not certified; refuse rather than extrapolate
         raise InfeasibleError(f"(delta={d!r}, eps={e!r}) lies outside the certified domain")
-    value = _tau_numeric_block(np.array([d]), np.array([e]), 2000)[0]
+    value = _tau_numeric_block(np.array([d]), np.array([e]))[0]
     if np.isneginf(value):
         raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
     return float(value)

@@ -223,15 +223,16 @@ def check_eps1_star(full: bool = False) -> CheckResult:
 def check_tau_consistency(full: bool = False) -> CheckResult:
     """Criterion 5: closed-form tau against the numeric search and tau_low, and region continuity.
 
-    Continuity compares tau 1e-12 either side of the (a)/(b) and (b)/(c) borders.
+    Both sizes run the one search of `rates.tau_numeric`, on its
+    _NUMERIC_GRID_POINTS grid, over a 20 x 20 (quick) or 100 x 100 (full)
+    (delta, eps) grid.  Continuity compares tau 1e-12 either side of the
+    (a)/(b) and (b)/(c) border lines of `rates`.
     """
-    size, resolution = (100, 2000) if full else (20, 1000)
-    d, e = _feasible_grid(size)
-    e1 = rates.eps1_star()
+    d, e = _feasible_grid(100 if full else 20)
     d_ab = np.linspace(0.0, 0.2499, 120)
-    edge_ab = e1 * (1.0 - 4.0 * d_ab)
+    edge_ab = rates._border_ab(d_ab)
     d_bc = np.linspace(0.0, 1.0 / 6.0 - 1e-9, 120)
-    edge_bc = (1.0 - 6.0 * d_bc) * e1 + 0.5 * d_bc
+    edge_bc = rates._border_bc(d_bc)
     limit_bc = rates.multiphoton_envelope(d_bc)
     edge_d = np.concatenate([d_ab, d_bc])
     below = np.concatenate([np.maximum(edge_ab - 1e-12, 0.0), edge_bc - 1e-12])
@@ -241,7 +242,7 @@ def check_tau_consistency(full: bool = False) -> CheckResult:
     )
     tau, low = table.tau[: d.size], table.tau_low[: d.size]
     feasible = table.feasible[: d.size]
-    numeric = rates.tau_numeric_array(d[feasible], e[feasible], resolution)
+    numeric = rates.tau_numeric_array(d[feasible], e[feasible])
     worst = float(np.max(np.abs(tau[feasible] - numeric), initial=0.0))
     dominance = float(np.min(tau[feasible] - low[feasible], initial=0.0))
     jumps = np.abs(np.diff(table.tau[d.size :].reshape(2, -1), axis=0))

@@ -363,6 +363,15 @@ class TestOutputPlumbing:
                 )
                 for key, value in [("config", "other.cfg"), ("command", "keyrate"), ("func", "x")]
             ),
+            # tau_numeric's grid is fixed, so no route sets its size
+            (
+                ("tau", "--delta", "0", "--eps", "0", "--resolution", "2000"),
+                None, 2, "bbm92kit: error: unrecognized arguments: --resolution 2000\n",
+            ),
+            (
+                ("tau", "--delta", "0", "--eps", "0"),
+                "resolution = 2000", 2, "error: unknown config key 'resolution'\n",
+            ),
             (
                 ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
                 None, 2, "error: count must be >= 0, got -1",
@@ -420,6 +429,7 @@ class TestOutputPlumbing:
             "infeasible-point", "zero-state", "attack-no-args", "sweep-with-angles",
             "sweep-with-angles-config", "bad-source", "bad-config-key",
             "reserved-config-key-config", "reserved-config-key-command", "reserved-config-key-func",
+            "tau-resolution", "tau-resolution-config",
             "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
             "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
             "negative-tradeoff-seed", "negative-tradeoff-seed-config",
@@ -432,7 +442,11 @@ class TestOutputPlumbing:
             config = tmp_path / "bad.cfg"
             config.write_text(line + "\n")
             argv = (*argv, "--config", str(config))
-        code, out, err = run_cli(capsys, *argv)
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except SystemExit as exc:  # argparse's own refusal: its usage, then one error line
+            code, (out, err) = exc.code, capsys.readouterr()
+            err = err.splitlines(keepends=True)[-1]
         assert (code, out) == (exit_code, "")
         assert err.startswith(prefix)
 
@@ -560,7 +574,7 @@ class TestTableWriter:
         assert str(got.value) == str(want.value)
 
     def test_infinite_cell_exits_2(self, capsys, monkeypatch):
-        def infinite(delta, eps, resolution):
+        def infinite(delta, eps):
             return np.full(delta.shape, np.inf)
 
         monkeypatch.setattr(cli.rates, "tau_numeric_array", infinite)
@@ -579,7 +593,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "23b232dfc34a8499eee87e22e6e3340d5dec1e2ca7549676d0b561ece121fc7e"
+            "c95e3893e130cd7ece2c28286a58c5ad65e6f6f1b5b7c63a15e86f00579b5aa0"
         )
 
     @pytest.mark.parametrize(
