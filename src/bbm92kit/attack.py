@@ -39,7 +39,8 @@ def _generator_pairs(n_a: int, n_b: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
-@lru_cache(maxsize=16)
+# typed, so that build_v(3.0, 2) reaches the integer check instead of build_v(3, 2)'s entry
+@lru_cache(maxsize=16, typed=True)
 def build_v(n_a: int, n_b: int) -> np.ndarray:
     """Read-only orthogonal matrix sending |a_W>|b_W> to |a_W>|(b+a mod 2)_W> in both bases.
 

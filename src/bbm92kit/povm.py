@@ -11,6 +11,7 @@ lower edge of one 2x2 block of the error and double-click operators, which
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -28,10 +29,12 @@ DIM_CAP = 64
 def capped_joint_dim(n_a: int, n_b: int) -> int:
     """Joint dimension (n_A+1)(n_B+1) of a photon-number pair (n = 0 allowed), capped.
 
-    Each photon number must also be one `basis_state` supports, so a pair is
-    rejected where it is built, not where its states are first formed.
+    Each photon number must also be an integer `basis_state` supports, so a
+    pair is rejected where it is built, not where its states are first formed.
     """
     for n in (n_a, n_b):
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"photon count must be an integer, got {n}")
         if n > MAX_PHOTONS:
             raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
     dim = (n_a + 1) * (n_b + 1)

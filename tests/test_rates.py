@@ -348,6 +348,17 @@ REJECTION_CASES = {
         lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap 64"
     ),
     "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap 64"),
+    # a non-integral photon number, refused by the one gate capped_joint_dim
+    **{
+        name: (call, ValueError, f"photon count must be an integer, got {shown}")
+        for name, call, shown in [
+            ("PhotonPair-non-integral", lambda: PhotonPair(1.5, 3), "1.5"),
+            ("SourceModel-non-integral", lambda: SourceModel.custom([(1.0, 1.0, 1, RHO)]), "1.0"),
+            ("build_v-non-integral", lambda: build_v(F64(1.5), 2), "1.5"),
+            # not build_v(3, 2)'s cache entry, though 3.0 == 3
+            ("build_v-float-after-int", lambda: build_v(3, 2) is build_v(3.0, 2), "3.0"),
+        ]
+    },
     # under the dimension cap, but past the photon numbers basis_state supports
     "SourceModel-photon-count": (
         lambda: SourceModel.custom([(1.0, 0, 33, np.eye(34) / 34)]),
@@ -407,6 +418,17 @@ REJECTION_CASES = {
     "eve_attack": (
         lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
     ),
+    # Philox truncates a float key, so a float seed would replay the integer's stream
+    **{
+        f"{name}-non-integral-seed": (
+            call, ValueError, re.compile(rf"^seed must be an integer, got {shown}$")
+        )
+        for name, call, shown in [
+            ("event_uniforms", lambda: sim.event_uniforms(1.5, 0, 3), r"1\.5"),
+            ("event_uniforms-numpy", lambda: sim.event_uniforms(F64(1.0), 0, 3), r"1\.0"),
+            ("end_to_end", lambda: end_to_end(SourceModel.werner(0.8), 1000, seed=1.9), r"1\.9"),
+        ]
+    },
     "run_protocol-num-events": (
         lambda: run_protocol(SourceModel.ideal_pair(), 0, seed=1),
         ValueError,

@@ -180,6 +180,10 @@ class TestRandomnessContract:
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(event_uniforms(1, 0, 4), event_uniforms(2, 0, 4))
 
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int32(7)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        assert np.array_equal(event_uniforms(seed, 0, 4), event_uniforms(7, 0, 4))
+
     @pytest.mark.parametrize("seed, start", [(0, 0), (42, 5), (7, 2**40)])
     def test_words_map_to_generator_uniforms(self, seed, start):
         # (w >> 11) * 2**-53 is the double Generator.random makes of each word
