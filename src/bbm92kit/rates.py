@@ -44,10 +44,8 @@ _XI_TOL = 1e-14
 _NEWTON_MAX_STEPS = 100
 _GAP_FLOOR = 1e-18
 
-# tau_numeric searches each row on this many evenly spaced multiphoton
-# fractions, and tau_numeric_array takes rows in blocks of at most
-# _NUMERIC_BLOCK_POINTS grid points (8 rows), bounding its working memory to a
-# few MB whatever the number of rows.
+# tau_numeric's grid of multiphoton fractions per row; tau_numeric_array takes rows in blocks
+# of at most _NUMERIC_BLOCK_POINTS grid points, a few MB whatever the number of rows.
 _NUMERIC_GRID_POINTS = 2000
 _NUMERIC_BLOCK_POINTS = 1 << 14
 _NUMERIC_BLOCK_ROWS = _NUMERIC_BLOCK_POINTS // (_NUMERIC_GRID_POINTS + 3)
@@ -195,24 +193,21 @@ def _plane_constants() -> tuple[float, float, float, float]:
     return 3.0 - 4.0 * h1 + 4.0 * e1, 4.0 * (1.0 - h1), h1 - 4.0 * e1, 1.0 - 4.0 * e1
 
 
-def _border_ab(d: np.ndarray) -> np.ndarray:
-    """eps on the (a)/(b) border line eps1_star (1 - 4 delta)."""
-    return eps1_star() * (1.0 - 4.0 * d)
-
-
-def _border_bc(d: np.ndarray) -> np.ndarray:
-    """eps on the (b)/(c) border line (1 - 6 delta) eps1_star + delta/2, for delta <= 1/6."""
-    return (1.0 - 6.0 * d) * eps1_star() + 0.5 * d
+def _borders(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eps on the (a)/(b) line e1 (1 - 4 delta) and the (b)/(c) line (1 - 6 delta) e1 + delta/2."""
+    e1 = eps1_star()
+    return e1 * (1.0 - 4.0 * d), (1.0 - 6.0 * d) * e1 + 0.5 * d
 
 
 def _regions(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Region label per row; borders are checked in order a, b, c, so a wins ties."""
+    ab, bc = _borders(d)
     region = np.full(d.shape, "infeasible", dtype="<U10")
     c_edge = g(np.minimum(d, 1.0 / 3.0))
     region[(d <= TANGENT_DELTA + _DOMAIN_TOL) & (e <= c_edge + _DOMAIN_TOL)] = "c"
-    b_edge = np.minimum(_border_bc(d), ODD_ODD_CORNER_DELTA - d)
+    b_edge = np.minimum(bc, ODD_ODD_CORNER_DELTA - d)
     region[e <= b_edge + _DOMAIN_TOL] = "b"
-    region[e <= _border_ab(d) + _DOMAIN_TOL] = "a"
+    region[e <= ab + _DOMAIN_TOL] = "a"
     return region
 
 
@@ -244,11 +239,10 @@ def _tau_arrays(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     on the (b)/(c) boundary.  It is NaN in the other rows.
     """
     region = _regions(d, e)
+    ab, bc = _borders(d)
     in_b = region == "b"
-    on_ab = ((region == "a") | in_b) & (np.abs(e - _border_ab(d)) < _DOMAIN_TOL)
-    on_bc = (
-        (in_b | (region == "c")) & (d <= TANGENT_DELTA) & (np.abs(e - _border_bc(d)) < _DOMAIN_TOL)
-    )
+    on_ab = ((region == "a") | in_b) & (np.abs(e - ab) < _DOMAIN_TOL)
+    on_bc = (in_b | (region == "c")) & (d <= TANGENT_DELTA) & (np.abs(e - bc) < _DOMAIN_TOL)
     low = np.full(d.shape, np.nan)
     rows = (region == "c") | on_bc
     if rows.any():
@@ -502,10 +496,8 @@ def _tau_numeric_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def tau_numeric_array(delta, eps) -> np.ndarray:
     """tau_numeric for every row of broadcast (delta, eps); NaN where not certified.
 
-    Each row's search is the one `tau_numeric` describes, on the same
-    _NUMERIC_GRID_POINTS grid and independent of the other rows.  Rows are
-    searched in blocks of _NUMERIC_BLOCK_ROWS, at most _NUMERIC_BLOCK_POINTS
-    grid points.
+    Each row runs the one _NUMERIC_GRID_POINTS search `tau_numeric` describes,
+    independent of the other rows, in blocks of _NUMERIC_BLOCK_ROWS rows.
     """
     d, e = _stats_arrays(delta, eps)
     out = np.full(d.shape, np.nan)
@@ -520,14 +512,14 @@ def tau_numeric_array(delta, eps) -> np.ndarray:
 def tau_numeric(stats: ObservedStats) -> float:
     """Privacy-amplification fraction by direct search over admissible splits.
 
-    Discretizes the multiphoton fraction xi on the _NUMERIC_GRID_POINTS = 2000
-    points of [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each
-    grid value the single-photon error rate is pushed to the largest
-    admissible value not exceeding 1/2 (the entropy term is monotone below
-    1/2), with the multiphoton point constrained to the admissible region via
-    its lower envelope.  Three passes of 65 points around the best grid cell
-    sharpen the maximum well below the 1e-6 agreement target with the closed
-    forms.  This search shares nothing with the tau_low maximiser, so it
+    Discretizes the multiphoton fraction xi on _NUMERIC_GRID_POINTS = 2000 points
+    of [max(delta, 1e-9), 1 - 1e-9] plus 3, 4 and 6 delta; for each grid value
+    the single-photon error rate is pushed to the largest admissible value not
+    exceeding 1/2 (the entropy term is monotone below 1/2), with the
+    multiphoton point constrained to the admissible region via its lower
+    envelope.  Three passes of 65 points around the best grid cell sharpen
+    the maximum well below the 1e-6 agreement target with the closed forms.
+    This search shares nothing with the tau_low maximiser, so it
     cross-checks it.  One row of `tau_numeric_array`.
     """
     d, e = float(stats.delta), float(stats.eps)

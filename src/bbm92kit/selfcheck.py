@@ -223,16 +223,14 @@ def check_eps1_star(full: bool = False) -> CheckResult:
 def check_tau_consistency(full: bool = False) -> CheckResult:
     """Criterion 5: closed-form tau against the numeric search and tau_low, and region continuity.
 
-    Both sizes run the one search of `rates.tau_numeric`, on its
-    _NUMERIC_GRID_POINTS grid, over a 20 x 20 (quick) or 100 x 100 (full)
-    (delta, eps) grid.  Continuity compares tau 1e-12 either side of the
-    (a)/(b) and (b)/(c) border lines of `rates`.
+    Both sizes run the one _NUMERIC_GRID_POINTS search of `rates.tau_numeric`.  Continuity
+    compares tau 1e-12 either side of the (a)/(b) and (b)/(c) border lines of `rates._borders`.
     """
     d, e = _feasible_grid(100 if full else 20)
     d_ab = np.linspace(0.0, 0.2499, 120)
-    edge_ab = rates._border_ab(d_ab)
+    edge_ab = rates._borders(d_ab)[0]
     d_bc = np.linspace(0.0, 1.0 / 6.0 - 1e-9, 120)
-    edge_bc = rates._border_bc(d_bc)
+    edge_bc = rates._borders(d_bc)[1]
     limit_bc = rates.multiphoton_envelope(d_bc)
     edge_d = np.concatenate([d_ab, d_bc])
     below = np.concatenate([np.maximum(edge_ab - 1e-12, 0.0), edge_bc - 1e-12])
