@@ -11,7 +11,6 @@ lower edge of one 2x2 block of the error and double-click operators, which
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -33,7 +32,7 @@ def capped_joint_dim(n_a: int, n_b: int) -> int:
     pair is rejected where it is built, not where its states are first formed.
     """
     for n in (n_a, n_b):
-        if not isinstance(n, numbers.Integral):
+        if not isinstance(n, (int, np.integer)):
             raise ValueError(f"photon count must be an integer, got {n}")
         if n > MAX_PHOTONS:
             raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")

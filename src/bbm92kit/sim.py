@@ -14,7 +14,6 @@ uniform draw u = (w >> 11) * 2**-53, the double ``Generator.random`` makes of it
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -190,7 +189,7 @@ _BASES = (Basis.Z, Basis.X)
 
 def _check_seed(seed: int, name: str = "seed") -> None:
     # Philox would truncate a float key, so 1.5 would replay seed 1's stream
-    if not isinstance(seed, numbers.Integral):
+    if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {seed}")
     # the Philox key is 128 bits
     if not 0 <= seed < 1 << 128:
