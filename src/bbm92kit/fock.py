@@ -45,6 +45,9 @@ class ModePartition:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("partition must contain at least one mode")
+        for p in self.parts:
+            if not isinstance(p, (int, np.integer)):
+                raise ValueError(f"parts must be integers, got {p}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"all parts must be >= 1, got {self.parts}")
 

@@ -44,9 +44,17 @@ _XI_TOL = 1e-14
 _NEWTON_MAX_STEPS = 100
 _GAP_FLOOR = 1e-18
 
-# tau_numeric's grid of multiphoton fractions per row; tau_numeric_array takes rows in blocks
-# of at most _NUMERIC_BLOCK_POINTS grid points, a few MB whatever the number of rows.
+# tau_numeric searches _NUMERIC_GRID_POINTS multiphoton fractions per row, from
+# max(delta, 1e-9) to _NUMERIC_XI_TOP, then refines three times on _NUMERIC_REFINE_POINTS.
+# One call allocates one workspace: six float buffers of _NUMERIC_BLOCK_ROWS grids, at most
+# _NUMERIC_BLOCK_POINTS values each, which every grid pass over a block of rows and every
+# refinement pass over a batch of rows reuses.  With O(rows) per-row state, memory stays a
+# few MB whatever the number of rows.  Allocated afresh per block, buffers of about 128 KB
+# were freed to the top of the heap, which glibc gives back to the OS once more than
+# 128 KiB of it is free, so every block faulted its pages in again.
 _NUMERIC_GRID_POINTS = 2000
+_NUMERIC_REFINE_POINTS = 65
+_NUMERIC_XI_TOP = 1.0 - 1e-9
 _NUMERIC_BLOCK_POINTS = 1 << 14
 _NUMERIC_BLOCK_ROWS = _NUMERIC_BLOCK_POINTS // (_NUMERIC_GRID_POINTS + 3)
 
@@ -75,11 +83,24 @@ def binary_entropy(x):
     """
     arr, scalar = _as_array(x)
     _check_within(arr, -_DOMAIN_TOL, 1.0 + _DOMAIN_TOL, "entropy argument outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    inner = (arr > 0.0) & (arr < 1.0)
-    safe = np.where(inner, arr, 0.5)
-    out = np.where(inner, -(safe * np.log2(safe) + (1 - safe) * np.log2(1 - safe)), 0.0)
+    arr = np.clip(arr, 0.0, 1.0, out=np.empty_like(arr))
+    out = _entropy(arr, np.empty_like(arr), np.empty_like(arr))
     return float(out) if scalar else out
+
+
+def _entropy(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """H(x) for x in [0, 1], written into out; x is overwritten and tmp is scratch of its shape."""
+    edge = ~((x > 0.0) & (x < 1.0))
+    np.copyto(x, 0.5, where=edge)
+    np.log2(x, out=out)
+    out *= x
+    np.subtract(1.0, x, out=x)
+    np.log2(x, out=tmp)
+    x *= tmp
+    out += x
+    np.negative(out, out=out)
+    np.copyto(out, 0.0, where=edge)
+    return out
 
 
 def g(delta):
@@ -92,9 +113,21 @@ def g(delta):
     _check_within(
         arr, -_DOMAIN_TOL, 1.0 / 3.0 + _DOMAIN_TOL, "trade-off curve argument outside [0, 1/3]"
     )
-    arr = np.clip(arr, 0.0, 1.0 / 3.0)
-    out = 0.5 * (1.0 - arr) - np.sqrt(arr * (1.0 - 2.0 * arr))
+    arr = np.clip(arr, 0.0, 1.0 / 3.0, out=np.empty_like(arr))
+    out = _curve(arr, np.empty_like(arr), np.empty_like(arr))
     return float(out) if scalar else out
+
+
+def _curve(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """g(x) for x in [0, 1/3], written into out; x is overwritten, tmp is scratch of its shape."""
+    np.subtract(1.0, x, out=out)
+    out *= 0.5
+    np.multiply(2.0, x, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    x *= tmp
+    np.sqrt(x, out=x)
+    out -= x
+    return out
 
 
 def _g_on_domain(delta: np.ndarray) -> np.ndarray:
@@ -136,11 +169,19 @@ def multiphoton_envelope(delta):
     """
     arr, scalar = _as_array(delta)
     _check_within(arr, -_DOMAIN_TOL, 1.0 + 1e-10, "envelope argument outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    curve = g(np.minimum(arr, TANGENT_DELTA))
-    line = ODD_ODD_CORNER_DELTA - arr
-    out = np.where(arr <= TANGENT_DELTA, curve, np.maximum(line, 0.0))
+    arr = np.clip(arr, 0.0, 1.0, out=np.empty_like(arr))
+    out = _envelope(arr, *(np.empty_like(arr) for _ in range(3)))
     return float(out) if scalar else out
+
+
+def _envelope(x: np.ndarray, out: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
+    """The envelope at x in [0, 1], written into out; x is overwritten, tmp and tmp2 are scratch."""
+    on_curve = x <= TANGENT_DELTA
+    np.subtract(ODD_ODD_CORNER_DELTA, x, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(x, TANGENT_DELTA, out=x)
+    np.copyto(out, _curve(x, tmp, tmp2), where=on_curve)
+    return out
 
 
 def in_stats_domain(delta, eps):
@@ -419,21 +460,62 @@ def tau_low(stats: ObservedStats) -> float:
     return float(tau)
 
 
-def _tau_numeric_profile(xis, d, e) -> np.ndarray:
-    """Best objective at each multiphoton fraction; rows of xis pair with d, e."""
-    dm = np.divide(d, xis, out=np.zeros_like(xis), where=xis > 0)
-    env = multiphoton_envelope(np.clip(dm, 0.0, 1.0))
-    hi = (e - xis * env) / (1.0 - xis)
-    lo = np.maximum(0.0, (e - xis * (1.0 - dm)) / (1.0 - xis))
-    eps1 = np.minimum(hi, 0.5)
+def _tau_numeric_profile(xis, d, e, scratch) -> np.ndarray:
+    """Best objective at each multiphoton fraction; rows of xis pair with d, e.
+
+    Evaluates into ``scratch``, five float arrays and one bool array of xis's
+    shape, and returns one of them.
+    """
+    dm, lo, hi, one_minus, slack, ok = scratch
+    # dm = delta / xi where xi > 0, else 0
+    dm.fill(0.0)
+    np.divide(d, xis, out=dm, where=xis > 0)
+    # hi = (e - xi env(clip(dm, 0, 1))) / (1 - xi)
+    env = _envelope(np.clip(dm, 0.0, 1.0, out=lo), hi, one_minus, slack)
+    env *= xis
+    np.subtract(e, env, out=hi)
+    np.subtract(1.0, xis, out=one_minus)
+    hi /= one_minus
+    # lo = max(0, (e - xi (1 - dm)) / (1 - xi))
+    np.subtract(1.0, dm, out=lo)
+    lo *= xis
+    np.subtract(e, lo, out=lo)
+    lo /= one_minus
+    np.maximum(0.0, lo, out=lo)
+    eps1 = np.minimum(hi, 0.5, out=hi)
     # hi and lo round e and terms of size up to xis before dividing by
     # 1 - xis, so the slack scales with them; a fixed slack would admit
     # splits far below the envelope at tiny delta, such as xi = 6 delta at eps = 0.
-    slack = 1e-15 * (e + xis) / (1.0 - xis)
-    ok = (eps1 >= lo - slack) & (dm <= 1.0 + 1e-12)
-    eps1 = np.clip(np.where(ok, eps1, 0.5), 0.0, 1.0)
-    out = xis - d + (1.0 - xis) * binary_entropy(eps1)
-    return np.where(ok, out, -np.inf)
+    # slack = 1e-15 (e + xi) / (1 - xi); ok = eps1 >= lo - slack and dm <= 1 + 1e-12
+    np.add(e, xis, out=slack)
+    slack *= 1e-15
+    slack /= one_minus
+    lo -= slack
+    np.greater_equal(eps1, lo, out=ok)
+    ok &= dm <= 1.0 + 1e-12
+    refused = np.logical_not(ok, out=ok)
+    # xi - delta + (1 - xi) H(clip(eps1, 0, 1)) where ok, -inf elsewhere
+    np.copyto(eps1, 0.5, where=refused)
+    np.clip(eps1, 0.0, 1.0, out=eps1)
+    out = _entropy(eps1, lo, slack)
+    out *= one_minus
+    out += np.subtract(xis, d, out=dm)
+    np.copyto(out, -np.inf, where=refused)
+    return out
+
+
+def _linspace_into(out: np.ndarray, lo, hi) -> np.ndarray:
+    """np.linspace(lo, hi, out.shape[1], axis=1), written into out, for rows with lo < hi.
+
+    The same arithmetic: row i holds k * step_i + lo_i, step_i = (hi - lo_i)/(n - 1),
+    and ends at hi.  np.linspace takes another path only where a step is 0,
+    which lo >= 1e-9 rules out here.
+    """
+    step = np.subtract(hi, lo) / (out.shape[1] - 1)
+    np.multiply(np.arange(out.shape[1], dtype=float), step[:, None], out=out)
+    out += lo[:, None]
+    out[:, -1] = hi
+    return out
 
 
 def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
@@ -452,59 +534,98 @@ def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tau_numeric_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """tau_numeric for a block of feasible rows; -inf where no split is admissible."""
+def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row's first-pass grid, written into xis.
+
+    The _NUMERIC_GRID_POINTS points from lo to _NUMERIC_XI_TOP and 3, 4 and 6
+    delta, as `_sorted_unique_rows` leaves them.
+    """
+    specials = xis[:, _NUMERIC_GRID_POINTS:]
+    _linspace_into(xis[:, :_NUMERIC_GRID_POINTS], lo, _NUMERIC_XI_TOP)
+    np.multiply(d[:, None], (3.0, 4.0, 6.0), out=specials)
+    # Specials outside (delta, xi_top) become copies of the grid's last point.
+    # Those below the grid start stay: for 0 < delta < 1e-9 at eps = 0 only
+    # xi <= 4 delta is admissible.
+    specials[~((specials > d[:, None]) & (specials < _NUMERIC_XI_TOP))] = _NUMERIC_XI_TOP
+    xis.sort(axis=1)
+    # A repeat of the last point is already the padding; only rows that repeat
+    # an earlier point, a special equal to a grid point, move.
+    repeats = (xis[:, 1:] == xis[:, :-1]) & (xis[:, :-1] < xis[:, -1:])
+    moved = repeats.any(axis=1)
+    if moved.any():
+        xis[moved] = _sorted_unique_rows(xis[moved])
+    return xis
+
+
+def _tau_numeric_pass(xis, scratch, rows, d, e, xi_min, best):
+    """Search the grids xis of `rows`: raise their `best`, return each row's next (lo, hi)."""
+    values = _tau_numeric_profile(xis, d[rows, None], e[rows, None], scratch)
+    idx = np.argmax(values, axis=1)
+    at = np.arange(rows.size)
+    top = values[at, idx]
+    finite = np.isfinite(top)
+    best[rows[finite]] = np.maximum(best[rows[finite]], top[finite])
+    last = xis.shape[1] - 1
+    step = xis[at, np.minimum(idx + 1, last)] - xis[at, np.maximum(idx - 1, 0)]
+    lo = np.maximum(xi_min[rows], xis[at, idx] - step)
+    hi = np.minimum(_NUMERIC_XI_TOP, xis[at, idx] + step)
+    return lo, hi
+
+
+def _tau_numeric_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """tau_numeric for 1-D feasible rows; -inf where no split is admissible.
+
+    The grid pass takes rows in blocks of _NUMERIC_BLOCK_ROWS; each of the three
+    refinement passes takes the rows still narrowing in batches that fill the
+    same workspace.  Rows never mix, so a row's result does not depend on its
+    block or batch.
+    """
     best = np.full(d.shape, -np.inf)
     zero = (d == 0.0) & (e <= 0.5 + 1e-15)
     best[zero] = binary_entropy(np.minimum(e[zero], 0.5))  # xi = 0: single photons only
     multi = (e >= multiphoton_envelope(d) - 1e-12) & (e <= 1.0 - d + 1e-12)
     best[multi] = np.maximum(best[multi], 1.0 - d[multi])  # xi = 1: multiphoton only
     xi_min = np.maximum(d, 1e-9)
-    xi_top = 1.0 - 1e-9
-    rows = np.flatnonzero(xi_min < xi_top)
+    rows = np.flatnonzero(xi_min < _NUMERIC_XI_TOP)
     if not rows.size:
         return best
-    lo = xi_min[rows]
-    specials = np.stack([3.0 * d[rows], 4.0 * d[rows], 6.0 * d[rows]], axis=1)
-    # Specials outside (delta, xi_top) become copies of the grid's last point.
-    # Those below the grid start stay: for 0 < delta < 1e-9 at eps = 0 only
-    # xi <= 4 delta is admissible.
-    specials[~((specials > d[rows, None]) & (specials < xi_top))] = xi_top
-    xis = _sorted_unique_rows(
-        np.concatenate([np.linspace(lo, xi_top, _NUMERIC_GRID_POINTS, axis=1), specials], axis=1)
-    )
-    for _ in range(4):
-        dr, er = d[rows, None], e[rows, None]
-        values = _tau_numeric_profile(xis, dr, er)
-        idx = np.argmax(values, axis=1)
-        at = np.arange(rows.size)
-        top = values[at, idx]
-        finite = np.isfinite(top)
-        best[rows[finite]] = np.maximum(best[rows[finite]], top[finite])
-        last = xis.shape[1] - 1
-        step = xis[at, np.minimum(idx + 1, last)] - xis[at, np.maximum(idx - 1, 0)]
-        lo = np.maximum(xi_min[rows], xis[at, idx] - step)
-        hi = np.minimum(xi_top, xis[at, idx] + step)
+    width = _NUMERIC_GRID_POINTS + 3
+    block = min(rows.size, _NUMERIC_BLOCK_ROWS)
+    floats, ok = np.empty((6, block * width)), np.empty(block * width, dtype=bool)
+
+    def views(n_rows: int, n_points: int) -> list[np.ndarray]:
+        size = n_rows * n_points
+        return [a[:size].reshape(n_rows, n_points) for a in (*floats, ok)]
+
+    lo, hi = np.empty(rows.size), np.empty(rows.size)
+    for start in range(0, rows.size, block):
+        part = slice(start, start + block)
+        xis, *scratch = views(rows[part].size, width)
+        _grid_into(xis, xi_min[rows[part]], d[rows[part]])
+        lo[part], hi[part] = _tau_numeric_pass(xis, scratch, rows[part], d, e, xi_min, best)
+    batch = block * width // _NUMERIC_REFINE_POINTS
+    for _ in range(3):
         going = hi > lo
         rows, lo, hi = rows[going], lo[going], hi[going]
-        if not rows.size:
-            break
-        xis = np.linspace(lo, hi, 65, axis=1)
+        for start in range(0, rows.size, batch):
+            part = slice(start, start + batch)
+            xis, *scratch = views(rows[part].size, _NUMERIC_REFINE_POINTS)
+            _linspace_into(xis, lo[part], hi[part])
+            lo[part], hi[part] = _tau_numeric_pass(xis, scratch, rows[part], d, e, xi_min, best)
     return best
 
 
 def tau_numeric_array(delta, eps) -> np.ndarray:
     """tau_numeric for every row of broadcast (delta, eps); NaN where not certified.
 
-    Each row runs the one _NUMERIC_GRID_POINTS search `tau_numeric` describes,
-    independent of the other rows, in blocks of _NUMERIC_BLOCK_ROWS rows.
+    Each row runs the one search `tau_numeric` describes, independent of the
+    other rows.  The search allocates its workspace once per call, so its
+    memory stays a few MB whatever the number of rows.
     """
     d, e = _stats_arrays(delta, eps)
     out = np.full(d.shape, np.nan)
     rows = np.flatnonzero(_regions(d, e) != "infeasible")
-    for start in range(0, rows.size, _NUMERIC_BLOCK_ROWS):
-        part = rows[start : start + _NUMERIC_BLOCK_ROWS]
-        out[part] = _tau_numeric_block(d[part], e[part])
+    out[rows] = _tau_numeric_rows(d[rows], e[rows])
     out[np.isneginf(out)] = np.nan
     return out
 
@@ -517,8 +638,9 @@ def tau_numeric(stats: ObservedStats) -> float:
     the single-photon error rate is pushed to the largest admissible value not
     exceeding 1/2 (the entropy term is monotone below 1/2), with the
     multiphoton point constrained to the admissible region via its lower
-    envelope.  Three passes of 65 points around the best grid cell sharpen
-    the maximum well below the 1e-6 agreement target with the closed forms.
+    envelope.  Three passes of _NUMERIC_REFINE_POINTS = 65 points around the
+    best grid cell sharpen the maximum well below the 1e-6 agreement target
+    with the closed forms.
     This search shares nothing with the tau_low maximiser, so it
     cross-checks it.  One row of `tau_numeric_array`.
     """
@@ -527,7 +649,7 @@ def tau_numeric(stats: ObservedStats) -> float:
         # the mixture program itself extends further, but values out there are
         # not certified; refuse rather than extrapolate
         raise InfeasibleError(f"(delta={d!r}, eps={e!r}) lies outside the certified domain")
-    value = _tau_numeric_block(np.array([d]), np.array([e]))[0]
+    value = _tau_numeric_rows(np.array([d]), np.array([e]))[0]
     if np.isneginf(value):
         raise InfeasibleError(f"no admissible split for (delta={d!r}, eps={e!r})")
     return float(value)

@@ -187,10 +187,14 @@ class SourceModel:
 _BASES = (Basis.Z, Basis.X)
 
 
+def _check_integer(value: int, name: str) -> None:
+    # Philox would truncate a float key or counter, so 1.5 would replay 1's stream
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _check_seed(seed: int, name: str = "seed") -> None:
-    # Philox would truncate a float key, so 1.5 would replay seed 1's stream
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {seed}")
+    _check_integer(seed, name)
     # the Philox key is 128 bits
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"{name} must be in [0, 2**128), got {seed}")
@@ -205,6 +209,8 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     chunking of the event range reproduces the same per-event draws.
     """
     _check_seed(seed)
+    _check_integer(start, "start")
+    _check_integer(count, "count")
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     bitgen = np.random.Philox(key=seed, counter=[start, 0, 0, 0])

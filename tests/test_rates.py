@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -235,7 +236,161 @@ class TestTauClosedForm:
             assert np.all(np.diff(taus) >= -1e-12)
 
 
+# The rate formulas and the tau_numeric search as they read when the search ran block by
+# block, frozen: the reference the kernels and the workspace search must equal bit for bit.
+def _reference_entropy(x):
+    arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    inner = (arr > 0.0) & (arr < 1.0)
+    safe = np.where(inner, arr, 0.5)
+    return np.where(inner, -(safe * np.log2(safe) + (1 - safe) * np.log2(1 - safe)), 0.0)
+
+
+def _reference_g(delta):
+    arr = np.clip(np.asarray(delta, dtype=float), 0.0, 1.0 / 3.0)
+    return 0.5 * (1.0 - arr) - np.sqrt(arr * (1.0 - 2.0 * arr))
+
+
+def _reference_envelope(delta):
+    arr = np.clip(np.asarray(delta, dtype=float), 0.0, 1.0)
+    curve = _reference_g(np.minimum(arr, TANGENT))
+    line = 0.25 - arr
+    return np.where(arr <= TANGENT, curve, np.maximum(line, 0.0))
+
+
+def _reference_tau_numeric_profile(xis, d, e):
+    dm = np.divide(d, xis, out=np.zeros_like(xis), where=xis > 0)
+    env = _reference_envelope(np.clip(dm, 0.0, 1.0))
+    hi = (e - xis * env) / (1.0 - xis)
+    lo = np.maximum(0.0, (e - xis * (1.0 - dm)) / (1.0 - xis))
+    eps1 = np.minimum(hi, 0.5)
+    slack = 1e-15 * (e + xis) / (1.0 - xis)
+    ok = (eps1 >= lo - slack) & (dm <= 1.0 + 1e-12)
+    eps1 = np.clip(np.where(ok, eps1, 0.5), 0.0, 1.0)
+    out = xis - d + (1.0 - xis) * _reference_entropy(eps1)
+    return np.where(ok, out, -np.inf)
+
+
+def _reference_sorted_unique_rows(xis):
+    xis = np.sort(xis, axis=1)
+    keep = np.ones(xis.shape, dtype=bool)
+    keep[:, 1:] = xis[:, 1:] != xis[:, :-1]
+    out = np.repeat(xis[:, -1:], xis.shape[1], axis=1)
+    rows = np.broadcast_to(np.arange(xis.shape[0])[:, None], xis.shape)
+    out[rows[keep], (np.cumsum(keep, axis=1) - 1)[keep]] = xis[keep]
+    return out
+
+
+def _reference_tau_numeric_block(d, e):
+    best = np.full(d.shape, -np.inf)
+    zero = (d == 0.0) & (e <= 0.5 + 1e-15)
+    best[zero] = _reference_entropy(np.minimum(e[zero], 0.5))  # xi = 0: single photons only
+    multi = (e >= _reference_envelope(d) - 1e-12) & (e <= 1.0 - d + 1e-12)
+    best[multi] = np.maximum(best[multi], 1.0 - d[multi])  # xi = 1: multiphoton only
+    xi_min = np.maximum(d, 1e-9)
+    xi_top = 1.0 - 1e-9
+    rows = np.flatnonzero(xi_min < xi_top)
+    if not rows.size:
+        return best
+    lo = xi_min[rows]
+    specials = np.stack([3.0 * d[rows], 4.0 * d[rows], 6.0 * d[rows]], axis=1)
+    specials[~((specials > d[rows, None]) & (specials < xi_top))] = xi_top
+    xis = _reference_sorted_unique_rows(
+        np.concatenate([np.linspace(lo, xi_top, 2000, axis=1), specials], axis=1)
+    )
+    for _ in range(4):
+        dr, er = d[rows, None], e[rows, None]
+        values = _reference_tau_numeric_profile(xis, dr, er)
+        idx = np.argmax(values, axis=1)
+        at = np.arange(rows.size)
+        top = values[at, idx]
+        finite = np.isfinite(top)
+        best[rows[finite]] = np.maximum(best[rows[finite]], top[finite])
+        last = xis.shape[1] - 1
+        step = xis[at, np.minimum(idx + 1, last)] - xis[at, np.maximum(idx - 1, 0)]
+        lo = np.maximum(xi_min[rows], xis[at, idx] - step)
+        hi = np.minimum(xi_top, xis[at, idx] + step)
+        going = hi > lo
+        rows, lo, hi = rows[going], lo[going], hi[going]
+        if not rows.size:
+            break
+        xis = np.linspace(lo, hi, 65, axis=1)
+    return best
+
+
+def test_formulas_equal_reference_bits():
+    # the kernels behind binary_entropy, g and multiphoton_envelope, at scalars and arrays
+    rng = np.random.default_rng(3)
+    edges = [-1e-13, -0.0, 0.0, 1e-300, TANGENT, 0.25, 1.0 / 3.0, 0.5, 1.0 - 1e-16, 1.0]
+    for public, reference, top in [
+        (binary_entropy, _reference_entropy, 1.0),
+        (g, _reference_g, 1.0 / 3.0),
+        (multiphoton_envelope, _reference_envelope, 1.0),
+    ]:
+        xs = np.concatenate([[x for x in edges if x <= top], rng.uniform(0.0, top, 2000)])
+        assert np.array_equal(public(xs).view(np.int64), reference(xs).view(np.int64))
+        assert [public(float(x)) for x in xs[:40]] == reference(xs[:40]).tolist()
+
+
+def _search_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Seeded feasible rows, the search's edge cases among them."""
+    rng = np.random.default_rng(25)
+    d = rng.uniform(0.0, 0.25, 300)
+    e = rng.uniform(0.0, 1.0, 300) * multiphoton_envelope(d)
+    tiny = rng.uniform(0.0, 1e-9, 6)
+    sides = np.linspace(0.0, TANGENT, 12)
+    on_ab, on_bc = rates._borders(sides)
+    cols = [
+        (d, e),
+        (np.zeros(5), np.array([0.0, 0.02, 0.11, 0.3, 0.5])),  # delta = 0
+        (tiny, np.zeros(6)),  # 0 < delta < 1e-9 at eps = 0; below 2.5e-10 one pass ends it
+        (tiny, np.full(6, 0.03)),
+        # 4 delta or 3 delta equals the grid start 1e-9, a repeat _sorted_unique_rows
+        # removes; at eps = 0.0739 keeping it would move tau by 5.6e-17
+        (np.array([2.5e-10, 2.5e-10, 1e-9 / 3.0]), np.array([0.0, 0.0739, 0.0])),
+        (np.linspace(0.0, 0.25, 9), np.zeros(9)),  # eps = 0
+        (np.array([TANGENT, TANGENT, 0.2, 0.25]), np.array([0.0, 0.08, 0.049, 0.0])),
+        (sides, on_ab),
+        (sides, on_bc),
+    ]
+    return np.concatenate([c[0] for c in cols]), np.concatenate([c[1] for c in cols])
+
+
 class TestTauNumeric:
+    def test_search_equals_reference_blocks(self):
+        d, e = _search_rows()
+        block = rates._NUMERIC_BLOCK_ROWS
+        assert d.size > 3 * block and d.size % block
+        assert (rates._regions(d, e) != "infeasible").all()
+        want = np.concatenate(
+            [_reference_tau_numeric_block(d[i : i + block], e[i : i + block])
+             for i in range(0, d.size, block)]
+        )
+        want[np.isneginf(want)] = np.nan
+        got = rates.tau_numeric_array(d, e)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_memory_stays_bounded(self):
+        # The bound is derived from the code, not fitted to a run.  The workspace is six
+        # float buffers and one bool buffer of _NUMERIC_BLOCK_ROWS grids; numpy's buffered
+        # iteration holds at most three buffers of np.getbufsize() doubles at a time.
+        # Per row, at most 14 arrays of one float or index each are alive at once (in the
+        # refinement: d, e, the result, the feasible rows and their d and e in
+        # tau_numeric_array; best, xi_min, rows, lo and hi and the filtered copies of the
+        # last three), beside one-byte masks and, earlier, the 40-byte U10 region label;
+        # 16 arrays and the label bound that.
+        n = 150
+        d, e = np.meshgrid(np.linspace(0.0, 0.25, n), np.linspace(0.0, 0.12, n))
+        rates.tau_numeric_array(d[:1, :1], e[:1, :1])
+        tracemalloc.start()
+        try:
+            rates.tau_numeric_array(d, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workspace = rates._NUMERIC_BLOCK_ROWS * (rates._NUMERIC_GRID_POINTS + 3) * (6 * 8 + 1)
+        iteration = 3 * np.getbufsize() * 8
+        assert peak <= workspace + iteration + n * n * (16 * 8 + 40)
+
     def test_cross_validation_point(self):
         stats = ObservedStats(0.05, 0.02)
         assert tau_numeric(stats) == pytest.approx(
@@ -313,7 +468,7 @@ class TestKeyRate:
 
 def _no_admissible_split():
     # tau_numeric's second message: a feasible row whose search finds no split
-    with mock.patch.object(rates, "_tau_numeric_block", lambda *args: np.array([-np.inf])):
+    with mock.patch.object(rates, "_tau_numeric_rows", lambda *args: np.array([-np.inf])):
         tau_numeric(ObservedStats(np.float64(0.1), np.float64(0.05)))
 
 
@@ -341,6 +496,9 @@ REJECTION_CASES = {
     "ModePartition-empty": (lambda: ModePartition(()), ValueError, "at least one mode"),
     "ModePartition-nonpositive": (
         lambda: ModePartition((2, 0, 1)), ValueError, "parts must be >= 1, got (2, 0, 1)"
+    ),
+    "ModePartition-non-integral": (
+        lambda: ModePartition((2, 1.5)), ValueError, "parts must be integers, got 1.5"
     ),
     "PhotonPair-zero": (lambda: PhotonPair(0, 1), ValueError, "must be >= 1, got (0, 1)"),
     "PhotonPair-dimension-cap": (lambda: PhotonPair(10, 10), ValueError, "121 exceeds cap 64"),
@@ -418,15 +576,22 @@ REJECTION_CASES = {
     "eve_attack": (
         lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
     ),
-    # Philox truncates a float key, so a float seed would replay the integer's stream
+    # Philox truncates a float key or counter, so a float would replay the integer's stream
     **{
-        f"{name}-non-integral-seed": (
-            call, ValueError, re.compile(rf"^seed must be an integer, got {shown}$")
+        f"{name}-non-integral-{param}": (
+            call, ValueError, re.compile(rf"^{param} must be an integer, got {shown}$")
         )
-        for name, call, shown in [
-            ("event_uniforms", lambda: sim.event_uniforms(1.5, 0, 3), r"1\.5"),
-            ("event_uniforms-numpy", lambda: sim.event_uniforms(F64(1.0), 0, 3), r"1\.0"),
-            ("end_to_end", lambda: end_to_end(SourceModel.werner(0.8), 1000, seed=1.9), r"1\.9"),
+        for name, param, call, shown in [
+            ("event_uniforms", "seed", lambda: sim.event_uniforms(1.5, 0, 3), r"1\.5"),
+            ("event_uniforms-numpy", "seed", lambda: sim.event_uniforms(F64(1.0), 0, 3), r"1\.0"),
+            (
+                "end_to_end",
+                "seed",
+                lambda: end_to_end(SourceModel.werner(0.8), 1000, seed=1.9),
+                r"1\.9",
+            ),
+            ("event_uniforms", "start", lambda: sim.event_uniforms(1, 1.5, 2), r"1\.5"),
+            ("event_uniforms", "count", lambda: sim.event_uniforms(1, 0, F64(2.0)), r"2\.0"),
         ]
     },
     "run_protocol-num-events": (
