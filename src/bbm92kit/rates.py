@@ -504,7 +504,7 @@ def _tau_numeric_profile(xis, d, e, scratch) -> np.ndarray:
     return out
 
 
-def _linspace_into(out: np.ndarray, lo, hi) -> np.ndarray:
+def _linspace_into(out: np.ndarray, lo, hi) -> None:
     """np.linspace(lo, hi, out.shape[1], axis=1), written into out, for rows with lo < hi.
 
     The same arithmetic: row i holds k * step_i + lo_i, step_i = (hi - lo_i)/(n - 1),
@@ -515,7 +515,6 @@ def _linspace_into(out: np.ndarray, lo, hi) -> np.ndarray:
     np.multiply(np.arange(out.shape[1], dtype=float), step[:, None], out=out)
     out += lo[:, None]
     out[:, -1] = hi
-    return out
 
 
 def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
@@ -534,7 +533,7 @@ def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> None:
     """Each row's first-pass grid, written into xis.
 
     The _NUMERIC_GRID_POINTS points from lo to _NUMERIC_XI_TOP and 3, 4 and 6
@@ -554,7 +553,6 @@ def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> np.ndarray:
     moved = repeats.any(axis=1)
     if moved.any():
         xis[moved] = _sorted_unique_rows(xis[moved])
-    return xis
 
 
 def _tau_numeric_pass(xis, scratch, rows, d, e, xi_min, best):

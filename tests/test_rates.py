@@ -342,8 +342,10 @@ def _search_rows() -> tuple[np.ndarray, np.ndarray]:
     cols = [
         (d, e),
         (np.zeros(5), np.array([0.0, 0.02, 0.11, 0.3, 0.5])),  # delta = 0
-        (tiny, np.zeros(6)),  # 0 < delta < 1e-9 at eps = 0; below 2.5e-10 one pass ends it
+        (tiny, np.zeros(6)),  # 0 < delta < 1e-9
         (tiny, np.full(6, 0.03)),
+        # at eps = 0 and delta up to 1e-10 the grid pass leaves hi <= lo: no refinement
+        (np.array([2.06e-61, 1e-20, 1e-12, 1e-10]), np.zeros(4)),
         # 4 delta or 3 delta equals the grid start 1e-9, a repeat _sorted_unique_rows
         # removes; at eps = 0.0739 keeping it would move tau by 5.6e-17
         (np.array([2.5e-10, 2.5e-10, 1e-9 / 3.0]), np.array([0.0, 0.0739, 0.0])),
