@@ -114,9 +114,26 @@ def _json_cell(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _column_cells(values: list) -> list[str]:
+    """_json_cell of each value, with the repr of each distinct nonzero float made once.
+
+    A traced boundary repeats its curve points, so many floats recur within a
+    column.  Only Python floats are looked up, so an int never takes a float's
+    cell; zeros are encoded one by one, so 0.0 and -0.0 keep their signs; and
+    NaN, which is null, never enters the memo.
+    """
+    memo: dict[float, str] = {}
+    return [
+        (memo.get(value) or memo.setdefault(value, float.__repr__(value)))
+        if type(value) is float and value and value == value
+        else _json_cell(value)
+        for value in values
+    ]
+
+
 def _json_rows(columns: dict[str, list]) -> str:
     """The items of the rows array as json.dumps(..., indent=2) nests them in the payload."""
-    cells = [list(map(_json_cell, values)) for values in columns.values()]
+    cells = [_column_cells(values) for values in columns.values()]
     if any("inf" in column or "-inf" in column for column in cells):
         # the error json.dumps raises at the first infinity in row order
         for row in zip(*columns.values()):

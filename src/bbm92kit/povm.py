@@ -107,13 +107,26 @@ def outcome_projectors(n: int, w: Basis) -> np.ndarray:
     return stack
 
 
-def _joint_sum(pair: PhotonPair, same_bit: bool) -> np.ndarray:
-    total = 0.0
-    for w in (Basis.Z, Basis.X):
-        proj_a, proj_b = outcome_projectors(pair.n_a, w), outcome_projectors(pair.n_b, w)
-        for b in (Bit.ZERO, Bit.ONE):
-            total += np.kron(proj_a[b], proj_b[b if same_bit else 1 - b])
-    return 0.5 * total
+def _joint_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_dbl, f_err, f_cor) of a pair, from one broadcast product of its bit projectors.
+
+    Each entry of kron(P, Q) is the one product P[i, j] * Q[k, l], so every
+    kron of the stacked Z/X bit projectors comes at once; each sum adds its
+    four krons in the order Z0, Z1, X0, X1 from 0.0, as a loop of np.kron
+    would, and so rounds the same.
+    """
+    proj_a, proj_b = (
+        np.stack([outcome_projectors(n, w)[:2] for w in (Basis.Z, Basis.X)])
+        for n in (pair.n_a, pair.n_b)
+    )
+    d = pair.joint_dim
+    # krons[w, i, j] is kron(proj_a[w, i], proj_b[w, j]): basis w, bit i on A, bit j on B
+    krons = (
+        proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
+    ).reshape(2, 2, 2, d, d)
+    same = 0.5 * sum((krons[w, b, b] for w in range(2) for b in range(2)), 0.0)
+    opposite = 0.5 * sum((krons[w, b, 1 - b] for w in range(2) for b in range(2)), 0.0)
+    return np.eye(d) - same - opposite, opposite, same
 
 
 def f_err(pair: PhotonPair) -> np.ndarray:
@@ -122,17 +135,17 @@ def f_err(pair: PhotonPair) -> np.ndarray:
     Average over both bases of the projectors onto opposite bit values on the
     two sides.
     """
-    return _joint_sum(pair, same_bit=False)
+    return _joint_operators(pair)[1]
 
 
 def f_cor(pair: PhotonPair) -> np.ndarray:
     """Operator whose expectation is the same-bit fraction (both bases averaged)."""
-    return _joint_sum(pair, same_bit=True)
+    return _joint_operators(pair)[2]
 
 
 def f_dbl(pair: PhotonPair) -> np.ndarray:
     """Complement of correct + error: the double-click fraction."""
-    return np.eye(pair.joint_dim) - f_cor(pair) - f_err(pair)
+    return _joint_operators(pair)[0]
 
 
 def min_double_click(pair: PhotonPair) -> float:
@@ -268,9 +281,9 @@ def random_state_fractions(
         raise ValueError(f"count must be >= 0, got {count}")
     states = rng.standard_normal((count, pair.joint_dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    delta = np.einsum("ni,ij,nj->n", states, f_dbl(pair), states)
-    eps = np.einsum("ni,ij,nj->n", states, f_err(pair), states)
-    return delta, eps
+    dbl, err, _ = _joint_operators(pair)
+    # x^T F x of every row x: one gemm, then a row-wise dot
+    return np.vecdot(states @ dbl, states), np.vecdot(states @ err, states)
 
 
 def region_membership(delta_m, eps_m):

@@ -101,7 +101,7 @@ def check_odd_odd_bound(full: bool = False) -> CheckResult:
       d u |A^| of A^'s own.
     - Forming A^: an X amplitude rounds three times (2^(-n/2), the square
       root of the binomial, their product; Z amplitudes are exact), a
-      projector entry 7 times, a kron entry 15; `_joint_sum` adds 3
+      projector entry 7 times, a kron entry 15; `_joint_operators` adds 3
       roundings and f_cor + f_err one more, so |A^ - A| <= gamma_19 |A|+
       entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
       ch. 3), where |A|+ = (1/2) sum over the 8 terms of |kron(P, Q)|.  Z

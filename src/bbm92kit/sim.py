@@ -206,14 +206,24 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     Word w stands for the uniform draw u = (w >> 11) * 2**-53 in [0, 1), bit
     for bit the double ``Generator.random`` makes of it.  Counter-based: one
     Philox counter block yields exactly the four words of one event, so any
-    chunking of the event range reproduces the same per-event draws.
+    chunking of the event range reproduces the same per-event draws.  The
+    counter is 256 bits wide, so the events end at 2**256.
     """
     _check_seed(seed)
     _check_integer(start, "start")
     _check_integer(count, "count")
+    start, count = int(start), int(count)
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
-    bitgen = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
+    # the counter holds [0, 2**256); past its end it would wrap round and replay event 0 on
+    if start >= 1 << 256 or start + count > 1 << 256:
+        raise ValueError(
+            "start must be < 2**256 and start + count <= 2**256, "
+            f"got start {start} and count {count}"
+        )
+    # an int, which numpy carries exactly across the counter's four 64-bit words; a list
+    # of Python ints would become float64 from 2**63 on
+    bitgen = np.random.Philox(key=seed, counter=start)
     return bitgen.random_raw(count * _DRAWS_PER_EVENT).reshape(count, _DRAWS_PER_EVENT)
 
 

@@ -519,6 +519,19 @@ MIXED_COLUMNS = {
 }
 
 
+# Floats that recur within a column, as a traced boundary's repeated points do: the
+# writer encodes each distinct nonzero float once per column and must still write every
+# cell as json.dumps does.
+REPEATED_COLUMNS = {
+    "repeated": [0.1, 1 / 3, 0.1, 1 / 3, 0.1, 2.5, 0.1],
+    "zeros": [0.0, -0.0, -0.0, 0.0, np.float64(-0.0), 0.0, -0.0],
+    "nan": [math.nan, 0.5, float("nan"), math.nan, 0.5, np.float64(math.nan), None],
+    "subnormal": [5e-324, 5e-324, -5e-324, 2.5e-310, 5e-324, 2.5e-310, 0.0],
+    # an int or a bool equal to a stored float keeps its own cell
+    "equal_types": [1.0, 1, True, 1.0, np.float64(1.0), 1, False],
+}
+
+
 class TestTableWriter:
     @staticmethod
     def _args(fmt):
@@ -550,6 +563,13 @@ class TestTableWriter:
         cli._emit(args, columns)
         assert capsys.readouterr().out == self._reference(args, columns)
 
+    @pytest.mark.parametrize("size", [2, 7])
+    def test_json_repeated_floats_equal_stdlib_encoder(self, capsys, size):
+        columns = {name: values[:size] for name, values in REPEATED_COLUMNS.items()}
+        args = self._args("json")
+        cli._emit(args, columns)
+        assert capsys.readouterr().out == self._reference(args, columns)
+
     def test_csv_writes_nan_as_nan(self, capsys):
         cli._emit(self._args("csv"), MIXED_COLUMNS)
         header, *records = capsys.readouterr().out.splitlines()
@@ -563,6 +583,9 @@ class TestTableWriter:
             {"a": [1.0, math.inf]},
             {"a": [1.0, -math.inf], "b": [math.inf, 2.0]},
             {"a": [math.nan, np.float64(-math.inf)]},
+            # a repeated infinity takes its stored cell and must still raise
+            {"a": [math.inf, 0.5, math.inf], "b": [0.5, -math.inf, -math.inf]},
+            {"a": [2.0, 2.0, 2.0], "b": [-math.inf, 1.0, -math.inf]},
         ],
     )
     def test_infinity_raises_stdlib_error(self, columns):

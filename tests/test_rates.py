@@ -596,6 +596,22 @@ REJECTION_CASES = {
             ("event_uniforms", "count", lambda: sim.event_uniforms(1, 0, F64(2.0)), r"2\.0"),
         ]
     },
+    # the Philox counter holds [0, 2**256); past its end it would wrap round to event 0
+    **{
+        f"event_uniforms-counter-end-{name}": (
+            lambda start=start, count=count: sim.event_uniforms(1, start, count),
+            ValueError,
+            re.compile(
+                r"^start must be < 2\*\*256 and start \+ count <= 2\*\*256, "
+                rf"got start {int(start)} and count {int(count)}$"
+            ),
+        )
+        for name, start, count in [
+            ("last-plus-one", 2**256 - 1, 2),
+            ("start-at-end", 2**256, 0),
+            ("numpy-count", 2**256 - 3, np.uint64(4)),
+        ]
+    },
     "run_protocol-num-events": (
         lambda: run_protocol(SourceModel.ideal_pair(), 0, seed=1),
         ValueError,

@@ -199,6 +199,17 @@ class TestRandomnessContract:
             run_protocol(SourceModel.ideal_pair(), 10, seed=seed)
         assert event_uniforms(2**128 - 1, 0, 1).shape == (1, 4)
 
+    @pytest.mark.parametrize("start", [2**63, 2**64 - 1, 2**128 - 1, 2**255])
+    def test_counter_carries_across_its_words(self, start):
+        # start is the exact integer counter: the event after it is start + 1, with no
+        # replay at 2**63 (where a float64 counter stopped) and a carry into the next word
+        assert np.array_equal(event_uniforms(9, start, 2)[1:], event_uniforms(9, start + 1, 1))
+        assert not np.array_equal(event_uniforms(9, start, 1), event_uniforms(9, start + 1, 1))
+
+    def test_last_counter_is_an_event(self):
+        assert event_uniforms(9, 2**256 - 1, 1).shape == (1, 4)
+        assert event_uniforms(9, 2**256 - 1, 0).shape == (0, 4)
+
     def test_high_uint16_is_top_16_bits(self):
         words = event_uniforms(5, 0, 1 << 16)
         assert np.array_equal(sim._high_uint16(words), words >> 48)
