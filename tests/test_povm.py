@@ -39,14 +39,6 @@ ALL_PAIRS = [
     if (a + 1) * (b + 1) <= 64
 ]
 EVEN_PAIRS = [p for p in ALL_PAIRS if p.n_a % 2 == 0 or p.n_b % 2 == 0]
-# Every pair that traces a curve: one photon number even, joint dimension <= DIM_CAP.
-CAPPED_EVEN_PAIRS = [
-    PhotonPair(a, b)
-    for a in range(1, DIM_CAP)
-    for b in range(1, DIM_CAP)
-    if (a + 1) * (b + 1) <= DIM_CAP and (a % 2 == 0 or b % 2 == 0)
-]
-
 # Every pair under DIM_CAP.
 CAPPED_PAIRS = [
     PhotonPair(a, b)
@@ -54,14 +46,10 @@ CAPPED_PAIRS = [
     for b in range(1, DIM_CAP)
     if (a + 1) * (b + 1) <= DIM_CAP
 ]
-
+# Every pair that traces a curve: one photon number even, joint dimension <= DIM_CAP.
+CAPPED_EVEN_PAIRS = [p for p in CAPPED_PAIRS if p.n_a % 2 == 0 or p.n_b % 2 == 0]
 # Every odd-odd multiphoton pair under DIM_CAP: min_double_click's domain.
-CAPPED_ODD_PAIRS = [
-    PhotonPair(a, b)
-    for a in range(1, DIM_CAP, 2)
-    for b in range(1, DIM_CAP, 2)
-    if (a + 1) * (b + 1) <= DIM_CAP and a + b >= 3
-]
+CAPPED_ODD_PAIRS = [p for p in CAPPED_PAIRS if p.n_a % 2 == p.n_b % 2 == 1 and p.is_multiphoton]
 
 
 # Photon-number pairs whose 400-point boundaries the benchmark's operators
