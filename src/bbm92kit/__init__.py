@@ -33,9 +33,7 @@ from .fock import (
 from .povm import (
     DIM_CAP,
     PhotonPair,
-    f_cor,
-    f_dbl,
-    f_err,
+    joint_operators,
     min_double_click,
     outcome_projectors,
     random_state_fractions,

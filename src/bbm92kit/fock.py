@@ -36,6 +36,13 @@ class Bit(IntEnum):
     ONE = 1
 
 
+def _check_integer(value: int, name: str) -> None:
+    # a float count would fail deep inside numpy, and Philox would truncate a float key
+    # or counter, so 1.5 would replay 1's stream
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 @dataclass(frozen=True)
 class ModePartition:
     """Split of ``n`` photons into per-mode photon numbers ``parts``."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import NumericalError
-from .fock import MAX_PHOTONS, Basis, Bit, basis_state
+from .fock import MAX_PHOTONS, Basis, Bit, _check_integer, basis_state
 
 # Joint dimension (n_A+1)(n_B+1) allowed for dense operator work.  Everything
 # the bounds need shows up well below this.
@@ -107,45 +107,39 @@ def outcome_projectors(n: int, w: Basis) -> np.ndarray:
     return stack
 
 
-def _joint_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f_dbl, f_err, f_cor) of a pair, from one broadcast product of its bit projectors.
+def _outcome_krons(n_a: int, n_b: int) -> np.ndarray:
+    """Every kron of the two parties' outcome projectors: one (4, k_a k_b, d, d) stack.
 
-    Each entry of kron(P, Q) is the one product P[i, j] * Q[k, l], so every
-    kron of the stacked Z/X bit projectors comes at once; each sum adds its
-    four krons in the order Z0, Z1, X0, X1 from 0.0, as a loop of np.kron
-    would, and so rounds the same.
+    Row 2 * [A measures X] + [B measures X] is a basis pair (Basis order: Z,
+    then X); cell i * k_b + j is A's outcome i with B's outcome j, each
+    side's k outcomes in `outcome_projectors` order.  n = 0 is vacuum: one outcome, the 1x1
+    identity.  Each entry of kron(P, Q) is the one product P[i, j] * Q[k, l],
+    so one broadcast product forms them all.
     """
     proj_a, proj_b = (
-        np.stack([outcome_projectors(n, w)[:2] for w in (Basis.Z, Basis.X)])
-        for n in (pair.n_a, pair.n_b)
+        np.stack([outcome_projectors(n, w) for w in Basis]) if n else np.ones((2, 1, 1, 1))
+        for n in (n_a, n_b)
     )
-    d = pair.joint_dim
-    # krons[w, i, j] is kron(proj_a[w, i], proj_b[w, j]): basis w, bit i on A, bit j on B
-    krons = (
-        proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
-    ).reshape(2, 2, 2, d, d)
-    same = 0.5 * sum((krons[w, b, b] for w in range(2) for b in range(2)), 0.0)
-    opposite = 0.5 * sum((krons[w, b, 1 - b] for w in range(2) for b in range(2)), 0.0)
-    return np.eye(d) - same - opposite, opposite, same
+    (ka, da), (kb, db) = proj_a.shape[1:3], proj_b.shape[1:3]
+    return (
+        proj_a[:, None, :, None, :, None, :, None] * proj_b[None, :, None, :, None, :, None, :]
+    ).reshape(4, ka * kb, da * db, da * db)
 
 
-def f_err(pair: PhotonPair) -> np.ndarray:
-    """Operator whose expectation is the bit-error fraction.
+def joint_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_dbl, f_err, f_cor): the double-click, error and correct operators of a pair.
 
-    Average over both bases of the projectors onto opposite bit values on the
-    two sides.
+    f_cor and f_err average over both bases the krons of the two sides'
+    same-bit and opposite-bit projectors, so their expectations are the
+    same-bit and bit-error fractions; f_dbl is their complement I - f_cor - f_err.
+    Each sum adds its four krons in the order Z0, Z1, X0, X1 from 0.0, as a
+    loop of np.kron would, and so rounds the same.
     """
-    return _joint_operators(pair)[1]
-
-
-def f_cor(pair: PhotonPair) -> np.ndarray:
-    """Operator whose expectation is the same-bit fraction (both bases averaged)."""
-    return _joint_operators(pair)[2]
-
-
-def f_dbl(pair: PhotonPair) -> np.ndarray:
-    """Complement of correct + error: the double-click fraction."""
-    return _joint_operators(pair)[0]
+    krons = _outcome_krons(pair.n_a, pair.n_b)
+    # the Z/Z (row 0) and X/X (row 3) basis pairs; A's bit i with B's bit j is cell 3 i + j
+    same = 0.5 * sum((krons[w, c] for w in (0, 3) for c in (0, 4)), 0.0)
+    opposite = 0.5 * sum((krons[w, c] for w in (0, 3) for c in (1, 3)), 0.0)
+    return np.eye(pair.joint_dim) - same - opposite, opposite, same
 
 
 def min_double_click(pair: PhotonPair) -> float:
@@ -243,6 +237,7 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
         raise ValueError(
             f"({pair.n_a}, {pair.n_b}) is odd-odd; use min_double_click instead"
         )
+    _check_integer(num_points, "num_points")
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
     m = 1 if pair.n_a % 2 == 0 and pair.n_b % 2 == 0 else 2
@@ -277,11 +272,12 @@ def random_state_fractions(
     The states are the normalized rows of one (count, joint_dim) standard
     normal draw from `rng`.
     """
+    _check_integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     states = rng.standard_normal((count, pair.joint_dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    dbl, err, _ = _joint_operators(pair)
+    dbl, err, _ = joint_operators(pair)
     # x^T F x of every row x: one gemm, then a row-wise dot
     return np.vecdot(states @ dbl, states), np.vecdot(states @ err, states)
 

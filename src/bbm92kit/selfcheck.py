@@ -42,6 +42,12 @@ def _feasible_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(deltas, size), np.outer(limits, np.linspace(0.0, 1.0, size)).ravel()
 
 
+def _capped_pairs() -> list[tuple[int, int]]:
+    """Every photon-number pair (n_A, n_B >= 1) whose joint dimension is within DIM_CAP."""
+    sizes = product(range(1, povm.DIM_CAP), repeat=2)
+    return [(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP]
+
+
 def check_overlap_law(full: bool = False) -> CheckResult:
     """Criterion 1: <n_X, b | n_Z, b'> = (-1)^(b b' n) 2^(-n/2), one mode and several.
 
@@ -67,11 +73,10 @@ def check_povm_completeness(full: bool = False) -> CheckResult:
     two bit states of each basis are orthogonal, within 1e-12.  Both sizes
     are the same.
     """
-    sizes = product(range(1, povm.DIM_CAP), repeat=2)
-    pairs = [povm.PhotonPair(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP]
+    pairs = [povm.PhotonPair(a, b) for a, b in _capped_pairs()]
     low, high = np.inf, -np.inf
     for pair in pairs:
-        w = np.linalg.eigvalsh(np.stack([povm.f_err(pair), povm.f_cor(pair), povm.f_dbl(pair)]))
+        w = np.linalg.eigvalsh(np.stack(povm.joint_operators(pair)))
         low, high = min(low, float(w.min())), max(high, float(w.max()))
     overlap = max(
         abs(inner_product(basis_state(n, w, Bit.ZERO), basis_state(n, w, Bit.ONE)))
@@ -101,7 +106,7 @@ def check_odd_odd_bound(full: bool = False) -> CheckResult:
       d u |A^| of A^'s own.
     - Forming A^: an X amplitude rounds three times (2^(-n/2), the square
       root of the binomial, their product; Z amplitudes are exact), a
-      projector entry 7 times, a kron entry 15; `_joint_operators` adds 3
+      projector entry 7 times, a kron entry 15; `joint_operators` adds 3
       roundings and f_cor + f_err one more, so |A^ - A| <= gamma_19 |A|+
       entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
       ch. 3), where |A|+ = (1/2) sum over the 8 terms of |kron(P, Q)|.  Z
@@ -109,19 +114,18 @@ def check_odd_odd_bound(full: bool = False) -> CheckResult:
       has norm at most (1 + 2 * 2) / 2 = 2.5, and |A^ - A| < 48u.
     Together, with |A^| <= 1 + 48u: d u (1 + 48u) + 48u < (d + 49) u.  A^ is
     exactly symmetric, so `eigh_checked` leaves it unchanged.  Measured: at
-    most 0.5 d u.  The quick size takes the pairs with photon numbers up to 7
-    and n_A + n_B <= 9, the full size every odd-odd multiphoton pair under
-    the dimension cap.
+    most 0.5 d u.  The quick size takes the odd-odd multiphoton pairs with
+    n_A + n_B <= 9, the full size every one under the dimension cap.
     """
-    sizes = product(range(1, povm.DIM_CAP, 2) if full else range(1, 9, 2), repeat=2)
-    odd = [(a, b) for a, b in sizes if a + b >= 3 and (a + 1) * (b + 1) <= povm.DIM_CAP]
+    odd = [(a, b) for a, b in _capped_pairs() if a % 2 == b % 2 == 1 and a + b >= 3]
     pairs = [povm.PhotonPair(a, b) for a, b in odd if full or a + b <= 9]
     u = 2.0**-53
     ok = True
     worst = 0.0
     lowest = 1.0
     for pair in pairs:
-        w, _ = povm.eigh_checked(povm.f_cor(pair) + povm.f_err(pair))
+        _, err, cor = povm.joint_operators(pair)
+        w, _ = povm.eigh_checked(cor + err)
         got = povm.min_double_click(pair)
         dev = abs(got - (1.0 - float(w[-1])))
         ok &= dev <= (pair.joint_dim + 49) * u
@@ -170,14 +174,13 @@ def check_tradeoff_boundary(full: bool = False) -> CheckResult:
     even = np.concatenate([povm.trace_boundary(povm.PhotonPair(*p), 400) for p in ((2, 2), (1, 4))])
     margin = float(np.fmin.reduce(even[:, 1] - rates._g_on_domain(even[:, 0]), initial=0.0))
     ok &= margin >= -1e-8
-    sizes = product(range(1, povm.DIM_CAP), repeat=2) if full else [(1, 2), (2, 2), (1, 4)]
-    capped = [(a, b) for a, b in sizes if (a + 1) * (b + 1) <= povm.DIM_CAP]
-    pairs = [povm.PhotonPair(a, b) for a, b in capped if a * b % 2 == 0]
+    sizes = _capped_pairs() if full else [(1, 2), (2, 2), (1, 4)]
+    pairs = [povm.PhotonPair(a, b) for a, b in sizes if a * b % 2 == 0]
     lams = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 400)])
     support = 0.0
     for pair in pairs:
-        (d, e), fd = povm.trace_boundary(pair, 400).T, povm.f_dbl(pair)
-        scaled = (povm.f_err(pair) + lams[:, None, None] * fd) / (1.0 + lams[:, None, None])
+        (d, e), (fd, fe, _) = povm.trace_boundary(pair, 400).T, povm.joint_operators(pair)
+        scaled = (fe + lams[:, None, None] * fd) / (1.0 + lams[:, None, None])
         lowest = np.linalg.eigvalsh(np.concatenate([scaled, fd[None]]))[:, 0]
         lines = np.append(np.min(e + lams[:, None] * d, axis=1) / (1.0 + lams), d.min())
         support = max(support, float(np.max(np.abs(lines - lowest))))

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rates
 from .attack import _phi_plus, attack_density
-from .fock import Basis
-from .povm import capped_joint_dim, outcome_projectors
+from .fock import _check_integer
+from .povm import _outcome_krons, capped_joint_dim
 
 _DRAWS_PER_EVENT = 4
 # Events per pass of `run_protocol`: 2**16 events keep their 2 MB of words in cache
@@ -184,15 +184,6 @@ class SourceModel:
         return _build_kernel(self)
 
 
-_BASES = (Basis.Z, Basis.X)
-
-
-def _check_integer(value: int, name: str) -> None:
-    # Philox would truncate a float key or counter, so 1.5 would replay 1's stream
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value}")
-
-
 def _check_seed(seed: int, name: str = "seed") -> None:
     _check_integer(seed, name)
     # the Philox key is 128 bits
@@ -282,34 +273,23 @@ def _guides(cuts: np.ndarray) -> np.ndarray:
 _SAME_BASIS = np.array([[True], [False], [False], [True]])
 
 
-def _party_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One party's (2, k, d, d) outcome projectors in Z and X, and their outcome codes.
-
-    n = 0 is vacuum: one outcome, no detection, with the 1x1 identity.
-    """
-    if n == 0:
-        return np.ones((2, 1, 1, 1)), np.array([Outcome.NO_DETECTION.value])
-    codes = np.array([Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value])
-    return np.stack([outcome_projectors(n, w) for w in _BASES]), codes
+# One party's outcome codes, in `outcome_projectors` order; vacuum (n = 0) has one outcome.
+_CODES = np.array([Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value])
+_VACUUM_CODES = np.array([Outcome.NO_DETECTION.value])
 
 
 def _branch_tables(rho: np.ndarray, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Born probabilities (4, cells) and tally indicator rows (6, 4, cells) of one branch.
 
-    Row 2 * [Alice measures X] + [Bob measures X] is one basis pair; cell
-    i * kb + j is Alice's outcome i and Bob's outcome j, of kb outcomes.
+    Rows (basis pairs) and cells (outcome pairs) are those of `povm._outcome_krons`.
     """
-    (proj_a, codes_a), (proj_b, codes_b) = _party_projectors(n_a), _party_projectors(n_b)
-    (ka, da), (kb, db) = proj_a.shape[1:3], proj_b.shape[1:3]
-    # every basis pair's kron(pa, pb) at once: each entry is the one product pa[i, j] * pb[k, l]
-    krons = (
-        proj_a[:, None, :, None, :, None, :, None] * proj_b[None, :, None, :, None, :, None, :]
-    ).reshape(4, ka * kb, da * db, da * db)
+    codes_a, codes_b = (_CODES if n else _VACUUM_CODES for n in (n_a, n_b))
+    ka, kb = len(codes_a), len(codes_b)
     # One stacked pass: the matmul is one gemm per cell and the trace sums each cell's own
     # diagonal, so every cell equals the per-cell float(np.trace(rho @ kron(pa, pb))) bit for
     # bit, as the tests check for every photon-number pair under the caps.  (A single einsum
     # orders the sums differently and moves some cells by an ulp.)
-    probs = np.trace(rho @ krons, axis1=-2, axis2=-1)
+    probs = np.trace(rho @ _outcome_krons(n_a, n_b), axis1=-2, axis2=-1)
     total = probs.sum(axis=1)
     # Each row sums to tr(rho sum_ab P_a (x) P_b) = tr(rho), held within 1e-10 of 1 by
     # SourceBranch.  Each of the <= 9 cell traces rounds by at most gamma_128 sum_ij |rho_ij|
@@ -367,6 +347,7 @@ def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally
     branch is looked up the same way, with a search as its fallback, and only
     for mixtures.  Events run in chunks of _CHUNK_EVENTS = 2**16.
     """
+    _check_integer(num_events, "num_events")
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     kernel = source._kernel

@@ -18,10 +18,8 @@ from bbm92kit import (
     boundary_state,
     boundary_sweep,
     build_v,
-    f_cor,
-    f_dbl,
-    f_err,
     g,
+    joint_operators,
     outcome_projectors,
     run_attack,
     tau_low,
@@ -162,7 +160,8 @@ class TestBuildV:
         dim_b = n_b + 1
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
-        for op in (f_err(pair), f_cor(pair)):
+        _, fe, fc = joint_operators(pair)
+        for op in (fe, fc):
             conj = v.T @ op @ v
             for sigma in (sigma_x, sigma_z):
                 lifted = np.kron(sigma, np.eye(dim_b))
@@ -211,16 +210,9 @@ class TestRunAttack:
         chi = random_chi(100 + seed)
         result = run_attack(chi)
         rho = attack_density(chi)
-        pair = PhotonPair(1, 2)
-        assert float(np.trace(rho @ f_err(pair))) == pytest.approx(
-            result.eps_m, abs=1e-12
-        )
-        assert float(np.trace(rho @ f_dbl(pair))) == pytest.approx(
-            result.delta_m, abs=1e-12
-        )
-        assert float(np.trace(rho @ f_cor(pair))) == pytest.approx(
-            1.0 - result.delta_m - result.eps_m, abs=1e-12
-        )
+        want = (result.delta_m, result.eps_m, 1.0 - result.delta_m - result.eps_m)
+        for op, value in zip(joint_operators(PhotonPair(1, 2)), want):
+            assert float(np.trace(rho @ op)) == pytest.approx(value, abs=1e-12)
 
 
 class TestBoundarySweep:

@@ -9,10 +9,8 @@ from bbm92kit import (
     DIM_CAP,
     Basis,
     PhotonPair,
-    f_cor,
-    f_dbl,
-    f_err,
     g,
+    joint_operators,
     multiphoton_envelope,
     outcome_projectors,
     random_state_fractions,
@@ -98,8 +96,7 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.nda
         )
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    fe = f_err(pair)
-    fd = f_dbl(pair)
+    fd, fe, _ = joint_operators(pair)
     points: list[tuple[float, float]] = []
     for lam in [0.0, *np.logspace(-3.0, 3.0, num_points)]:
         points.extend(_reference_support_points(fe + lam * fd, fd, fd, fe))
@@ -108,7 +105,8 @@ def _reference_trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.nda
     return np.array([[min(max(x, 0.0), 1.0) for x in point] for point in points])
 
 
-# The np.kron loop that `povm._joint_operators` replaced, kept as its reference.
+# The np.kron loop that the broadcast build of `povm.joint_operators` replaced, kept as its
+# reference.
 def _reference_joint_sum(pair: PhotonPair, same_bit: bool) -> np.ndarray:
     total = 0.0
     for w in (Basis.Z, Basis.X):
@@ -177,6 +175,8 @@ def _mp_trace(pair: PhotonPair, num_points: int) -> list:
 
 
 Z, X, P11, P31 = Basis.Z, Basis.X, PhotonPair(1, 1), PhotonPair(3, 1)
+# positions of f_dbl, f_err and f_cor in what `joint_operators` returns
+DBL, ERR, COR = range(3)
 # the maximally correlated and the singlet single-photon pair, amplitudes over (k_A, k_B)
 PHI_PLUS, SINGLET = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
 # call, expected value or array, absolute tolerance
@@ -190,15 +190,21 @@ KNOWN_VALUES = {
     "three-photon-X-double-click-rank": (lambda: np.trace(outcome_projectors(3, X)[2]), 2.0, 1e-12),
     # eigen-decomposition oracle: spectrum {0, 1/2, 1/2, 1}, largest at the
     # singlet, which anticorrelates in both bases
-    "one-one-error-spectrum": (lambda: eigh_checked(f_err(P11))[0], [0, 0.5, 0.5, 1], 1e-12),
-    "one-one-error-top-is-singlet": (
-        lambda: abs(float(eigh_checked(f_err(P11))[1][:, -1] @ SINGLET)), 1.0, 1e-12
+    "one-one-error-spectrum": (
+        lambda: eigh_checked(joint_operators(P11)[ERR])[0], [0, 0.5, 0.5, 1], 1e-12
     ),
-    "phi-plus-error": (lambda: PHI_PLUS @ f_err(P11) @ PHI_PLUS, 0.0, 1e-12),
-    "phi-plus-correct": (lambda: PHI_PLUS @ f_cor(P11) @ PHI_PLUS, 1.0, 1e-12),
-    "one-one-correct-plus-error": (lambda: f_cor(P11) + f_err(P11), np.eye(4), 1e-13),
-    "one-one-no-double-clicks": (lambda: f_dbl(P11), 0.0, 1e-13),
-    "three-one-top-eigenvalue": (lambda: eigh_checked(f_cor(P31) + f_err(P31))[0][-1], 0.75, 1e-12),
+    "one-one-error-top-is-singlet": (
+        lambda: abs(float(eigh_checked(joint_operators(P11)[ERR])[1][:, -1] @ SINGLET)),
+        1.0,
+        1e-12,
+    ),
+    "phi-plus-error": (lambda: PHI_PLUS @ joint_operators(P11)[ERR] @ PHI_PLUS, 0.0, 1e-12),
+    "phi-plus-correct": (lambda: PHI_PLUS @ joint_operators(P11)[COR] @ PHI_PLUS, 1.0, 1e-12),
+    "one-one-correct-plus-error": (lambda: sum(joint_operators(P11)[ERR:]), np.eye(4), 1e-13),
+    "one-one-no-double-clicks": (lambda: joint_operators(P11)[DBL], 0.0, 1e-13),
+    "three-one-top-eigenvalue": (
+        lambda: eigh_checked(sum(joint_operators(P31)[ERR:]))[0][-1], 0.75, 1e-12
+    ),
 }
 
 
@@ -220,18 +226,17 @@ class TestOutcomeProjectors:
 class TestJointOperators:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
-        assert np.trace(f_err(pair)) == pytest.approx(2.0, abs=1e-10)
+        assert np.trace(joint_operators(pair)[ERR]) == pytest.approx(2.0, abs=1e-10)
 
     def test_broadcast_build_equals_kron_loop(self):
         # bit for bit, signs of zero included: the same products, added in the same order
         for pair in CAPPED_PAIRS:
             cor = _reference_joint_sum(pair, same_bit=True)
             err = _reference_joint_sum(pair, same_bit=False)
-            want = {f_err: err, f_cor: cor, f_dbl: np.eye(pair.joint_dim) - cor - err}
-            for op, ref in want.items():
-                got = op(pair)
+            want = (np.eye(pair.joint_dim) - cor - err, err, cor)
+            for name, got, ref in zip(("f_dbl", "f_err", "f_cor"), joint_operators(pair), want):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes(), (op.__name__, pair)
+                assert got.tobytes() == ref.tobytes(), (name, pair)
 
     @pytest.mark.parametrize("pair", CAPPED_ODD_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_min_double_click_is_its_closed_form_without_an_eigensolver(self, monkeypatch, pair):
@@ -269,7 +274,8 @@ class TestJointOperators:
         povm.outcome_projectors.cache_clear()
         try:
             pair = PhotonPair(1, 1)
-            total = f_cor(pair) + f_err(pair) + f_dbl(pair)
+            fd, fe, fc = joint_operators(pair)
+            total = fc + fe + fd
             assert np.max(np.abs(total - np.eye(4))) <= 1e-12
             result = selfcheck.check_povm_completeness()
         finally:
@@ -301,10 +307,8 @@ class TestTraceBoundary:
         assert dev.max() <= 1e-6
 
     def test_swap_symmetry_of_support_function(self):
-        fe12 = f_err(PhotonPair(1, 2))
-        fd12 = f_dbl(PhotonPair(1, 2))
-        fe21 = f_err(PhotonPair(2, 1))
-        fd21 = f_dbl(PhotonPair(2, 1))
+        fd12, fe12, _ = joint_operators(PhotonPair(1, 2))
+        fd21, fe21, _ = joint_operators(PhotonPair(2, 1))
         for lam in [0.0, *np.logspace(-3, 3, 40)]:
             a = np.linalg.eigvalsh(fe12 + lam * fd12)[0]
             b = np.linalg.eigvalsh(fe21 + lam * fd21)[0]
@@ -335,7 +339,8 @@ class TestTraceBoundary:
         pair = PhotonPair(*pair)
         got = trace_boundary(pair, num_points)
         want = _reference_trace_boundary(pair, num_points)
-        _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair), num_points)
+        fd, fe, _ = joint_operators(pair)
+        _, w, dims = _lowest_clusters(fe, fd, num_points)
         rows = np.arange(len(w))
         assert np.max(w[rows, dims - 1] - w[:, 0]) < _CLUSTER_CUT / 10
         gap = w[rows, dims] - w[rows, dims - 1]
@@ -351,7 +356,8 @@ class TestTraceBoundary:
         # the next eigenvalue is far above it, so the eigenspace dimension does
         # not hinge on the cut's value.
         pair = PhotonPair(*pair)
-        _, w, dims = _lowest_clusters(f_err(pair), f_dbl(pair))
+        fd, fe, _ = joint_operators(pair)
+        _, w, dims = _lowest_clusters(fe, fd)
         rows = np.arange(len(w))
         assert np.all(dims < w.shape[1])
         assert np.max(w[rows, dims - 1] - w[:, 0]) < _CLUSTER_CUT / 10
@@ -375,9 +381,10 @@ class TestTraceBoundary:
         # onto its kernel, in increasing order.  1e-12 is far above the
         # eigensolver's d u = 7.1e-15 and the kernel's turn d u / (1/4).
         k = pair.joint_dim - 4
-        w, v = np.linalg.eigh(f_err(pair))
+        fd, fe, _ = joint_operators(pair)
+        w, v = np.linalg.eigh(fe)
         assert np.max(np.abs(w[:k])) <= 1e-12 and w[k] >= 0.25 - 1e-12
-        want = np.linalg.eigvalsh(v[:, :k].T @ f_dbl(pair) @ v[:, :k])
+        want = np.linalg.eigvalsh(v[:, :k].T @ fd @ v[:, :k])
         rows = trace_boundary(pair, 2)[:k]
         assert np.max(np.abs(rows[:, 0] - want)) <= 1e-12 and not rows[:, 1].any()
 
@@ -387,7 +394,7 @@ class TestTraceBoundary:
         # n_A + n_B >= 5 on, t <= 1/8, so every state has delta >= 1/4, where
         # the envelope is 0 and the region claim holds outright.
         t = 2.0 ** -math.ceil((pair.n_a + pair.n_b) / 2)
-        lowest = float(np.linalg.eigvalsh(f_dbl(pair))[0])
+        lowest = float(np.linalg.eigvalsh(joint_operators(pair)[DBL])[0])
         assert abs(lowest - (0.5 - 2.0 * t)) <= 1e-12
         assert trace_boundary(pair, 2)[-1].tolist() == [0.5 - 2.0 * t, 0.25 + t]
         assert pair.n_a + pair.n_b < 5 or lowest >= 0.25 - 1e-12
@@ -433,7 +440,8 @@ class TestTraceBoundary:
         # the click states' minimum at lambda = 0 and sits far above it
         # elsewhere, so its points, (1, 0) each, are slope-0 points only.
         q = np.kron(_click_coordinates(pair.n_a), _click_coordinates(pair.n_b))
-        lams, w, _ = _lowest_clusters(q.T @ f_err(pair) @ q, q.T @ f_dbl(pair) @ q)
+        fd, fe, _ = joint_operators(pair)
+        lams, w, _ = _lowest_clusters(q.T @ fe @ q, q.T @ fd @ q)
         margins = np.append(lams, 1.0) - w[:, 0]
         assert abs(margins[0]) < _CLUSTER_CUT / 10
         assert np.min(margins[1:]) >= 1e3 * _CLUSTER_CUT
@@ -531,7 +539,7 @@ class TestRegionMembership:
 class TestTypes:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_operators_are_exactly_symmetric(self, pair):
-        for op in (f_err(pair), f_cor(pair), f_dbl(pair)):
+        for op in joint_operators(pair):
             assert np.array_equal(op, op.T)
         for n in (pair.n_a, pair.n_b):
             for w in Basis:

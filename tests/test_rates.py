@@ -21,6 +21,7 @@ from bbm92kit import (
     basis_state,
     binary_entropy,
     boundary_state,
+    boundary_sweep,
     build_v,
     end_to_end,
     eps1_star,
@@ -578,7 +579,8 @@ REJECTION_CASES = {
     "eve_attack": (
         lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
     ),
-    # Philox truncates a float key or counter, so a float would replay the integer's stream
+    # Philox truncates a float key or counter, so a float would replay the integer's stream;
+    # a float count would fail inside numpy with a TypeError that names no parameter
     **{
         f"{name}-non-integral-{param}": (
             call, ValueError, re.compile(rf"^{param} must be an integer, got {shown}$")
@@ -594,6 +596,31 @@ REJECTION_CASES = {
             ),
             ("event_uniforms", "start", lambda: sim.event_uniforms(1, 1.5, 2), r"1\.5"),
             ("event_uniforms", "count", lambda: sim.event_uniforms(1, 0, F64(2.0)), r"2\.0"),
+            (
+                "run_protocol",
+                "num_events",
+                lambda: run_protocol(SourceModel.ideal_pair(), 1e4, 1),
+                r"10000\.0",
+            ),
+            (
+                "end_to_end",
+                "num_events",
+                lambda: end_to_end(SourceModel.werner(0.8), 1e4, seed=1),
+                r"10000\.0",
+            ),
+            (
+                "random_state_fractions",
+                "count",
+                lambda: random_state_fractions(PhotonPair(1, 2), 10.0, np.random.default_rng(0)),
+                r"10\.0",
+            ),
+            (
+                "trace_boundary",
+                "num_points",
+                lambda: trace_boundary(PhotonPair(1, 2), 200.0),
+                r"200\.0",
+            ),
+            ("boundary_sweep", "num_points", lambda: boundary_sweep(10.0), r"10\.0"),
         ]
     },
     # the Philox counter holds [0, 2**256); past its end it would wrap round to event 0
