@@ -38,8 +38,8 @@ class Bit(IntEnum):
 
 def _check_integer(value: int, name: str) -> None:
     # a float count would fail deep inside numpy, and Philox would truncate a float key
-    # or counter, so 1.5 would replay 1's stream
-    if not isinstance(value, (int, np.integer)):
+    # or counter, so 1.5 would replay 1's stream; a bool indexes numpy arrays as a mask
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
@@ -72,6 +72,7 @@ def basis_state(n: int, w: Basis, b: Bit) -> np.ndarray:
     basis they are the n-fold diagonal states, whose occupation amplitudes
     are signed square roots of binomial coefficients scaled by 2^(-n/2).
     """
+    _check_integer(n, "photon count")
     if n < 1:
         raise ValueError(f"photon count must be >= 1, got {n}")
     if n > MAX_PHOTONS:

@@ -12,7 +12,7 @@ lower edge of one 2x2 block of the error and double-click operators, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def capped_joint_dim(n_a: int, n_b: int) -> int:
     pair is rejected where it is built, not where its states are first formed.
     """
     for n in (n_a, n_b):
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError(f"photon count must be an integer, got {n}")
+        _check_integer(n, "photon count")
         if n > MAX_PHOTONS:
             raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
     dim = (n_a + 1) * (n_b + 1)
@@ -92,7 +91,8 @@ class PhotonPair:
         return self.n_a + self.n_b >= 3
 
 
-@cache
+# typed, so that outcome_projectors(2.0, w) reaches the integer check instead of 2's entry
+@lru_cache(maxsize=None, typed=True)
 def outcome_projectors(n: int, w: Basis) -> np.ndarray:
     """Read-only (3, n+1, n+1) stack of one party's projectors: bit 0, bit 1, double click.
 

@@ -337,18 +337,21 @@ def check_simulation(full: bool = False) -> CheckResult:
     )
 
 
+# every check, in `bbm92kit selftest` order
+CHECKS = (
+    check_overlap_law,
+    check_povm_completeness,
+    check_odd_odd_bound,
+    check_tradeoff_boundary,
+    check_region_soundness,
+    check_eps1_star,
+    check_tau_consistency,
+    check_attack,
+    check_key_rate_anchors,
+    check_simulation,
+)
+
+
 def run_all() -> list[CheckResult]:
-    """Every check at the quick size, in `bbm92kit selftest` order."""
-    checks = (
-        check_overlap_law,
-        check_povm_completeness,
-        check_odd_odd_bound,
-        check_tradeoff_boundary,
-        check_region_soundness,
-        check_eps1_star,
-        check_tau_consistency,
-        check_attack,
-        check_key_rate_anchors,
-        check_simulation,
-    )
-    return [fn() for fn in checks]
+    """Every check of CHECKS at the quick size, in order."""
+    return [fn() for fn in CHECKS]

@@ -13,14 +13,19 @@ import pytest
 
 from bbm92kit import cli, selfcheck
 
-# digests pinned by tests/data/make_cli_golden.py at an earlier commit
-GOLDEN = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())["runs"]
-SIMULATE_GOLDEN = [run for run in GOLDEN if run["argv"][0] == "simulate"]
-OTHER_GOLDEN = [run for run in GOLDEN if run["argv"][0] != "simulate"]
+# digests pinned by tests/data/make_cli_golden.py at an earlier commit, by argv
+GOLDEN = {
+    tuple(run["argv"]): run["sha256"]
+    for run in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())["runs"]
+}
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """cli.main's exit code, stdout and stderr, whether it returns or argparse exits."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's own refusal: its usage, then one error line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -63,16 +68,47 @@ def _all(rows, pred) -> bool:
     return bool(rows) and all(pred(row) for row in rows)
 
 
+def _pinned(name, argv, on_csv=None, on_json=None):
+    """Rows `name-csv` and `name-json`: one golden command in both formats, each with its
+    own conditions or none."""
+    return {
+        f"{name}-{fmt}": ((*argv, "--format", fmt), conditions)
+        for fmt, conditions in (("csv", on_csv), ("json", on_json))
+    }
+
+
 # One row per command run: argv, then the conditions on (header, rows, meta, stderr)
-# that must all hold; a CSV run's meta is None and a JSON run's header is None.
-COMMAND_CASES = {
-    "tau-origin-row": (
-        ("tau", "--delta", "0", "--eps", "0"),
-        lambda h, rows, m, err: [
+# that must all hold; a CSV run's meta is None and a JSON run's header is None.  A run
+# whose argv is in GOLDEN must also print the pinned bytes.
+ACCEPTED_RUNS = {
+    **_pinned(
+        "tau-grid",
+        ("tau", "--delta-grid", "0:0.25:9", "--eps-grid", "0:0.12:7"),
+        on_csv=lambda h, rows, m, err: [
             h == ["delta", "eps", "tau_closed", "tau_numeric", "tau_low", "region"],
-            rows[0]["tau_closed"] == 0,
+            (rows[0]["delta"], rows[0]["eps"], rows[0]["tau_closed"]) == (0, 0, 0),
             rows[0]["region"] == "a",
+            _all(
+                [r for r in rows if r["eps"] == 0],
+                lambda r: r["tau_closed"] == pytest.approx(3.0 * r["delta"], abs=1e-10),
+            ),
+            # an infeasible cell is labeled, and the grid goes on past it
+            {r["region"] for r in rows} == {"a", "b", "c", "infeasible"},
+            rows[-1]["region"] == "infeasible",
+            math.isnan(rows[-1]["tau_closed"]),
         ],
+        on_json=lambda h, rows, m, err: [
+            m["command"] == "tau",
+            m["flags"] == {"delta_grid": "0:0.25:9", "eps_grid": "0:0.12:7", "format": "json"},
+            "version" in m,
+            rows[0]["region"] == "a",
+            rows[-1]["region"] == "infeasible",
+            rows[-1]["tau_closed"] is None,
+        ],
+    ),
+    "tau-closed-and-numeric-agree": (
+        ("tau", "--delta", "0.05", "--eps", "0.02"),
+        lambda h, rows, m, err: [abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5],
     ),
     "tau-error-free-grid-is-three-delta": (
         ("tau", "--delta-grid", "0:0.25:50", "--eps", "0"),
@@ -81,31 +117,14 @@ COMMAND_CASES = {
             _all(rows, lambda r: r["tau_closed"] == pytest.approx(3.0 * r["delta"], abs=1e-10)),
         ],
     ),
-    "tau-closed-and-numeric-agree": (
-        ("tau", "--delta", "0.05", "--eps", "0.02"),
-        lambda h, rows, m, err: [abs(rows[0]["tau_closed"] - rows[0]["tau_numeric"]) <= 1e-5],
-    ),
-    "tau-json-meta": (
-        ("tau", "--delta", "0", "--eps", "0", "--format", "json"),
-        lambda h, rows, m, err: [
-            m["command"] == "tau",
-            m["flags"]["delta"] == 0.0,
-            "version" in m,
-            rows[0]["region"] == "a",
-        ],
-    ),
-    "tau-infeasible-grid-rows-are-labeled": (
-        ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04"),
-        lambda h, rows, m, err: [
-            rows[0]["region"] == "b",
-            rows[-1]["region"] == "infeasible",
-            math.isnan(rows[-1]["tau_closed"]),
-        ],
-    ),
-    "tau-json-infeasible-rows-are-null-not-nan": (
-        ("tau", "--delta-grid", "0.2:0.3:3", "--eps", "0.04", "--format", "json"),
-        lambda h, rows, m, err: [
-            rows[-1]["region"] == "infeasible", rows[-1]["tau_closed"] is None
+    **_pinned(
+        "keyrate-grid",
+        ("keyrate", "--delta-grid", "0:0.2:9", "--eps-grid", "0:0.06:5", "--f", "1.1"),
+        on_csv=lambda h, rows, m, err: [
+            _all(
+                [r for r in rows if r["region"] != "infeasible"],
+                lambda r: r["r_upper"] >= r["r_key"] - 1e-9,
+            )
         ],
     ),
     "keyrate-zero-error-column": (
@@ -115,26 +134,14 @@ COMMAND_CASES = {
             rows[-1]["r_key"] == pytest.approx(0.0, abs=1e-10),
         ],
     ),
-    "keyrate-upper-bound-dominates": (
-        ("keyrate", "--delta-grid", "0:0.16:9", "--eps-grid", "0:0.08:9"),
-        lambda h, rows, m, err: [
-            _all(
-                [r for r in rows if r["region"] != "infeasible"],
-                lambda r: r["r_upper"] >= r["r_key"] - 1e-9,
-            )
-        ],
-    ),
     "keyrate-perfect-row-has-all-three-rates-equal-one": (
         ("keyrate", "--delta", "0", "--eps", "0"),
         lambda h, rows, m, err: [
             rows[0]["r_key"] == 1.0,
             rows[0]["r_upper"] == 1.0,
             rows[0]["r_conjectured_random_assignment"] == 1.0,
+            any("conjectured" in name for name in h),
         ],
-    ),
-    "keyrate-conjectured-column-is-labeled": (
-        ("keyrate", "--delta", "0", "--eps", "0"),
-        lambda h, rows, m, err: [any("conjectured" in name for name in h)],
     ),
     # keyrate blanks every rate outside regions (a)-(c), the conjectured one
     # too, although eps + delta/2 = 0.455 is inside its own formula's domain
@@ -146,27 +153,30 @@ COMMAND_CASES = {
             math.isnan(rows[0]["r_conjectured_random_assignment"]),
         ],
     ),
-    "tradeoff-odd-odd-routes-to-scalar": (
-        ("tradeoff", "--na", "1", "--nb", "3"),
-        lambda h, rows, m, err: [
-            rows[0]["min_double_click"] == 0.25, "0.25" in err
-        ],
-    ),
-    "tradeoff-one-two-boundary-summary": (
-        ("tradeoff", "--na", "1", "--nb", "2", "--points", "300"),
-        lambda h, rows, m, err: [
+    **_pinned(
+        "tradeoff-one-two",
+        ("tradeoff", "--na", "1", "--nb", "2", "--samples", "2000"),
+        on_csv=lambda h, rows, m, err: [
             max(abs(r["eps_minus_bound"]) for r in rows if r["eps_minus_bound"] is not None)
             <= 1e-5,
             "membership" in err,
         ],
     ),
-    "tradeoff-two-two-respects-bound": (
-        ("tradeoff", "--na", "2", "--nb", "2", "--points", "200", "--format", "json"),
-        lambda h, rows, m, err: [
+    **_pinned(
+        "tradeoff-two-two",
+        ("tradeoff", "--na", "2", "--nb", "2", "--samples", "2000", "--seed", "7"),
+        on_json=lambda h, rows, m, err: [
             all(r["eps_minus_bound"] >= -1e-8 for r in rows if r["eps_minus_bound"] is not None),
             m["summary"]["random_states_inside"] == m["summary"]["random_states_total"],
         ],
     ),
+    # an odd-odd pair traces no boundary: one row with the closed-form minimum
+    **_pinned(
+        "tradeoff-odd-odd",
+        ("tradeoff", "--na", "1", "--nb", "3"),
+        on_csv=lambda h, rows, m, err: [rows[0]["min_double_click"] == 0.25, "0.25" in err],
+    ),
+    **_pinned("attack-point", ("attack", "--alpha", "0.3", "--beta", "0.7")),
     "attack-single-point": (
         ("attack", "--alpha", "1", "--beta", "0"),
         lambda h, rows, m, err: [
@@ -182,20 +192,38 @@ COMMAND_CASES = {
             rows[0]["on_boundary"] is True,
         ],
     ),
-    "attack-sweep-reports-coverage": (
-        ("attack", "--sweep", "400", "--format", "json"),
-        lambda h, rows, m, err: [
+    **_pinned(
+        "attack-sweep",
+        ("attack", "--sweep", "500"),
+        on_json=lambda h, rows, m, err: [
             m["summary"]["delta_min"] <= 1e-12,
             m["summary"]["delta_max"] >= 1.0 / 3.0 - 1e-12,
             _all(rows, lambda r: r["eve_bit_accuracy"] == pytest.approx(1.0, abs=1e-12)),
         ],
     ),
-    "simulate-ideal-source": (
-        ("simulate", "--source", "ideal", "--events", "20000", "--seed", "3"),
-        lambda h, rows, m, err: [
+    # simulate at 2.2e6 events, which run_protocol tallies over many chunks
+    **_pinned(
+        "simulate-ideal",
+        ("simulate", "--source", "ideal", "--events", "2200000", "--seed", "5"),
+        on_csv=lambda h, rows, m, err: [
             rows[0]["delta_hat"] == 0 and rows[0]["eps_hat"] == 0,
             rows[0]["r_key"] == 1.0,
-            rows[0]["seed"] == 3,
+            rows[0]["seed"] == 5,
+        ],
+    ),
+    **_pinned(
+        "simulate-werner",
+        ("simulate", "--source", "werner:0.9", "--events", "2200000", "--seed", "5"),
+        on_csv=lambda h, rows, m, err: [
+            abs(rows[0]["eps_hat"] - 0.05) <= 5.0 * rows[0]["eps_se"]
+        ],
+    ),
+    **_pinned(
+        "simulate-attack",
+        ("simulate", "--source", "attack:1,0,0.5", "--events", "2200000", "--seed", "5"),
+        on_csv=lambda h, rows, m, err: [
+            abs(rows[0]["delta_hat"] - 0.5 / 6.0) <= 5.0 * rows[0]["delta_se"],
+            abs(rows[0]["eps_hat"] - 0.5 / 12.0) <= 5.0 * rows[0]["eps_se"],
         ],
     ),
     # simulate blanks the conjectured rate with every rate outside regions
@@ -208,21 +236,14 @@ COMMAND_CASES = {
             rows[0]["r_conjectured_random_assignment"] is None,
         ],
     ),
-    "simulate-werner-source": (
-        ("simulate", "--source", "werner:0.9", "--events", "100000", "--seed", "4"),
-        lambda h, rows, m, err: [abs(rows[0]["eps_hat"] - 0.05) <= 5.0 * rows[0]["eps_se"]],
-    ),
-    "simulate-attack-source-composition": (
-        ("simulate", "--source", "attack:1,0,0.5", "--events", "200000", "--seed", "5"),
-        lambda h, rows, m, err: [
-            abs(rows[0]["delta_hat"] - 0.5 / 6.0) <= 5.0 * rows[0]["delta_se"],
-            abs(rows[0]["eps_hat"] - 0.5 / 12.0) <= 5.0 * rows[0]["eps_se"],
-        ],
-    ),
 }
 
 
-@pytest.mark.parametrize("argv, conditions", COMMAND_CASES.values(), ids=COMMAND_CASES)
+def test_every_golden_run_is_a_row():
+    assert set(GOLDEN) <= {argv for argv, _ in ACCEPTED_RUNS.values()}
+
+
+@pytest.mark.parametrize("argv, conditions", ACCEPTED_RUNS.values(), ids=ACCEPTED_RUNS)
 def test_command_output(capsys, argv, conditions):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
@@ -232,8 +253,116 @@ def test_command_output(capsys, argv, conditions):
         header, rows, meta = None, payload["rows"], payload["meta"]
     else:
         (header, rows), meta = read_table(out), None
-    failed = [i for i, held in enumerate(conditions(header, rows, meta, err)) if not held]
+    held = conditions(header, rows, meta, err) if conditions else []
+    failed = [i for i, ok in enumerate(held) if not ok]
     assert not failed, f"conditions {failed} do not hold"
+    if argv in GOLDEN:
+        assert hashlib.sha256((out + err).encode()).hexdigest() == GOLDEN[argv]
+
+
+def _both_routes(name, argv, line, exit_code, prefix):
+    """Rows `name`, a `key = value` setting given as the flag --key=value, and
+    `name-config`, the same setting given as a config line."""
+    key, _, value = (part.strip() for part in line.partition("="))
+    return {
+        name: ((*argv, f"--{key}={value}"), None, exit_code, prefix),
+        f"{name}-config": (argv, line, exit_code, prefix),
+    }
+
+
+# One row per refused run: argv, a config line or None, the exit code, and the start of
+# the last stderr line.  Argparse prints its usage before that line; every other refusal
+# prints that line alone.
+REFUSED_RUNS = {
+    "infeasible-point": (("tau", "--delta", "0.3", "--eps", "0.1"), None, 3, "infeasible: "),
+    "zero-state": (("attack", "--alpha", "0", "--beta", "0"), None, 2, "error: state vanishes"),
+    "attack-no-args": (("attack",), None, 2, "error: need --alpha and --beta"),
+    **_both_routes(
+        "sweep-with-angles", ("attack", "--sweep", "2"),
+        "alpha = 1", 2, "error: give either --alpha and --beta or --sweep, not both\n",
+    ),
+    "bad-source": (
+        ("simulate", "--source", "nope:1", "--events", "10"), None, 2, "error: unknown source kind"
+    ),
+    "bad-config-key": (
+        ("tau", "--delta", "0", "--eps", "0"), "bogus = 1", 2, "error: unknown config key"
+    ),
+    # keys the parser sets itself: a config line naming one is refused, not ignored
+    **{
+        f"reserved-config-key-{key}": (
+            ("tau", "--delta", "0", "--eps", "0"),
+            f"{key} = {value}", 2, f"error: unknown config key {key!r}\n",
+        )
+        for key, value in [("config", "other.cfg"), ("command", "keyrate"), ("func", "x")]
+    },
+    # tau_numeric's grid is fixed, so no route sets its size
+    "tau-resolution": (
+        ("tau", "--delta", "0", "--eps", "0", "--resolution", "2000"),
+        None, 2, "bbm92kit: error: unrecognized arguments: --resolution 2000\n",
+    ),
+    "tau-resolution-config": (
+        ("tau", "--delta", "0", "--eps", "0"),
+        "resolution = 2000", 2, "error: unknown config key 'resolution'\n",
+    ),
+    "negative-samples": (
+        ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
+        None, 2, "error: count must be >= 0, got -1",
+    ),
+    "nan-attack-angle": (
+        ("attack", "--alpha", "nan", "--beta", "0"),
+        None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
+    ),
+    "infinite-attack-angle": (
+        ("attack", "--alpha", "inf", "--beta", "0"),
+        None, 2, "error: alpha and beta must be finite, got alpha=inf, beta=0.0\n",
+    ),
+    "nan-source-angle": (
+        ("simulate", "--source", "attack:nan,0,0.5", "--events", "10"),
+        None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
+    ),
+    **_both_routes(
+        "negative-simulate-seed", ("simulate", "--source", "ideal", "--events", "10"),
+        "seed = -1", 2, "error: --seed must be in [0, 2**128), got -1\n",
+    ),
+    "too-large-simulate-seed": (
+        ("simulate", "--source", "ideal", "--events", "10", "--seed", str(2**128)),
+        None, 2, f"error: --seed must be in [0, 2**128), got {2**128}\n",
+    ),
+    **_both_routes(
+        "negative-tradeoff-seed", ("tradeoff", "--na", "1", "--nb", "2"),
+        "seed = -1", 2, "error: --seed must be >= 0, got -1\n",
+    ),
+    **_both_routes(
+        "odd-odd-zero-points", ("tradeoff", "--na", "1", "--nb", "3"),
+        "points = 0", 2, "error: num_points must be >= 2\n",
+    ),
+    **_both_routes(
+        "odd-odd-negative-samples", ("tradeoff", "--na", "1", "--nb", "3"),
+        "samples = -5", 2, "error: count must be >= 0, got -5\n",
+    ),
+    # a config value passes the same type and choice checks as the flag
+    **_both_routes(
+        "format-xml", ("tau", "--delta", "0", "--eps", "0"),
+        "format = xml", 2, "bbm92kit tau: error: argument --format: invalid choice: 'xml'",
+    ),
+    **_both_routes(
+        "events-abc", ("simulate", "--source", "ideal"),
+        "events = abc", 2,
+        "bbm92kit simulate: error: argument --events: invalid int value: 'abc'\n",
+    ),
+    **{
+        name: row
+        for command, argv in [
+            ("keyrate", ("keyrate", "--delta", "0.01", "--eps", "0.01")),
+            ("simulate", ("simulate", "--source", "werner:0.9", "--events", "1000")),
+        ]
+        for value in ("nan", "inf", "-inf", "0.5")
+        for name, row in _both_routes(
+            f"f-{command}-{value}", argv,
+            f"f = {value}", 2, f"error: --f must be finite and >= 1, got {value}\n",
+        ).items()
+    },
+}
 
 
 class TestOutputPlumbing:
@@ -251,44 +380,14 @@ class TestOutputPlumbing:
             ("tau", "--delta", "0.05", "--bogus", "1"),
         ]
 
-        def call(argv):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
         alone = []
         for argv in calls:
             cli.build_parser.cache_clear()
-            alone.append(call(argv))
+            alone.append(run_cli(capsys, *argv))
         assert [result[0] for result in alone] == [0, 0, 0, 0, 0, 2, 2]
         assert cli.build_parser() is cli.build_parser()
         for argv, want in zip(calls + calls[::-1] + calls, alone + alone[::-1] + alone):
-            assert call(argv) == want
-
-    def test_simulate_deterministic(self, capsys):
-        args = ("simulate", "--source", "werner:0.85", "--events", "30000", "--seed", "9")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
-
-    @staticmethod
-    def _assert_golden(capsys, run):
-        code, out, err = run_cli(capsys, *run["argv"])
-        assert code == 0
-        assert hashlib.sha256((out + err).encode()).hexdigest() == run["sha256"]
-
-    @pytest.mark.parametrize(
-        "run", SIMULATE_GOLDEN, ids=lambda run: f"{run['argv'][2]}-{run['argv'][-1]}"
-    )
-    def test_simulate_output_matches_golden(self, capsys, run):
-        self._assert_golden(capsys, run)
-
-    @pytest.mark.parametrize("run", OTHER_GOLDEN, ids=lambda run: " ".join(run["argv"]))
-    def test_output_matches_golden(self, capsys, run):
-        self._assert_golden(capsys, run)
+            assert run_cli(capsys, *argv) == want
 
     def test_csv_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "tau", "--delta-grid", "0:0.2:7", "--eps-grid", "0:0.05:4")
@@ -337,118 +436,18 @@ class TestOutputPlumbing:
         assert rows2[0]["seed"] == 78  # flag overrides config
 
     @pytest.mark.parametrize(
-        "argv, line, exit_code, prefix",
-        [
-            (("tau", "--delta", "0.3", "--eps", "0.1"), None, 3, "infeasible: "),
-            (("attack", "--alpha", "0", "--beta", "0"), None, 2, "error: state vanishes"),
-            (("attack",), None, 2, "error: need --alpha and --beta"),
-            (
-                ("attack", "--sweep", "2", "--alpha", "1", "--beta", "0"),
-                None, 2, "error: give either --alpha and --beta or --sweep, not both\n",
-            ),
-            (
-                ("attack", "--sweep", "2"),
-                "alpha = 1", 2, "error: give either --alpha and --beta or --sweep, not both\n",
-            ),
-            (
-                ("simulate", "--source", "nope:1", "--events", "10"),
-                None, 2, "error: unknown source kind",
-            ),
-            (("tau", "--delta", "0", "--eps", "0"), "bogus = 1", 2, "error: unknown config key"),
-            # keys the parser sets itself: a config line naming one is refused, not ignored
-            *(
-                (
-                    ("tau", "--delta", "0", "--eps", "0"),
-                    f"{key} = {value}", 2, f"error: unknown config key {key!r}\n",
-                )
-                for key, value in [("config", "other.cfg"), ("command", "keyrate"), ("func", "x")]
-            ),
-            # tau_numeric's grid is fixed, so no route sets its size
-            (
-                ("tau", "--delta", "0", "--eps", "0", "--resolution", "2000"),
-                None, 2, "bbm92kit: error: unrecognized arguments: --resolution 2000\n",
-            ),
-            (
-                ("tau", "--delta", "0", "--eps", "0"),
-                "resolution = 2000", 2, "error: unknown config key 'resolution'\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "2", "--samples", "-1"),
-                None, 2, "error: count must be >= 0, got -1",
-            ),
-            (
-                ("attack", "--alpha", "nan", "--beta", "0"),
-                None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
-            ),
-            (
-                ("attack", "--alpha", "inf", "--beta", "0"),
-                None, 2, "error: alpha and beta must be finite, got alpha=inf, beta=0.0\n",
-            ),
-            (
-                ("simulate", "--source", "attack:nan,0,0.5", "--events", "10"),
-                None, 2, "error: alpha and beta must be finite, got alpha=nan, beta=0.0\n",
-            ),
-            (
-                ("simulate", "--source", "ideal", "--events", "10", "--seed", "-1"),
-                None, 2, "error: --seed must be in [0, 2**128), got -1\n",
-            ),
-            (
-                ("simulate", "--source", "ideal", "--events", "10"),
-                "seed = -1", 2, "error: --seed must be in [0, 2**128), got -1\n",
-            ),
-            (
-                ("simulate", "--source", "ideal", "--events", "10", "--seed", str(2**128)),
-                None, 2, f"error: --seed must be in [0, 2**128), got {2**128}\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "2", "--seed", "-1"),
-                None, 2, "error: --seed must be >= 0, got -1\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "2"),
-                "seed = -1", 2, "error: --seed must be >= 0, got -1\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "3", "--points", "0"),
-                None, 2, "error: num_points must be >= 2\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "3"),
-                "points = 0", 2, "error: num_points must be >= 2\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "3", "--samples", "-5"),
-                None, 2, "error: count must be >= 0, got -5\n",
-            ),
-            (
-                ("tradeoff", "--na", "1", "--nb", "3"),
-                "samples = -5", 2, "error: count must be >= 0, got -5\n",
-            ),
-        ],
-        ids=[
-            "infeasible-point", "zero-state", "attack-no-args", "sweep-with-angles",
-            "sweep-with-angles-config", "bad-source", "bad-config-key",
-            "reserved-config-key-config", "reserved-config-key-command", "reserved-config-key-func",
-            "tau-resolution", "tau-resolution-config",
-            "negative-samples", "nan-attack-angle", "infinite-attack-angle", "nan-source-angle",
-            "negative-simulate-seed", "negative-simulate-seed-config", "too-large-simulate-seed",
-            "negative-tradeoff-seed", "negative-tradeoff-seed-config",
-            "odd-odd-zero-points", "odd-odd-zero-points-config",
-            "odd-odd-negative-samples", "odd-odd-negative-samples-config",
-        ],
+        "argv, line, exit_code, prefix", REFUSED_RUNS.values(), ids=REFUSED_RUNS
     )
     def test_rejected_input_exits(self, capsys, tmp_path, argv, line, exit_code, prefix):
         if line is not None:
             config = tmp_path / "bad.cfg"
             config.write_text(line + "\n")
             argv = (*argv, "--config", str(config))
-        try:
-            code, out, err = run_cli(capsys, *argv)
-        except SystemExit as exc:  # argparse's own refusal: its usage, then one error line
-            code, (out, err) = exc.code, capsys.readouterr()
-            err = err.splitlines(keepends=True)[-1]
+        code, out, err = run_cli(capsys, *argv)
+        *usage, last = err.splitlines(keepends=True)
         assert (code, out) == (exit_code, "")
-        assert err.startswith(prefix)
+        assert last.startswith(prefix)
+        assert usage == [] or usage[0].startswith("usage: ")
 
     @pytest.mark.parametrize(
         "error, detail",
@@ -468,42 +467,6 @@ class TestOutputPlumbing:
         code, out, err = run_cli(capsys, "tradeoff", "--na", "2", "--nb", "2", "--points", "10")
         assert (code, out) == (2, "")
         assert err == f"error: request too large to allocate ({detail})\n"
-
-    @pytest.mark.parametrize(
-        "line, argv",
-        [
-            ("format = xml", ("tau", "--delta", "0", "--eps", "0")),
-            ("events = abc", ("simulate", "--source", "ideal")),
-        ],
-    )
-    def test_bad_config_value_exits_2(self, capsys, tmp_path, line, argv):
-        config = tmp_path / "bad.cfg"
-        config.write_text(line + "\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--config", str(config)])
-        assert exc.value.code == 2
-        assert "invalid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("keyrate", "--delta", "0.01", "--eps", "0.01"),
-            ("simulate", "--source", "werner:0.9", "--events", "1000"),
-        ],
-        ids=["keyrate", "simulate"],
-    )
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_bad_f_exits_2(self, capsys, tmp_path, route, argv, value):
-        if route == "flag":
-            argv = (*argv, f"--f={value}")
-        else:
-            config = tmp_path / "f.cfg"
-            config.write_text(f"f = {value}\n")
-            argv = (*argv, "--config", str(config))
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert "--f must be finite and >= 1" in err
 
 
 # every cell type a table may hold; strings with the characters JSON, CSV and
@@ -628,16 +591,16 @@ class TestSelftestCommand:
         # selftest prints its checks as text to stdout, so it takes no output
         # or config flags; they are unknown arguments, and nothing is written
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["selftest", *flags])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+        code, out, err = run_cli(capsys, "selftest", *flags)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_failing_check_exits_4(self, capsys, monkeypatch):
         failed = selfcheck.CheckResult("tangency error rate", False, "forced failure")
-        monkeypatch.setattr(selfcheck, "check_eps1_star", lambda: failed)
+        checks = list(selfcheck.CHECKS)
+        checks[checks.index(selfcheck.check_eps1_star)] = lambda: failed
+        monkeypatch.setattr(selfcheck, "CHECKS", checks)
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 4
         assert "[FAIL] tangency error rate: forced failure" in out.splitlines()

@@ -27,9 +27,11 @@ from bbm92kit import (
     eps1_star,
     g,
     inner_product,
+    joint_operators,
     key_rate,
     min_double_click,
     multiphoton_envelope,
+    outcome_projectors,
     random_state_fractions,
     rate_table,
     region_of,
@@ -509,7 +511,8 @@ REJECTION_CASES = {
         lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap 64"
     ),
     "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap 64"),
-    # a non-integral photon number, refused by the one gate capped_joint_dim
+    # a non-integral photon number, refused by the one gate fock._check_integer, which
+    # capped_joint_dim and basis_state call
     **{
         name: (call, ValueError, f"photon count must be an integer, got {shown}")
         for name, call, shown in [
@@ -518,6 +521,16 @@ REJECTION_CASES = {
             ("build_v-non-integral", lambda: build_v(F64(1.5), 2), "1.5"),
             # not build_v(3, 2)'s cache entry, though 3.0 == 3
             ("build_v-float-after-int", lambda: build_v(3, 2) is build_v(3.0, 2), "3.0"),
+            ("basis_state-non-integral", lambda: basis_state(2.0, Basis.Z, Bit.ZERO), "2.0"),
+            # a bool would index the amplitudes as a mask and set every one of them
+            ("basis_state-bool", lambda: basis_state(True, Basis.Z, Bit.ZERO), "True"),
+            ("joint_operators-bool", lambda: joint_operators(PhotonPair(True, 2)), "True"),
+            # not outcome_projectors(2, Z)'s cache entry, though 2.0 == 2
+            (
+                "outcome_projectors-float-after-int",
+                lambda: outcome_projectors(2, Basis.Z) is outcome_projectors(2.0, Basis.Z),
+                "2.0",
+            ),
         ]
     },
     # under the dimension cap, but past the photon numbers basis_state supports
