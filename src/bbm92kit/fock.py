@@ -53,7 +53,8 @@ class ModePartition:
         if not self.parts:
             raise ValueError("partition must contain at least one mode")
         for p in self.parts:
-            if not isinstance(p, (int, np.integer)):
+            # a bool is an int to isinstance, so (True, 2) would split 3 photons
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
                 raise ValueError(f"parts must be integers, got {p}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"all parts must be >= 1, got {self.parts}")

@@ -350,6 +350,43 @@ REFUSED_RUNS = {
         "events = abc", 2,
         "bbm92kit simulate: error: argument --events: invalid int value: 'abc'\n",
     ),
+    # a grid spec is start:stop:count with count >= 1, and a grid and a scalar exclude each other
+    **_both_routes(
+        "grid-without-count", ("tau", "--eps", "0"),
+        "delta-grid = 0:1", 2, "error: grid spec must be start:stop:count, got '0:1'\n",
+    ),
+    "grid-zero-count": (
+        ("tau", "--delta-grid", "0:1:0", "--eps", "0"),
+        None, 2, "error: grid count must be >= 1, got 0\n",
+    ),
+    "scalar-and-grid": (
+        ("tau", "--delta", "0", "--delta-grid", "0:1:2", "--eps", "0"),
+        None, 2, "error: give either --delta or --delta-grid, not both\n",
+    ),
+    "keyrate-missing-eps": (
+        ("keyrate", "--delta", "0"), None, 2, "error: missing --eps or --eps-grid\n"
+    ),
+    "ideal-source-with-parameter": (
+        ("simulate", "--source", "ideal:1", "--events", "10"),
+        None, 2, "error: ideal source takes no parameters\n",
+    ),
+    "attack-source-two-numbers": (
+        ("simulate", "--source", "attack:1,0", "--events", "10"),
+        None, 2, "error: attack source spec must be attack:ALPHA,BETA,XI\n",
+    ),
+    "werner-visibility-above-one": (
+        ("simulate", "--source", "werner:1.5", "--events", "10"),
+        None, 2, "error: visibility must be in [0, 1], got 1.5\n",
+    ),
+    **_both_routes(
+        "zero-events", ("simulate", "--source", "ideal"),
+        "events = 0", 2, "error: --events must be >= 1, got 0\n",
+    ),
+    "photon-count-above-cap": (
+        ("tradeoff", "--na", "40", "--nb", "2"),
+        None, 2, "error: photon count 40 exceeds supported maximum 32\n",
+    ),
+    "sweep-one-angle": (("attack", "--sweep", "1"), None, 2, "error: num_points must be >= 2\n"),
     **{
         name: row
         for command, argv in [

@@ -505,6 +505,9 @@ REJECTION_CASES = {
     "ModePartition-non-integral": (
         lambda: ModePartition((2, 1.5)), ValueError, "parts must be integers, got 1.5"
     ),
+    "ModePartition-bool": (
+        lambda: ModePartition((True, 2)), ValueError, "parts must be integers, got True"
+    ),
     "PhotonPair-zero": (lambda: PhotonPair(0, 1), ValueError, "must be >= 1, got (0, 1)"),
     "PhotonPair-dimension-cap": (lambda: PhotonPair(10, 10), ValueError, "121 exceeds cap 64"),
     "SourceBranch-dimension-cap": (
