@@ -43,11 +43,11 @@ def _fmt_cell(value) -> str:
 
 def parse_grid(spec: str) -> np.ndarray:
     """Inclusive-endpoint grid from a start:stop:count spec."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec must be start:stop:count, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:  # a wrong part count or a part that is not a number
+        raise ValueError(f"grid spec must be start:stop:count, got {spec!r}") from None
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     return np.linspace(start, stop, count)

@@ -60,7 +60,11 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class SiftedTally:
-    """Counts over events with matching bases where both parties detected."""
+    """Counts over events with matching bases where both parties detected.
+
+    A tally with no such event (n = 0) has no estimate: its fractions and
+    their standard errors are NaN, which no rate formula certifies.
+    """
 
     n: int
     n_dbl: int
@@ -76,21 +80,21 @@ class SiftedTally:
 
     @property
     def delta_hat(self) -> float:
-        return self.n_dbl / self.n if self.n else 0.0
+        return self.n_dbl / self.n if self.n else math.nan
 
     @property
     def eps_hat(self) -> float:
-        return self.n_err / self.n if self.n else 0.0
+        return self.n_err / self.n if self.n else math.nan
 
     @property
     def delta_se(self) -> float:
         p = self.delta_hat
-        return math.sqrt(p * (1.0 - p) / self.n) if self.n else 0.0
+        return math.sqrt(p * (1.0 - p) / self.n) if self.n else math.nan
 
     @property
     def eps_se(self) -> float:
         p = self.eps_hat
-        return math.sqrt(p * (1.0 - p) / self.n) if self.n else 0.0
+        return math.sqrt(p * (1.0 - p) / self.n) if self.n else math.nan
 
 
 @dataclass(frozen=True, eq=False)

@@ -236,6 +236,16 @@ ACCEPTED_RUNS = {
             rows[0]["r_conjectured_random_assignment"] is None,
         ],
     ),
+    # one event, which seed 1 does not sift: no estimate, so no rate
+    "simulate-no-sifted-event": (
+        ("simulate", "--source", "ideal", "--events", "1", "--seed", "1"),
+        lambda h, rows, m, err: [
+            rows[0]["n_sifted_basis"] == 0,
+            all(math.isnan(rows[0][k]) for k in ("delta_hat", "eps_hat", "delta_se", "eps_se")),
+            rows[0]["region"] == "infeasible",
+            rows[0]["r_key"] is None and rows[0]["r_conjectured_random_assignment"] is None,
+        ],
+    ),
 }
 
 
@@ -355,6 +365,14 @@ REFUSED_RUNS = {
         "grid-without-count", ("tau", "--eps", "0"),
         "delta-grid = 0:1", 2, "error: grid spec must be start:stop:count, got '0:1'\n",
     ),
+    **{
+        name: row
+        for spec in ("0:1:2.5", "a:1:3")
+        for name, row in _both_routes(
+            f"grid-spec-{spec}", ("tau", "--eps", "0"), f"delta-grid = {spec}",
+            2, f"error: grid spec must be start:stop:count, got {spec!r}\n",
+        ).items()
+    },
     "grid-zero-count": (
         ("tau", "--delta-grid", "0:1:0", "--eps", "0"),
         None, 2, "error: grid count must be >= 1, got 0\n",

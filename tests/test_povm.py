@@ -30,13 +30,6 @@ def pair_id(value) -> str:
     return str(value)
 
 
-ALL_PAIRS = [
-    PhotonPair(a, b)
-    for a in range(1, 8)
-    for b in range(1, 8)
-    if (a + 1) * (b + 1) <= 64
-]
-EVEN_PAIRS = [p for p in ALL_PAIRS if p.n_a % 2 == 0 or p.n_b % 2 == 0]
 # Every pair under DIM_CAP.
 CAPPED_PAIRS = [
     PhotonPair(a, b)
@@ -224,7 +217,7 @@ class TestOutcomeProjectors:
 
 
 class TestJointOperators:
-    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    @pytest.mark.parametrize("pair", CAPPED_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_error_operator_trace(self, pair):
         assert np.trace(joint_operators(pair)[ERR]) == pytest.approx(2.0, abs=1e-10)
 
@@ -495,7 +488,7 @@ class TestRegionMembership:
         assert got.tolist() == [region_membership(*point) for point in points]
         assert got.tolist() == [want for _, want in MEMBERSHIP_EXAMPLES]
 
-    @pytest.mark.parametrize("pair", EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_traced_points_are_members(self, pair):
         # The traced boundary lies on the region's edge, so every point is a
         # member within rounding, far inside _MEMBERSHIP_TOL.
@@ -537,7 +530,7 @@ class TestRegionMembership:
 
 
 class TestTypes:
-    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
+    @pytest.mark.parametrize("pair", CAPPED_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_operators_are_exactly_symmetric(self, pair):
         for op in joint_operators(pair):
             assert np.array_equal(op, op.T)

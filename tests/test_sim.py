@@ -17,7 +17,6 @@ from bbm92kit import (
     Outcome,
     SiftedTally,
     SourceModel,
-    analytic_fractions,
     attack_density,
     basis_state,
     boundary_state,
@@ -223,28 +222,6 @@ def _run_chunked(source: SourceModel, num_events: int, seed: int, chunk: int) ->
 
 
 class TestRunProtocol:
-    def test_deterministic_given_seed(self):
-        a = run_protocol(SourceModel.werner(0.8), 50000, seed=6)
-        b = run_protocol(SourceModel.werner(0.8), 50000, seed=6)
-        assert a == b
-        c = run_protocol(SourceModel.werner(0.8), 50000, seed=7)
-        assert a != c
-
-    def test_werner_error_rate(self):
-        tally = run_protocol(SourceModel.werner(0.9), 10**6, seed=8)
-        assert tally.n_dbl == 0
-        assert abs(tally.eps_hat - 0.05) <= 4.0 * tally.eps_se
-
-    def test_basis_mismatch_fraction(self):
-        tally = run_protocol(SourceModel.ideal_pair(), 10**5, seed=13)
-        frac = tally.n_mismatched / tally.n_events
-        assert abs(frac - 0.5) <= 5.0 * np.sqrt(0.25 / tally.n_events)
-
-    def test_fully_depolarized_agreement_is_half(self):
-        tally = run_protocol(SourceModel.werner(0.0), 20000, seed=4)
-        assert tally.n_dbl == 0
-        assert tally.eps_hat == pytest.approx(0.5, abs=5 * 0.5 / np.sqrt(tally.n))
-
     def test_sift_never_keeps_bad_events(self):
         # every kernel slot feeding the correct or error tally is a same-basis
         # outcome where both parties report a bit
@@ -507,37 +484,6 @@ class TestBornRuleFidelity:
 
 
 class TestCustomSources:
-    def test_vacuum_component_is_excluded_from_tally(self):
-        # one branch never delivers a photon to Alice
-        phi = np.zeros(4)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        rho_pair = np.outer(phi, phi)
-        rho_bob_only = np.eye(2) / 2.0
-        source = SourceModel.custom(
-            [(0.7, 1, 1, rho_pair), (0.3, 0, 1, rho_bob_only)]
-        )
-        tally = run_protocol(source, 50000, seed=14)
-        assert tally.n_undetected > 0
-        expected_undetected = 0.3 * 50000
-        assert abs(tally.n_undetected - expected_undetected) <= 5 * np.sqrt(
-            50000 * 0.3 * 0.7
-        )
-        delta, eps = analytic_fractions(source)
-        assert delta == 0.0 and eps == 0.0
-        assert tally.n_err == 0
-
-    def test_custom_two_photon_density(self):
-        rng = np.random.default_rng(15)
-        dim = 9
-        m = rng.standard_normal((dim, dim))
-        rho = m @ m.T
-        rho /= np.trace(rho)
-        source = SourceModel.custom([(1.0, 2, 2, rho)])
-        tally = run_protocol(source, 200000, seed=16)
-        delta, eps = analytic_fractions(source)
-        assert abs(tally.delta_hat - delta) <= 5.0 * max(tally.delta_se, 1e-6)
-        assert abs(tally.eps_hat - eps) <= 5.0 * max(tally.eps_se, 1e-6)
-
     @pytest.mark.parametrize("big", range(16))
     def test_negative_cells_within_tolerance_build(self, big):
         # Eigenvalues of -0.95e-10 pass SourceBranch; flooring the negative Born
@@ -567,58 +513,6 @@ class TestCustomSources:
 
 
 class TestEndToEnd:
-    def test_ideal_pair_full_rate(self):
-        report = end_to_end(SourceModel.ideal_pair(), 20000, f=1.0, seed=17)
-        assert report.delta_hat == 0.0 and report.eps_hat == 0.0
-        assert report.region == "a"
-        assert report.r_key == 1.0
-        assert report.r_key_analytic == 1.0
-        assert report.conjectured_rate_sampled == 1.0
-
-    def test_werner_matches_analytic_rate(self):
-        report = end_to_end(SourceModel.werner(0.9), 10**6, f=1.0, seed=18)
-        assert report.analytic_delta == pytest.approx(0.0, abs=1e-12)
-        assert report.analytic_eps == pytest.approx(0.05, abs=1e-12)
-        want = key_rate(ObservedStats(0.0, 0.05), f=1.0)
-        assert report.r_key_analytic == pytest.approx(want, abs=1e-12)
-        assert abs(report.r_key - want) <= 0.02
-        assert report.r_key_gap == pytest.approx(
-            report.r_key - report.r_key_analytic, abs=1e-15
-        )
-
-    def test_attack_mixture_against_analytic(self):
-        source, point = make_attack_source(0.4)
-        report = end_to_end(source, 10**6, f=1.0, seed=19)
-        assert report.analytic_delta == pytest.approx(0.4 * point.delta_m, abs=1e-12)
-        assert report.analytic_eps == pytest.approx(0.4 * point.eps_m, abs=1e-12)
-        assert abs(report.delta_hat - report.analytic_delta) <= 5.0 * report.delta_se
-        assert abs(report.eps_hat - report.analytic_eps) <= 5.0 * report.eps_se
-
-    def test_infeasible_sampled_stats_reported_not_raised(self):
-        # all multiphoton, double-click heavy: far outside the feasible domain
-        chi = boundary_state(1.0, -1.0)  # delta_m = 1/2
-        source = SourceModel.eve_attack(chi, 1.0)
-        report = end_to_end(source, 20000, f=1.0, seed=20)
-        assert report.region == "infeasible"
-        assert report.r_key is None
-        assert report.r_key_analytic is None
-        assert report.r_key_gap is None
-
-    def test_all_double_click_source_is_infeasible(self):
-        # Alice double-clicks in Z, Bob in X: every sifted event is discarded,
-        # so delta_hat = 1, outside the observed-fraction domain
-        def double_click_state(basis):
-            vals, vecs = np.linalg.eigh(outcome_projectors(2, basis)[2])
-            return vecs[:, -1]
-
-        psi = np.kron(double_click_state(Basis.Z), double_click_state(Basis.X))
-        source = SourceModel.custom([(1.0, 2, 2, np.outer(psi, psi))])
-        report = end_to_end(source, 5000, f=1.0, seed=3)
-        assert report.tally.n > 0 and report.tally.n_dbl == report.tally.n
-        assert report.delta_hat == 1.0
-        assert report.region == "infeasible"
-        assert report.r_key is None and report.r_key_analytic is None
-
     def test_key_rate_errors_propagate(self, monkeypatch):
         def broken(delta, eps, f):
             raise ValueError("programming error")
@@ -643,75 +537,180 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="programming error"):
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
-    def test_seed_is_echoed_and_deterministic(self):
-        a = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
-        b = end_to_end(SourceModel.werner(0.95), 30000, f=1.1, seed=21)
-        assert a.seed == 21 and a.num_events == 30000
-        assert a.tally == b.tally
-        assert a == b
-
 
 def _vacuum_mixture() -> SourceModel:
     """Noisy pairs, attack blocks and vacuum: fractions in region (c)."""
-    return SourceModel.custom(
-        [
-            (0.6, 1, 1, SourceModel.werner(0.85).branches[0].rho),
-            (0.3, 1, 2, attack_density(boundary_state(0.6, 0.8))),
-            (0.1, 0, 1, np.eye(2) / 2.0),
+    noisy, vacuum = SourceModel.werner(0.85).branches[0].rho, np.eye(2) / 2.0
+    attack = attack_density(boundary_state(0.6, 0.8))
+    return SourceModel.custom([(0.6, 1, 1, noisy), (0.3, 1, 2, attack), (0.1, 0, 1, vacuum)])
+
+
+def _pair_or_bob_alone() -> SourceModel:
+    """Phi+ pairs, and three times in ten a photon for Bob alone, none for Alice."""
+    rho = SourceModel.ideal_pair().branches[0].rho
+    return SourceModel.custom([(0.7, 1, 1, rho), (0.3, 0, 1, np.eye(2) / 2.0)])
+
+
+def _all_double_click() -> SourceModel:
+    """Alice double-clicks in Z and Bob in X, so every sifted event is discarded."""
+    z, x = (np.linalg.eigh(outcome_projectors(2, b)[2])[1][:, -1] for b in (Basis.Z, Basis.X))
+    psi = np.kron(z, x)
+    return SourceModel.custom([(1.0, 2, 2, np.outer(psi, psi))])
+
+
+def _table_rows(report) -> list:
+    """rate_table's region, R and conjectured rate, None for NaN, of the report's sampled and
+    then its analytic fractions; None for fractions outside the observed-fraction domain."""
+    rows = []
+    for d, e in (report.delta_hat, report.eps_hat), (report.analytic_delta, report.analytic_eps):
+        if rates.in_stats_domain(d, e):
+            table = rates.rate_table([d], [e], report.f_ec)
+            cells = table.r_key[0], table.r_conjectured_random_assignment[0]
+            rows.append([table.region[0], *(None if np.isnan(x) else x for x in cells)])
+        else:
+            rows.append(None)
+    return rows
+
+
+def _in_region(region, report) -> list[bool]:
+    """Whether the report's sampled and analytic fractions are observed fractions in region."""
+    return [row is not None and row[0] == region for row in _table_rows(report)]
+
+
+# One row per simulated run: a source factory, the event count, the seed, f, and the
+# conditions on the SimulationReport that end_to_end returns, all of which must hold.
+SIMULATED_RUNS = {
+    "deterministic-given-seed": (
+        lambda: SourceModel.werner(0.8), 50000, 6, 1.0,
+        lambda r: [r.tally != run_protocol(SourceModel.werner(0.8), 50000, seed=7)],
+    ),
+    "werner-error-rate": (
+        lambda: SourceModel.werner(0.9), 10**6, 8, 1.0,
+        lambda r: [r.tally.n_dbl == 0, abs(r.eps_hat - 0.05) <= 4.0 * r.eps_se],
+    ),
+    "basis-mismatch-fraction": (
+        SourceModel.ideal_pair, 10**5, 13, 1.0,
+        lambda r, n=10**5: [abs(r.tally.n_mismatched / n - 0.5) <= 5.0 * np.sqrt(0.25 / n)],
+    ),
+    "fully-depolarized-agreement-is-half": (
+        lambda: SourceModel.werner(0.0), 20000, 4, 1.0,
+        lambda r: [r.tally.n_dbl == 0, abs(r.eps_hat - 0.5) <= 5 * 0.5 / np.sqrt(r.tally.n)],
+    ),
+    # one branch never delivers a photon to Alice
+    "vacuum-component-is-excluded-from-tally": (
+        _pair_or_bob_alone, 50000, 14, 1.0,
+        lambda r: [
+            r.tally.n_undetected > 0,
+            abs(r.tally.n_undetected - 0.3 * 50000) <= 5 * np.sqrt(50000 * 0.3 * 0.7),
+            r.analytic_delta == 0.0 and r.analytic_eps == 0.0,
+            r.tally.n_err == 0,
+        ],
+    ),
+    "custom-two-photon-density": (
+        partial(_random_custom_source, 15, 2, 2), 200000, 16, 1.0,
+        lambda r: [
+            abs(r.delta_hat - r.analytic_delta) <= 5.0 * max(r.delta_se, 1e-6),
+            abs(r.eps_hat - r.analytic_eps) <= 5.0 * max(r.eps_se, 1e-6),
+        ],
+    ),
+    "ideal-pair-full-rate": (
+        SourceModel.ideal_pair, 20000, 17, 1.0,
+        lambda r: [
+            r.delta_hat == 0.0 and r.eps_hat == 0.0 and r.region == "a",
+            (r.r_key, r.r_key_analytic, r.conjectured_rate_sampled) == (1.0, 1.0, 1.0),
+        ],
+    ),
+    "werner-matches-analytic-rate": (
+        lambda: SourceModel.werner(0.9), 10**6, 18, 1.0,
+        lambda r, want=key_rate(ObservedStats(0.0, 0.05), f=1.0): [
+            abs(r.analytic_delta) <= 1e-12 and abs(r.analytic_eps - 0.05) <= 1e-12,
+            abs(r.r_key_analytic - want) <= 1e-12 and abs(r.r_key - want) <= 0.02,
+            abs(r.r_key_gap - (r.r_key - r.r_key_analytic)) <= 1e-15,
+        ],
+    ),
+    "attack-mixture-against-analytic": (
+        lambda: make_attack_source(0.4)[0], 10**6, 19, 1.0,
+        lambda r, p=run_attack(boundary_state(1.0, 0.0)): [
+            abs(r.analytic_delta - 0.4 * p.delta_m) <= 1e-12,
+            abs(r.analytic_eps - 0.4 * p.eps_m) <= 1e-12,
+            abs(r.delta_hat - r.analytic_delta) <= 5.0 * r.delta_se,
+            abs(r.eps_hat - r.analytic_eps) <= 5.0 * r.eps_se,
+        ],
+    ),
+    # all multiphoton, double-click heavy (delta_m = 1/2): far outside the feasible domain
+    "infeasible-sampled-stats-reported-not-raised": (
+        lambda: SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0), 20000, 20, 1.0,
+        lambda r: [r.region == "infeasible", r.r_key is r.r_key_analytic is r.r_key_gap is None],
+    ),
+    # delta_hat = 1, outside the observed-fraction domain
+    "all-double-click-source-is-infeasible": (
+        _all_double_click, 5000, 3, 1.0,
+        lambda r: [
+            r.tally.n > 0 and r.tally.n_dbl == r.tally.n and r.delta_hat == 1.0,
+            r.region == "infeasible" and r.r_key is r.r_key_analytic is None,
+        ],
+    ),
+    "seed-is-echoed-and-deterministic": (lambda: SourceModel.werner(0.95), 30000, 21, 1.1, None),
+    # seed 1 sifts no event of one: no estimate and no rate, though the analytic one holds
+    "no-sifted-event": (
+        SourceModel.ideal_pair, 1, 1, 1.0,
+        lambda r: [
+            r.tally.n == 0 and np.isnan([r.delta_hat, r.eps_hat, r.delta_se, r.eps_se]).all(),
+            r.region == "infeasible" and r.r_key is r.r_key_gap is None,
+            r.conjectured_rate_sampled is None and r.r_key_analytic == 1.0,
+        ],
+    ),
+    # sampled and analytic fractions in one region at 20000 events, seed 7
+    **{
+        f"{name}-f={f}": (source, 20000, 7, f, partial(_in_region, region))
+        for name, source, region in [
+            ("ideal", SourceModel.ideal_pair, "a"),
+            ("werner", lambda: SourceModel.werner(0.8), "c"),
+            ("attack-region-a", lambda: make_attack_source(0.4)[0], "a"),
+            ("attack-region-b", lambda: make_attack_source(0.9)[0], "b"),
+            ("mixed-region-c", _vacuum_mixture, "c"),
+            ("mixed-infeasible", lambda: _random_mixture(0), "infeasible"),
         ]
-    )
-
-
-# Each source and the region of its sampled and analytic fractions at 20000 events, seed 7.
-CROSS_ROUTE_SOURCES = {
-    "ideal": (SourceModel.ideal_pair, "a"),
-    "werner": (lambda: SourceModel.werner(0.8), "c"),
-    "attack-region-a": (lambda: make_attack_source(0.4)[0], "a"),
-    "attack-region-b": (lambda: make_attack_source(0.9)[0], "b"),
-    "mixed-region-c": (_vacuum_mixture, "c"),
-    "mixed-infeasible": (lambda: _random_mixture(0), "infeasible"),
-}
-
-
-@pytest.mark.parametrize("f", [1.0, 1.1])
-@pytest.mark.parametrize("source, region", CROSS_ROUTE_SOURCES.values(), ids=CROSS_ROUTE_SOURCES)
-def test_report_rates_equal_rate_table_cells(source, region, f):
-    # The report reads its rates one row at a time, the keyrate command from
-    # rate_table; for in-domain fractions the cells agree bit for bit, the
-    # conjectured rate of the sampled row too, with None in the report where
-    # the table holds NaN.
-    report = end_to_end(source(), 20000, f=f, seed=7)
-    delta = [report.delta_hat, report.analytic_delta]
-    eps = [report.eps_hat, report.analytic_eps]
-    assert rates.in_stats_domain(np.array(delta), np.array(eps)).all()
-    table = rates.rate_table(delta, eps, f)
-    assert table.region.tolist() == [region, region]
-    cells = [None if np.isnan(x) else x for x in table.r_key.tolist()]
-    assert [report.region, report.r_key, report.r_key_analytic] == [region, *cells]
-    conjectured = table.r_conjectured_random_assignment[0]
-    assert report.conjectured_rate_sampled == (None if np.isnan(conjectured) else conjectured)
-
-
-# source and its expected (delta_m, eps_m, ...), delta_m's absolute tolerance; eps_m's
-# is 1e-12, and a Werner pair never double-clicks, so its delta_m is exactly 0
-ANALYTIC_POINTS = {
-    "attack-source-matches-run_attack": (lambda: make_attack_source(1.0), 1e-12),
-    "werner-value": (lambda: (SourceModel.werner(0.8), (0.0, 0.1)), 0.0),
+        for f in (1.0, 1.1)
+    },
+    # analytic fractions of three sources, each run at 1000 events and seed 1 like any row
+    "attack-source-matches-run_attack": (
+        lambda: make_attack_source(1.0)[0], 1000, 1, 1.0,
+        lambda r, p=run_attack(boundary_state(1.0, 0.0)): [
+            abs(r.analytic_delta - p.delta_m) <= 1e-12, abs(r.analytic_eps - p.eps_m) <= 1e-12
+        ],
+    ),
+    # a Werner pair never double-clicks, so its delta_m is exactly 0
+    "werner-value": (
+        lambda: SourceModel.werner(0.8), 1000, 1, 1.0,
+        lambda r: [r.analytic_delta == 0.0, abs(r.analytic_eps - 0.1) <= 1e-12],
+    ),
     "attack-density-feeds-simulation": (
-        lambda chi=boundary_state(0.6, 0.8): (
-            SourceModel.custom([(1.0, 1, 2, attack_density(chi))]), run_attack(chi)
-        ),
-        1e-12,
+        lambda: SourceModel.custom([(1.0, 1, 2, attack_density(boundary_state(0.6, 0.8)))]),
+        1000, 1, 1.0,
+        lambda r, p=run_attack(boundary_state(0.6, 0.8)): [
+            abs(r.analytic_delta - p.delta_m) <= 1e-12, abs(r.analytic_eps - p.eps_m) <= 1e-12
+        ],
     ),
 }
 
 
-@pytest.mark.parametrize("case, delta_tol", ANALYTIC_POINTS.values(), ids=ANALYTIC_POINTS)
-def test_analytic_fractions_known_point(case, delta_tol):
-    source, (want_delta, want_eps, *_) = case()
-    delta, eps = analytic_fractions(source)
-    assert abs(delta - want_delta) <= delta_tol
-    assert abs(eps - want_eps) <= 1e-12
+@pytest.mark.parametrize(
+    "source, events, seed, f, conditions", SIMULATED_RUNS.values(), ids=SIMULATED_RUNS
+)
+def test_simulated_run(source, events, seed, f, conditions):
+    report = end_to_end(source(), events, f=f, seed=seed)
+    assert end_to_end(source(), events, f=f, seed=seed) == report
+    assert (report.seed, report.num_events, report.f_ec) == (seed, events, f)
+    # Where the fractions are observed fractions, the report's rates are rate_table's cells
+    # bit for bit (None for NaN); elsewhere the report is infeasible with no rate.
+    sampled, analytic = _table_rows(report)
+    got = [report.region, report.r_key, report.conjectured_rate_sampled]
+    assert got == (sampled or ["infeasible", None, None])
+    assert report.r_key_analytic == (analytic[1] if analytic else None)
+    held = conditions(report) if conditions else []
+    failed = [i for i, ok in enumerate(held) if not ok]
+    assert not failed, f"conditions {failed} do not hold"
 
 
 class TestSourceLifetime:
