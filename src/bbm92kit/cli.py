@@ -48,6 +48,8 @@ def parse_grid(spec: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:  # a wrong part count or a part that is not a number
         raise ValueError(f"grid spec must be start:stop:count, got {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
@@ -211,7 +213,7 @@ def _rate_table(args, f: float = 1.0) -> rates.RateTable:
 
 def _cmd_tau(args) -> int:
     table = _rate_table(args)
-    numeric = rates.tau_numeric_array(table.delta, table.eps)
+    numeric = rates._tau_numeric_table(table.delta, table.eps, table.feasible)
     columns = {
         "delta": table.delta.tolist(),
         "eps": table.eps.tolist(),

@@ -466,12 +466,15 @@ def end_to_end(
     such rather than raising.  The conjectured random-assignment rate of the
     sampled fractions is carried in its own labeled field, never merged with
     proved rates; like every rate of the report it is the `rates.rate_table`
-    cell of its row, None where that row certifies no key fraction.
+    cell of its row, None where that row certifies no key fraction.  The
+    sampled and the analytic fractions are rated in one call, one row each.
     """
     rates._check_f(f)
     tally = run_protocol(source, num_events, seed)
     a_delta, a_eps = analytic_fractions(source)
-    region, r_key, conjectured = rates._key_rate_row(tally.delta_hat, tally.eps_hat, f)
+    (region, r_key, conjectured), (_, r_key_analytic, _) = rates._key_rate_rows(
+        [tally.delta_hat, a_delta], [tally.eps_hat, a_eps], f
+    )
     return SimulationReport(
         seed=seed,
         f_ec=f,
@@ -480,6 +483,6 @@ def end_to_end(
         r_key=r_key,
         analytic_delta=a_delta,
         analytic_eps=a_eps,
-        r_key_analytic=rates._key_rate_row(a_delta, a_eps, f)[1],
+        r_key_analytic=r_key_analytic,
         conjectured_rate_sampled=conjectured,
     )

@@ -373,6 +373,15 @@ REFUSED_RUNS = {
             2, f"error: grid spec must be start:stop:count, got {spec!r}\n",
         ).items()
     },
+    # an infinite or NaN end is refused with the spec, before a grid of NaN is built
+    **{
+        name: row
+        for spec in ("0:inf:3", "nan:0.1:2", "-inf:0:2")
+        for name, row in _both_routes(
+            f"grid-spec-{spec}", ("tau", "--eps", "0"), f"delta-grid = {spec}",
+            2, f"error: grid start and stop must be finite, got {spec!r}\n",
+        ).items()
+    },
     "grid-zero-count": (
         ("tau", "--delta-grid", "0:1:0", "--eps", "0"),
         None, 2, "error: grid count must be >= 1, got 0\n",
@@ -615,10 +624,10 @@ class TestTableWriter:
         assert str(got.value) == str(want.value)
 
     def test_infinite_cell_exits_2(self, capsys, monkeypatch):
-        def infinite(delta, eps):
+        def infinite(delta, eps, feasible):
             return np.full(delta.shape, np.inf)
 
-        monkeypatch.setattr(cli.rates, "tau_numeric_array", infinite)
+        monkeypatch.setattr(cli.rates, "_tau_numeric_table", infinite)
         code, out, err = run_cli(
             capsys, "tau", "--delta", "0.05", "--eps", "0.02", "--format", "json"
         )

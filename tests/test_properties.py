@@ -82,6 +82,17 @@ def test_objective_is_concave(point):
     assert np.max(np.diff(values, 2)) <= 1e-12
 
 
+def test_newton_cap_returns_each_rows_last_iterate(monkeypatch):
+    # rows still iterating when the step cap is hit return their last iterate,
+    # inside the bracket and short of the root
+    d, e = np.array([0.05, 0.12]), np.array([0.02, 0.02])
+    lo, hi = 3.0 * d, rates._tau_low_xi_hi(d, e)
+    root = rates._tau_low_argmax(lo.copy(), hi, d, e)
+    monkeypatch.setattr(rates, "_NEWTON_MAX_STEPS", 1)
+    first = rates._tau_low_argmax(lo.copy(), hi, d, e)
+    assert np.all((lo < first) & (first < hi) & (first != root))
+
+
 def test_tau_low_matches_pinned_table():
     """Against an earlier grid + golden-section implementation, pinned in TABLE.
 
@@ -138,3 +149,13 @@ def test_certified_rows_keep_the_conjectured_argument_within_half(point):
     assume(rates.in_stats_domain(d, e))
     if rates._regions(np.array([d]), np.array([e]))[0] != "infeasible":
         assert e + 0.5 * d <= 0.5 + rates._DOMAIN_TOL
+
+
+@given(st.one_of(st.tuples(fractions, fractions), near_c_edge))
+def test_certified_rows_keep_the_qber_within_half(point):
+    # backs the clip in rates._shrink: every row of regions (a)-(c) has
+    # eps / (1 - delta) <= 1/2 + _DOMAIN_TOL
+    d, e = point
+    assume(rates.in_stats_domain(d, e))
+    if rates._regions(np.array([d]), np.array([e]))[0] != "infeasible":
+        assert e / (1.0 - d) <= 0.5 + rates._DOMAIN_TOL

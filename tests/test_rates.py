@@ -310,6 +310,36 @@ def test_formulas_equal_reference_bits():
         assert [public(float(x)) for x in xs[:40]] == reference(xs[:40]).tolist()
 
 
+@pytest.mark.parametrize(
+    "kernel, scale, failing",
+    [
+        ("_entropy", 1.01, {"check_tau_consistency"}),
+        ("_curve", 0.99, {"check_tradeoff_boundary", "check_tau_consistency", "check_attack"}),
+    ],
+)
+def test_checks_see_the_row_kernels(monkeypatch, kernel, scale, failing):
+    # the row code calls the unchecked kernels directly; a kernel that goes wrong must
+    # still fail the checks that the public functions' callers rely on
+    original = getattr(rates, kernel)
+
+    def scaled(x, out, tmp):
+        original(x, out, tmp)
+        out *= scale
+        return out
+
+    caches = (rates.eps1_star, rates._plane_constants)
+    monkeypatch.setattr(rates, kernel, scaled)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        failed = {check.__name__ for check in selfcheck.CHECKS if not check().passed}
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert failed == failing
+
+
 def _search_rows() -> tuple[np.ndarray, np.ndarray]:
     """Seeded feasible rows, the search's edge cases among them."""
     rng = np.random.default_rng(25)
@@ -350,6 +380,24 @@ class TestTauNumeric:
         got = rates.tau_numeric_array(d, e)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_every_grid_point_is_positive_and_at_least_delta(self, monkeypatch):
+        # _tau_numeric_profile divides by xi and reads delta / xi <= 1 with no mask or clip
+        seen = []
+        profile = rates._tau_numeric_profile
+
+        def spy(xis, d, e, scratch):
+            seen.append((xis.shape[1], bool(np.all(xis > 0.0) and np.all(xis >= d))))
+            return profile(xis, d, e, scratch)
+
+        monkeypatch.setattr(rates, "_tau_numeric_profile", spy)
+        grid_d, grid_e = np.linspace(0.0, 0.25, 13), np.linspace(0.0, 0.12, 13)
+        for d, e in [_search_rows(), (np.repeat(grid_d, 13), np.tile(grid_e, 13))]:
+            seen.clear()
+            rates.tau_numeric_array(d, e)
+            widths = {width for width, _ in seen}
+            assert widths == {rates._NUMERIC_GRID_POINTS + 3, rates._NUMERIC_REFINE_POINTS}
+            assert all(ok for _, ok in seen)
+
     def test_memory_stays_bounded(self):
         # The bound is derived from the code, not fitted to a run.  The workspace is six
         # float buffers and one bool buffer of _NUMERIC_BLOCK_ROWS grids; numpy's buffered
@@ -357,8 +405,8 @@ class TestTauNumeric:
         # Per row, at most 14 arrays of one float or index each are alive at once (in the
         # refinement: d, e, the result, the feasible rows and their d and e in
         # tau_numeric_array; best, xi_min, rows, lo and hi and the filtered copies of the
-        # last three), beside one-byte masks and, earlier, the 40-byte U10 region label;
-        # 16 arrays and the label bound that.
+        # last three), beside one-byte masks and, earlier, the 8-byte region code;
+        # 16 arrays and 40 bytes bound that.
         n = 150
         d, e = np.meshgrid(np.linspace(0.0, 0.25, n), np.linspace(0.0, 0.12, n))
         rates.tau_numeric_array(d[:1, :1], e[:1, :1])

@@ -517,7 +517,7 @@ class TestEndToEnd:
         def broken(delta, eps, f):
             raise ValueError("programming error")
 
-        monkeypatch.setattr(rates, "_key_rate_row", broken)
+        monkeypatch.setattr(rates, "_key_rate_rows", broken)
         with pytest.raises(ValueError, match="programming error"):
             end_to_end(SourceModel.werner(0.95), 2000, seed=1)
 
@@ -527,7 +527,7 @@ class TestEndToEnd:
         # double-clicks) and outside regions (a)-(c), where
         # eps + delta/2 = 0.455 is still inside the formula's own domain
         for delta, eps in [(1.0, 0.0), (0.45, 0.23)]:
-            assert rates._key_rate_row(delta, eps, 1.0) == ("infeasible", None, None)
+            assert rates._key_rate_rows([delta], [eps], 1.0) == [("infeasible", None, None)]
 
     def test_conjectured_rate_errors_propagate(self, monkeypatch):
         def broken(d, e):
@@ -575,6 +575,20 @@ def _table_rows(report) -> list:
 def _in_region(region, report) -> list[bool]:
     """Whether the report's sampled and analytic fractions are observed fractions in region."""
     return [row is not None and row[0] == region for row in _table_rows(report)]
+
+
+def _rated_alone(report) -> list[bool]:
+    """Whether end_to_end's one rate call over the sampled and the analytic fractions gives
+    each row what a one-row call gives it: rows never mix."""
+    f = report.f_ec
+    [sampled] = rates._key_rate_rows([report.delta_hat], [report.eps_hat], f)
+    [(_, r_key_analytic, _)] = rates._key_rate_rows(
+        [report.analytic_delta], [report.analytic_eps], f
+    )
+    return [
+        sampled == (report.region, report.r_key, report.conjectured_rate_sampled),
+        r_key_analytic == report.r_key_analytic,
+    ]
 
 
 # One row per simulated run: a source factory, the event count, the seed, f, and the
@@ -640,7 +654,10 @@ SIMULATED_RUNS = {
     # all multiphoton, double-click heavy (delta_m = 1/2): far outside the feasible domain
     "infeasible-sampled-stats-reported-not-raised": (
         lambda: SourceModel.eve_attack(boundary_state(1.0, -1.0), 1.0), 20000, 20, 1.0,
-        lambda r: [r.region == "infeasible", r.r_key is r.r_key_analytic is r.r_key_gap is None],
+        lambda r: [
+            r.region == "infeasible", r.r_key is r.r_key_analytic is r.r_key_gap is None,
+            *_rated_alone(r),
+        ],
     ),
     # delta_hat = 1, outside the observed-fraction domain
     "all-double-click-source-is-infeasible": (
@@ -648,6 +665,7 @@ SIMULATED_RUNS = {
         lambda r: [
             r.tally.n > 0 and r.tally.n_dbl == r.tally.n and r.delta_hat == 1.0,
             r.region == "infeasible" and r.r_key is r.r_key_analytic is None,
+            *_rated_alone(r),
         ],
     ),
     "seed-is-echoed-and-deterministic": (lambda: SourceModel.werner(0.95), 30000, 21, 1.1, None),
@@ -658,11 +676,15 @@ SIMULATED_RUNS = {
             r.tally.n == 0 and np.isnan([r.delta_hat, r.eps_hat, r.delta_se, r.eps_se]).all(),
             r.region == "infeasible" and r.r_key is r.r_key_gap is None,
             r.conjectured_rate_sampled is None and r.r_key_analytic == 1.0,
+            *_rated_alone(r),
         ],
     ),
-    # sampled and analytic fractions in one region at 20000 events, seed 7
+    # sampled and analytic fractions in one region at 20000 events, seed 7, each rated as
+    # one-row calls rate it
     **{
-        f"{name}-f={f}": (source, 20000, 7, f, partial(_in_region, region))
+        f"{name}-f={f}": (
+            source, 20000, 7, f, lambda r, region=region: _in_region(region, r) + _rated_alone(r)
+        )
         for name, source, region in [
             ("ideal", SourceModel.ideal_pair, "a"),
             ("werner", lambda: SourceModel.werner(0.8), "c"),
