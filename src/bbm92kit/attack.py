@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import NumericalError
-from .fock import Basis, Bit, _check_integer, basis_state
+from .fock import Basis, Bit, _check_count, basis_state
 from .povm import capped_joint_dim, outcome_projectors
 
 
@@ -298,9 +298,7 @@ def boundary_sweep(num_points: int = 720) -> Sweep:
     and always include the two values whose states land exactly on the ends
     of the trade-off curve, delta_m = 0 and delta_m = 1/3.
     """
-    _check_integer(num_points, "num_points")
-    if num_points < 2:
-        raise ValueError("num_points must be >= 2")
+    _check_count(num_points, "num_points", 2)
     thetas = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
     thetas = np.unique(np.concatenate([thetas, [np.pi / 4, -np.arctan(1.0 / 3.0)]]))
     alpha, beta = np.cos(thetas), np.sin(thetas)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, attack, povm, rates, selfcheck, sim
 from .errors import InfeasibleError, NumericalError
+from .fock import _check_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,8 +51,7 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec must be start:stop:count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
-    if count < 1:
-        raise ValueError(f"grid count must be >= 1, got {count}")
+    _check_count(count, "grid count", 1)
     return np.linspace(start, stop, count)
 
 
@@ -250,14 +250,11 @@ def _cells(values: np.ndarray) -> list:
 
 
 def _cmd_tradeoff(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _check_count(args.seed, "--seed", 0)
     pair = povm.PhotonPair(args.na, args.nb)
-    # the messages trace_boundary and random_state_fractions give on the even path
-    if args.points < 2:
-        raise ValueError("num_points must be >= 2")
-    if args.samples < 0:
-        raise ValueError(f"count must be >= 0, got {args.samples}")
+    # the gates of trace_boundary and random_state_fractions, which the odd-odd path skips
+    _check_count(args.points, "num_points", 2)
+    _check_count(args.samples, "count", 0)
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         value = povm.min_double_click(pair)
         columns = {
@@ -364,8 +361,7 @@ def parse_source(spec: str) -> sim.SourceModel:
 
 def _cmd_simulate(args) -> int:
     source = parse_source(args.source)
-    if args.events < 1:
-        raise ValueError(f"--events must be >= 1, got {args.events}")
+    _check_count(args.events, "--events", 1)
     rates._check_f(args.f, "--f")
     sim._check_seed(args.seed, "--seed")
     report = sim.end_to_end(source, args.events, f=args.f, seed=args.seed)

@@ -36,11 +36,15 @@ class Bit(IntEnum):
     ONE = 1
 
 
-def _check_integer(value: int, name: str) -> None:
+def _check_count(value: int, name: str, least: float) -> None:
+    """The one gate of every count and photon number: an integer, not a bool, and >= least."""
     # a float count would fail deep inside numpy, and Philox would truncate a float key
-    # or counter, so 1.5 would replay 1's stream; a bool indexes numpy arrays as a mask
+    # or counter, so 1.5 would replay 1's stream; a bool indexes numpy arrays as a mask,
+    # and is an int to isinstance, so (True, 2) would split 3 photons
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,7 @@ class ModePartition:
         if not self.parts:
             raise ValueError("partition must contain at least one mode")
         for p in self.parts:
-            # a bool is an int to isinstance, so (True, 2) would split 3 photons
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-                raise ValueError(f"parts must be integers, got {p}")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"all parts must be >= 1, got {self.parts}")
+            _check_count(p, "parts", 1)
 
     @property
     def n(self) -> int:
@@ -73,9 +73,7 @@ def basis_state(n: int, w: Basis, b: Bit) -> np.ndarray:
     basis they are the n-fold diagonal states, whose occupation amplitudes
     are signed square roots of binomial coefficients scaled by 2^(-n/2).
     """
-    _check_integer(n, "photon count")
-    if n < 1:
-        raise ValueError(f"photon count must be >= 1, got {n}")
+    _check_count(n, "photon count", 1)
     if n > MAX_PHOTONS:
         raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
     b = Bit(b)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import NumericalError
-from .fock import MAX_PHOTONS, Basis, Bit, _check_integer, basis_state
+from .fock import MAX_PHOTONS, Basis, Bit, _check_count, basis_state
 
 # Joint dimension (n_A+1)(n_B+1) allowed for dense operator work.  Everything
 # the bounds need shows up well below this.
@@ -32,7 +32,7 @@ def capped_joint_dim(n_a: int, n_b: int) -> int:
     pair is rejected where it is built, not where its states are first formed.
     """
     for n in (n_a, n_b):
-        _check_integer(n, "photon count")
+        _check_count(n, "photon count", 0)
         if n > MAX_PHOTONS:
             raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
     dim = (n_a + 1) * (n_b + 1)
@@ -78,9 +78,9 @@ class PhotonPair:
     n_b: int
 
     def __post_init__(self) -> None:
+        capped_joint_dim(self.n_a, self.n_b)
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"photon numbers must be >= 1, got ({self.n_a}, {self.n_b})")
-        capped_joint_dim(self.n_a, self.n_b)
 
     @property
     def joint_dim(self) -> int:
@@ -237,9 +237,7 @@ def trace_boundary(pair: PhotonPair, num_points: int = 200) -> np.ndarray:
         raise ValueError(
             f"({pair.n_a}, {pair.n_b}) is odd-odd; use min_double_click instead"
         )
-    _check_integer(num_points, "num_points")
-    if num_points < 2:
-        raise ValueError("num_points must be >= 2")
+    _check_count(num_points, "num_points", 2)
     m = 1 if pair.n_a % 2 == 0 and pair.n_b % 2 == 0 else 2
     t = 2.0 ** -((pair.n_a + pair.n_b + 1) // 2)
     kernel = [1.0 / (2.0 + 4.0 * t)] * m + [0.5] * (4 - 2 * m) + [1.0 / (2.0 - 4.0 * t)] * m
@@ -272,9 +270,7 @@ def random_state_fractions(
     The states are the normalized rows of one (count, joint_dim) standard
     normal draw from `rng`.
     """
-    _check_integer(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _check_count(count, "count", 0)
     states = rng.standard_normal((count, pair.joint_dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     dbl, err, _ = joint_operators(pair)

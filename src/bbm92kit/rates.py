@@ -568,27 +568,14 @@ def _linspace_into(out: np.ndarray, lo, hi) -> None:
     out[:, -1] = hi
 
 
-def _sorted_unique_rows(xis: np.ndarray) -> np.ndarray:
-    """Each row sorted with repeats removed, padded at the end with its last value.
-
-    The padding reproduces np.unique per row for the search: argmax takes the
-    first of equal values, and a padded right neighbor equals the point
-    itself, as the clamped neighbor index of a shorter row does.
-    """
-    xis = np.sort(xis, axis=1)
-    keep = np.ones(xis.shape, dtype=bool)
-    keep[:, 1:] = xis[:, 1:] != xis[:, :-1]
-    out = np.repeat(xis[:, -1:], xis.shape[1], axis=1)
-    rows = np.broadcast_to(np.arange(xis.shape[0])[:, None], xis.shape)
-    out[rows[keep], (np.cumsum(keep, axis=1) - 1)[keep]] = xis[keep]
-    return out
-
-
 def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> None:
     """Each row's first-pass grid, written into xis.
 
     The _NUMERIC_GRID_POINTS points from lo to _NUMERIC_XI_TOP and 3, 4 and 6
-    delta, as `_sorted_unique_rows` leaves them.
+    delta, sorted, each value once, and padded at the end with _NUMERIC_XI_TOP,
+    the last point.  The padding reproduces np.unique per row for the search:
+    argmax takes the first of equal values, and a padded right neighbor equals
+    the point itself, as the clamped neighbor index of a shorter row does.
     """
     specials = xis[:, _NUMERIC_GRID_POINTS:]
     _linspace_into(xis[:, :_NUMERIC_GRID_POINTS], lo, _NUMERIC_XI_TOP)
@@ -600,12 +587,13 @@ def _grid_into(xis: np.ndarray, lo: np.ndarray, d: np.ndarray) -> None:
     # A row is one sorted run and three specials, which a stable sort merges in
     # about a third of the time of the default one; both give the same values.
     xis.sort(axis=1, kind="stable")
-    # A repeat of the last point is already the padding; only rows that repeat
-    # an earlier point, a special equal to a grid point, move.
-    repeats = (xis[:, 1:] == xis[:, :-1]) & (xis[:, :-1] < xis[:, -1:])
+    # A repeat of the last point is already the padding.  A special equal to an
+    # earlier grid point becomes padding too, and only its row is sorted again.
+    repeats = (xis[:, 1:] == xis[:, :-1]) & (xis[:, :-1] < _NUMERIC_XI_TOP)
     moved = repeats.any(axis=1)
     if moved.any():
-        xis[moved] = _sorted_unique_rows(xis[moved])
+        xis[:, 1:][repeats] = _NUMERIC_XI_TOP
+        xis[moved] = np.sort(xis[moved], axis=1, kind="stable")
 
 
 def _tau_numeric_pass(xis, scratch, rows, d, e, xi_min, best):

@@ -352,6 +352,14 @@ CHECKS = (
 )
 
 
+def _run(check) -> CheckResult:
+    """The check's result at the quick size, or a failure that names what it raised."""
+    try:
+        return check()
+    except Exception as exc:  # a check that cannot finish has not passed
+        return CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all() -> list[CheckResult]:
-    """Every check of CHECKS at the quick size, in order."""
-    return [fn() for fn in CHECKS]
+    """Every check of CHECKS at the quick size, in order; a check that raises fails."""
+    return [_run(fn) for fn in CHECKS]

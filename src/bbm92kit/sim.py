@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rates
 from .attack import _phi_plus, attack_density
-from .fock import _check_integer
+from .fock import _check_count
 from .povm import _outcome_krons, capped_joint_dim
 
 _DRAWS_PER_EVENT = 4
@@ -109,8 +109,6 @@ class SourceBranch:
     def __post_init__(self) -> None:
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"branch weight must be in (0, 1], got {float(self.weight)!r}")
-        if self.n_a < 0 or self.n_b < 0:
-            raise ValueError("photon numbers must be >= 0")
         dim = capped_joint_dim(self.n_a, self.n_b)
         rho = np.array(self.rho, dtype=float)
         if rho.shape != (dim, dim):
@@ -189,8 +187,8 @@ class SourceModel:
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
-    _check_integer(seed, name)
-    # the Philox key is 128 bits
+    # the gate checks the type only: the Philox key is 128 bits, a range with its own message
+    _check_count(seed, name, -math.inf)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"{name} must be in [0, 2**128), got {seed}")
 
@@ -205,11 +203,9 @@ def event_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     counter is 256 bits wide, so the events end at 2**256.
     """
     _check_seed(seed)
-    _check_integer(start, "start")
-    _check_integer(count, "count")
+    _check_count(start, "start", 0)
+    _check_count(count, "count", 0)
     start, count = int(start), int(count)
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be >= 0")
     # the counter holds [0, 2**256); past its end it would wrap round and replay event 0 on
     if start >= 1 << 256 or start + count > 1 << 256:
         raise ValueError(
@@ -351,9 +347,7 @@ def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally
     branch is looked up the same way, with a search as its fallback, and only
     for mixtures.  Events run in chunks of _CHUNK_EVENTS = 2**16.
     """
-    _check_integer(num_events, "num_events")
-    if num_events < 1:
-        raise ValueError(f"num_events must be >= 1, got {num_events}")
+    _check_count(num_events, "num_events", 1)
     kernel = source._kernel
     width = len(kernel.cut) + 1
     guide = kernel.guide.ravel()

@@ -310,11 +310,6 @@ class TestStackedKernelMatchesReference:
 
 
 class TestJointStateTypes:
-    def test_attack_state_is_normalized(self):
-        state = attack_state(boundary_state(1.0, 0.3))
-        assert state.shape == (2, 3, 2)
-        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
-
     def test_attack_density_is_a_state(self):
         rho = attack_density(random_chi(5))
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)

@@ -56,12 +56,6 @@ class TestGridSpec:
         grid = cli.parse_grid("0:0.25:6")
         assert grid[0] == 0.0 and grid[-1] == 0.25 and len(grid) == 6
 
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            cli.parse_grid("0:1")
-        with pytest.raises(ValueError):
-            cli.parse_grid("0:1:0")
-
 
 def _all(rows, pred) -> bool:
     """Whether there are rows and pred holds on each."""
@@ -344,7 +338,7 @@ REFUSED_RUNS = {
     ),
     **_both_routes(
         "odd-odd-zero-points", ("tradeoff", "--na", "1", "--nb", "3"),
-        "points = 0", 2, "error: num_points must be >= 2\n",
+        "points = 0", 2, "error: num_points must be >= 2, got 0\n",
     ),
     **_both_routes(
         "odd-odd-negative-samples", ("tradeoff", "--na", "1", "--nb", "3"),
@@ -413,7 +407,9 @@ REFUSED_RUNS = {
         ("tradeoff", "--na", "40", "--nb", "2"),
         None, 2, "error: photon count 40 exceeds supported maximum 32\n",
     ),
-    "sweep-one-angle": (("attack", "--sweep", "1"), None, 2, "error: num_points must be >= 2\n"),
+    "sweep-one-angle": (
+        ("attack", "--sweep", "1"), None, 2, "error: num_points must be >= 2, got 1\n"
+    ),
     **{
         name: row
         for command, argv in [
@@ -660,15 +656,29 @@ class TestSelftestCommand:
         assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failing_check_exits_4(self, capsys, monkeypatch):
-        failed = selfcheck.CheckResult("tangency error rate", False, "forced failure")
+    def check_eps1_star():  # the check of that name, had it raised
+        raise ValueError("forced failure")
+
+    @pytest.mark.parametrize(
+        "replacement, line",
+        [
+            (
+                lambda: selfcheck.CheckResult("tangency error rate", False, "forced failure"),
+                "[FAIL] tangency error rate: forced failure",
+            ),
+            (check_eps1_star, "[FAIL] check_eps1_star: raised ValueError: forced failure"),
+        ],
+        ids=["returned", "raised"],
+    )
+    def test_failing_check_exits_4(self, capsys, monkeypatch, replacement, line):
+        # a check that raises fails like one that returns a failure, and the rest still run
         checks = list(selfcheck.CHECKS)
-        checks[checks.index(selfcheck.check_eps1_star)] = lambda: failed
+        checks[checks.index(selfcheck.check_eps1_star)] = replacement
         monkeypatch.setattr(selfcheck, "CHECKS", checks)
         code, out, _ = run_cli(capsys, "selftest")
-        assert code == 4
-        assert "[FAIL] tangency error rate: forced failure" in out.splitlines()
-        assert out.splitlines()[-1] == "9/10 checks passed"
+        lines = out.splitlines()
+        assert (code, len(lines), lines[-1]) == (4, 11, "9/10 checks passed")
+        assert line in lines
 
 
 def run_python(*args):

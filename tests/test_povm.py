@@ -17,7 +17,7 @@ from bbm92kit import (
     region_membership,
     trace_boundary,
 )
-from bbm92kit import povm, selfcheck
+from bbm92kit import povm
 from bbm92kit.errors import NumericalError
 from bbm92kit.fock import Bit, basis_state
 from bbm92kit.povm import _MEMBERSHIP_TOL, eigh_checked
@@ -242,39 +242,6 @@ class TestJointOperators:
         want = Fraction(1, 2) * (1 - Fraction(1, 2 ** ((pair.n_a - 1) // 2 + (pair.n_b - 1) // 2)))
         assert povm.min_double_click(pair) == want
 
-    def test_selfcheck_catches_a_raised_odd_odd_bound(self, monkeypatch):
-        # 1e-14 above the closed form is past (d + 49) u for every quick-size pair (d <= 24)
-        closed_form = povm.min_double_click
-        assert selfcheck.check_odd_odd_bound().passed
-        monkeypatch.setattr(povm, "min_double_click", lambda pair: closed_form(pair) + 1e-14)
-        assert not selfcheck.check_odd_odd_bound().passed
-
-    def test_selfcheck_catches_non_orthogonal_bit_states(self, monkeypatch):
-        # f_dbl is I - f_cor - f_err, so the three sum to I whatever the bit
-        # states are.  Tilting the bit-1 X state towards bit 0 keeps that sum
-        # but breaks orthogonality and pushes f_dbl below 0; the POVM check
-        # reads each fault on its own.
-        def tilted(n, w, b):
-            state = basis_state(n, w, b) + (w is Basis.X and b == 1) * 0.1 * basis_state(n, w, 0)
-            return state / np.linalg.norm(state)
-
-        assert selfcheck.check_povm_completeness().passed
-        monkeypatch.setattr(selfcheck, "basis_state", tilted)
-        result = selfcheck.check_povm_completeness()
-        assert not result.passed and result.detail.endswith("bit overlap 9.95e-02")
-        monkeypatch.setattr(selfcheck, "basis_state", basis_state)
-        monkeypatch.setattr(povm, "basis_state", tilted)
-        povm.outcome_projectors.cache_clear()
-        try:
-            pair = PhotonPair(1, 1)
-            fd, fe, fc = joint_operators(pair)
-            total = fc + fe + fd
-            assert np.max(np.abs(total - np.eye(4))) <= 1e-12
-            result = selfcheck.check_povm_completeness()
-        finally:
-            povm.outcome_projectors.cache_clear()
-        assert not result.passed and "eigenvalues in [-1.04e-01," in result.detail
-
 
 class TestTraceBoundary:
     def test_one_two_endpoints(self):
@@ -417,14 +384,6 @@ class TestTraceBoundary:
         points = trace_boundary(PhotonPair(2, 2), num_points=3)
         assert points[5:8].tolist() == [[1e-14, 0.0], [0.0, 1.0], [-0.0, 0.5]]
         assert math.copysign(1.0, points[7, 0]) == -1.0  # as min(max(-0.0, 0.0), 1.0)
-
-    def test_selfcheck_catches_a_moved_block_point(self, monkeypatch):
-        # Moving the curve points by 1e-9 in delta keeps them on a curve near
-        # g, but off the dense operators' supporting lines.
-        block = povm._block_points
-        moved = lambda t, lams: (block(t, lams)[0] + 1e-9, block(t, lams)[1])  # noqa: E731
-        monkeypatch.setattr(povm, "_block_points", moved)
-        assert not selfcheck.check_tradeoff_boundary().passed
 
     @pytest.mark.parametrize("pair", CAPPED_EVEN_PAIRS, ids=lambda p: f"{p.n_a}-{p.n_b}")
     def test_complement_ties_only_at_zero_slope(self, pair):

@@ -52,12 +52,6 @@ def test_array_path_equals_scalar_wrappers(points, f):
         assert numeric[i] == tau_numeric(stats)
 
 
-@given(feasible_points())
-def test_tau_low_never_exceeds_tau(point):
-    stats = ObservedStats(*point)
-    assert tau_low(stats) <= tau_closed_form(stats) + 1e-9
-
-
 @given(deltas, st.lists(fractions, min_size=2, max_size=20))
 def test_tau_non_decreasing_in_eps(d, fracs):
     eps = np.sort(np.array(fracs)) * multiphoton_envelope(d)

@@ -38,7 +38,7 @@ from bbm92kit import (
     tau_numeric,
     trace_boundary,
 )
-from bbm92kit import rates, sim
+from bbm92kit import povm, rates, sim
 
 ORIGIN = ObservedStats(0.0, 0.0)
 
@@ -72,21 +72,24 @@ REJECTION_CASES = {
     "inner_product-photon-numbers": (lambda: inner_product(Z1, Z2), ValueError, "differ: 1 != 2"),
     "ModePartition-empty": (lambda: ModePartition(()), ValueError, "at least one mode"),
     "ModePartition-nonpositive": (
-        lambda: ModePartition((2, 0, 1)), ValueError, "parts must be >= 1, got (2, 0, 1)"
+        lambda: ModePartition((2, 0, 1)), ValueError, "parts must be >= 1, got 0"
     ),
     "ModePartition-non-integral": (
-        lambda: ModePartition((2, 1.5)), ValueError, "parts must be integers, got 1.5"
+        lambda: ModePartition((2, 1.5)), ValueError, "parts must be an integer, got 1.5"
     ),
     "ModePartition-bool": (
-        lambda: ModePartition((True, 2)), ValueError, "parts must be integers, got True"
+        lambda: ModePartition((True, 2)), ValueError, "parts must be an integer, got True"
     ),
     "PhotonPair-zero": (lambda: PhotonPair(0, 1), ValueError, "must be >= 1, got (0, 1)"),
+    "capped_joint_dim-negative": (
+        lambda: povm.capped_joint_dim(-3, -3), ValueError, "photon count must be >= 0, got -3"
+    ),
     "PhotonPair-dimension-cap": (lambda: PhotonPair(10, 10), ValueError, "121 exceeds cap 64"),
     "SourceBranch-dimension-cap": (
         lambda: SourceBranch(1.0, 8, 7, np.eye(72) / 72), ValueError, "72 exceeds cap 64"
     ),
     "build_v-dimension-cap": (lambda: build_v(7, 8), ValueError, "72 exceeds cap 64"),
-    # a non-integral photon number, refused by the one gate fock._check_integer, which
+    # a non-integral photon number, refused by the one count gate fock._check_count, which
     # capped_joint_dim and basis_state call
     **{
         name: (call, ValueError, f"photon count must be an integer, got {shown}")
