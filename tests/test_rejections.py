@@ -214,6 +214,79 @@ REJECTION_CASES = {
             ("boundary_sweep", "num_points", lambda: boundary_sweep(10.0), r"10\.0"),
         ]
     },
+    # every call site of the count gate refuses a bool, which is an int to isinstance and
+    # to <, and one below its least; capped_joint_dim(-1, 2) once returned 0
+    **{
+        f"{name}-count-gate-{shown}": (
+            call, ValueError, re.compile(rf"^{param} must be {rule}, got {shown}$")
+        )
+        for name, param, rule, call, shown in [
+            ("capped_joint_dim", "photon count", ">= 0", lambda: povm.capped_joint_dim(-1, 2), -1),
+            (
+                "capped_joint_dim",
+                "photon count",
+                "an integer",
+                lambda: povm.capped_joint_dim(True, 2),
+                True,
+            ),
+            ("PhotonPair", "photon count", ">= 0", lambda: PhotonPair(-1, 2), -1),
+            ("PhotonPair", "photon count", "an integer", lambda: PhotonPair(2, False), False),
+            ("SourceBranch", "photon count", ">= 0", lambda: SourceBranch(1.0, -1, 1, RHO), -1),
+            (
+                "trace_boundary",
+                "num_points",
+                ">= 2",
+                lambda: trace_boundary(PhotonPair(1, 2), 1),
+                1,
+            ),
+            (
+                "trace_boundary",
+                "num_points",
+                "an integer",
+                lambda: trace_boundary(PhotonPair(1, 2), True),
+                True,
+            ),
+            ("boundary_sweep", "num_points", ">= 2", lambda: boundary_sweep(1), 1),
+            ("boundary_sweep", "num_points", "an integer", lambda: boundary_sweep(True), True),
+            (
+                "random_state_fractions",
+                "count",
+                "an integer",
+                lambda: random_state_fractions(PhotonPair(1, 2), True, np.random.default_rng(0)),
+                True,
+            ),
+            ("event_uniforms-start", "start", ">= 0", lambda: sim.event_uniforms(1, -1, 2), -1),
+            (
+                "event_uniforms-start",
+                "start",
+                "an integer",
+                lambda: sim.event_uniforms(1, True, 2),
+                True,
+            ),
+            ("event_uniforms-count", "count", ">= 0", lambda: sim.event_uniforms(1, 0, -1), -1),
+            (
+                "event_uniforms-count",
+                "count",
+                "an integer",
+                lambda: sim.event_uniforms(1, 0, True),
+                True,
+            ),
+            (
+                "event_uniforms-seed",
+                "seed",
+                "an integer",
+                lambda: sim.event_uniforms(True, 0, 2),
+                True,
+            ),
+            (
+                "run_protocol",
+                "num_events",
+                "an integer",
+                lambda: run_protocol(SourceModel.ideal_pair(), True, seed=1),
+                True,
+            ),
+        ]
+    },
     # the Philox counter holds [0, 2**256); past its end it would wrap round to event 0
     **{
         f"event_uniforms-counter-end-{name}": (
