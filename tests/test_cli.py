@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -713,3 +715,30 @@ class TestEntryPoint:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _soak_argv(i: int) -> tuple:
+    """The i-th soak run: 2*10**4 events of a fresh Werner or attack source, seed i."""
+    spec = ("werner:0.9", "attack:1,0,0.5")[i % 2]
+    return "simulate", "--source", spec, "--events", "20000", "--seed", str(i)
+
+
+def test_simulate_soak_keeps_no_row_per_call(capsys):
+    # Long-running use does not leak: after a warm-up, each further run may grow traced
+    # memory by less than the bytes of the one CSV row it prints, so a call that kept
+    # even its own row (or a source, a table or a buffer, each larger) fails the bound.
+    warm, calls = 20, 300
+    row_bytes = min(len(run_cli(capsys, *_soak_argv(i))[1].splitlines()[1]) for i in range(warm))
+    tracemalloc.start()
+    try:
+        for i in range(warm):
+            run_cli(capsys, *_soak_argv(i))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(warm, warm + calls):
+            assert run_cli(capsys, *_soak_argv(i))[0] == 0
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < calls * row_bytes

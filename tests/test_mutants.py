@@ -16,8 +16,9 @@ from bbm92kit import fock, povm, rates, selfcheck, sim
 from bbm92kit.fock import Basis
 
 # the caches that keep values a row's patch changes: the plane constants of tau_b, which
-# read H and eps1*, and the projectors, which read povm's basis_state
-CACHES = (rates._plane_constants, povm.outcome_projectors)
+# read H and eps1*, the projectors, which read povm's basis_state, and the tally rows,
+# which read sim's _SAME_BASIS
+CACHES = (rates._plane_constants, povm.outcome_projectors, sim._tally_rows)
 
 
 def _scaled(kernel, scale):
@@ -94,6 +95,9 @@ MUTANTS = {
         {},
     ),
     "sift-rule-inverted": ([(sim, "_SAME_BASIS", np.logical_not)], {"check_simulation"}, {}),
+    # buckets of 2**-11 read through a table of 2**-12 buckets; werner's error cells floored
+    "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {"check_simulation"}, {}),
+    "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {"check_simulation"}, {}),
     "membership-tolerance-negative": (
         [(povm, "_MEMBERSHIP_TOL", lambda tol: -1e-3)], {"check_region_soundness"}, {}
     ),

@@ -299,7 +299,7 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("name", list(TABLE_SOURCES))
     def test_tables_equal_reference(self, name):
-        # the kernel's Born probabilities, cut points, indicators and guides are
+        # the kernel's Born probabilities, cut points, indicators and slot table are
         # the per-cell reference's to the bit, so a change of table arithmetic is
         # named here before any golden digest moves
         source = TABLE_SOURCES[name]()
@@ -310,8 +310,14 @@ class TestKernelMatchesReference:
         assert np.array_equal(kernel.branch_guide, np.where(branch < 0, -1, 4 * branch))
         width = len(kernel.cut) + 1
         assert kernel.probs.shape == (len(groups), width)
-        assert kernel.guide.shape == (len(groups), 2**12)
+        assert kernel.slots.shape == (len(groups) * 2**12,)
+        slots = kernel.slots.reshape(len(groups), 2**12)
         indicators = kernel.indicators.reshape(6, len(groups), width)
+        # the per-pair tally rows are cached, read-only, and those a fresh build gives
+        for b in source.branches:
+            rows = sim._tally_rows(b.n_a, b.n_b)
+            assert not rows.flags.writeable
+            assert np.array_equal(rows, sim._tally_rows.__wrapped__(b.n_a, b.n_b))
         for g, table in enumerate(groups):
             size = len(table.probs)
             assert np.array_equal(kernel.probs[g, :size], table.probs)
@@ -321,7 +327,8 @@ class TestKernelMatchesReference:
             same = g % 4 in (0, 3)
             assert np.array_equal(indicators[:, g, :size], _reference_indicators(table, same))
             assert not indicators[:, g, size:].any()
-            assert np.array_equal(kernel.guide[g], _reference_guide(table.cum[:-1]))
+            guide = _reference_guide(table.cum[:-1])
+            assert np.array_equal(slots[g], np.where(guide < 0, -1, g * width + guide))
 
 
 @st.composite
@@ -455,6 +462,28 @@ def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
         assert _run_chunked(source, num_events, seed, chunk) == _reference_run_protocol(
             source, num_events, seed, chunk
         )
+
+
+# Kernel mutants that `selftest`'s statistical criterion passes at the quick size: a
+# rolled guide and a doubled word scale move only draws near a cut point, a floor of 1e-3
+# only cells that small.  The exact comparison with the reference loop catches each at
+# a fixed source, size and seed.
+SURVIVING_KERNEL_MUTANTS = {
+    "guide-rolled-one-bucket": (
+        "_guides", lambda f: lambda cuts: np.roll(f(cuts), 1, axis=1), REFERENCE_SOURCES["werner"]
+    ),
+    "word-scale-doubled": ("_WORD_SCALE", lambda s: 2.0 * s, REFERENCE_SOURCES["mixture0"]),
+    "prob-floor-1e-3": ("_PROB_FLOOR", lambda floor: 1e-3, lambda: SourceModel.werner(0.999)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mutant, source", SURVIVING_KERNEL_MUTANTS.values(), ids=SURVIVING_KERNEL_MUTANTS
+)
+def test_reference_catches_kernel_mutant(monkeypatch, name, mutant, source):
+    want = _reference_run_protocol(source(), 20000, 0)
+    monkeypatch.setattr(sim, name, mutant(getattr(sim, name)))
+    assert run_protocol(source(), 20000, 0) != want
 
 
 class TestBornRuleFidelity:
