@@ -227,7 +227,12 @@ def check_tau_consistency(full: bool = False) -> CheckResult:
     """Criterion 5: closed-form tau against the numeric search and tau_low, and region continuity.
 
     Both sizes run the one _NUMERIC_GRID_POINTS search of `rates.tau_numeric`.  Continuity
-    compares tau 1e-12 either side of the (a)/(b) and (b)/(c) border lines of `rates._borders`.
+    compares tau either side of the (a)/(b) and (b)/(c) border lines of `rates._borders`, at
+    10 * _DOMAIN_TOL = 1e-11: a row up to _DOMAIN_TOL above a border belongs to the lower
+    region, so rows nearer than that take one closed form, and the rows must be 10 times
+    further to straddle the border past the rounding of its line.  Tau's slope in eps is at
+    most 3.5 at these rows, so across the 2e-11 gap it moves by 7.0e-11, 14 times under the
+    1e-9 cut, which a closed form off by 1e-9 or more fails.
     """
     d, e = _feasible_grid(100 if full else 20)
     d_ab = np.linspace(0.0, 0.2499, 120)
@@ -236,8 +241,9 @@ def check_tau_consistency(full: bool = False) -> CheckResult:
     edge_bc = rates._borders(d_bc)[1]
     limit_bc = rates.multiphoton_envelope(d_bc)
     edge_d = np.concatenate([d_ab, d_bc])
-    below = np.concatenate([np.maximum(edge_ab - 1e-12, 0.0), edge_bc - 1e-12])
-    above = np.concatenate([edge_ab + 1e-12, np.minimum(edge_bc + 1e-12, limit_bc)])
+    gap = 10 * rates._DOMAIN_TOL
+    below = np.concatenate([np.maximum(edge_ab - gap, 0.0), edge_bc - gap])
+    above = np.concatenate([edge_ab + gap, np.minimum(edge_bc + gap, limit_bc)])
     table = rates.rate_table(
         np.concatenate([d, edge_d, edge_d]), np.concatenate([e, below, above])
     )

@@ -45,6 +45,9 @@ _GUIDE_SIZE = 1 << _GUIDE_BITS
 # from those 16 bits to the top _GUIDE_BITS.
 _HIGH_UINT16 = 3 if sys.byteorder == "little" else 0
 _BUCKET_SHIFT = 16 - _GUIDE_BITS
+# A draw's key is group * 2**12 + bucket, with group 4 * branch + 2 * [Alice measures X] +
+# [Bob measures X], so the branch starts at key bit _GUIDE_BITS + 2.
+_BRANCH_SHIFT = _GUIDE_BITS + 2
 # Scale from a cut point c to the w >> 11 domain: c <= u iff ceil(c * 2**53) <= w >> 11.
 # The 2.0 padding becomes 2**54, above every draw.
 _WORD_SCALE = 2.0**53
@@ -230,47 +233,58 @@ class _Kernel:
 
     Group g = 4 * branch + 2 * [Alice measures X] + [Bob measures X]; slot
     g * width + s stands for outcome s of group g, whose Born probability is
-    ``probs[g, s]`` (zero-padded past the group's outcomes).  Column g of
-    ``cut`` holds the group's cumulative probabilities but the last, padded
-    with 2.0, so the count of its entries <= u is
-    min(searchsorted(cum, u, "right"), len(cum) - 1), the outcome drawn by u:
-    the padding is never <= u < 1.  Row i of ``indicators`` marks the slots
-    counted by tally i, in the order n, dbl, err, cor, mismatch, undetected.
-
-    ``slots[g * 2**12 + k]`` is slot g * width + s of the outcome s that every u
-    in bucket [k, k + 1) / 2**12 draws in group g (the draws whose word has top
-    12 bits k), or -1 where a cut point of group g lies strictly inside the
-    bucket.  ``branch_guide[k]`` is likewise 4 * branch for bucket k of the
-    branch draw, from the cut points ``branch_cum[:-1]``, or -1.  ``word_cut``
-    and ``branch_word_cut`` hold those cut points c as ceil(c * 2**53).
+    ``probs[g, s]`` (zero-padded past the group's outcomes).  Row i of
+    ``indicators`` marks the slots counted by tally i, in the order n, dbl, err, cor,
+    mismatch, undetected.  Row g of ``word_cut`` holds the group's cumulative probabilities c
+    but the last as ceil(c * 2**53), padded with 2**54, and ``slots`` is their `_slot_table`.
+    The branch draw is one group whose outcomes are the branches: ``branch_word_cut`` and
+    ``branch_slots`` hold the cumulative weights but the last the same way.
     """
 
-    branch_cum: np.ndarray
     probs: np.ndarray
-    cut: np.ndarray
     indicators: np.ndarray
-    branch_guide: np.ndarray
     slots: np.ndarray
     word_cut: np.ndarray
+    branch_slots: np.ndarray
     branch_word_cut: np.ndarray
 
 
-def _guides(cuts: np.ndarray) -> np.ndarray:
-    """Per row of sorted ``cuts``, the count <= each bucket's left edge; -1 where one splits it."""
+def _slot_table(cuts: np.ndarray) -> np.ndarray:
+    """Slot of each bucket of each row of sorted ``cuts``, or -1 where a cut point splits it.
+
+    Row r of width cut points has width + 1 outcomes; slot r * (width + 1) + s
+    stands for its outcome s, drawn by every u in bucket [k, k + 1) / 2**12
+    (the draws whose word has top 12 bits k) that no cut point splits.
+    """
     rows, width = cuts.shape
     scaled = cuts * _GUIDE_SIZE  # exact: a power-of-two scale
-    # c <= k / 2**12 exactly when ceil(c * 2**12) <= k, so a row's count steps up by one at
+    # c <= k / 2**12 exactly when ceil(c * 2**12) <= k, so a row's outcome steps up by one at
     # bucket ceil(c * 2**12) of each cut (cuts at or past 1, the 2.0 padding among them,
-    # never), and count j fills the run of buckets from step j to step j + 1
+    # never), and slot r * (width + 1) + j fills the run of buckets from step j to step j + 1
     steps = np.minimum(np.ceil(scaled), _GUIDE_SIZE).astype(np.intp)
     runs = np.diff(steps, axis=1, prepend=0, append=_GUIDE_SIZE)
-    # the smallest signed type that holds the counts 0..width and -1
-    outcomes = np.arange(width + 1, dtype=np.min_scalar_type(-1 - width))
-    counts = np.repeat(np.tile(outcomes, rows), runs.ravel())
-    counts = counts.reshape(rows, _GUIDE_SIZE)
+    # the smallest signed type that holds every slot and -1
+    slots = np.arange(rows * (width + 1), dtype=np.min_scalar_type(-rows * (width + 1)))
+    slots = np.repeat(slots, runs.ravel()).reshape(rows, _GUIDE_SIZE)
     inside = (scaled < _GUIDE_SIZE) & (scaled != np.floor(scaled))
-    counts[np.nonzero(inside)[0], scaled[inside].astype(np.intp)] = -1
-    return counts
+    slots[np.nonzero(inside)[0], scaled[inside].astype(np.intp)] = -1
+    return slots
+
+
+def _search(slots, word_cut, key, words, out=None) -> np.ndarray:
+    """Slot drawn by each of ``words`` at its ``key`` = group * 2**12 + bucket.
+
+    One gather from the `_slot_table` ``slots``; only the draws in a split bucket go on to
+    count the cut points c of their group's row of ``word_cut``, ceil(c * 2**53), that are
+    <= w >> 11, which holds exactly when c <= u.
+    """
+    out = slots.take(key, out=out)
+    split = np.flatnonzero(out < 0)
+    if split.size:
+        group, draw = key[split] >> _GUIDE_BITS, words[split] >> 11
+        count = np.sum(word_cut[group] <= draw[:, None], axis=1)
+        out[split] = (word_cut.shape[1] + 1) * group + count
+    return out
 
 
 # Whether each basis pair of a branch, in group order Z/Z, Z/X, X/Z, X/X, is sifted.
@@ -328,22 +342,18 @@ def _build_kernel(source: SourceModel) -> _Kernel:
     width = max(probs.shape[1] for probs, _ in tables)
     groups = 4 * len(tables)
     table = np.zeros((groups, width))
-    cut = np.full((width - 1, groups), 2.0)
+    cut = np.full((groups, width - 1), 2.0)
     indicators = np.zeros((6, groups, width), dtype=np.int64)
     for g, (probs, rows) in zip(range(0, groups, 4), tables):
         size = probs.shape[1]
         table[g : g + 4, :size] = probs
-        cut[: size - 1, g : g + 4] = np.cumsum(probs, axis=1)[:, :-1].T
+        cut[g : g + 4, : size - 1] = np.cumsum(probs, axis=1)[:, :-1]
         indicators[:, g : g + 4, :size] = rows
-    guide = _guides(cut.T)
-    slots = np.where(guide < 0, -1, width * np.arange(groups)[:, None] + guide).ravel()
-    slots = slots.astype(np.min_scalar_type(-groups * width))
-    branch_cum = np.cumsum([b.weight for b in source.branches])
-    branch = _guides(branch_cum[None, :-1])[0].astype(np.int32)
-    branch_guide = np.where(branch < 0, -1, 4 * branch)
-    # exact: a power-of-two scale of values <= 2, and integers <= 2**54 convert exactly
-    scaled = [np.ceil(c * _WORD_SCALE).astype(np.uint64) for c in (cut, branch_cum[:-1])]
-    return _Kernel(branch_cum, table, cut, indicators.reshape(6, -1), branch_guide, slots, *scaled)
+    fields = [table, indicators.reshape(6, -1)]
+    for cuts in cut, np.cumsum([b.weight for b in source.branches])[None, :-1]:
+        # exact: a power-of-two scale of values <= 2, and integers <= 2**54 convert exactly
+        fields += [_slot_table(cuts), np.ceil(cuts * _WORD_SCALE).astype(np.uint64)]
+    return _Kernel(*fields)
 
 
 def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally:
@@ -354,19 +364,15 @@ def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally
     slots, and the tallies are the slot counts summed over their indicators.
     The kernel reads the raw words of ``event_uniforms`` and never forms the
     draws u = (w >> 11) * 2**-53: a basis is X when its word's top bit is set
-    (u >= 1/2), and the slot is one gather from the kernel's slot table at the
-    key group * 2**12 + floor(2**12 * u), built from the words' high 16 bits,
-    which one strided pass copies to four rows: uint16 up to four branches
-    (2**16 entries), int32 beyond.  Only draws in a bucket a cut point splits
-    go on to compare w >> 11 with the group's cut points c, held per source
-    as ceil(c * 2**53); c <= u exactly when that integer is <= w >> 11.  The
-    branch is looked up the same way, with a search as its fallback, and only
-    for mixtures.  Events run in chunks of _CHUNK_EVENTS = 2**15, through
-    buffers made once per call.
+    (u >= 1/2), and `_search` finds the slot at the key group * 2**12 +
+    floor(2**12 * u), built from the words' high 16 bits, which one strided
+    pass copies to four rows: uint16 up to four branches (2**16 entries),
+    int32 beyond.  The branch comes from the same search, over one group
+    whose outcomes are the branches, and only for mixtures.  Events run in
+    chunks of _CHUNK_EVENTS = 2**15, through buffers made once per call.
     """
     _check_count(num_events, "num_events", 1)
     kernel = source._kernel
-    width, branch_cut = len(kernel.cut) + 1, kernel.branch_word_cut
     key_type = np.uint16 if kernel.slots.size <= 1 << 16 else np.int32
     size = min(num_events, _CHUNK_EVENTS)
     high, key = np.empty((4, size), np.uint16), np.empty(size, key_type)
@@ -382,18 +388,12 @@ def run_protocol(source: SourceModel, num_events: int, seed: int) -> SiftedTally
             np.right_shift(h[column], 15 - bit, out=h[column])
             np.bitwise_and(h[column], 1 << bit, out=h[column])
             np.bitwise_or(k, h[column], out=k)
-        if len(branch_cut):
-            base = kernel.branch_guide.take(np.right_shift(h[2], _BUCKET_SHIFT, out=h[2]))
-            split = np.flatnonzero(base < 0)
-            if split.size:
-                base[split] = 4 * np.searchsorted(branch_cut, words[split, 2] >> 11, side="right")
-            # the group offsets base * 2**12 fit the key: below 2**16 when it is uint16
-            np.bitwise_or(k, base << _GUIDE_BITS, out=k, casting="unsafe")
-        kernel.slots.take(k, out=s)
-        split = np.flatnonzero(s < 0)
-        if split.size:
-            in_group, draw = k[split] >> _GUIDE_BITS, words[split, 3] >> 11
-            s[split] = width * in_group + np.sum(kernel.word_cut[:, in_group] <= draw, axis=0)
+        if kernel.branch_word_cut.size:
+            np.right_shift(h[2], _BUCKET_SHIFT, out=h[2])
+            branch = _search(kernel.branch_slots, kernel.branch_word_cut, h[2], words[:, 2])
+            # the group offsets fit the key: below 2**16 when it is uint16
+            k |= branch.astype(key_type) << _BRANCH_SHIFT
+        _search(kernel.slots, kernel.word_cut, k, words[:, 3], s)
         totals += np.bincount(s, minlength=len(totals))
     n, dbl, err, cor, mismatch, undetected = (int(c) for c in kernel.indicators @ totals)
     return SiftedTally(n, dbl, err, cor, num_events, mismatch, undetected)

@@ -641,7 +641,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c95e3893e130cd7ece2c28286a58c5ad65e6f6f1b5b7c63a15e86f00579b5aa0"
+            "51893df05717636ca08a23716cba369d3712ae9ccc316231039612ac34359eba"
         )
 
     @pytest.mark.parametrize(
@@ -718,25 +718,50 @@ class TestEntryPoint:
 
 
 def _soak_argv(i: int) -> tuple:
-    """The i-th soak run: 2*10**4 events of a fresh Werner or attack source, seed i."""
+    """The i-th simulate soak run: 2*10**4 events of a fresh Werner or attack source, seed i."""
     spec = ("werner:0.9", "attack:1,0,0.5")[i % 2]
     return "simulate", "--source", spec, "--events", "20000", "--seed", str(i)
 
 
-def test_simulate_soak_keeps_no_row_per_call(capsys):
+def _soak_point(i: int) -> tuple:
+    """The i-th soak run's (delta, eps) flags, a feasible row that moves with i."""
+    return "--delta", str(0.01 + 1e-4 * i), "--eps", str(0.02 + 1e-4 * i)
+
+
+# Per command: the argv of soak run i, and the runs measured after the warm-up.  Values and
+# seeds vary with i, photon pairs never: `outcome_projectors` keeps one entry per pair.
+SOAK_RUNS = {
+    "simulate": (_soak_argv, 300),
+    "tau": (lambda i: ("tau", *_soak_point(i)), 100),
+    "keyrate": (lambda i: ("keyrate", *_soak_point(i), "--f", str(1 + i)), 100),
+    "tradeoff": (
+        lambda i: (
+            "tradeoff", "--na", "1", "--nb", "2", "--points", str(50 + i % 7), "--seed", str(i)
+        ),
+        100,
+    ),
+    "attack": (
+        lambda i: ("attack", "--alpha", str(0.1 + 1e-3 * i), "--beta", str(0.2 - 1e-3 * i)), 100
+    ),
+    "attack-sweep": (lambda i: ("attack", "--sweep", "50"), 100),
+}
+
+
+@pytest.mark.parametrize("argv, calls", SOAK_RUNS.values(), ids=SOAK_RUNS)
+def test_soak_keeps_no_row_per_call(capsys, argv, calls):
     # Long-running use does not leak: after a warm-up, each further run may grow traced
-    # memory by less than the bytes of the one CSV row it prints, so a call that kept
+    # memory by less than the bytes of the first CSV row it prints, so a call that kept
     # even its own row (or a source, a table or a buffer, each larger) fails the bound.
-    warm, calls = 20, 300
-    row_bytes = min(len(run_cli(capsys, *_soak_argv(i))[1].splitlines()[1]) for i in range(warm))
+    warm = 20
+    row_bytes = min(len(run_cli(capsys, *argv(i))[1].splitlines()[1]) for i in range(warm))
     tracemalloc.start()
     try:
         for i in range(warm):
-            run_cli(capsys, *_soak_argv(i))
+            run_cli(capsys, *argv(i))
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for i in range(warm, warm + calls):
-            assert run_cli(capsys, *_soak_argv(i))[0] == 0
+            assert run_cli(capsys, *argv(i))[0] == 0
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:

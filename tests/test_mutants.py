@@ -83,11 +83,12 @@ MUTANTS = {
         {},
     ),
     # lru_cached like the original, whose cache check_eps1_star clears; criterion 5 holds
-    # tau to tau_numeric within 1e-5 only, so it passes this mutant
+    # tau to tau_numeric within 1e-5 only, but its rows either side of a border see the
+    # moved plane of region (b) part from its neighbours
     "eps1-star-plus-1e-4": (
         [(rates, "eps1_star", lambda root: lru_cache(lambda: root() + 1e-4))],
-        {"check_eps1_star"},
-        {},
+        {"check_eps1_star", TAU},
+        {TAU: "max dev 9.02e-08, continuity 2.25e-08"},
     ),
     "shrink-at-0.99-delta": (
         [(rates, "_shrink", lambda f: lambda d, e, f_ec: f(0.99 * d, e, f_ec))],
@@ -98,6 +99,17 @@ MUTANTS = {
     # buckets of 2**-11 read through a table of 2**-12 buckets; werner's error cells floored
     "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {"check_simulation"}, {}),
     "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {"check_simulation"}, {}),
+    # the branch's key bits one lower, on Alice's basis bit: the mixture reads wrong groups
+    "branch-shift-13": ([(sim, "_BRANCH_SHIFT", lambda s: s - 1)], {"check_simulation"}, {}),
+    # the runtime border check off, so only criterion 5's rows either side of a border see it
+    "tau-b-plus-1e-6": (
+        [
+            (rates, "_tau_b", lambda f: lambda d, e: f(d, e) + 1e-6),
+            (rates, "_check_region_continuity", lambda f: lambda *args: None),
+        ],
+        {TAU},
+        {},
+    ),
     "membership-tolerance-negative": (
         [(povm, "_MEMBERSHIP_TOL", lambda tol: -1e-3)], {"check_region_soundness"}, {}
     ),

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import sys
 import weakref
 from functools import partial
@@ -228,7 +229,7 @@ class TestRunProtocol:
         source = _random_mixture(11)
         kernel = source._kernel
         _, groups = _reference_tables(source)
-        width = len(kernel.cut) + 1
+        width = kernel.probs.shape[1]
         n_row, _, err_row, cor_row = kernel.indicators[:4]
         bits = (Outcome.BIT0.value, Outcome.BIT1.value)
         checked = 0
@@ -275,6 +276,11 @@ def _reference_guide(cuts: np.ndarray) -> np.ndarray:
     return np.where(below_right > at_left, -1, at_left)
 
 
+def _word_cut(cuts: np.ndarray) -> np.ndarray:
+    """Cut points c as the integers ceil(c * 2**53) that w >> 11 reaches exactly when c <= u."""
+    return np.ceil(cuts * 2.0**53).astype(np.uint64)
+
+
 def _reference_indicators(table: _RefGroup, same: bool) -> np.ndarray:
     """Tally rows n, dbl, err, cor, mismatch, undetected of one group's cells, from their codes."""
     a, b = table.codes_a, table.codes_b
@@ -299,19 +305,18 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("name", list(TABLE_SOURCES))
     def test_tables_equal_reference(self, name):
-        # the kernel's Born probabilities, cut points, indicators and slot table are
+        # the kernel's Born probabilities, cut points, indicators and slot tables are
         # the per-cell reference's to the bit, so a change of table arithmetic is
         # named here before any golden digest moves
         source = TABLE_SOURCES[name]()
         kernel = source._kernel
         branch_cum, groups = _reference_tables(source)
-        assert np.array_equal(kernel.branch_cum, branch_cum)
-        branch = _reference_guide(branch_cum[:-1])
-        assert np.array_equal(kernel.branch_guide, np.where(branch < 0, -1, 4 * branch))
-        width = len(kernel.cut) + 1
+        assert np.array_equal(kernel.branch_word_cut, _word_cut(branch_cum[None, :-1]))
+        assert np.array_equal(kernel.branch_slots, _reference_guide(branch_cum[:-1])[None])
+        width = max(len(table.probs) for table in groups)
         assert kernel.probs.shape == (len(groups), width)
-        assert kernel.slots.shape == (len(groups) * 2**12,)
-        slots = kernel.slots.reshape(len(groups), 2**12)
+        assert kernel.word_cut.shape == (len(groups), width - 1)
+        assert kernel.slots.shape == (len(groups), 2**12)
         indicators = kernel.indicators.reshape(6, len(groups), width)
         # the per-pair tally rows are cached, read-only, and those a fresh build gives
         for b in source.branches:
@@ -322,13 +327,13 @@ class TestKernelMatchesReference:
             size = len(table.probs)
             assert np.array_equal(kernel.probs[g, :size], table.probs)
             assert not kernel.probs[g, size:].any()
-            assert np.array_equal(kernel.cut[: size - 1, g], table.cum[:-1])
-            assert np.all(kernel.cut[size - 1 :, g] == 2.0)
+            assert np.array_equal(kernel.word_cut[g, : size - 1], _word_cut(table.cum[:-1]))
+            assert np.all(kernel.word_cut[g, size - 1 :] == 2**54)
             same = g % 4 in (0, 3)
             assert np.array_equal(indicators[:, g, :size], _reference_indicators(table, same))
             assert not indicators[:, g, size:].any()
             guide = _reference_guide(table.cum[:-1])
-            assert np.array_equal(slots[g], np.where(guide < 0, -1, g * width + guide))
+            assert np.array_equal(kernel.slots[g], np.where(guide < 0, -1, g * width + guide))
 
 
 @st.composite
@@ -356,7 +361,7 @@ def test_chunked_run_equals_single_pass_for_any_chunk(source, num_events, seed, 
 def test_guide_marks_split_buckets():
     # cut points on an edge leave their buckets whole; one or several strictly
     # inside a bucket mark it; the 2.0 padding and a cut at 1 mark nothing.
-    # Row 1 is all padding; row 2 is a branch guide's cuts 0.3 and 0.6, padded.
+    # Row 1 is all padding; row 2 is a branch draw's cuts 0.3 and 0.6, padded.
     cuts = np.array(
         [
             [2**-20, 2**-19, 0.25, 0.25 + 2**-20, 0.5, 1.0, 2.0],
@@ -364,7 +369,9 @@ def test_guide_marks_split_buckets():
             [0.3, 0.6] + [2.0] * 5,
         ]
     )
-    guide = sim._guides(cuts)
+    slots = sim._slot_table(cuts)
+    # row r's slots are r * 8 + its outcome, for 7 cut points and 8 outcomes
+    guide = np.where(slots < 0, -1, slots - 8 * np.arange(3)[:, None])
     assert guide.shape == (3, 2**12)
     assert guide[0, 0] == -1
     assert guide[0, 1] == 2
@@ -427,8 +434,8 @@ def _edge_draws(source: SourceModel):
     every word stay random, so a kernel that reads them disagrees with the
     reference.
     """
-    kernel = source._kernel
-    cuts = np.concatenate([kernel.cut.ravel(), kernel.branch_cum[:-1], [0.5]])
+    branch_cum, groups = _reference_tables(source)
+    cuts = np.concatenate([*(table.cum[:-1] for table in groups), branch_cum[:-1], [0.5]])
     cuts = cuts[cuts < 1.0]
     edges = np.floor(cuts / _BUCKET) * _BUCKET
     points = np.concatenate([cuts, edges, edges + _BUCKET])
@@ -464,23 +471,52 @@ def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
         )
 
 
+def _rewritten(old: str, new: str):
+    """Mutant of a function: its source, with the one occurrence of ``old`` made ``new``."""
+
+    def mutant(f):
+        text = inspect.getsource(f)
+        assert text.count(old) == 1
+        scope = {}
+        exec(text.replace(old, new), vars(sys.modules[f.__module__]), scope)
+        return scope[f.__name__]
+
+    return mutant
+
+
 # Kernel mutants that `selftest`'s statistical criterion passes at the quick size: a
-# rolled guide and a doubled word scale move only draws near a cut point, a floor of 1e-3
-# only cells that small.  The exact comparison with the reference loop catches each at
-# a fixed source, size and seed.
+# rolled slot table, a doubled word scale, a split bucket's slot counted from a wrong
+# width and a strict compare move only draws near a cut point, a floor of 1e-3 only cells
+# that small.  The exact comparison with the reference loop catches each at a fixed
+# source, size and seed; the strict compare only on draws that land on a cut point.
 SURVIVING_KERNEL_MUTANTS = {
     "guide-rolled-one-bucket": (
-        "_guides", lambda f: lambda cuts: np.roll(f(cuts), 1, axis=1), REFERENCE_SOURCES["werner"]
+        "_slot_table",
+        lambda f: lambda cuts: np.roll(f(cuts), 1, axis=1),
+        REFERENCE_SOURCES["werner"],
+        False,
     ),
-    "word-scale-doubled": ("_WORD_SCALE", lambda s: 2.0 * s, REFERENCE_SOURCES["mixture0"]),
-    "prob-floor-1e-3": ("_PROB_FLOOR", lambda floor: 1e-3, lambda: SourceModel.werner(0.999)),
+    "word-scale-doubled": ("_WORD_SCALE", lambda s: 2.0 * s, REFERENCE_SOURCES["mixture0"], False),
+    "prob-floor-1e-3": (
+        "_PROB_FLOOR", lambda floor: 1e-3, lambda: SourceModel.werner(0.999), False
+    ),
+    "search-width-off-by-one": (
+        "_search", _rewritten("shape[1] + 1", "shape[1]"), REFERENCE_SOURCES["werner"], False
+    ),
+    "search-compare-strict": (
+        "_search", _rewritten("<= draw", "< draw"), REFERENCE_SOURCES["mixture0"], True
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "name, mutant, source", SURVIVING_KERNEL_MUTANTS.values(), ids=SURVIVING_KERNEL_MUTANTS
+    "name, mutant, source, on_cuts", SURVIVING_KERNEL_MUTANTS.values(), ids=SURVIVING_KERNEL_MUTANTS
 )
-def test_reference_catches_kernel_mutant(monkeypatch, name, mutant, source):
+def test_reference_catches_kernel_mutant(monkeypatch, name, mutant, source, on_cuts):
+    if on_cuts:
+        draws = _edge_draws(source())
+        monkeypatch.setattr(sim, "event_uniforms", draws)
+        monkeypatch.setattr(sys.modules[__name__], "event_uniforms", draws)
     want = _reference_run_protocol(source(), 20000, 0)
     monkeypatch.setattr(sim, name, mutant(getattr(sim, name)))
     assert run_protocol(source(), 20000, 0) != want
