@@ -12,17 +12,14 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, attack, povm, rates, selfcheck, sim
+from . import __version__, attack, fock, povm, rates, sim
 from .errors import InfeasibleError, NumericalError
-from .fock import _check_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,7 +48,7 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec must be start:stop:count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
-    _check_count(count, "grid count", 1)
+    fock._check_count(count, "grid count", 1)
     return np.linspace(start, stop, count)
 
 
@@ -99,12 +96,15 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _json_cell(value) -> str:
-    """A cell as json.dumps writes it, but NaN as null and an infinity as its repr."""
+def _json_cell(value, quote) -> str:
+    """A cell as json.dumps writes it, but NaN as null and an infinity as its repr.
+
+    ``quote`` is json's string encoder, which the caller imports with json.
+    """
     if isinstance(value, float):
         return "null" if value != value else float.__repr__(value)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return quote(value)
     if value is None:
         return "null"
     if value is True:
@@ -116,7 +116,7 @@ def _json_cell(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _column_cells(values: list) -> list[str]:
+def _column_cells(values: list, quote) -> list[str]:
     """_json_cell of each value, with the repr of each distinct nonzero float made once.
 
     A traced boundary repeats its curve points, so many floats recur within a
@@ -128,14 +128,14 @@ def _column_cells(values: list) -> list[str]:
     return [
         (memo.get(value) or memo.setdefault(value, float.__repr__(value)))
         if type(value) is float and value and value == value
-        else _json_cell(value)
+        else _json_cell(value, quote)
         for value in values
     ]
 
 
-def _json_rows(columns: dict[str, list]) -> str:
+def _json_rows(columns: dict[str, list], quote) -> str:
     """The items of the rows array as json.dumps(..., indent=2) nests them in the payload."""
-    cells = [_column_cells(values) for values in columns.values()]
+    cells = [_column_cells(values, quote) for values in columns.values()]
     if any("inf" in column or "-inf" in column for column in cells):
         # the error json.dumps raises at the first infinity in row order
         for row in zip(*columns.values()):
@@ -143,7 +143,7 @@ def _json_rows(columns: dict[str, list]) -> str:
                 if isinstance(value, float) and math.isinf(value):
                     raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     fields = ",\n".join(
-        f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in columns
+        f"      {quote(name).replace('%', '%%')}: %s" for name in columns
     )
     template = "    {\n" + fields + "\n    }"
     return ",\n".join(template % row for row in zip(*cells))
@@ -169,8 +169,10 @@ def _emit(args, columns: dict[str, list], meta_extra=None, summary_lines=()) -> 
     if meta_extra:
         meta.update(meta_extra)
     if args.format == "json":
+        import json  # the CSV path does without it
+
         head = json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
-        rows = _json_rows(columns)
+        rows = _json_rows(columns, json.encoder.encode_basestring_ascii)
         body = f"[\n{rows}\n  ]" if rows else "[]"
         text = f'{head},\n  "rows": {body}\n}}\n'
     else:
@@ -250,11 +252,11 @@ def _cells(values: np.ndarray) -> list:
 
 
 def _cmd_tradeoff(args) -> int:
-    _check_count(args.seed, "--seed", 0)
+    fock._check_count(args.seed, "--seed", 0)
     pair = povm.PhotonPair(args.na, args.nb)
     # the gates of trace_boundary and random_state_fractions, which the odd-odd path skips
-    _check_count(args.points, "num_points", 2)
-    _check_count(args.samples, "count", 0)
+    fock._check_count(args.points, "num_points", 2)
+    fock._check_count(args.samples, "count", 0)
     if pair.n_a % 2 == 1 and pair.n_b % 2 == 1:
         value = povm.min_double_click(pair)
         columns = {
@@ -361,7 +363,7 @@ def parse_source(spec: str) -> sim.SourceModel:
 
 def _cmd_simulate(args) -> int:
     source = parse_source(args.source)
-    _check_count(args.events, "--events", 1)
+    fock._check_count(args.events, "--events", 1)
     rates._check_f(args.f, "--f")
     sim._check_seed(args.seed, "--seed")
     report = sim.end_to_end(source, args.events, f=args.f, seed=args.seed)
@@ -391,6 +393,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selfcheck  # the one command that runs every layer
+
     results = selfcheck.run_all()
     failed = 0
     for check in results:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import hashlib
@@ -683,6 +684,36 @@ class TestSelftestCommand:
         assert line in lines
 
 
+LAYER_MODULES = {"attack", "fock", "povm", "rates", "sim"}
+
+# Per run through cli.main (None: a bare `import bbm92kit`): the package modules whose
+# code runs, and modules it must not import.  The layer modules it does not run stay
+# deferred, and no run but selftest imports selfcheck.
+LOADED_MODULES = {
+    "keyrate": (
+        ("keyrate", "--delta", "0.05", "--eps", "0.02"),
+        {"cli", "errors", "rates"},
+        {"json", "scipy"},
+    ),
+    "tau": (
+        ("tau", "--delta", "0.05", "--eps", "0.02"),
+        {"cli", "errors", "rates"},
+        {"json", "scipy"},
+    ),
+    "attack": (
+        ("attack", "--alpha", "1", "--beta", "0"),
+        {"cli", "errors", "attack", "fock", "povm", "rates"},
+        {"json", "scipy"},
+    ),
+    "simulate": (
+        ("simulate", "--source", "werner:0.9", "--events", "1000", "--seed", "1"),
+        {"cli", "errors", *LAYER_MODULES},
+        {"json", "scipy"},
+    ),
+    "import": (None, {"errors"}, {"json", "numpy", "scipy"}),
+}
+
+
 def run_python(*args):
     """A child Python process that imports this same package."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -691,6 +722,7 @@ def run_python(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        timeout=120,
     )
 
 
@@ -704,17 +736,61 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
-    def test_cli_call_loads_no_scipy(self):
-        # numpy is the package's only runtime dependency
+    @pytest.mark.parametrize("argv, ran, not_imported", LOADED_MODULES.values(), ids=LOADED_MODULES)
+    def test_run_loads_only_what_it_runs(self, argv, ran, not_imported):
+        # a deferred module stays a _DeferredModule until its code runs, and reading
+        # its type runs nothing; numpy is the package's only runtime dependency
+        run = "import bbm92kit\n" if argv is None else (
+            f"from bbm92kit import cli\nassert cli.main({list(argv)!r}) == 0\n"
+        )
         code = (
-            "import sys\n"
-            "from bbm92kit import cli\n"
-            "assert cli.main(['tau', '--delta', '0.05', '--eps', '0.02']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"import sys, types\n{run}"
+            "states = {name: type(module) is types.ModuleType"
+            " for name, module in sys.modules.items() if name.startswith('bbm92kit.')}\n"
+            "print((states, sorted({name.partition('.')[0] for name in sys.modules})))\n"
         )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        states, imported = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert states == {f"bbm92kit.{name}": name in ran for name in ran | LAYER_MODULES}
+        assert not not_imported & set(imported)
+
+    def test_first_use_from_many_threads(self):
+        # threads released at once all find the names; none sees a module whose code
+        # is still running
+        code = (
+            "import sys, threading\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "import bbm92kit\n"
+            "barrier, failures = threading.Barrier(8), []\n"
+            "def first_use():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        bbm92kit.sim.run_protocol, bbm92kit.rates.rate_table\n"
+            "    except Exception as exc:\n"
+            "        failures.append(repr(exc))\n"
+            "threads = [threading.Thread(target=first_use) for _ in range(8)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=60)\n"
+            "print(failures, sum(thread.is_alive() for thread in threads))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] 0"
+
+    def test_write_before_first_use_is_kept(self):
+        # a write or delete runs the module's code first, so that code cannot undo it
+        code = (
+            "import bbm92kit\n"
+            "bbm92kit.rates.g = None\n"
+            "del bbm92kit.fock.basis_state\n"
+            "print(bbm92kit.rates.g, hasattr(bbm92kit.fock, 'basis_state'))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "None False"
 
 
 def _soak_argv(i: int) -> tuple:
