@@ -34,8 +34,8 @@ _EXPORTS = {
         "multimode_inner_product",
     ),
     "povm": (
-        "DIM_CAP", "PhotonPair", "joint_operators", "min_double_click", "outcome_projectors",
-        "random_state_fractions", "region_membership", "trace_boundary",
+        "DIM_CAP", "Outcome", "PhotonPair", "joint_operators", "min_double_click",
+        "outcome_projectors", "random_state_fractions", "region_membership", "trace_boundary",
     ),
     "rates": (
         "ObservedStats", "RateTable", "binary_entropy", "eps1_star", "g", "in_stats_domain",
@@ -43,8 +43,8 @@ _EXPORTS = {
         "tau_numeric", "tau_numeric_array",
     ),
     "sim": (
-        "Outcome", "SiftedTally", "SimulationReport", "SourceBranch", "SourceModel",
-        "analytic_fractions", "end_to_end", "event_uniforms", "run_protocol",
+        "SiftedTally", "SimulationReport", "SourceBranch", "SourceModel", "analytic_fractions",
+        "end_to_end", "event_uniforms", "run_protocol",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -47,6 +47,13 @@ def _check_count(value: int, name: str, least: float) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_photons(n: int, least: int) -> None:
+    """The one gate of every photon number: the count gate, then at most MAX_PHOTONS."""
+    _check_count(n, "photon count", least)
+    if n > MAX_PHOTONS:
+        raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
+
+
 @dataclass(frozen=True)
 class ModePartition:
     """Split of ``n`` photons into per-mode photon numbers ``parts``."""
@@ -73,9 +80,7 @@ def basis_state(n: int, w: Basis, b: Bit) -> np.ndarray:
     basis they are the n-fold diagonal states, whose occupation amplitudes
     are signed square roots of binomial coefficients scaled by 2^(-n/2).
     """
-    _check_count(n, "photon count", 1)
-    if n > MAX_PHOTONS:
-        raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
+    _check_photons(n, 1)
     b = Bit(b)
     amps = np.zeros(n + 1)
     if w is Basis.Z:

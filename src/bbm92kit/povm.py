@@ -7,18 +7,22 @@ round is described by three positive operators on the joint space: "correct"
 (<double click>, <error>) form a convex region.  Its lower boundary is the
 lower edge of one 2x2 block of the error and double-click operators, which
 `trace_boundary` evaluates in closed form; no eigensolver runs there.
+
+The outcome roles (sifted, double click, error, correct) are defined once, as
+the `_tally_rows` masks that `joint_operators` and `sim`'s kernel both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from enum import Enum
+from functools import cache, lru_cache
 
 import numpy as np
 
 from . import rates
 from .errors import NumericalError
-from .fock import MAX_PHOTONS, Basis, Bit, _check_count, basis_state
+from .fock import Basis, Bit, _check_count, _check_photons, basis_state
 
 # Joint dimension (n_A+1)(n_B+1) allowed for dense operator work.  Everything
 # the bounds need shows up well below this.
@@ -32,9 +36,7 @@ def capped_joint_dim(n_a: int, n_b: int) -> int:
     pair is rejected where it is built, not where its states are first formed.
     """
     for n in (n_a, n_b):
-        _check_count(n, "photon count", 0)
-        if n > MAX_PHOTONS:
-            raise ValueError(f"photon count {n} exceeds supported maximum {MAX_PHOTONS}")
+        _check_photons(n, 0)
     dim = (n_a + 1) * (n_b + 1)
     if dim > DIM_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
@@ -53,19 +55,15 @@ _MEMBERSHIP_TOL = 1e-9
 def eigh_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrize, eigendecompose, and verify the residual ||Av - lambda v||.
 
-    Takes one matrix or a stack (..., d, d); each matrix's residual is held to
-    1e-10 times its own largest |eigenvalue|.
+    The largest column residual is held to 1e-10 times the largest |eigenvalue|.
     """
-    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    sym = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(sym)
-    scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-300)
-    residual = np.max(np.linalg.norm(sym @ v - v * w[..., None, :], axis=-2), axis=-1)
-    failing = residual > 1e-10 * scale
-    if np.any(failing):
-        i = np.argmax(failing)
+    scale = max(float(np.max(np.abs(w))), 1e-300)
+    residual = float(np.max(np.linalg.norm(sym @ v - v * w, axis=0)))
+    if residual > 1e-10 * scale:
         raise NumericalError(
-            f"eigendecomposition residual {residual.flat[i]:.3e} "
-            f"exceeds 1e-10 * {scale.flat[i]:.3e}"
+            f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
         )
     return w, v
 
@@ -126,19 +124,54 @@ def _outcome_krons(n_a: int, n_b: int) -> np.ndarray:
     ).reshape(4, ka * kb, da * db, da * db)
 
 
+class Outcome(Enum):
+    """What one party's detector pair reported for one event."""
+
+    BIT0 = 0
+    BIT1 = 1
+    DOUBLE = 2
+    NO_DETECTION = 3
+
+
+# Whether each basis pair, in `_outcome_krons` row order Z/Z, Z/X, X/Z, X/X, is sifted.
+_SAME_BASIS = np.array([[True], [False], [False], [True]])
+
+
+# One party's outcome codes, in `outcome_projectors` order; vacuum (n = 0) has one outcome.
+_CODES = np.array([Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value])
+_VACUUM_CODES = np.array([Outcome.NO_DETECTION.value])
+
+
+@cache
+def _tally_rows(n_a: int, n_b: int) -> np.ndarray:
+    """Read-only (6, 4, cells) masks over the rows and cells of `_outcome_krons`.
+
+    One per tally: sifted, double click, error, correct, mismatched bases, undetected.
+    """
+    codes_a, codes_b = (_CODES if n else _VACUUM_CODES for n in (n_a, n_b))
+    a, b = np.repeat(codes_a, len(codes_b)), np.tile(codes_b, len(codes_a))
+    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
+    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
+    err = detected & ~dbl & (a != b)
+    kept = _SAME_BASIS & detected
+    rows = (kept, kept & dbl, kept & err, kept & ~dbl & ~err, ~_SAME_BASIS, ~detected)
+    rows = np.stack(np.broadcast_arrays(*rows))
+    rows.setflags(write=False)
+    return rows
+
+
 def joint_operators(pair: PhotonPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f_dbl, f_err, f_cor): the double-click, error and correct operators of a pair.
 
-    f_cor and f_err average over both bases the krons of the two sides'
-    same-bit and opposite-bit projectors, so their expectations are the
+    f_cor and f_err average over both bases the krons that the correct and
+    error masks of `_tally_rows` select, so their expectations are the
     same-bit and bit-error fractions; f_dbl is their complement I - f_cor - f_err.
-    Each sum adds its four krons in the order Z0, Z1, X0, X1 from 0.0, as a
-    loop of np.kron would, and so rounds the same.
+    Each sum adds its four krons in the masks' row-major order Z0, Z1, X0, X1
+    from 0.0, as a loop of np.kron would, and so rounds the same.
     """
     krons = _outcome_krons(pair.n_a, pair.n_b)
-    # the Z/Z (row 0) and X/X (row 3) basis pairs; A's bit i with B's bit j is cell 3 i + j
-    same = 0.5 * sum((krons[w, c] for w in (0, 3) for c in (0, 4)), 0.0)
-    opposite = 0.5 * sum((krons[w, c] for w in (0, 3) for c in (1, 3)), 0.0)
+    _, _, err, cor, _, _ = _tally_rows(pair.n_a, pair.n_b)
+    same, opposite = (0.5 * sum(krons[mask], 0.0) for mask in (cor, err))
     return np.eye(pair.joint_dim) - same - opposite, opposite, same
 
 

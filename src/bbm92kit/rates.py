@@ -18,7 +18,7 @@ calls, `ObservedStats` for the scalar ones, and `in_stats_domain` for the key
 rates of a simulated run.  The row code below the entry points calls the
 unchecked kernels `_entropy`, `_curve` and `_envelope`, whose arguments the
 checked rows keep inside their domains; the public `binary_entropy`, `g` and
-`multiphoton_envelope` keep their checks for outside callers.
+`multiphoton_envelope` keep their checks for outside callers, all in `_gate`.
 """
 
 from __future__ import annotations
@@ -84,12 +84,20 @@ def _nans(shape) -> np.ndarray:
     return out
 
 
-def _check_within(arr: np.ndarray, lo: float, hi: float, what: str) -> None:
-    """Raise ValueError naming the first value of ``arr`` that is NaN or outside [lo, hi]."""
+def _gate(kernel, x, hi: float, slack: float, what: str):
+    """The one domain gate of the public formulas: ``kernel`` at x clipped to [0, hi].
+
+    Raises ValueError naming the first value of x that is NaN or outside
+    [-_DOMAIN_TOL, hi + slack]; a scalar x gives a float.
+    """
+    arr, scalar = _as_array(x)
+    top = hi + slack
     # min and max propagate NaN, and a comparison with NaN is false
-    if arr.size and not (arr.min() >= lo and arr.max() <= hi):
-        first = arr[~((arr >= lo) & (arr <= hi))][0]
+    if arr.size and not (arr.min() >= -_DOMAIN_TOL and arr.max() <= top):
+        first = arr[~((arr >= -_DOMAIN_TOL) & (arr <= top))][0]
         raise ValueError(f"{what}: {float(first)!r}")
+    out = kernel(np.clip(arr, 0.0, hi, out=np.empty_like(arr)))
+    return float(out) if scalar else out
 
 
 def binary_entropy(x):
@@ -97,17 +105,15 @@ def binary_entropy(x):
 
     Accepts scalars or arrays; raises on inputs outside [0, 1].
     """
-    arr, scalar = _as_array(x)
-    _check_within(arr, -_DOMAIN_TOL, 1.0 + _DOMAIN_TOL, "entropy argument outside [0, 1]")
-    out = _entropy_of(np.clip(arr, 0.0, 1.0, out=np.empty_like(arr)))
-    return float(out) if scalar else out
+    return _gate(_entropy, x, 1.0, _DOMAIN_TOL, "entropy argument outside [0, 1]")
 
 
-def _entropy(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """H(x) for x in [0, 1], written into out; x is overwritten and tmp is scratch of its shape.
+def _entropy(x: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """H(x) for x in [0, 1], written into out; x is overwritten, tmp is scratch; None ones are made.
 
     Any x outside (0, 1), NaN too, reads as an edge and gives 0, as its clip to 0 or 1 would.
     """
+    out, tmp = (np.empty_like(x) if a is None else a for a in (out, tmp))
     edge = ~((x > 0.0) & (x < 1.0))
     np.copyto(x, 0.5, where=edge)
     np.log2(x, out=out)
@@ -121,27 +127,18 @@ def _entropy(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_of(x: np.ndarray) -> np.ndarray:
-    """H(x) per element of an array the caller gives up; no domain check."""
-    return _entropy(x, np.empty_like(x), np.empty_like(x))
-
-
 def g(delta):
     """Trade-off curve (1-delta)/2 - sqrt(delta(1-2 delta)) on [0, 1/3].
 
     Bounds the multiphoton error fraction from below when one side receives an
     even photon number; decreases from 1/2 at delta=0 to 0 at delta=1/3.
     """
-    arr, scalar = _as_array(delta)
-    _check_within(
-        arr, -_DOMAIN_TOL, 1.0 / 3.0 + _DOMAIN_TOL, "trade-off curve argument outside [0, 1/3]"
-    )
-    out = _curve_at(np.clip(arr, 0.0, 1.0 / 3.0, out=np.empty_like(arr)))
-    return float(out) if scalar else out
+    return _gate(_curve, delta, 1.0 / 3.0, _DOMAIN_TOL, "trade-off curve argument outside [0, 1/3]")
 
 
-def _curve(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """g(x) for x in [0, 1/3], written into out; x is overwritten, tmp is scratch of its shape."""
+def _curve(x: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """g(x) for x in [0, 1/3], into out; x is overwritten, tmp is scratch; None ones are made."""
+    out, tmp = (np.empty_like(x) if a is None else a for a in (out, tmp))
     np.subtract(1.0, x, out=out)
     out *= 0.5
     np.multiply(2.0, x, out=tmp)
@@ -150,11 +147,6 @@ def _curve(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.sqrt(x, out=x)
     out -= x
     return out
-
-
-def _curve_at(x: np.ndarray) -> np.ndarray:
-    """g(x) per element of an array in [0, 1/3] the caller gives up; no domain check."""
-    return _curve(x, np.empty_like(x), np.empty_like(x))
 
 
 def _g_on_domain(delta: np.ndarray) -> np.ndarray:
@@ -194,25 +186,18 @@ def multiphoton_envelope(delta):
     Equals g on [0, 1/6], the tangent line 1/4 - delta on [1/6, 1/4], and 0
     beyond the odd-odd corner.
     """
-    arr, scalar = _as_array(delta)
-    _check_within(arr, -_DOMAIN_TOL, 1.0 + 1e-10, "envelope argument outside [0, 1]")
-    out = _envelope_at(np.clip(arr, 0.0, 1.0, out=np.empty_like(arr)))
-    return float(out) if scalar else out
+    return _gate(_envelope, delta, 1.0, 1e-10, "envelope argument outside [0, 1]")
 
 
-def _envelope(x: np.ndarray, out: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
-    """The envelope at x in [0, 1], written into out; x is overwritten, tmp and tmp2 are scratch."""
+def _envelope(x: np.ndarray, out=None, tmp=None, tmp2=None) -> np.ndarray:
+    """The envelope at x in [0, 1], written into out; x is overwritten, tmp, tmp2 are scratch."""
+    out = np.empty_like(x) if out is None else out
     on_curve = x <= TANGENT_DELTA
     np.subtract(ODD_ODD_CORNER_DELTA, x, out=out)
     np.maximum(out, 0.0, out=out)
     np.minimum(x, TANGENT_DELTA, out=x)
     np.copyto(out, _curve(x, tmp, tmp2), where=on_curve)
     return out
-
-
-def _envelope_at(x: np.ndarray) -> np.ndarray:
-    """The envelope per element of an array in [0, 1] the caller gives up; no domain check."""
-    return _envelope(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
 
 
 def in_stats_domain(delta, eps):
@@ -281,7 +266,7 @@ def _region_codes(d: np.ndarray, e: np.ndarray, ab: np.ndarray, bc: np.ndarray) 
 
     Borders are checked in order a, b, c, so a wins ties.
     """
-    c_edge = _curve_at(np.minimum(d, 1.0 / 3.0))
+    c_edge = _curve(np.minimum(d, 1.0 / 3.0))
     under_c = (d <= TANGENT_DELTA + _DOMAIN_TOL) & (e <= c_edge + _DOMAIN_TOL)
     code = np.where(under_c, 2, _INFEASIBLE)
     np.copyto(code, 1, where=e <= np.minimum(bc, ODD_ODD_CORNER_DELTA - d) + _DOMAIN_TOL)
@@ -307,7 +292,7 @@ def _tau_a(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     x = 1.0 - 4.0 * d
     wide = x > _DOMAIN_TOL
     ratio = np.divide(e, x, out=np.zeros_like(x), where=wide)
-    return np.where(wide, 3.0 * d + x * _entropy_of(np.minimum(ratio, 1.0)), 3.0 * d)
+    return np.where(wide, 3.0 * d + x * _entropy(np.minimum(ratio, 1.0)), 3.0 * d)
 
 
 def _tau_b(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -448,7 +433,7 @@ def _tau_low_objective(x, d, e) -> np.ndarray:
     """
     gap = np.sqrt(np.maximum(x - 2.0 * d, 0.0)) - np.sqrt(d)
     eps1 = (e - 0.5 * gap * gap) / (1.0 - x)
-    return x - d + (1.0 - x) * _entropy_of(eps1)
+    return x - d + (1.0 - x) * _entropy(eps1)
 
 
 def _tau_low_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -474,7 +459,7 @@ def _tau_low_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """
     tau = _nans(d.shape)
     admissible = 3.0 * d <= 1.0 + 1e-15
-    full = admissible & (e >= _curve_at(np.minimum(d, 1.0 / 3.0)) - 1e-12)
+    full = admissible & (e >= _curve(np.minimum(d, 1.0 / 3.0)) - 1e-12)
     tau[full] = 1.0 - d[full]
     part = admissible & ~full
     d, e = d[part], e[part]
@@ -483,7 +468,7 @@ def _tau_low_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     best = np.maximum(_tau_low_objective(lo, d, e), hi - d)
     flat = d == 0.0
     if np.count_nonzero(flat):
-        best[flat] = np.maximum(best[flat], _entropy_of(e[flat]))
+        best[flat] = np.maximum(best[flat], _entropy(e[flat]))
     rows = (d > 0.0) & (e > 0.0) & (hi > lo)
     if np.count_nonzero(rows):
         d, e = d[rows], e[rows]
@@ -626,8 +611,8 @@ def _tau_numeric_rows(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     best.fill(-np.inf)
     zero = (d == 0.0) & (e <= 0.5 + 1e-15)
     if np.count_nonzero(zero):  # xi = 0: single photons only
-        best[zero] = _entropy_of(np.minimum(e[zero], 0.5))
-    multi = (e >= _envelope_at(d.copy()) - 1e-12) & (e <= 1.0 - d + 1e-12)
+        best[zero] = _entropy(np.minimum(e[zero], 0.5))
+    multi = (e >= _envelope(d.copy()) - 1e-12) & (e <= 1.0 - d + 1e-12)
     best[multi] = np.maximum(best[multi], 1.0 - d[multi])  # xi = 1: multiphoton only
     xi_min = np.maximum(d, 1e-9)
     rows = (xi_min < _NUMERIC_XI_TOP).nonzero()[0]
@@ -713,7 +698,7 @@ def _conjectured_rate(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     (a)-(c) has eps + delta/2 <= 1/2 + _DOMAIN_TOL, so the clip at 1/2 only
     removes rounding.
     """
-    return 1.0 - 2.0 * _entropy_of(np.minimum(e + 0.5 * d, 0.5))
+    return 1.0 - 2.0 * _entropy(np.minimum(e + 0.5 * d, 0.5))
 
 
 def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
@@ -722,7 +707,7 @@ def _shrink(d: np.ndarray, e: np.ndarray, f: float) -> np.ndarray:
     Every such row has QBER <= 1/2 + _DOMAIN_TOL, so the clip at 1/2 only removes rounding.
     """
     qber = e / (1.0 - d)
-    return (1.0 - d) * (1.0 - f * _entropy_of(np.minimum(qber, 0.5)))
+    return (1.0 - d) * (1.0 - f * _entropy(np.minimum(qber, 0.5)))
 
 
 def _key_cells(d, e, feasible, f) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, cached_property
 from operator import attrgetter
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import rates
 from .attack import _phi_plus, attack_density
 from .fock import _check_count
-from .povm import _outcome_krons, capped_joint_dim
+from .povm import _outcome_krons, _tally_rows, capped_joint_dim
 
 _DRAWS_PER_EVENT = 4
 # Events per pass of `run_protocol`: the 1 MB of words of 2**15 events and the buffers stay in
@@ -51,15 +50,6 @@ _BRANCH_SHIFT = _GUIDE_BITS + 2
 # Scale from a cut point c to the w >> 11 domain: c <= u iff ceil(c * 2**53) <= w >> 11.
 # The 2.0 padding becomes 2**54, above every draw.
 _WORD_SCALE = 2.0**53
-
-
-class Outcome(Enum):
-    """What one party's detector pair reported for one event."""
-
-    BIT0 = 0
-    BIT1 = 1
-    DOUBLE = 2
-    NO_DETECTION = 3
 
 
 @dataclass(frozen=True)
@@ -287,34 +277,11 @@ def _search(slots, word_cut, key, words, out=None) -> np.ndarray:
     return out
 
 
-# Whether each basis pair of a branch, in group order Z/Z, Z/X, X/Z, X/X, is sifted.
-_SAME_BASIS = np.array([[True], [False], [False], [True]])
-
-
-# One party's outcome codes, in `outcome_projectors` order; vacuum (n = 0) has one outcome.
-_CODES = np.array([Outcome.BIT0.value, Outcome.BIT1.value, Outcome.DOUBLE.value])
-_VACUUM_CODES = np.array([Outcome.NO_DETECTION.value])
-
-
-@cache
-def _tally_rows(n_a: int, n_b: int) -> np.ndarray:
-    """Read-only tally indicator rows (6, 4, cells) of a photon-number pair; rho plays no part."""
-    codes_a, codes_b = (_CODES if n else _VACUUM_CODES for n in (n_a, n_b))
-    a, b = np.repeat(codes_a, len(codes_b)), np.tile(codes_b, len(codes_a))
-    detected = (a != Outcome.NO_DETECTION.value) & (b != Outcome.NO_DETECTION.value)
-    dbl = detected & ((a == Outcome.DOUBLE.value) | (b == Outcome.DOUBLE.value))
-    err = detected & ~dbl & (a != b)
-    kept = _SAME_BASIS & detected
-    rows = (kept, kept & dbl, kept & err, kept & ~dbl & ~err, ~_SAME_BASIS, ~detected)
-    rows = np.stack(np.broadcast_arrays(*rows))
-    rows.setflags(write=False)
-    return rows
-
-
 def _branch_tables(rho: np.ndarray, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Born probabilities (4, cells) and tally indicator rows (6, 4, cells) of one branch.
 
-    Rows (basis pairs) and cells (outcome pairs) are those of `povm._outcome_krons`.
+    Rows (basis pairs) and cells (outcome pairs) are those of `povm._outcome_krons`, and
+    the indicator rows are the outcome-role masks `povm._tally_rows`; rho plays no part in them.
     """
     # One stacked pass: the matmul is one gemm per cell and the trace sums each cell's own
     # diagonal, so every cell equals the per-cell float(np.trace(rho @ kron(pa, pb))) bit for

@@ -17,13 +17,13 @@ from bbm92kit.fock import Basis
 
 # the caches that keep values a row's patch changes: the plane constants of tau_b, which
 # read H and eps1*, the projectors, which read povm's basis_state, and the tally rows,
-# which read sim's _SAME_BASIS
-CACHES = (rates._plane_constants, povm.outcome_projectors, sim._tally_rows)
+# which read povm's _SAME_BASIS
+CACHES = (rates._plane_constants, povm.outcome_projectors, povm._tally_rows)
 
 
 def _scaled(kernel, scale):
     """A row kernel of `rates`, its output scaled."""
-    return lambda x, out, tmp: np.multiply(kernel(x, out, tmp), scale, out=out)
+    return lambda x, out=None, tmp=None: np.multiply(kernel(x, out, tmp), scale, out=out)
 
 
 def _tilted(basis_state):
@@ -95,7 +95,7 @@ MUTANTS = {
         {"check_key_rate_anchors"},
         {},
     ),
-    "sift-rule-inverted": ([(sim, "_SAME_BASIS", np.logical_not)], {"check_simulation"}, {}),
+    "sift-rule-inverted": ([(povm, "_SAME_BASIS", np.logical_not)], {"check_simulation"}, {}),
     # buckets of 2**-11 read through a table of 2**-12 buckets; werner's error cells floored
     "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {"check_simulation"}, {}),
     "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {"check_simulation"}, {}),

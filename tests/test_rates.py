@@ -123,6 +123,26 @@ def test_domain_check_rejects_nan(func, outside, array):
             func(arg)
 
 
+# each formula's domain ends and, past each, the slack its gate reads as rounding
+@pytest.mark.parametrize(
+    "func, end, slack",
+    [
+        (binary_entropy, 0.0, -1e-12),
+        (binary_entropy, 1.0, 1e-12),
+        (g, 0.0, -1e-12),
+        (g, 1.0 / 3.0, 1e-12),
+        (multiphoton_envelope, 0.0, -1e-12),
+        (multiphoton_envelope, 1.0, 1e-10),
+    ],
+    ids=["entropy-0", "entropy-1", "g-0", "g-third", "envelope-0", "envelope-1"],
+)
+def test_slack_past_each_end(func, end, slack):
+    # half the slack past the end reads as the end; twice the slack is refused
+    assert func(end + slack / 2) == func(end)
+    with pytest.raises(ValueError, match=rf": {end + 2 * slack!r}$"):
+        func(end + 2 * slack)
+
+
 class TestEnvelope:
     def test_tangency_is_smooth(self):
         # the envelope's own tangent point T is where the line 1/4 - delta touches

@@ -170,6 +170,36 @@ REJECTION_CASES = {
     "eve_attack": (
         lambda: SourceModel.eve_attack(boundary_state(1, 0), F64(2)), ValueError, "got 2.0"
     ),
+    # one double past each end of the unit interval, a branch weight's open end 0 among them;
+    # the message names the gate, since eve_attack's fraction past 1 is also a branch weight
+    **{
+        f"{name}-{float(value)!r}": (
+            lambda call=call, value=value: call(value),
+            ValueError,
+            f"{what}, got {float(value)!r}",
+        )
+        for name, call, what, values in [
+            (
+                "eve_attack",
+                lambda xi: SourceModel.eve_attack(boundary_state(1, 0), xi),
+                "multiphoton fraction must be in [0, 1]",
+                (np.nextafter(1, 2), F64(-5e-324)),
+            ),
+            (
+                "werner",
+                SourceModel.werner,
+                "visibility must be in [0, 1]",
+                (np.nextafter(1, 2), F64(-5e-324)),
+            ),
+            (
+                "branch-weight",
+                lambda weight: SourceBranch(weight, 1, 1, RHO),
+                "branch weight must be in (0, 1]",
+                (F64(0.0), np.nextafter(1, 2)),
+            ),
+        ]
+        for value in values
+    },
     # Philox truncates a float key or counter, so a float would replay the integer's stream;
     # a float count would fail inside numpy with a TypeError that names no parameter
     **{

@@ -10,12 +10,14 @@ import importlib
 import inspect
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bbm92kit").glob("*.py"))
 
 
 def _traced_functions() -> list[str]:
@@ -62,6 +64,40 @@ def count_settable_values() -> int:
 
 def test_settable_values_do_not_grow():
     assert count_settable_values() <= SETTABLE_VALUES_MAX
+
+
+# Lines of code in src/bbm92kit/*.py; a change that adds code has to raise this bound on
+# purpose.
+CODE_LINES_MAX = 1743
+
+# tokens that hold no code: a line holding only these is blank or comment-only
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def count_code_lines() -> int:
+    """Lines of the package's modules that hold a code token, docstrings left out.
+
+    A docstring is a string token that makes a statement on its own.
+    """
+    total = 0
+    for path in SOURCES:
+        with path.open("rb") as source:
+            tokens = list(tokenize.tokenize(source.readline))
+        lines = set()
+        for before, token, after in zip(tokens, tokens[1:], tokens[2:]):
+            docstring = (
+                token.type == tokenize.STRING and after.type == tokenize.NEWLINE
+                and before.type in _LAYOUT
+            )
+            if token.type not in _LAYOUT and not docstring:
+                lines.update(range(token.start[0], token.end[0] + 1))
+        total += len(lines)
+    return total
+
+
+def test_code_lines_do_not_grow():
+    assert count_code_lines() <= CODE_LINES_MAX
 
 
 def test_readme_python_blocks_run():
