@@ -311,11 +311,80 @@ def check_key_rate_anchors(full: bool = False) -> CheckResult:
     )
 
 
-def check_simulation(full: bool = False) -> CheckResult:
-    """Criterion 8: seeded runs of the ideal, Werner and attack-mixture sources.
+_DRAWS = 1 << 53  # the draws v = w >> 11 of the kernel's words lie in [0, 2**53)
+_LAW_BOUND = 2e-10  # |cut - Born|, derived in `check_simulation`
 
-    Estimates lie within 5 standard errors of the analytic fractions, and a
-    rerun repeats each tally.
+
+def _slot_law(slots, word_cut, rng) -> tuple[int, int]:
+    """Draws of [0, 2**53) off the law of `sim._search` on one table, and spot draws off."""
+    rows, width = word_cut.shape
+    buckets = np.arange(1 << sim._GUIDE_BITS, dtype=np.uint64) << 53 - sim._GUIDE_BITS
+    starts = [np.union1d(buckets, cuts[cuts < _DRAWS]) for cuts in word_cut]
+    sizes = np.concatenate([np.diff(s, append=_DRAWS) for s in starts]).astype(np.int64)
+    group = np.repeat(np.arange(rows), [len(s) for s in starts]) << sim._GUIDE_BITS
+    starts = np.concatenate(starts)
+    key = group | (starts >> 53 - sim._GUIDE_BITS).astype(np.intp)
+    slot = sim._search(slots, word_cut, key, starts << 11)
+    counts = np.zeros(rows * (width + 1), dtype=np.int64)
+    np.add.at(counts, slot, sizes)
+    edges = np.minimum(word_cut, _DRAWS).astype(np.int64)
+    off = np.abs(counts - np.diff(edges, axis=1, prepend=0, append=_DRAWS).ravel()).sum() // 2
+    inside = starts + rng.integers(0, sizes).astype(np.uint64)
+    words = inside << 11 | rng.integers(0, 1 << 11, starts.size, dtype=np.uint64)
+    return int(off), int(np.count_nonzero(sim._search(slots, word_cut, key, words) != slot))
+
+
+def _kernel_law(sources, rng) -> tuple[int, int, float]:
+    """Draws off the exact law of both draws, spot draws off their step, max |cut - Born|."""
+    off = spot = dev = 0
+    for source in sources:
+        kernel = source._kernel
+        for table in (kernel.slots, kernel.word_cut), (kernel.branch_slots, kernel.branch_word_cut):
+            off, spot = np.add((off, spot), _slot_law(*table, rng))
+        weights = np.cumsum([b.weight for b in source.branches])[None, :-1]
+        pairs = [(weights, kernel.branch_word_cut)]
+        for g, b in zip(range(0, len(kernel.word_cut), 4), source.branches):
+            # tr(rho K) = sum(rho * K): both are exactly symmetric
+            cells = np.sum(povm._outcome_krons(b.n_a, b.n_b) * b.rho, axis=(-2, -1))
+            born = np.cumsum(cells, axis=1)[:, :-1] / cells.sum(axis=1, keepdims=True)
+            pairs.append((born, kernel.word_cut[g : g + 4, : born.shape[1]]))
+        dev = max(dev, *(float(np.max(np.abs(cut / 2.0**53 - c), initial=0)) for c, cut in pairs))
+    return int(off), int(spot), dev
+
+
+def check_simulation(full: bool = False) -> CheckResult:
+    """Criterion 8: the kernel's exact outcome law, and seeded runs of three sources.
+
+    Sampled: the ideal, Werner and attack-mixture runs lie within 5 standard
+    errors of the analytic fractions, and a rerun repeats each tally.
+
+    Exact (guide tables: Chen & Asau, AIIE Trans. 6(2), 1974).  Word w draws
+    v = w >> 11.  For a row of slots and cut words W_s = ceil(c_s 2**53) (c_s
+    the cumulative probabilities), `sim._search` reads v only through its bucket
+    v >> 41 and the count of W_s <= v: a step function of v, stepping only at
+    the 4096 bucket starts and the W_s below 2**53.  One search per step start
+    counts every slot's draws, and slot s must take W_s - W_(s-1) (W_(-1) = 0,
+    2**53 past the last cut), no other slot any.  That the search reads nothing
+    else is the assumption: random words inside each step, low 11 bits random,
+    must land on their step's slot.  Each W_s / 2**53 must also lie within
+    2e-10 of the unfloored Born cumulative of rho / tr(rho), the sum of
+    sum(rho * K_t) over cells t <= s (K_t of `povm._outcome_krons`), or for the
+    branch draw of the cumulative weights, which the kernel neither floors nor
+    normalises.  The bound, for k <= 9 cells, d <= 64 and rho PSD:
+    - each cell, by the kernel's matmul and trace or by this sum alike, is within
+      e = gamma_(d**2 + 15) |rho|_F |K|_F < 4112 * 8 u < 4e-12 of exact (Higham,
+      ch. 3; 15 roundings per kron entry, as in criterion 2; |rho|_F <= 1 and
+      |K|_F**2 = rank K <= d);
+    - the floor phi = 1e-12 moves a cell by at most phi + e, so the kernel's
+      normalised cumulative is within 2k (phi + e) of exact, the check's 2ke;
+    - normalising, summing and the ceiling add under (3k + 1) u.
+    In all 2k (phi + 2e) + (3k + 1) u < 18 * 9e-12 + 3e-15 < 2e-10; measured
+    4.4e-16 on these sources.  The sources must have a split bucket in the outcome draw
+    (werner(0.9)) and in the branch draw, from a weight off the 2**-12 grid
+    (the mixture at 0.3), and a Born cell below 1e-3 (werner(0.999)): a wrong
+    table, width or compare moves only draws in split buckets, and a wrong floor
+    only cells that small, so the ideal pair catches none of them.  Both sizes
+    check the law alike.
     """
     sizes = (10**6, 10**6, 10**6) if full else (20_000, 100_000, 100_000)
     seeds = (101, 102, 103) if full else (7, 8, 9)
@@ -325,6 +394,8 @@ def check_simulation(full: bool = False) -> CheckResult:
         sim.SourceModel.werner(visibility),
         sim.SourceModel.eve_attack(chi, xi),
     )
+    extra = sim.SourceModel.werner(0.999), sim.SourceModel.eve_attack(chi, 0.3)
+    off, spot, dev = _kernel_law((*sources, *extra), np.random.default_rng(20240808))
     runs = list(zip(sources, sizes, seeds))
     ideal, werner, mix = tallies = [sim.run_protocol(s, n, seed=seed) for s, n, seed in runs]
     ok = ideal.n_dbl == 0 and ideal.n_err == 0 and ideal.n_cor == ideal.n
@@ -334,10 +405,12 @@ def check_simulation(full: bool = False) -> CheckResult:
     z_d = abs(mix.delta_hat - xi * point.delta_m) / max(mix.delta_se, 1e-12)
     z_e = abs(mix.eps_hat - xi * point.eps_m) / max(mix.eps_se, 1e-12)
     ok &= z_d <= 5.0 and z_e <= 5.0
+    ok &= off == spot == 0 and dev <= _LAW_BOUND
     repeated = [sim.run_protocol(s, n, seed=seed) for s, n, seed in runs] == tallies
     return CheckResult(
         "seeded simulation",
         bool(ok and repeated),
+        f"law: {off:.3g} draws and {spot} spot draws off, max |cut - Born| {dev:.2e}; "
         f"ideal errors {ideal.n_err}, double clicks {ideal.n_dbl}, werner z={z_w:.2f}, "
         f"mixture z=({z_d:.2f}, {z_e:.2f}), reruns {'equal' if repeated else 'DIFFER'}",
     )

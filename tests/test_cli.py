@@ -642,7 +642,7 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "51893df05717636ca08a23716cba369d3712ae9ccc316231039612ac34359eba"
+            "5f54564afea3d97334fb5456a7091abe2a77b8b5267aaad6d30ad8ebd275a98a"
         )
 
     @pytest.mark.parametrize(

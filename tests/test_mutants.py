@@ -7,6 +7,8 @@ the exact set of failing checks (mutation testing: DeMillo, Lipton & Sayward,
 `selfcheck.CHECKS` fails in at least one row.
 """
 
+import inspect
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +38,31 @@ def _tilted(basis_state):
     return tilted
 
 
+def _rewritten(old: str, new: str):
+    """Mutant of a function: its source, with the one occurrence of ``old`` made ``new``."""
+
+    def mutant(f):
+        text = inspect.getsource(f)
+        assert text.count(old) == 1
+        scope = {}
+        exec(text.replace(old, new), vars(sys.modules[f.__module__]), scope)
+        return scope[f.__name__]
+
+    return mutant
+
+
+def _kept(tally_rows):
+    """tally_rows with the sifted double clicks counted as correct bits, not discarded."""
+
+    def rows(n_a, n_b):
+        n, dbl, err, cor, mismatched, undetected = tally_rows(n_a, n_b)
+        return np.array([n, dbl & False, err, cor | dbl, mismatched, undetected])
+
+    return rows
+
+
 TRADEOFF, TAU, ATTACK = "check_tradeoff_boundary", "check_tau_consistency", "check_attack"
+SIM = "check_simulation"
 # name: the patches (module, attribute, the mutant made from the original), the checks
 # that must fail, and for some of them a fragment their detail line must hold
 MUTANTS = {
@@ -66,8 +92,7 @@ MUTANTS = {
     ),
     "x-states-tilted-in-povm": (
         [(povm, "basis_state", _tilted)],
-        {"check_odd_odd_bound", "check_povm_completeness", "check_region_soundness",
-         "check_simulation", TRADEOFF},
+        {"check_odd_odd_bound", "check_povm_completeness", "check_region_soundness", SIM, TRADEOFF},
         {
             "check_povm_completeness": "eigenvalues in [-1.04e-01,",
             "check_region_soundness": "raised ValueError: envelope argument outside [0, 1]: -0.",
@@ -95,12 +120,35 @@ MUTANTS = {
         {"check_key_rate_anchors"},
         {},
     ),
-    "sift-rule-inverted": ([(povm, "_SAME_BASIS", np.logical_not)], {"check_simulation"}, {}),
+    "sift-rule-inverted": ([(povm, "_SAME_BASIS", np.logical_not)], {SIM}, {}),
     # buckets of 2**-11 read through a table of 2**-12 buckets; werner's error cells floored
-    "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {"check_simulation"}, {}),
-    "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {"check_simulation"}, {}),
+    "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {SIM}, {}),
+    "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {SIM}, {}),
     # the branch's key bits one lower, on Alice's basis bit: the mixture reads wrong groups
-    "branch-shift-13": ([(sim, "_BRANCH_SHIFT", lambda s: s - 1)], {"check_simulation"}, {}),
+    "branch-shift-13": ([(sim, "_BRANCH_SHIFT", lambda s: s - 1)], {SIM}, {}),
+    # the kernel reads its own binding; a patch of povm._tally_rows would not reach it
+    "double-clicks-kept": ([(sim, "_tally_rows", _kept)], {SIM}, {SIM: "z=(83333333333.33, 0.58)"}),
+    # Kernel faults the sampled runs pass, each moving only draws in a split bucket or a
+    # Born cell below 1e-3; criterion 8's exact law sees each of them.
+    "guide-rolled-one-bucket": (
+        [(sim, "_slot_table", lambda f: lambda cuts: np.roll(f(cuts), 1, axis=1))],
+        {SIM},
+        {SIM: "law: 3.12e+13 draws and 0 spot draws off"},
+    ),
+    "word-scale-doubled": (
+        [(sim, "_WORD_SCALE", lambda s: 2.0 * s)], {SIM}, {SIM: "max |cut - Born| 1.00e+00"}
+    ),
+    "prob-floor-1e-3": (
+        [(sim, "_PROB_FLOOR", lambda floor: 1e-3)], {SIM}, {SIM: "max |cut - Born| 2.50e-04"}
+    ),
+    "search-width-off-by-one": (
+        [(sim, "_search", _rewritten("shape[1] + 1", "shape[1]"))],
+        {SIM},
+        {SIM: "law: 6.34e+13 draws"},
+    ),
+    "search-compare-strict": (
+        [(sim, "_search", _rewritten("<= draw", "< draw"))], {SIM}, {SIM: "42 spot draws off"}
+    ),
     # the runtime border check off, so only criterion 5's rows either side of a border see it
     "tau-b-plus-1e-6": (
         [

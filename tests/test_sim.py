@@ -1,6 +1,4 @@
 import gc
-import inspect
-import sys
 import weakref
 from functools import partial
 from typing import NamedTuple
@@ -29,6 +27,7 @@ from bbm92kit import (
     rates,
     run_attack,
     run_protocol,
+    selfcheck,
     sim,
 )
 
@@ -222,32 +221,6 @@ def _run_chunked(source: SourceModel, num_events: int, seed: int, chunk: int) ->
         return run_protocol(source, num_events, seed)
 
 
-class TestRunProtocol:
-    def test_sift_never_keeps_bad_events(self):
-        # every kernel slot feeding the correct or error tally is a same-basis
-        # outcome where both parties report a bit
-        source = _random_mixture(11)
-        kernel = source._kernel
-        _, groups = _reference_tables(source)
-        width = kernel.probs.shape[1]
-        n_row, _, err_row, cor_row = kernel.indicators[:4]
-        bits = (Outcome.BIT0.value, Outcome.BIT1.value)
-        checked = 0
-        for g, table in enumerate(groups):
-            wa, wb = (g >> 1) % 2, g % 2
-            for s, (a, b) in enumerate(zip(table.codes_a, table.codes_b)):
-                slot = g * width + s
-                if err_row[slot] or cor_row[slot]:
-                    assert wa == wb and a in bits and b in bits
-                    assert n_row[slot] == 1
-                    checked += 1
-                if Outcome.DOUBLE.value in (a, b) or Outcome.NO_DETECTION.value in (a, b):
-                    assert not err_row[slot] and not cor_row[slot]
-            # padding slots of narrower groups are never counted
-            assert not kernel.indicators[:, g * width + len(table.cum) : (g + 1) * width].any()
-        assert checked > 0
-
-
 def _random_custom_source(seed: int, n_a: int, n_b: int) -> SourceModel:
     rng = np.random.default_rng(seed)
     return SourceModel.custom([(1.0, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))])
@@ -423,36 +396,10 @@ def edge_sources(draw):
     return SourceModel.custom(blocks)
 
 
-def _edge_draws(source: SourceModel):
-    """Counter-based stand-in for event_uniforms that often draws a cut point or a neighbour.
-
-    Word j of event i is a Philox word or, three times in four, one whose top
-    53 bits m are taken from a pool: int(p * 2**53) for each value p among the
-    kernel's cut points, the bucket edges around them and 0.5, each with its
-    two neighbouring doubles, and the integer boundaries ceil(c * 2**53) and
-    one below it for each cut point c, all in [0, 2**53).  The low 11 bits of
-    every word stay random, so a kernel that reads them disagrees with the
-    reference.
-    """
-    branch_cum, groups = _reference_tables(source)
-    cuts = np.concatenate([*(table.cum[:-1] for table in groups), branch_cum[:-1], [0.5]])
-    cuts = cuts[cuts < 1.0]
-    edges = np.floor(cuts / _BUCKET) * _BUCKET
-    points = np.concatenate([cuts, edges, edges + _BUCKET])
-    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
-    points = points[(points >= 0.0) & (points < 1.0)]
-    bounds = np.ceil(cuts * 2.0**53)
-    tops = np.concatenate([np.trunc(points * 2.0**53), bounds, bounds - 1.0])
-    pool = np.unique(tops[(tops >= 0.0) & (tops < 2.0**53)].astype(np.uint64))
-    philox = sim.event_uniforms
-
-    def draws(seed: int, start: int, count: int) -> np.ndarray:
-        words = philox(seed, start, count)
-        pick = _uniforms(philox(seed + 1, start, count))
-        chosen = pool[(pick * len(pool)).astype(np.intp)] << 11 | words & 0x7FF
-        return np.where(pick < 0.75, chosen, words)
-
-    return draws
+def _assert_kernel_law(source: SourceModel) -> None:
+    """The source's outcome and branch draws follow criterion 8's exact law, draw for draw."""
+    off, spot, dev = selfcheck._kernel_law([source], np.random.default_rng(5))
+    assert (off, spot) == (0, 0) and dev <= selfcheck._LAW_BOUND
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,91 +408,13 @@ def test_guide_lookup_matches_reference(source, num_events, seed, chunk):
     assert _run_chunked(source, num_events, seed, chunk) == _reference_run_protocol(
         source, num_events, seed, chunk
     )
-    draws = _edge_draws(source)
-    # the reference reads this module's event_uniforms, run_protocol reads sim's
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "event_uniforms", draws)
-        patch.setattr(sys.modules[__name__], "event_uniforms", draws)
-        assert _run_chunked(source, num_events, seed, chunk) == _reference_run_protocol(
-            source, num_events, seed, chunk
-        )
+    _assert_kernel_law(source)
 
 
-def _rewritten(old: str, new: str):
-    """Mutant of a function: its source, with the one occurrence of ``old`` made ``new``."""
-
-    def mutant(f):
-        text = inspect.getsource(f)
-        assert text.count(old) == 1
-        scope = {}
-        exec(text.replace(old, new), vars(sys.modules[f.__module__]), scope)
-        return scope[f.__name__]
-
-    return mutant
-
-
-# Kernel mutants that `selftest`'s statistical criterion passes at the quick size: a
-# rolled slot table, a doubled word scale, a split bucket's slot counted from a wrong
-# width and a strict compare move only draws near a cut point, a floor of 1e-3 only cells
-# that small.  The exact comparison with the reference loop catches each at a fixed
-# source, size and seed; the strict compare only on draws that land on a cut point.
-SURVIVING_KERNEL_MUTANTS = {
-    "guide-rolled-one-bucket": (
-        "_slot_table",
-        lambda f: lambda cuts: np.roll(f(cuts), 1, axis=1),
-        REFERENCE_SOURCES["werner"],
-        False,
-    ),
-    "word-scale-doubled": ("_WORD_SCALE", lambda s: 2.0 * s, REFERENCE_SOURCES["mixture0"], False),
-    "prob-floor-1e-3": (
-        "_PROB_FLOOR", lambda floor: 1e-3, lambda: SourceModel.werner(0.999), False
-    ),
-    "search-width-off-by-one": (
-        "_search", _rewritten("shape[1] + 1", "shape[1]"), REFERENCE_SOURCES["werner"], False
-    ),
-    "search-compare-strict": (
-        "_search", _rewritten("<= draw", "< draw"), REFERENCE_SOURCES["mixture0"], True
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "name, mutant, source, on_cuts", SURVIVING_KERNEL_MUTANTS.values(), ids=SURVIVING_KERNEL_MUTANTS
-)
-def test_reference_catches_kernel_mutant(monkeypatch, name, mutant, source, on_cuts):
-    if on_cuts:
-        draws = _edge_draws(source())
-        monkeypatch.setattr(sim, "event_uniforms", draws)
-        monkeypatch.setattr(sys.modules[__name__], "event_uniforms", draws)
-    want = _reference_run_protocol(source(), 20000, 0)
-    monkeypatch.setattr(sim, name, mutant(getattr(sim, name)))
-    assert run_protocol(source(), 20000, 0) != want
-
-
-class TestBornRuleFidelity:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            SourceModel.ideal_pair(),
-            SourceModel.werner(0.7),
-            make_attack_source(0.6)[0],
-            _random_custom_source(23, 2, 2),
-        ],
-        ids=["ideal", "werner", "attack", "custom22"],
-    )
-    def test_empirical_frequencies_match_probabilities(self, source):
-        branch_cum, groups = _reference_tables(source)
-        u = _uniforms(event_uniforms(21, 0, 10**6))
-        group, cells = _reference_cells(u, branch_cum, groups)
-        for g, table in enumerate(groups):
-            mask = group == g
-            m = int(mask.sum())
-            if m < 1000:
-                continue
-            counts = np.bincount(cells[mask], minlength=len(table.probs))
-            for cell, p in enumerate(table.probs):
-                se = np.sqrt(max(p * (1.0 - p), 1e-12) / m)
-                assert abs(counts[cell] / m - p) <= 5.0 * se + 1e-9
+@pytest.mark.parametrize("name", list(REFERENCE_SOURCES))
+def test_kernel_law(name):
+    # with test_tallies_equal_reference_loop, this ties the reference loop to the Born rule
+    _assert_kernel_law(REFERENCE_SOURCES[name]())
 
 
 class TestCustomSources:

@@ -68,7 +68,7 @@ def test_settable_values_do_not_grow():
 
 # Lines of code in src/bbm92kit/*.py; a change that adds code has to raise this bound on
 # purpose.
-CODE_LINES_MAX = 1743
+CODE_LINES_MAX = 1779
 
 # tokens that hold no code: a line holding only these is blank or comment-only
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
