@@ -92,7 +92,8 @@ MUTANTS = {
     ),
     "x-states-tilted-in-povm": (
         [(povm, "basis_state", _tilted)],
-        {"check_odd_odd_bound", "check_povm_completeness", "check_region_soundness", SIM, TRADEOFF},
+        {"check_odd_odd_bound", "check_povm_completeness", "check_region_soundness",
+         "check_simulation", TRADEOFF},
         {
             "check_povm_completeness": "eigenvalues in [-1.04e-01,",
             "check_region_soundness": "raised ValueError: envelope argument outside [0, 1]: -0.",
@@ -120,12 +121,12 @@ MUTANTS = {
         {"check_key_rate_anchors"},
         {},
     ),
-    "sift-rule-inverted": ([(povm, "_SAME_BASIS", np.logical_not)], {SIM}, {}),
+    "sift-rule-inverted": ([(povm, "_SAME_BASIS", np.logical_not)], {"check_simulation"}, {}),
     # buckets of 2**-11 read through a table of 2**-12 buckets; werner's error cells floored
-    "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {SIM}, {}),
-    "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {SIM}, {}),
+    "bucket-shift-plus-1": ([(sim, "_BUCKET_SHIFT", lambda s: s + 1)], {"check_simulation"}, {}),
+    "prob-floor-0.05": ([(sim, "_PROB_FLOOR", lambda floor: 0.05)], {"check_simulation"}, {}),
     # the branch's key bits one lower, on Alice's basis bit: the mixture reads wrong groups
-    "branch-shift-13": ([(sim, "_BRANCH_SHIFT", lambda s: s - 1)], {SIM}, {}),
+    "branch-shift-13": ([(sim, "_BRANCH_SHIFT", lambda s: s - 1)], {"check_simulation"}, {}),
     # the kernel reads its own binding; a patch of povm._tally_rows would not reach it
     "double-clicks-kept": ([(sim, "_tally_rows", _kept)], {SIM}, {SIM: "z=(83333333333.33, 0.58)"}),
     # Kernel faults the sampled runs pass, each moving only draws in a split bucket or a

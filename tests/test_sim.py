@@ -221,6 +221,32 @@ def _run_chunked(source: SourceModel, num_events: int, seed: int, chunk: int) ->
         return run_protocol(source, num_events, seed)
 
 
+class TestRunProtocol:
+    def test_sift_never_keeps_bad_events(self):
+        # every kernel slot feeding the correct or error tally is a same-basis
+        # outcome where both parties report a bit
+        source = _random_mixture(11)
+        kernel = source._kernel
+        _, groups = _reference_tables(source)
+        width = kernel.probs.shape[1]
+        n_row, _, err_row, cor_row = kernel.indicators[:4]
+        bits = (Outcome.BIT0.value, Outcome.BIT1.value)
+        checked = 0
+        for g, table in enumerate(groups):
+            wa, wb = (g >> 1) % 2, g % 2
+            for s, (a, b) in enumerate(zip(table.codes_a, table.codes_b)):
+                slot = g * width + s
+                if err_row[slot] or cor_row[slot]:
+                    assert wa == wb and a in bits and b in bits
+                    assert n_row[slot] == 1
+                    checked += 1
+                if Outcome.DOUBLE.value in (a, b) or Outcome.NO_DETECTION.value in (a, b):
+                    assert not err_row[slot] and not cor_row[slot]
+            # padding slots of narrower groups are never counted
+            assert not kernel.indicators[:, g * width + len(table.cum) : (g + 1) * width].any()
+        assert checked > 0
+
+
 def _random_custom_source(seed: int, n_a: int, n_b: int) -> SourceModel:
     rng = np.random.default_rng(seed)
     return SourceModel.custom([(1.0, n_a, n_b, _random_density(rng, (n_a + 1) * (n_b + 1)))])
